@@ -9,7 +9,6 @@ p[1][0][1] and d[1][0][1].  Over the rationals the only roots of unity are
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -17,7 +16,6 @@ from typing import Optional, Sequence
 
 from .errors import PreconditionNotMet, RootOfUnityLambda, UnverifiedStructure, ValidationError
 from .series import ONE, ZERO, as_fraction
-from .standard import StandardCycleParams, build_standard_cycle
 from .tensor import (
     CheckResult,
     QCycleStructure,
@@ -367,19 +365,3 @@ def normalize(s: QCycleStructure, lam) -> QCycleStructure:
     the root explicitly since it need not exist.
     """
     return rescale(s, lam)
-
-
-def standard_structure(
-    n: int,
-    degree: int,
-    tail: Sequence[object] = (),
-    rng: Optional[random.Random] = None,
-) -> QCycleStructure:
-    """Convenience: the involutive structure of a standard cycle coalgebra."""
-    if rng is not None:
-        tail = [
-            Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
-            for _ in range(n - degree - 1)
-        ]
-    params = StandardCycleParams.from_tail(n, degree, list(tail))
-    return QCycleStructure.involutive(build_standard_cycle(params).tensor)

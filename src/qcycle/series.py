@@ -38,7 +38,12 @@ def as_fraction(value: Rational) -> Fraction:
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:
-    """Parse "a/b" or "a" (integers accepted as shorthand)."""
+    """Parse "a/b" or "a" (integers accepted as shorthand).
+
+    Floats and bools are rejected: a JSON 0.1 is a binary float, not 1/10.
+    """
+    if isinstance(text, (bool, float)):
+        raise ParseError(f"not a rational: {text!r} (write it as a string \"a/b\")")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

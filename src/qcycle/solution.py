@@ -90,25 +90,8 @@ class LinearMap2:
 
     def inverse(self) -> Optional["LinearMap2"]:
         """Exact inverse by Gauss-Jordan elimination, or None when singular."""
-        dim = self.n * self.n
-        a = [list(row) for row in self.matrix]
-        inv = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
-        for col in range(dim):
-            pivot = next((r for r in range(col, dim) if a[r][col]), None)
-            if pivot is None:
-                return None
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                inv[col], inv[pivot] = inv[pivot], inv[col]
-            scale = ONE / a[col][col]
-            a[col] = [v * scale for v in a[col]]
-            inv[col] = [v * scale for v in inv[col]]
-            for r in range(dim):
-                if r != col and a[r][col]:
-                    factor = a[r][col]
-                    a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                    inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-        return LinearMap2(self.n, inv)
+        inv = _invert(self.matrix)
+        return None if inv is None else LinearMap2(self.n, inv)
 
     def determinant(self) -> Fraction:
         dim = self.n * self.n
@@ -259,7 +242,11 @@ def check_braid_full(s: QCycleStructure) -> BraidReport:
 
 
 def gp_map(t: CoeffTensor) -> LinearMap2:
-    """x_i (x) x_j -> sum_{a+b=j} t(x_i (x) x_a) (x) x_b."""
+    """x_i (x) x_j -> sum_{a+b=j} t(x_i (x) x_a) (x) x_b.
+
+    Block-triangular in the second index, with the n x n step block
+    t[.][0][.] on the diagonal: invertible exactly when that block is.
+    """
     n = t.n
     dim = n * n
     grid = [[ZERO] * dim for _ in range(dim)]
@@ -275,51 +262,29 @@ def gp_map(t: CoeffTensor) -> LinearMap2:
     return LinearMap2(n, grid)
 
 
-def gd_map(t: CoeffTensor) -> LinearMap2:
-    """x_i (x) x_j -> sum_{a+b=j} t(x_i (x) x_b) (x) x_a."""
-    n = t.n
-    dim = n * n
-    grid = [[ZERO] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for a in range(j + 1):
-                b = j - a
-                for k in range(n):
-                    v = t.entries[i][b][k]
-                    if v:
-                        grid[k * n + a][col] += v
-    return LinearMap2(n, grid)
+# G_d sends x_i (x) x_j to sum_{a+b=j} t(x_i (x) x_b) (x) x_a.  C is
+# cocommutative (x_j splits as sum_{a+b=j} x_a (x) x_b, symmetric in a and b),
+# so renaming a <-> b turns that sum into G_p's: the two side maps coincide.
+gd_map = gp_map
 
 
 def superscript_map(p: CoeffTensor) -> list[list[list[Fraction]]]:
     """The coefficients E[i][j][k] of the map a (x) b -> a^b.
 
-    Extracted from the inverse of `gp_map`: the inverse sends
-    x_i (x) x_j to sum_{j1+j2=j} E(x_i (x) x_j1) (x) x_j2, so E is its
-    (k, 0)-block.  Raises SingularGp when the side map is not invertible.
-    """
-    n = p.n
-    inv = gp_map(p).inverse()
-    if inv is None:
-        raise SingularGp("left side map is not invertible")
-    return [
-        [[inv.matrix[k * n + 0][i * n + j] for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def superscript_map_triangular(p: CoeffTensor) -> list[list[list[Fraction]]]:
-    """Debug oracle for `superscript_map`: solve the defining identity
+    E is the (k, 0)-block of the inverse of `gp_map`, found without forming
+    that n^2 x n^2 inverse: it solves the defining identity
 
         sum_{j1+j2=j} sum_h p[i][j1][h] E[h][j2][k] = delta_{j0} delta_{ik}
 
-    directly, column by column in j (an n x n solve per step)."""
+    step by step in j, each step one solve with the n x n step block
+    p[.][0][.].  Raises SingularGp when the side map is not invertible, which
+    is exactly when the step block is singular.
+    """
     n = p.n
-    m0 = [[p.entries[i][0][h] for h in range(n)] for i in range(n)]
-    m0_inv = _invert_small(m0)
-    if m0_inv is None:
-        raise SingularGp("p[.][0][.] block is not invertible")
+    e = p.entries
+    step_inv = _invert([row[0] for row in e])
+    if step_inv is None:
+        raise SingularGp("left side map is not invertible")
     E = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for k in range(n):
@@ -328,22 +293,23 @@ def superscript_map_triangular(p: CoeffTensor) -> list[list[list[Fraction]]]:
                 for i in range(n):
                     acc = ZERO
                     for h in range(n):
-                        c = p.entries[i][j1][h]
+                        c = e[i][j1][h]
                         if c:
                             acc += c * E[h][j - j1][k]
                     rhs[i] -= acc
-            sol = [sum((m0_inv[i][r] * rhs[r] for r in range(n)), ZERO) for i in range(n)]
             for h in range(n):
-                E[h][j][k] = sol[h]
+                E[h][j][k] = sum((step_inv[h][r] * rhs[r] for r in range(n)), ZERO)
     return E
 
 
-def _invert_small(m):
-    n = len(m)
+def _invert(m) -> Optional[list[list[Fraction]]]:
+    """Exact inverse of a square matrix by Gauss-Jordan elimination, or None
+    when singular."""
+    dim = len(m)
     a = [list(row) for row in m]
-    inv = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
+    inv = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
+    for col in range(dim):
+        pivot = next((r for r in range(col, dim) if a[r][col]), None)
         if pivot is None:
             return None
         if pivot != col:
@@ -352,23 +318,24 @@ def _invert_small(m):
         scale = ONE / a[col][col]
         a[col] = [v * scale for v in a[col]]
         inv[col] = [v * scale for v in inv[col]]
-        for r in range(n):
+        for r in range(dim):
             if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
     return inv
 
 
 def build_solution(s: QCycleStructure) -> LinearMap2:
     """The solution map s(a (x) b) = {a_(1)}b_(2) (x) a_(2)^{b_(1)}.
 
-    Here a^b is the superscript map extracted from the inverse left side map
-    and {a}b = b_(2) : a^{b_(1)} twists through d.  Requires both side maps to
-    be invertible.
+    Here a^b is the superscript map (`superscript_map`) and
+    {a}b = b_(2) : a^{b_(1)} twists through d.  Requires both side maps to be
+    invertible; each is decided on its n x n step block (see `gp_map`), so no
+    n^2 x n^2 matrix is inverted.
     """
     n = s.n
-    if gd_map(s.d).inverse() is None:
+    if _invert([row[0] for row in s.d.entries]) is None:
         raise SingularGd("right side map is not invertible")
     E = superscript_map(s.p)
     d = s.d.entries

@@ -44,6 +44,16 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["scc", "--n", "4", "--v0", "1", "--params", "1,zzz"]) == EXIT_USAGE
 
 
+def test_float_coefficient_is_a_parse_error(tmp_path):
+    out = tmp_path / "scc.json"
+    main(["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)])
+    payload = json.loads(out.read_text())
+    payload["p"][2][1][1] = 0.1
+    bad = tmp_path / "float.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", "--tensor", str(bad)]) == EXIT_USAGE
+
+
 def test_validation_error_exit_code():
     assert main(["scc", "--n", "4", "--v0", "1", "--params", "1,2,3"]) == EXIT_USAGE
 

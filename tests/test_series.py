@@ -10,6 +10,7 @@ from qcycle.errors import (
     IndexOutOfTruncation,
     NonzeroConstantTerm,
     NotInvertible,
+    ParseError,
     ZeroConstantTerm,
 )
 from qcycle.series import (
@@ -201,6 +202,10 @@ class TestParsing:
         assert parse_rational("-5") == Fraction(-5)
         assert str(Fraction(3, 4)) == "3/4"
         assert str(Fraction(5)) == "5"
+        assert parse_rational(7) == 7
+        for value in (0.1, 1e300, True):
+            with pytest.raises(ParseError):
+                parse_rational(value)
 
     def test_payloads(self):
         s = Series1([1, Fraction(-2, 3)])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcycle.errors import NotComultiplicative, SingularGp
+from qcycle.errors import NotComultiplicative, SingularGd, SingularGp
 from qcycle.solution import (
     LinearMap2,
     build_solution,
@@ -14,30 +14,65 @@ from qcycle.solution import (
     is_coalgebra_endomorphism,
     structure_sanity,
     superscript_map,
-    superscript_map_triangular,
 )
 from qcycle.tensor import (
+    CoeffTensor,
     QCycleStructure,
     counit_action,
     extend_from_level1,
 )
 
-from conftest import random_level1, standard_structure
+from conftest import random_fraction, random_level1, standard_structure
+
+
+def _step_block_cases(rng, n):
+    """Tensors for the step-block differential test: random ones (not
+    comultiplicative, a few with a singular step block by chance), the same
+    with a step-block row copied onto another (rank-deficient), and
+    comultiplicative ones with the step entry p[1][0][1] = 0 or not."""
+    cases = []
+    for _ in range(3):
+        grid = [[[random_fraction(rng, 1) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        cases.append(CoeffTensor(grid))
+        src, dst = rng.sample(range(n), 2)
+        grid[dst][0] = list(grid[src][0])
+        cases.append(CoeffTensor(grid))
+    for step in (Fraction(0), Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))):
+        level1 = random_level1(rng, n)
+        level1[1][0] = step
+        cases.append(extend_from_level1(level1))
+    return cases
 
 
 class TestSideMaps:
     def test_counit_action_gives_identity(self):
         assert gp_map(counit_action(3)) == LinearMap2.identity(3)
 
-    def test_invertibility_matches_step_entry(self, rng):
-        n = 3
-        grid = random_level1(rng, n)
-        grid[1][0] = Fraction(2)
-        invertible = gp_map(extend_from_level1(grid))
-        assert invertible.inverse() is not None
-        grid[1][0] = Fraction(0)
-        singular = gp_map(extend_from_level1(grid))
-        assert singular.inverse() is None
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_step_block_path_matches_dense_inverse(self, rng, n):
+        cases = _step_block_cases(rng, n)
+        singular = 0
+        for t in cases:
+            inv = gp_map(t).inverse()
+            try:
+                E = superscript_map(t)
+            except SingularGp:
+                E = None
+            try:
+                build_solution(QCycleStructure(counit_action(n), t))
+                gd_singular = False
+            except SingularGd:
+                gd_singular = True
+            assert (inv is None) == (E is None) == gd_singular
+            if inv is None:
+                singular += 1
+                continue
+            assert E == [
+                [[inv.matrix[k * n][i * n + j] for k in range(n)] for j in range(n)]
+                for i in range(n)
+            ]
+        # four cases are singular by construction, one is invertible
+        assert 4 <= singular < len(cases)
 
     def test_vanishing_params_determinant(self):
         s = standard_structure(3, 1, [0])
@@ -53,10 +88,6 @@ class TestSideMaps:
             for a in range(n):
                 want = t.entry(1, 2 - a, k) if 2 - a >= 0 else 0
                 assert m.matrix[k * n + a][1 * n + 2] == want
-
-    def test_superscript_extraction_matches_triangular_solve(self, rng):
-        s = standard_structure(4, 1, [Fraction(1, 2), 1])
-        assert superscript_map(s.p) == superscript_map_triangular(s.p)
 
     def test_superscript_inverts_side_map(self):
         n = 4
