@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+SOLUTION_CHECKS = ("solution_braid", "solution_coalgebra_endo", "solution_bijective",
+                   "solution_involutive")
+
 
 def _parse_rational_list(text: str) -> list:
     text = text.strip()
@@ -89,11 +92,16 @@ def _cmd_verify(args) -> int:
     results = {}
     for name, tensor in (("p", structure.p), ("d", structure.d)):
         results[f"morphism_{name}"] = bool(is_coalgebra_morphism(tensor))
-    reduced = check_braid_reduced(structure)
+    # The braid scans and the solution map presuppose coalgebra morphisms;
+    # without them every later check is recorded as failed without running.
+    morphisms = results["morphism_p"] and results["morphism_d"]
+    reduced = check_braid_reduced(structure) if morphisms else None
     results["braid_reduced"] = bool(reduced)
     if args.full:
-        results["braid_full"] = bool(check_braid_full(structure))
-    if args.solution:
+        results["braid_full"] = morphisms and bool(check_braid_full(structure))
+    if args.solution and not morphisms:
+        results.update(dict.fromkeys(SOLUTION_CHECKS, False))
+    elif args.solution:
         try:
             smap = build_solution(structure)
             results["solution_braid"] = check_braid_on_map(smap)
@@ -104,12 +112,14 @@ def _cmd_verify(args) -> int:
             results["solution_braid"] = False
             print(f"solution construction failed: {exc}")
     ok = all(v for k, v in results.items() if k != "solution_involutive")
+    if not morphisms:
+        print("not coalgebra morphisms: braid and solution checks not run")
     for key, value in results.items():
         if key == "solution_involutive":
             print(f"{key}: {value}")
         else:
             print(f"{key}: {'pass' if value else 'FAIL'}")
-    if not reduced and reduced.violations:
+    if reduced is not None and not reduced:
         for v in reduced.violations[:5]:
             print(f"  violation family={v[0]} (i,j,k)=({v[1]},{v[2]},{v[3]}) lhs={v[5]} rhs={v[6]}")
     if args.report_json:

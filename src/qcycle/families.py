@@ -15,11 +15,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import PreconditionNotMet, RootOfUnityLambda, UnverifiedStructure, ValidationError
-from .series import ONE, ZERO, as_fraction
+from .series import ONE, Series1, ZERO, as_fraction
 from .tensor import (
-    CheckResult,
     QCycleStructure,
     SuiteReport,
+    _check,
     extend_from_level1,
     rescale,
 )
@@ -199,13 +199,16 @@ def build_nonroot_family(inp: NonRootFamilyInput) -> QCycleStructure:
     d_col = [ZERO] * n
     d_col[1] = inp.mu
     for i in range(2, n):
-        # level-k values of d's column up to i, from d_col[1..i-1]
-        d_levels = _column_levels(d_col, i)
         acc = ZERO
         for h in range(1, i):
             acc += p.entry(i, 0, h) * d_col[h]
+        # d[i][0][h] for h >= 2 is the x^i coefficient of the h-th power of
+        # the column series, which involves d_col[1..i-1] only.
+        column = Series1(d_col[: i + 1])
+        power = column
         for h in range(2, i + 1):
-            acc -= d_levels[h] * lam[h - 1]
+            power = power * column
+            acc -= power.coeffs[i] * lam[h - 1]
         denom = lam[0] - lam[0] ** i
         d_col[i] = acc / denom
 
@@ -214,25 +217,6 @@ def build_nonroot_family(inp: NonRootFamilyInput) -> QCycleStructure:
         d_level1[i][0] = d_col[i]
     d = extend_from_level1(d_level1)
     return QCycleStructure(p, d)
-
-
-def _column_levels(col: Sequence[Fraction], i: int) -> list[Fraction]:
-    """levels[k] = sum over compositions i = i_1 + ... + i_k (parts > 0) of
-    prod col[i_s]; the k-fold convolution power of the column at index i."""
-    levels = [ZERO] * (i + 1)
-    conv = list(col[: i + 1])
-    levels[1] = conv[i]
-    current = conv
-    for k in range(2, i + 1):
-        nxt = [ZERO] * (i + 1)
-        for a in range(1, i + 1):
-            if col[a]:
-                for b in range(1, i + 1 - a):
-                    if current[b]:
-                        nxt[a + b] += col[a] * current[b]
-        current = nxt
-        levels[k] = current[i]
-    return levels
 
 
 def nonunit_vanishing_check(s: QCycleStructure, order_bound: int) -> SuiteReport:
@@ -254,7 +238,7 @@ def nonunit_vanishing_check(s: QCycleStructure, order_bound: int) -> SuiteReport
         for k in range(n)
         if i + j <= order_bound and (p.entry(i, j, k) or d.entry(i, j, k))
     ]
-    checks.append(CheckResult("interaction_vanishes", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("interaction_vanishes", fails))
 
     fails = []
     for i in range(2, min(order_bound, n - 1) + 1):
@@ -266,7 +250,7 @@ def nonunit_vanishing_check(s: QCycleStructure, order_bound: int) -> SuiteReport
             rhs -= d.entry(i, 0, h) * p.entry(h, 0, 1)
         if lhs != rhs:
             fails.append(i)
-    checks.append(CheckResult("d_column_recursion", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("d_column_recursion", fails))
 
     return SuiteReport(tuple(checks))
 
@@ -285,9 +269,7 @@ def first_column_vanishing_check(s: QCycleStructure) -> SuiteReport:
     if any(p.entry(1, j, 1) for j in range(1, n)):
         raise PreconditionNotMet("first row must vanish")
     fails = [i for i in range(n) if p.entry(i, 1, 1)]
-    return SuiteReport(
-        (CheckResult("first_column_vanishes", not fails, str(fails[:3]) if fails else None),)
-    )
+    return SuiteReport((_check("first_column_vanishes", fails),))
 
 
 @dataclass(frozen=True)

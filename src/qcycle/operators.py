@@ -41,7 +41,7 @@ from .series import (
     substitute_y,
 )
 from .standard import StandardCycleBundle, build_standard_cycle
-from .tensor import CheckResult, SuiteReport
+from .tensor import CheckResult, SuiteReport, _check
 
 SeriesLike = Union[Series1, Series2]
 
@@ -315,11 +315,6 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     N, v0 = ctx.order, ctx.degree
     checks: list[CheckResult] = []
 
-    def record(name: str, fails: list) -> None:
-        checks.append(
-            CheckResult(name, not fails, f"first failure: {fails[0]}" if fails else None)
-        )
-
     x1_inputs = [Series1.monomial(a, N) for a in range(N)] + [
         _random_series1(rng, N) for _ in range(3)
     ]
@@ -339,7 +334,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         for v in range(1, min(v0, N)):
             if not ctx.partial_x(v, h).is_zero():
                 fails.append(("low_degree", v))
-    record("partial_x_identity_and_gap", fails)
+    checks.append(_check("partial_x_identity_and_gap", fails))
 
     # partial_x^{v0} is the derivation h -> g h'
     fails = []
@@ -350,7 +345,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         ctx.f_power(v0).add_constant(-1)
     ):
         fails.append("row_flow")
-    record("partial_x_degree_slice_derivation", fails)
+    checks.append(_check("partial_x_degree_slice_derivation", fails))
 
     # partial_x^v x = g_v
     fails = []
@@ -358,7 +353,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     for v in range(N):
         if ctx.partial_x(v, x) != ctx.table.slice_y(v):
             fails.append(v)
-    record("partial_x_of_x_gives_slices", fails)
+    checks.append(_check("partial_x_of_x_gives_slices", fails))
 
     # commutation of the x-operators
     fails = []
@@ -374,7 +369,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 break
         if fails:
             break
-    record("partial_x_commutation", fails)
+    checks.append(_check("partial_x_commutation", fails))
 
     # x and y operators commute
     fails = []
@@ -390,7 +385,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 break
         if fails:
             break
-    record("xy_commutation", fails)
+    checks.append(_check("xy_commutation", fails))
 
     # partial_y annihilates pure-x series
     fails = []
@@ -398,14 +393,14 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     for u in range(1, N):
         if not ctx.partial_y(u, pure).is_zero():
             fails.append(u)
-    record("partial_y_kills_pure_x", fails)
+    checks.append(_check("partial_y_kills_pure_x", fails))
 
     # partial_y^{v0} G = (f(y)^{v0} - 1) partial_x^{v0} G
     fails = []
     fyv = ctx.f_power(v0).add_constant(-1)
     if ctx.partial_y(v0, ctx.table) != ctx.partial_x(v0, ctx.table).mul_y_series(fyv):
         fails.append("twist")
-    record("table_y_vs_x_twist", fails)
+    checks.append(_check("table_y_vs_x_twist", fails))
 
     # slice symmetry of the x-operators on the table
     dx_table = [ctx.partial_x(u, ctx.table) for u in range(N)]
@@ -414,7 +409,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         for v in range(u + 1, N):
             if dx_table[u].slice_y(v) != dx_table[v].slice_y(u):
                 fails.append((u, v))
-    record("x_slice_symmetry", fails)
+    checks.append(_check("x_slice_symmetry", fails))
 
     # partial_x^d g = (partial_x^{v0} G)_d = (partial_x^d G)_{v0}
     fails = []
@@ -423,7 +418,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             lhs = ctx.partial_x(d, ctx.column)
             if lhs != dx_table[v0].slice_y(d) or lhs != dx_table[d].slice_y(v0):
                 fails.append(d)
-    record("column_slice_exchange", fails)
+    checks.append(_check("column_slice_exchange", fails))
 
     # global operator: slice symmetry (the braid identity in series form)
     dy_table = [ctx.partial_y(b, ctx.table) for b in range(N)]
@@ -438,7 +433,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         for j in range(i + 1, N):
             if d_table[j].slice_y(i) != d_table[i].slice_y(j):
                 fails.append((i, j))
-    record("global_slice_symmetry", fails)
+    checks.append(_check("global_slice_symmetry", fails))
 
     # (partial^j G)_{ik} equals the brute-forced braid sum R(i, j, k)
     t = ctx.tensor
@@ -466,7 +461,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             for k in range(1, N):
                 if dj.coefficient(i, k) != braid_sum(i, j, k):
                     fails.append((i, j, k))
-    record("braid_sum_match", fails)
+    checks.append(_check("braid_sum_match", fails))
 
     # R(i, v0, k) = R(i, k, v0)
     fails = []
@@ -474,7 +469,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         for k in range(N):
             if v0 < N and braid_sum(i, v0, k) != braid_sum(i, k, v0):
                 fails.append((i, k))
-    record("degree_slot_symmetry", fails)
+    checks.append(_check("degree_slot_symmetry", fails))
 
     # tilde_x^1 = partial_x^{v0} = g d/dx
     fails = []
@@ -483,7 +478,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         if t1 != ctx.column * h.derivative() or (v0 < N and t1 != ctx.partial_x(v0, h)):
             fails.append("unit")
             break
-    record("tilde_x_unit", fails)
+    checks.append(_check("tilde_x_unit", fails))
 
     # v tilde_x^v = tilde_x^1 tilde_x^{v-1} - (v-1) tilde_x^{v-1}
     fails = []
@@ -498,7 +493,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             prev = cur
         if fails:
             break
-    record("tilde_x_recursion", fails)
+    checks.append(_check("tilde_x_recursion", fails))
 
     # same recursion for the global tilde operator
     fails = []
@@ -515,7 +510,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             prev = cur
         if fails:
             break
-    record("tilde_global_recursion", fails)
+    checks.append(_check("tilde_global_recursion", fails))
 
     # tilde^v = C(tilde^1, v) as an operator, small v
     fails = []
@@ -531,7 +526,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 break
         if fails:
             break
-    record("tilde_global_binomial", fails)
+    checks.append(_check("tilde_global_binomial", fails))
 
     # partial_x^v = sum_u (fbar^u)_v tilde_x^u
     fails = []
@@ -547,7 +542,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 break
         if fails:
             break
-    record("partial_x_from_tilde", fails)
+    checks.append(_check("partial_x_from_tilde", fails))
 
     # partial^v = sum_u (fbar^u)_v tilde^u on two-variable inputs
     fails = []
@@ -564,7 +559,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 break
         if fails:
             break
-    record("partial_global_from_tilde", fails)
+    checks.append(_check("partial_global_from_tilde", fails))
 
     # Gbar^u = sum_{v >= u} (P^u)_v(x) fbar(y)^v
     fails = []
@@ -576,7 +571,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 acc = acc + Series2.from_x_series(pv, N).mul_y_series(ctx.fbar_power(v))
         if acc != ctx.power("table_reduced", u):
             fails.append(u)
-    record("table_regrade_powers", fails)
+    checks.append(_check("table_regrade_powers", fails))
 
     # t[d+w][v][w] = sum_i C(w, i) (Gbar^i)_{d+i, v}
     fails = []
@@ -593,7 +588,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                         )
                 if t.entry(d + w, v, w) != acc:
                     fails.append((d, w, v))
-    record("level_entry_binomial", fails)
+    checks.append(_check("level_entry_binomial", fails))
 
     # sum_h t[u][v][h] l_h = (partial_x^v l)_u
     fails = []
@@ -609,7 +604,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                         acc += c * ell.coeffs[h]
                 if pxl.coeffs[u] != acc:
                     fails.append((u, v))
-    record("row_action_is_partial", fails)
+    checks.append(_check("row_action_is_partial", fails))
 
     # t[j][a][h] = (F^h)_{aj}
     fails = []
@@ -619,7 +614,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             for j in range(N):
                 if t.entry(j, a, h) != fh.coefficient(a, j):
                     fails.append((j, a, h))
-    record("flip_power_entries", fails)
+    checks.append(_check("flip_power_entries", fails))
 
     # partial^j G = sum_h (F^h)_j(y) partial_x^h G
     fails = []
@@ -631,7 +626,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 acc = acc + dx_table[h].mul_y_series(coeff)
         if acc != d_table[j]:
             fails.append(j)
-    record("global_as_flip_convolution", fails)
+    checks.append(_check("global_as_flip_convolution", fails))
 
     # eigenfunction identities
     fails = []
@@ -647,7 +642,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         Series1.x(N)
     ):
         fails.append("series_ode")
-    record("eigen_odes", fails)
+    checks.append(_check("eigen_odes", fails))
 
     fails = []
     lhs = (q ** v0).scale(v0)
@@ -659,7 +654,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         acc = acc + ctx.fbar_power(k).scale(-c)
     if lhs != acc:
         fails.append("binomial_form")
-    record("eigen_power_vs_row", fails)
+    checks.append(_check("eigen_power_vs_row", fails))
 
     fails = []
     fa = compose(ctx.row, ctx.eigenfunction_inv)
@@ -676,7 +671,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         k += 1
     if fa != acc:
         fails.append("root_expansion")
-    record("row_at_eigen_inverse", fails)
+    checks.append(_check("row_at_eigen_inverse", fails))
 
     # G = sum a_i q(x)^i f(y)^i and F = A(q(y) f(x))
     fails = []
@@ -690,7 +685,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     inner = Series2.from_y_series(q, N).mul_x_series(ctx.row)
     if compose(ctx.eigenfunction_inv, inner) != ctx.flip:
         fails.append("flip_composition")
-    record("table_from_eigen", fails)
+    checks.append(_check("table_from_eigen", fails))
 
     # binomial transform pair between the two regradings
     fails = []
@@ -705,7 +700,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             acc = acc + ctx.p_slices[i].scale((-1) ** (i - j) * comb(i, j))
         if acc != ctx.eigen_slices[j]:
             fails.append(("inverse", j))
-    record("binomial_transform_pair", fails)
+    checks.append(_check("binomial_transform_pair", fails))
 
     # transport chain: S(fbar(y)) = v0 q(y)^{v0}; U(v0 q(y)^{v0}) = fbar(F) = T(fbar(y))
     fails = []
@@ -717,7 +712,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         fails.append("from_eigen")
     if substitute_y(ctx.transport, fbar_y) != fbar_flip:
         fails.append("transport")
-    record("transport_chain", fails)
+    checks.append(_check("transport_chain", fails))
 
     # (1+y) T_y = tilde_x^1 T + f^{v0} (T + 1)
     fails = []
@@ -727,7 +722,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     rhs2 = ctx.tilde_partial_x(1, T) + (T.add_constant(1)).mul_x_series(ctx.f_power(v0))
     if not lhs2.agrees_with(rhs2, N, N - 1):
         fails.append("ode")
-    record("transport_ode", fails)
+    checks.append(_check("transport_ode", fails))
 
     # tilde^k F = sum_h (T^h)_k tilde_y^h F
     tilde_y_flip = [None] + [ctx.tilde_partial_y(h, ctx.flip) for h in range(1, N)]
@@ -740,7 +735,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 acc = acc + tilde_y_flip[h].mul_x_series(coeff)
         if acc != ctx.tilde_partial_global(k, ctx.flip):
             fails.append(k)
-    record("tilde_flip_transport", fails)
+    checks.append(_check("tilde_flip_transport", fails))
 
     # sum_i (fbar(y)^i)_j tilde^i F = sum_i (fbar(F)^i)_j tilde_y^i F
     fails = []
@@ -762,6 +757,6 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 rhs3 = rhs3 + tilde_y_flip[i].mul_x_series(coeff)
         if lhs3 != rhs3:
             fails.append(j)
-    record("main_series_identity", fails)
+    checks.append(_check("main_series_identity", fails))
 
     return SuiteReport(tuple(checks))

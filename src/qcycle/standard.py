@@ -10,8 +10,8 @@ steps:
        (v+1) g_{v+1} = g * sum_{l} (v-l+1) p_{v-l+1} g_l'  -  sum_{l} p_{v-l+1} l g_l,
 
      equivalently G_y = g(x) f'(y) G_x - (f(y) - 1) G_y;
-  3. level-1 entries t[u][v][1] = coefficient of x^u in g_v, extended to all
-     levels by convolution (`tensor.extend_from_level1`).
+  3. level-1 entries t[u][v][1] = coefficient of x^u in g_v; level k is the
+     k-th power of G (`tensor.extend_from_level1`).
 
 The resulting pair (t, t) satisfies all braid-equation families exactly; the
 identity suite in `operators` re-derives this through the differential
@@ -33,7 +33,7 @@ from .series import (
     as_fraction,
     divide_exact,
 )
-from .tensor import CheckResult, CoeffTensor, SuiteReport, extend_from_level1
+from .tensor import CheckResult, CoeffTensor, SuiteReport, _check, extend_from_level1
 
 
 @dataclass(frozen=True)
@@ -193,22 +193,22 @@ def table_properties(bundle: StandardCycleBundle) -> SuiteReport:
     checks = []
 
     fails = [v for v in range(1, v0) if not table.slice_y(v).is_zero()]
-    checks.append(CheckResult("low_slices_vanish", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("low_slices_vanish", fails))
 
     checks.append(
         CheckResult("degree_slice_is_column", table.slice_y(v0) == bundle.column)
     )
 
     fails = [v for v in range(order) if table.coeffs[0][v]]
-    checks.append(CheckResult("table_vanishes_at_x0", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("table_vanishes_at_x0", fails))
 
     fails = [v for v in range(order) if table.coeffs[1][v] != bundle.row.coeffs[v]]
-    checks.append(CheckResult("x_derivative_at_0_is_row", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("x_derivative_at_0_is_row", fails))
 
     fails = [
         v for v in range(v0, order) if tensor.entry(1, v, 1) != bundle.params.coeff(v)
     ]
-    checks.append(CheckResult("level1_row_matches_params", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("level1_row_matches_params", fails))
 
     fails = [
         (u, v, w)
@@ -217,7 +217,7 @@ def table_properties(bundle: StandardCycleBundle) -> SuiteReport:
         for w in range(u + 1, order)
         if tensor.entries[u][v][w]
     ]
-    checks.append(CheckResult("levels_vanish_below_diagonal", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("levels_vanish_below_diagonal", fails))
 
     f = bundle.row
     lhs = bundle.column * f.derivative()
@@ -245,11 +245,11 @@ def invariant_suite(bundle: StandardCycleBundle) -> SuiteReport:
     checks = []
 
     fails = [(k, i) for k in range(n) for i in range(1, v0) if t.entry(k, i, k)]
-    checks.append(CheckResult("diagonal_low_column_vanishes", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("diagonal_low_column_vanishes", fails))
 
     base = t.entry(1, v0, 1)
     fails = [k for k in range(1, n) if t.entry(k, v0, k) != k * base]
-    checks.append(CheckResult("diagonal_column_derivation", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("diagonal_column_derivation", fails))
 
     fails = [
         (j, k)
@@ -257,7 +257,7 @@ def invariant_suite(bundle: StandardCycleBundle) -> SuiteReport:
         for k in range(n)
         if t.entry(j, 0, k) != (ONE if j == k else ZERO)
     ]
-    checks.append(CheckResult("column_zero_is_identity", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("column_zero_is_identity", fails))
 
     fails = [
         (i, j, k)
@@ -266,7 +266,7 @@ def invariant_suite(bundle: StandardCycleBundle) -> SuiteReport:
         for k in range(n)
         if t.entry(i, j, k)
     ]
-    checks.append(CheckResult("low_columns_vanish", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("low_columns_vanish", fails))
 
     fails = [
         (i, k)
@@ -274,7 +274,7 @@ def invariant_suite(bundle: StandardCycleBundle) -> SuiteReport:
         for k in range(n)
         if t.entry(i, v0, k) != k * t.entry(i - k + 1, v0, 1)
     ]
-    checks.append(CheckResult("column_v0_derivation", not fails, str(fails[:3]) if fails else None))
+    checks.append(_check("column_v0_derivation", fails))
 
     # g f' = f (f^{v0} - 1) with g, f read off the tensor.
     g = Series1([t.entry(i, v0, 1) for i in range(n)])
@@ -441,7 +441,4 @@ def reconstruct_from_row(n: int, degree: int, row: Sequence[object]) -> CoeffTen
                     raise ReconstructionError("vanishing recursion denominator")
                 t[i][j][1] = (first - second) / denom
 
-    # One final pass for levels whose inputs only completed late: redo all
-    # convolution levels now that level 1 is complete.
-    final = extend_from_level1([[t[u][v][1] for v in range(n)] for u in range(n)])
-    return final
+    return CoeffTensor(t)

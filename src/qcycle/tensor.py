@@ -5,13 +5,15 @@ x_0..x_{n-1}, comultiplication D(x_i) = sum_{j+k=i} x_j (x) x_k and counit
 e(x_i) = delta_{i0}.  A map m(x_i (x) x_j) = sum_k t[i][j][k] x_k is stored as
 the n*n*n grid t; entries with any index outside [0, n) are 0 by convention.
 
-Such a map is a coalgebra morphism iff t[i][j][0] = delta_{0,i+j} and, for all
-splittings l + h < n,
+C (x) C is dual to A = K[u, v]/<u^n, v^n>, with x_i (x) x_j dual to u^i v^j.
+So t is a coalgebra morphism iff its transpose K[y]/<y^n> -> A is a unital
+algebra map, which is fixed by the image of y: the series
 
-    t[i][j][l+h] = sum over a+b=i, c+d=j of t[a][c][l] * t[b][d][h].
+    G = sum_{i,j} t[i][j][1] u^i v^j.
 
-In particular higher levels are convolution powers of level 1, which is what
-`extend_from_level1` builds.
+Level k of t (the grid t[.][.][k], read as a series in A) must be G^k, and
+G^n must vanish.  `extend_from_level1` builds the powers; `is_coalgebra_morphism`
+checks them, and the check G^n = 0 is what makes the result a morphism.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import BadLinearTerm, NotComultiplicative, ParseError, ZeroLambda
-from .series import Series1, ZERO, ONE, as_fraction, format_rational, parse_rational
+from .series import Series1, Series2, ZERO, ONE, as_fraction, format_rational, parse_rational
 
 Grid = Sequence[Sequence[Fraction]]
 
@@ -130,6 +132,9 @@ class QCycleStructure:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "QCycleStructure":
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if type(schema) is not int or schema != 1:
+            raise ParseError(f"unsupported structure schema {schema!r} (expected 1)")
         try:
             n = int(payload["n"])
             p = CoeffTensor.from_payload(payload["p"])
@@ -145,10 +150,13 @@ class QCycleStructure:
 
 @dataclass(frozen=True)
 class MorphismReport:
-    """Outcome of the coalgebra-morphism scan; carries the first violation."""
+    """Outcome of the coalgebra-morphism check; carries the first violation."""
 
     ok: bool
-    # (i, j, l, h, lhs, rhs); l + h is the output level that failed.
+    # (i, j, l, h, lhs, rhs): the u^i v^j coefficient of level l + h is lhs,
+    # that of level l times level h is rhs.  The counit check reports level 0
+    # as (i, j, 0, 0, ...); the power check reports level k as (i, j, 1, k-1,
+    # ...), and l + h = n marks a nonzero G^n.
     violation: Optional[tuple] = None
 
     def __bool__(self) -> bool:
@@ -156,7 +164,11 @@ class MorphismReport:
 
 
 def is_coalgebra_morphism(t: CoeffTensor) -> MorphismReport:
-    """Check the counit condition and every splitting l + h < n of every level."""
+    """Check that level 0 is 1, level k is G^k for 1 < k < n, and G^n = 0.
+
+    G is level 1 read as a series in A = K[u, v]/<u^n, v^n> (see the module
+    docstring); each level is compared with the previous one times G.
+    """
     n = t.n
     e = t.entries
     for i in range(n):
@@ -164,54 +176,31 @@ def is_coalgebra_morphism(t: CoeffTensor) -> MorphismReport:
             expect = ONE if i + j == 0 else ZERO
             if e[i][j][0] != expect:
                 return MorphismReport(False, (i, j, 0, 0, e[i][j][0], expect))
-    for l in range(n):
-        for h in range(n - l):
-            if l + h == 0:
-                continue
-            k = l + h
-            for i in range(n):
-                for j in range(n):
-                    acc = ZERO
-                    for a in range(i + 1):
-                        for c in range(j + 1):
-                            v = e[a][c][l]
-                            if v:
-                                w = e[i - a][j - c][h]
-                                if w:
-                                    acc += v * w
-                    if acc != e[i][j][k]:
-                        return MorphismReport(False, (i, j, l, h, e[i][j][k], acc))
+    g = Series2(t.level(1))
+    for k in range(2, n + 1):
+        product = (Series2(t.level(k - 1)) * g).coeffs
+        for i in range(n):
+            for j in range(n):
+                entry = e[i][j][k] if k < n else ZERO
+                if product[i][j] != entry:
+                    return MorphismReport(False, (i, j, 1, k - 1, entry, product[i][j]))
     return MorphismReport(True)
 
 
 def extend_from_level1(level1: Grid) -> CoeffTensor:
-    """Build the full tensor from level-1 data.
+    """Build the tensor whose level w is G^w, G being level1 read as a series.
 
-    Level 0 is delta_{0,i+j}; level w >= 2 is the convolution
-
-        t[u][v][w] = sum over u1+u2=u, v1+v2=v of level1[u1][v1] * t[u2][v2][w-1],
-
-    which makes the result comultiplicative by construction.
+    Level 0 is delta_{0,i+j}.  The result is a coalgebra morphism exactly when
+    G^n = 0 as well, e.g. when level1 has a zero top row (no pure v^j terms).
     """
     n = len(level1)
-    grid = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    grid[0][0][0] = ONE
-    for u in range(n):
-        for v in range(n):
-            grid[u][v][1] = as_fraction(level1[u][v])
-    for w in range(2, n):
-        for u in range(n):
-            for v in range(n):
-                acc = ZERO
-                for u1 in range(u + 1):
-                    for v1 in range(v + 1):
-                        c = grid[u1][v1][1]
-                        if c:
-                            d = grid[u - u1][v - v1][w - 1]
-                            if d:
-                                acc += c * d
-                grid[u][v][w] = acc
-    return CoeffTensor(grid)
+    g = Series2(level1)
+    levels = [Series2.monomial(0, 0, n), g]
+    while len(levels) < n:
+        levels.append(levels[-1] * g)
+    return CoeffTensor(
+        [[[levels[w].coeffs[u][v] for w in range(n)] for v in range(n)] for u in range(n)]
+    )
 
 
 def rescale_tensor(t: CoeffTensor, lam) -> CoeffTensor:

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from qcycle.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from qcycle.tensor import QCycleStructure
+from qcycle.tensor import QCycleStructure, extend_from_level1
 
 
 def test_scc_emit_and_verify_round_trip(tmp_path, capsys):
@@ -35,6 +36,41 @@ def test_verify_detects_corruption(tmp_path, capsys):
     bad.write_text(json.dumps(payload))
     assert main(["verify", "--tensor", str(bad)]) == EXIT_CHECK_FAILED
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_non_morphism_records_every_check(tmp_path, capsys):
+    # G = u + v: every level below n is a power of G, but G^3 != 0.
+    n = 3
+    level1 = [[Fraction(0)] * n for _ in range(n)]
+    level1[1][0] = level1[0][1] = Fraction(1)
+    path = tmp_path / "two_sided.json"
+    structure = QCycleStructure.involutive(extend_from_level1(level1))
+    path.write_text(json.dumps(structure.to_payload()))
+    report = tmp_path / "report.json"
+    argv = ["verify", "--tensor", str(path), "--full", "--solution", "--report-json", str(report)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    results = json.loads(report.read_text())["results"]
+    checks = ["morphism_p", "morphism_d", "braid_reduced", "braid_full", "solution_braid",
+              "solution_coalgebra_endo", "solution_bijective"]
+    assert results == dict.fromkeys(checks + ["solution_involutive"], False)
+    for name in checks:
+        assert f"{name}: FAIL" in out
+    assert "solution_involutive: False" in out
+
+
+def test_schema_is_checked(tmp_path):
+    out = tmp_path / "scc.json"
+    main(["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)])
+    payload = json.loads(out.read_text())
+    for schema in (None, 2, "1", True):
+        if schema is None:
+            del payload["schema"]
+        else:
+            payload["schema"] = schema
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["verify", "--tensor", str(bad)]) == EXIT_USAGE
 
 
 def test_parse_error_exit_code(tmp_path):

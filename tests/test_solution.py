@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -178,6 +179,99 @@ class TestSolutionMap:
             [Fraction(rng.randint(-3, 3)) for _ in range(n * n)] for _ in range(n * n)
         ]
         assert not is_coalgebra_endomorphism(LinearMap2(n, grid))
+
+
+def is_endomorphism_by_scan(s):
+    """e . s = e and D . s = (s (x) s) . D, compared on every basis vector.
+
+    D(x_i (x) x_j) is the sum over i1+i2=i, j1+j2=j of
+    (x_i1 (x) x_j1) (x) (x_i2 (x) x_j2), and the x_a(x)x_b (x) x_c(x)x_d
+    component of D(s(x_i (x) x_j)) is s[(a+c, b+d), (i, j)], 0 off the grid.
+    """
+    n = s.n
+    dim = n * n
+    M = s.matrix
+    for col in range(dim):
+        if M[0][col] != (1 if col == 0 else 0):
+            return False
+    for i in range(n):
+        for j in range(n):
+            col = i * n + j
+            rhs = {}
+            for i1 in range(i + 1):
+                for j1 in range(j + 1):
+                    ca = i1 * n + j1
+                    cb = (i - i1) * n + (j - j1)
+                    for ra in range(dim):
+                        if M[ra][ca]:
+                            for rb in range(dim):
+                                if M[rb][cb]:
+                                    key = (ra, rb)
+                                    rhs[key] = rhs.get(key, 0) + M[ra][ca] * M[rb][cb]
+            for a in range(n):
+                for b in range(n):
+                    for c in range(n):
+                        for d in range(n):
+                            if a + c < n and b + d < n:
+                                lhs = M[(a + c) * n + (b + d)][col]
+                            else:
+                                lhs = 0
+                            if lhs != rhs.get((a * n + b, c * n + d), 0):
+                                return False
+    return True
+
+
+def _endomorphism_cases(rng, n):
+    """Solution maps of standard cycles (v0 = 1 and v0 = n - 1), of the
+    nonroot family and, at n = 3, of the fixtures; flip and identity; a
+    one-entry +-1 perturbation of each; and three maps that fail exactly one
+    of the generator-row conditions."""
+    from qcycle.families import NonRootFamilyInput, build_nonroot_family, fixtures_n3
+
+    structures = [
+        standard_structure(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
+        for v0 in sorted({1, n - 1})
+    ]
+    lambdas = [Fraction(rng.choice((-2, 2)))] + [random_fraction(rng) for _ in range(n - 2)]
+    structures.append(build_nonroot_family(NonRootFamilyInput(n, lambdas, Fraction(3, 2))))
+    if n == 3:
+        structures += [fixture.structure for fixture in fixtures_n3()]
+    maps = [build_solution(s) for s in structures] + [LinearMap2.flip(n), LinearMap2.identity(n)]
+    cases = list(maps)
+    for m in maps:
+        grid = [list(row) for row in m.matrix]
+        r, c = rng.randrange(n * n), rng.randrange(n * n)
+        grid[r][c] += rng.choice((-1, 1))
+        cases.append(LinearMap2(n, grid))
+    # The zero map meets every product condition but not row (0, 0) = 1.
+    zero = LinearMap2(n, [[0] * (n * n) for _ in range(n * n)])
+    return cases + [_shear(n, False), _shear(n, True), zero]
+
+
+def _shear(n, mirrored):
+    """Row (k, l) is (u + v)^k v^l, or u^l (u + v)^k at row (l, k) when
+    mirrored: each row is a product of the generator rows, yet (u + v)^n != 0."""
+    dim = n * n
+    grid = [[Fraction(0)] * dim for _ in range(dim)]
+    for k in range(n):
+        for l in range(n):
+            for a in range(k + 1):
+                i, j = a, k - a + l
+                if j < n:
+                    row, col = (l * n + k, j * n + i) if mirrored else (k * n + l, i * n + j)
+                    grid[row][col] = Fraction(comb(k, a))
+    return LinearMap2(n, grid)
+
+
+class TestEndomorphismCheck:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_scan(self, rng, n):
+        verdicts = set()
+        for m in _endomorphism_cases(rng, n):
+            ok = is_endomorphism_by_scan(m)
+            assert is_coalgebra_endomorphism(m) == ok
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestSanity:

@@ -18,7 +18,7 @@ from qcycle.tensor import (
     structural_lemma_suite,
 )
 
-from conftest import random_level1, standard_structure
+from conftest import random_fraction, random_level1, standard_structure
 
 
 def vanishing_params_level1(n):
@@ -39,6 +39,51 @@ def all_ones_level1(n):
     return grid
 
 
+def is_morphism_by_definition(t):
+    """e . t = e (x) e and D . t = (t (x) t) . D on every basis vector.
+
+    The x_l (x) x_h component of D(t(x_i (x) x_j)) is t[i][j][l+h], which is 0
+    when l + h >= n; that of (t (x) t)(D(x_i (x) x_j)) is the sum over
+    a+b=i, c+d=j of t[a][c][l] t[b][d][h].
+    """
+    n = t.n
+    for i in range(n):
+        for j in range(n):
+            if t.entry(i, j, 0) != (1 if i + j == 0 else 0):
+                return False
+            for l in range(n):
+                for h in range(n):
+                    rhs = sum(
+                        t.entry(a, c, l) * t.entry(i - a, j - c, h)
+                        for a in range(i + 1)
+                        for c in range(j + 1)
+                    )
+                    if t.entry(i, j, l + h) != rhs:
+                        return False
+    return True
+
+
+def _morphism_cases(rng, n):
+    """Extensions with a zero top row, a nonzero top row, or t[0][0][1] != 0,
+    and one-entry +-1 perturbations of each.  Every other nonzero top row
+    comes with a zero first column, so that G lies in (v) and G^n = 0."""
+    cases = []
+    for round_ in range(14):
+        zero_top = extend_from_level1(random_level1(rng, n))
+        top = random_level1(rng, n, zero_top_row=False)
+        top[0][rng.randrange(1, n)] = random_fraction(rng, 2) or Fraction(1)
+        if round_ % 2:
+            for i in range(1, n):
+                top[i][0] = Fraction(0)
+        constant = random_level1(rng, n)
+        constant[0][0] = random_fraction(rng, 2) or Fraction(-1)
+        for t in (zero_top, extend_from_level1(top), extend_from_level1(constant)):
+            cases.append(t)
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            cases.append(t.with_entry(i, j, k, t.entry(i, j, k) + rng.choice((-1, 1))))
+    return cases
+
+
 class TestMorphismCheck:
     def test_vanishing_params_tensor_is_morphism(self):
         t = extend_from_level1(vanishing_params_level1(4))
@@ -50,10 +95,24 @@ class TestMorphismCheck:
         assert not report
         assert report.violation[:2] == (0, 0)
 
-    def test_random_extension_is_morphism(self, rng):
-        for _ in range(10):
-            t = extend_from_level1(random_level1(rng, 4, zero_top_row=False))
-            assert is_coalgebra_morphism(t)
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_definition(self, rng, n):
+        verdicts = {True: 0, False: 0}
+        for t in _morphism_cases(rng, n):
+            ok = is_morphism_by_definition(t)
+            assert bool(is_coalgebra_morphism(t)) == ok
+            verdicts[ok] += 1
+        assert min(verdicts.values()) >= 20
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_sided_steps_rejected_at_top_power(self, n):
+        # G = u + v: levels below n are its powers, but G^n != 0.
+        level1 = [[Fraction(0)] * n for _ in range(n)]
+        level1[1][0] = level1[0][1] = Fraction(1)
+        t = extend_from_level1(level1)
+        report = is_coalgebra_morphism(t)
+        assert not report and not is_morphism_by_definition(t)
+        assert report.violation[2] + report.violation[3] == n
 
 
 class TestExtension:
@@ -113,15 +172,14 @@ class TestStructuralSuite:
         assert structural_lemma_suite(t).ok
 
     def test_two_sided_steps_fail(self, rng):
+        # G = u + v has G^3 != 0, so this is not a coalgebra morphism.
         n = 3
         level1 = [[Fraction(0)] * n for _ in range(n)]
         level1[1][0] = Fraction(1)
         level1[0][1] = Fraction(1)
         t = extend_from_level1(level1)
-        report = structural_lemma_suite(t)
-        assert not report.ok
-        names = {c.name for c in report.failures()}
-        assert "top_level_binomial" in names or "vanishing_above_first_index" in names
+        with pytest.raises(NotComultiplicative):
+            structural_lemma_suite(t)
 
     def test_requires_morphism(self):
         t = counit_action(3).with_entry(1, 1, 2, 5)
