@@ -41,7 +41,6 @@ from .families import (
     first_column_vanishing_check,
     fixtures_n3,
     nonunit_vanishing_check,
-    normalize,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +40,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# Options whose value may be a negative rational such as -1/2, which argparse
+# would otherwise read as an unknown option.
+RATIONAL_OPTIONS = ("--params", "--lambdas", "--mu")
+
 SOLUTION_CHECKS = ("solution_braid", "solution_coalgebra_endo", "solution_bijective",
                    "solution_involutive")
 
@@ -48,6 +53,17 @@ def _parse_rational_list(text: str) -> list:
     if not text:
         return []
     return [parse_rational(part.strip()) for part in text.split(",")]
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Rewrite `--mu -1/2` as `--mu=-1/2` for the rational options."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in RATIONAL_OPTIONS and re.match(r"-\d", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _load_structure(path: str) -> QCycleStructure:
@@ -230,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.handler(args)
     except (ParseError, ValidationError) as exc:

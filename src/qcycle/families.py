@@ -21,7 +21,6 @@ from .tensor import (
     SuiteReport,
     _check,
     extend_from_level1,
-    rescale,
 )
 from .solution import check_braid_reduced
 
@@ -337,13 +336,3 @@ def fixtures_n3() -> list[Fixture]:
             )
     return fixtures
 
-
-def normalize(s: QCycleStructure, lam) -> QCycleStructure:
-    """Rescale by the isomorphism x_i -> lam^i x_i.
-
-    With lam = t[1][1][1] (degree 1) or lam a degree-th root of the first
-    nonzero row parameter, a structure in one of the "complete" rows lands
-    exactly on its standard-cycle normal form; over Q the caller must supply
-    the root explicitly since it need not exist.
-    """
-    return rescale(s, lam)

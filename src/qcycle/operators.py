@@ -5,10 +5,13 @@ h(G) = sum_v (partial_x^v h)(x) y^v, which works out to
 
     partial_x^v h = sum_{k=1}^{v} (1/k!) (Gbar^k)_v h^(k),      Gbar = G - x.
 
-partial_y^u is the same expression with the slice read in y and y-derivatives;
-the global operator is partial^k = sum_{a+b=k} partial_x^a partial_y^b.  The
-tilde variants replace Gbar-slices by slices of P, where P regrades Gbar in
-powers of f(y) - 1.  The context also carries:
+partial_y^u is partial_x^u acting on y; the global operator is
+partial^k = sum_{a+b=k} partial_x^a partial_y^b.  The tilde variants replace
+Gbar by P, which regrades Gbar in powers of f(y) - 1.  Each operator is linear
+on series of the context's order N: an N x N matrix with entry
+[u][c] = sum_k C(c, k) (B^k)_v[u - c + k], B = Gbar or P, built once per (B, v).
+It acts on the x-index of a series (partial_x) or on its y-index (partial_y).
+Inputs at any order other than N raise SeriesError.  The context also carries:
 
   * the eigenfunction q of the derivation h -> g h' (g q' = q, q = x + ...),
     its compositional inverse, and the scaled eigenfunctions q_i = a_i q^i;
@@ -28,7 +31,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional, Union
 
-from .errors import DegreeOutOfRange, InvariantViolation
+from .errors import DegreeOutOfRange, InvariantViolation, SeriesError
 from .series import (
     ONE,
     Series1,
@@ -67,6 +70,7 @@ class OperatorContext:
         self._pows: dict = {}
         self._slices: dict = {}
         self._fpow: dict = {}
+        self._matrices: dict = {}
 
         self.p_slices = self._build_p_slices()
         self.p_series = Series2.from_y_slices(self.p_slices, N)
@@ -203,70 +207,58 @@ class OperatorContext:
         if not 0 <= v < self.order:
             raise DegreeOutOfRange(f"degree {v} at truncation order {self.order}")
 
-    def _apply_x(self, slices_name: str, v: int, h: Series1) -> Series1:
-        acc = Series1.zero(self.order)
-        deriv = h
-        for k in range(1, v + 1):
-            deriv = deriv.derivative()
-            if deriv.is_zero():
-                break
-            coeff = self._x_slice(slices_name, k, v)
-            if not coeff.is_zero():
-                acc = acc + (coeff * deriv).scale(self.inv_factorial[k])
-        return acc
+    def _matrix(self, name: str, v: int) -> tuple:
+        """The N x N matrix of h -> sum_{k=1}^{v} (1/k!) (B^k)_v h^(k), B = `name`.
 
-    def _x_slice(self, slices_name: str, k: int, v: int) -> Series1:
-        if slices_name == "gbar":
-            return self.power_slice("table_reduced", k, v)
-        return self.power_slice("p", k, v)
+        Entry [u][c] = sum_k C(c, k) (B^k)_v[u - c + k] is the x^u coefficient of
+        the image of x^c.  Each row keeps its nonzero entries as (c, entry) pairs.
+        """
+        key = (name, v)
+        if key not in self._matrices:
+            N = self.order
+            rows = []
+            for u in range(N):
+                row = []
+                for c in range(N):
+                    entry = ZERO
+                    for k in range(max(1, c - u), min(v, c) + 1):
+                        entry += comb(c, k) * self.power_slice(name, k, v).coeffs[u - c + k]
+                    if entry:
+                        row.append((c, entry))
+                rows.append(tuple(row))
+            self._matrices[key] = tuple(rows)
+        return self._matrices[key]
+
+    def _apply(self, name: str, v: int, h: SeriesLike, along_y: bool = False) -> SeriesLike:
+        """Apply the (name, v) matrix to the x-coefficients of h, or to its y-coefficients."""
+        self._check_degree(v)
+        if h.trunc_order != self.order:
+            raise SeriesError(
+                f"operator input has order {h.trunc_order}, the context has order {self.order}"
+            )
+        if v == 0:
+            return h
+        rows = self._matrix(name, v)
+        if isinstance(h, Series1):
+            return Series1(_times(rows, h.coeffs))
+        if along_y:
+            return Series2([_times(rows, coeffs) for coeffs in h.coeffs])
+        columns = [_times(rows, coeffs) for coeffs in zip(*h.coeffs)]
+        return Series2(zip(*columns))
 
     def partial_x(self, v: int, h: SeriesLike) -> SeriesLike:
         """partial_x^v: acts on the x-coefficients, one y-slice at a time."""
-        self._check_degree(v)
-        if v == 0:
-            return h
-        if isinstance(h, Series1):
-            return self._apply_x("gbar", v, h)
-        N = self.order
-        return Series2.from_y_slices(
-            [self._apply_x("gbar", v, h.slice_y(u)) for u in range(N)], N
-        )
+        return self._apply("table_reduced", v, h)
 
     def tilde_partial_x(self, v: int, h: SeriesLike) -> SeriesLike:
-        self._check_degree(v)
-        if v == 0:
-            return h
-        if isinstance(h, Series1):
-            return self._apply_x("p", v, h)
-        N = self.order
-        return Series2.from_y_slices(
-            [self._apply_x("p", v, h.slice_y(u)) for u in range(N)], N
-        )
-
-    def _apply_y(self, slices_name: str, u: int, H: Series2) -> Series2:
-        acc = Series2.zero(self.order)
-        deriv = H
-        for i in range(1, u + 1):
-            deriv = deriv.partial_y()
-            if deriv.is_zero():
-                break
-            coeff = self._x_slice(slices_name, i, u)  # a series in one variable
-            if not coeff.is_zero():
-                acc = acc + deriv.mul_y_series(coeff).scale(self.inv_factorial[i])
-        return acc
+        return self._apply("p", v, h)
 
     def partial_y(self, u: int, H: Series2) -> Series2:
         """partial_y^u = sum_i (1/i!) (Gbar^i)_u(y) d^i/dy^i."""
-        self._check_degree(u)
-        if u == 0:
-            return H
-        return self._apply_y("gbar", u, H)
+        return self._apply("table_reduced", u, H, along_y=True)
 
     def tilde_partial_y(self, u: int, H: Series2) -> Series2:
-        self._check_degree(u)
-        if u == 0:
-            return H
-        return self._apply_y("p", u, H)
+        return self._apply("p", u, H, along_y=True)
 
     def partial_global(self, k: int, H: Series2) -> Series2:
         """partial^k = sum_{a+b=k} partial_x^a partial_y^b."""
@@ -282,6 +274,11 @@ class OperatorContext:
         for l in range(u + 1):
             acc = acc + self.tilde_partial_x(l, self.tilde_partial_y(u - l, H))
         return acc
+
+
+def _times(rows: tuple, coeffs) -> list:
+    """A matrix, stored as sparse rows of (column, entry) pairs, times a vector."""
+    return [sum((entry * coeffs[c] for c, entry in row if coeffs[c]), ZERO) for row in rows]
 
 
 def build_context(bundle: StandardCycleBundle, order: Optional[int] = None) -> OperatorContext:

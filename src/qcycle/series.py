@@ -34,7 +34,12 @@ ONE = Fraction(1)
 
 
 def as_fraction(value: Rational) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """Exact coercion; floats and bools raise TypeError (0.1 is not 1/10)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return Fraction(value)
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:
@@ -205,20 +210,6 @@ class Series1:
         out = [ZERO] * n
         for u in range(1, n):
             out[u - 1] = u * self.coeffs[u]
-        return Series1(out)
-
-    def nth_derivative(self, k: int) -> "Series1":
-        s = self
-        for _ in range(k):
-            s = s.derivative()
-        return s
-
-    def shift(self, degrees: int) -> "Series1":
-        """Multiply by x^degrees (order unchanged, top coefficients fall off)."""
-        n = len(self.coeffs)
-        out = [ZERO] * n
-        for u in range(n - degrees):
-            out[u + degrees] = self.coeffs[u]
         return Series1(out)
 
     def reciprocal(self) -> "Series1":

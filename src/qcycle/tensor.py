@@ -135,8 +135,10 @@ class QCycleStructure:
         schema = payload.get("schema") if isinstance(payload, dict) else None
         if type(schema) is not int or schema != 1:
             raise ParseError(f"unsupported structure schema {schema!r} (expected 1)")
+        n = payload.get("n")
+        if type(n) is not int:
+            raise ParseError(f"structure n must be a JSON integer, got {n!r}")
         try:
-            n = int(payload["n"])
             p = CoeffTensor.from_payload(payload["p"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed structure payload: {exc}") from exc

@@ -90,6 +90,33 @@ def test_float_coefficient_is_a_parse_error(tmp_path):
     assert main(["verify", "--tensor", str(bad)]) == EXIT_USAGE
 
 
+def test_structure_n_must_be_an_integer(tmp_path, capsys):
+    out = tmp_path / "scc.json"
+    main(["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)])
+    payload = json.loads(out.read_text())
+    for n in (3.9, 3.0, "3", True, None):
+        payload["n"] = n
+        bad = tmp_path / "n.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["verify", "--tensor", str(bad)]) == EXIT_USAGE
+        assert "integer" in capsys.readouterr().err
+    payload["n"] = 3
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", "--tensor", str(bad)]) == EXIT_OK
+
+
+def test_negative_rational_option_values(capsys):
+    assert main(["scc", "--n", "3", "--v0", "1", "--params", "-1/2"]) == EXIT_OK
+    assert "params='-1/2'" in capsys.readouterr().out
+    assert main(["ops-check", "--n", "3", "--v0", "1", "--params", "-1/2", "--pad", "1"]) == EXIT_OK
+    assert main(["family", "nonroot", "--n", "3", "--lambdas", "-1/2,2", "--mu", "-3/4"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "lambda_1=-1/2 mu=-3/4" in out
+    # the --opt=value form reads the same
+    assert main(["family", "nonroot", "--n", "3", "--lambdas=-1/2,2", "--mu=-3/4"]) == EXIT_OK
+    assert "lambda_1=-1/2 mu=-3/4" in capsys.readouterr().out
+
+
 def test_validation_error_exit_code():
     assert main(["scc", "--n", "4", "--v0", "1", "--params", "1,2,3"]) == EXIT_USAGE
 

@@ -16,7 +16,6 @@ from qcycle.families import (
     first_column_vanishing_check,
     fixtures_n3,
     nonunit_vanishing_check,
-    normalize,
     root_of_unity_order,
 )
 from qcycle.solution import check_braid_full, check_braid_reduced
@@ -172,13 +171,13 @@ class TestClassify:
 class TestNormalize:
     def test_identity(self):
         s = standard_structure(3, 1, [1])
-        assert normalize(s, 1) == s
+        assert rescale(s, 1) == s
 
     def test_degree_one_normalization(self):
         normalized = standard_structure(4, 1, [Fraction(1, 2), -1])
         skewed = rescale(normalized, Fraction(1, 3))
         assert skewed.p.entry(1, 1, 1) == 3
-        recovered = normalize(skewed, 3)
+        recovered = rescale(skewed, 3)
         assert recovered == normalized
         # the normal form is the standard structure of its own first row
         row_tail = [recovered.p.entry(1, v, 1) for v in range(2, 4)]
@@ -189,4 +188,4 @@ class TestNormalize:
         normalized = standard_structure(5, 2, [1, 1])
         skewed = rescale(normalized, Fraction(1, 2))
         assert skewed.p.entry(1, 2, 1) == 4
-        assert normalize(skewed, 2) == normalized
+        assert rescale(skewed, 2) == normalized

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from qcycle.errors import DegreeOutOfRange
+from qcycle.errors import DegreeOutOfRange, SeriesError
 from qcycle.operators import build_context, identity_suite
 from qcycle.series import Series1, Series2, compose
 from qcycle.standard import StandardCycleParams, build_standard_cycle
 
-from conftest import random_series1
+from conftest import random_fraction, random_series1
 
 
 def make_context(n, v0, tail, pad=2):
@@ -61,6 +62,83 @@ class TestBasics:
         lhs = ctx_deg2.partial_y(v0, ctx_deg2.table)
         twist = ctx_deg2.f_power(v0).add_constant(-1)
         assert lhs == ctx_deg2.partial_x(v0, ctx_deg2.table).mul_y_series(twist)
+
+
+# -- the defining formula, as the oracle of the matrix kernel --------------------
+
+
+def oracle_x(ctx, name, v, h):
+    """sum_{k=1}^{v} (1/k!) (B^k)_v h^(k) on each y-slice, B the cached series `name`."""
+    N = ctx.order
+    if v == 0:
+        return h
+    if isinstance(h, Series2):
+        return Series2.from_y_slices([oracle_x(ctx, name, v, h.slice_y(w)) for w in range(N)], N)
+    acc = Series1.zero(N)
+    deriv = h
+    for k in range(1, v + 1):
+        deriv = deriv.derivative()
+        acc = acc + (ctx.power_slice(name, k, v) * deriv).scale(Fraction(1, factorial(k)))
+    return acc
+
+
+def oracle_y(ctx, name, u, H):
+    """sum_{i=1}^{u} (1/i!) (B^i)_u(y) d^i/dy^i H."""
+    if u == 0:
+        return H
+    acc = Series2.zero(ctx.order)
+    deriv = H
+    for i in range(1, u + 1):
+        deriv = deriv.partial_y()
+        acc = acc + deriv.mul_y_series(ctx.power_slice(name, i, u)).scale(Fraction(1, factorial(i)))
+    return acc
+
+
+def oracle_global(ctx, name, k, H):
+    acc = Series2.zero(ctx.order)
+    for b in range(k + 1):
+        acc = acc + oracle_x(ctx, name, k - b, oracle_y(ctx, name, b, H))
+    return acc
+
+
+def random_series2(rng, order):
+    return Series2([[random_fraction(rng) for _ in range(order)] for _ in range(order)])
+
+
+class TestMatrixKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_defining_formula(self, n):
+        rng = random.Random(100 + n)
+        for v0 in range(1, n):
+            tail = [random_fraction(rng) for _ in range(n - v0 - 1)]
+            ctx = make_context(n, v0, tail)
+            N = ctx.order
+            h = random_series1(rng, N)
+            H = random_series2(rng, N)
+            for v in range(N):
+                for name, px, py, pg in (
+                    ("table_reduced", ctx.partial_x, ctx.partial_y, ctx.partial_global),
+                    ("p", ctx.tilde_partial_x, ctx.tilde_partial_y, ctx.tilde_partial_global),
+                ):
+                    assert px(v, h) == oracle_x(ctx, name, v, h), (v0, v, name)
+                    assert px(v, H) == oracle_x(ctx, name, v, H), (v0, v, name)
+                    assert py(v, H) == oracle_y(ctx, name, v, H), (v0, v, name)
+                    assert pg(v, H) == oracle_global(ctx, name, v, H), (v0, v, name)
+
+    def test_inputs_at_another_order_raise(self, ctx_deg2, rng):
+        ctx = ctx_deg2
+        N = ctx.order
+        x_ops = (ctx.partial_x, ctx.tilde_partial_x)
+        all_ops = x_ops + (
+            ctx.partial_y, ctx.tilde_partial_y, ctx.partial_global, ctx.tilde_partial_global
+        )
+        for order in (N - 1, N + 1):
+            cases = [(op, random_series2(rng, order)) for op in all_ops]
+            cases += [(op, random_series1(rng, order)) for op in x_ops]
+            for op, h in cases:
+                for v in (0, 1, ctx.degree):
+                    with pytest.raises(SeriesError, match=f"order {order}, .* order {N}"):
+                        op(v, h)
 
 
 class TestEigenSeries:

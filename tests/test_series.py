@@ -20,6 +20,7 @@ from qcycle.series import (
     compose,
     compositional_inverse,
     divide_exact,
+    as_fraction,
     general_binomial,
     parse_rational,
 )
@@ -206,6 +207,18 @@ class TestParsing:
         for value in (0.1, 1e300, True):
             with pytest.raises(ParseError):
                 parse_rational(value)
+
+    def test_as_fraction_is_exact(self):
+        assert as_fraction(Fraction(3, 4)) == Fraction(3, 4)
+        assert as_fraction(-5) == Fraction(-5)
+        assert as_fraction("2/3") == Fraction(2, 3)
+        for value in (0.1, 2.0, True, False):
+            with pytest.raises(TypeError):
+                as_fraction(value)
+        with pytest.raises(TypeError):
+            Series1([1, 0.5])
+        with pytest.raises(TypeError):
+            Series2([[True]])
 
     def test_payloads(self):
         s = Series1([1, Fraction(-2, 3)])
