@@ -147,8 +147,7 @@ def _cmd_ops_check(args) -> int:
     params = StandardCycleParams.from_tail(
         args.n, args.v0, _parse_rational_list(args.params)
     )
-    bundle = build_standard_cycle(params)
-    ctx = build_context(bundle, order=args.n + args.pad)
+    ctx = build_context(build_standard_cycle(params, args.n + args.pad))
     report = identity_suite(ctx, rng=random.Random(args.seed))
     for line in report.lines():
         print(line)

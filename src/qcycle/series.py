@@ -55,6 +55,14 @@ def parse_rational(text: Union[str, int]) -> Fraction:
         raise ParseError(f"not a rational: {text!r}") from exc
 
 
+def _trunc_order(payload: dict) -> int:
+    """A series payload's "trunc_order", which must be a JSON integer."""
+    order = payload["trunc_order"]
+    if type(order) is not int:
+        raise ParseError(f"trunc_order must be a JSON integer, got {order!r}")
+    return order
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical "a/b" string, denominator omitted when 1."""
     return str(value)
@@ -242,7 +250,7 @@ class Series1:
     def from_payload(cls, payload: dict) -> "Series1":
         try:
             coeffs = [parse_rational(c) for c in payload["coeffs"]]
-            order = int(payload["trunc_order"])
+            order = _trunc_order(payload)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed series payload: {exc}") from exc
         if len(coeffs) != order:
@@ -488,7 +496,7 @@ class Series2:
     def from_payload(cls, payload: dict) -> "Series2":
         try:
             grid = [[parse_rational(c) for c in row] for row in payload["coeffs"]]
-            order = int(payload["trunc_order"])
+            order = _trunc_order(payload)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed series payload: {exc}") from exc
         if len(grid) != order or any(len(row) != order for row in grid):

@@ -13,6 +13,13 @@ endomorphism s of C (x) C that satisfies the braid identity
 
 on C (x) C (x) C, is a coalgebra endomorphism, is bijective, and is an
 involution exactly when p = d.
+
+C (x) C is dual to A = K[u, v]/<u^n, v^n>, and a map s on C (x) C is read as
+its rows in A: row (k, l) is the series whose u^i v^j coefficient is
+s[(k, l), (i, j)] (`LinearMap2.from_rows`, `LinearMap2.rows`).  The side maps
+and the solution map are built row by row with the product in A: row (k, b)
+of `gp_map(t)` is v^b times level k of t, and row (k, l) of the solution map
+is L_k E_l (see `build_solution`).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import NotComultiplicative, SingularGd, SingularGp
-from .series import ONE, Series2, ZERO, as_fraction
+from .series import ONE, Series1, Series2, ZERO, as_fraction
 from .tensor import (
     CheckResult,
     CoeffTensor,
@@ -41,6 +48,8 @@ class LinearMap2:
 
     Basis pairs are flattened as (i, j) -> i * n + j; matrix[row][col] is the
     coefficient of the row basis vector in the image of the column one.
+    `from_rows` and `rows` read the map as its rows in A instead, and are the
+    only code that turns a row index k * n + l into (k, l) or back.
     """
 
     __slots__ = ("n", "matrix")
@@ -57,18 +66,29 @@ class LinearMap2:
         raise AttributeError("LinearMap2 is immutable")
 
     @classmethod
+    def from_rows(cls, n: int, rows) -> "LinearMap2":
+        """The map whose row (k, l) is the series rows[k][l] in A (see `rows`)."""
+        return cls(
+            n, [[c for line in row.coeffs for c in line] for rows_k in rows for row in rows_k]
+        )
+
+    def rows(self) -> list[list[Series2]]:
+        """Row (k, l) as the series sum_{i,j} s[(k, l), (i, j)] u^i v^j in
+        A = K[u, v]/<u^n, v^n>, the dual of C (x) C: the image of u^k v^l
+        under the transpose of s."""
+        n, M = self.n, self.matrix
+        return [
+            [Series2([M[k * n + l][i * n:(i + 1) * n] for i in range(n)]) for l in range(n)]
+            for k in range(n)
+        ]
+
+    @classmethod
     def identity(cls, n: int) -> "LinearMap2":
-        dim = n * n
-        return cls(n, [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)])
+        return cls.from_rows(n, [[Series2.monomial(k, l, n) for l in range(n)] for k in range(n)])
 
     @classmethod
     def flip(cls, n: int) -> "LinearMap2":
-        dim = n * n
-        grid = [[ZERO] * dim for _ in range(dim)]
-        for i in range(n):
-            for j in range(n):
-                grid[j * n + i][i * n + j] = ONE
-        return cls(n, grid)
+        return cls.from_rows(n, [[Series2.monomial(l, k, n) for l in range(n)] for k in range(n)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearMap2) and self.n == other.n and self.matrix == other.matrix
@@ -78,7 +98,6 @@ class LinearMap2:
 
     def compose(self, other: "LinearMap2") -> "LinearMap2":
         """self after other (matrix product self * other)."""
-        dim = self.n * self.n
         a, b = self.matrix, other.matrix
         bt = list(zip(*b))
         out = [
@@ -88,12 +107,7 @@ class LinearMap2:
         return LinearMap2(self.n, out)
 
     def is_identity(self) -> bool:
-        dim = self.n * self.n
-        return all(
-            self.matrix[r][c] == (ONE if r == c else ZERO)
-            for r in range(dim)
-            for c in range(dim)
-        )
+        return self == LinearMap2.identity(self.n)
 
     def inverse(self) -> Optional["LinearMap2"]:
         """Exact inverse by Gauss-Jordan elimination, or None when singular."""
@@ -191,43 +205,35 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
     the two sides are cross-multiplied, so the comparison stays exact.
     """
     n = s.n
-    P, dp = s.p.scaled_integers()
-    D, dd = s.d.scaled_integers()
-    # (LHS tensors, RHS tensors, LHS scale, RHS scale) per family; the scale
-    # factors bring both integer sides over a common denominator.
+    p = s.p.scaled_integers()
+    d = s.d.scaled_integers()
+    # (LHS tensors, RHS tensors) per family, each tensor as (integers, den):
+    # a side is its integer sum over the product of its three denominators.
     families = (
-        ((P, D, P), (P, P, P), dp, dd),
-        ((P, P, D), (D, D, P), dd, dp),
-        ((D, P, D), (D, D, D), dd, dp),
+        ((p, d, p), (p, p, p)),
+        ((p, p, d), (d, d, p)),
+        ((d, p, d), (d, d, d)),
     )
     flags = [True, True, True]
     violations = []
-    for fam_index, (lhs_t, rhs_t, lscale, rscale) in enumerate(families):
-        A, B, C = lhs_t
-        A2, B2, C2 = rhs_t
+    for fam_index, (lhs_t, rhs_t) in enumerate(families):
+        (A, da), (B, db), (C, dc) = lhs_t
+        (A2, da2), (B2, db2), (C2, dc2) = rhs_t
+        den_l, den_r = da * db * dc, da2 * db2 * dc2
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     for m in ms:
                         lhs = _family_sides(A, B, C, n, i, j, k, m)
                         rhs = _family_sides(A2, B2, C2, n, i, k, j, m)
-                        if lhs * lscale != rhs * rscale:
+                        if lhs * den_r != rhs * den_l:
                             flags[fam_index] = False
                             if len(violations) < MAX_VIOLATIONS:
                                 violations.append(
                                     (fam_index + 1, i, j, k, m,
-                                     Fraction(lhs, _den_l(fam_index, dp, dd)),
-                                     Fraction(rhs, _den_r(fam_index, dp, dd)))
+                                     Fraction(lhs, den_l), Fraction(rhs, den_r))
                                 )
     return BraidReport(flags[0], flags[1], flags[2], tuple(violations))
-
-
-def _den_l(fam_index: int, dp: int, dd: int) -> int:
-    return (dp * dp * dd, dp * dp * dd, dd * dd * dp)[fam_index]
-
-
-def _den_r(fam_index: int, dp: int, dd: int) -> int:
-    return (dp * dp * dp, dd * dd * dp, dd * dd * dd)[fam_index]
 
 
 def check_braid_reduced(s: QCycleStructure) -> BraidReport:
@@ -246,22 +252,15 @@ def check_braid_full(s: QCycleStructure) -> BraidReport:
 def gp_map(t: CoeffTensor) -> LinearMap2:
     """x_i (x) x_j -> sum_{a+b=j} t(x_i (x) x_a) (x) x_b.
 
+    Row (k, b) is v^b times level k of t, the series sum t[i][a][k] u^i v^a.
     Block-triangular in the second index, with the n x n step block
     t[.][0][.] on the diagonal: invertible exactly when that block is.
     """
     n = t.n
-    dim = n * n
-    grid = [[ZERO] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for b in range(j + 1):
-                a = j - b
-                for k in range(n):
-                    v = t.entries[i][a][k]
-                    if v:
-                        grid[k * n + b][col] += v
-    return LinearMap2(n, grid)
+    levels = [Series2(t.level(k)) for k in range(n)]
+    return LinearMap2.from_rows(
+        n, [[Series2.monomial(0, b, n) * levels[k] for b in range(n)] for k in range(n)]
+    )
 
 
 # G_d sends x_i (x) x_j to sum_{a+b=j} t(x_i (x) x_b) (x) x_a.  C is
@@ -332,50 +331,24 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     """The solution map s(a (x) b) = {a_(1)}b_(2) (x) a_(2)^{b_(1)}.
 
     Here a^b is the superscript map (`superscript_map`) and
-    {a}b = b_(2) : a^{b_(1)} twists through d.  Requires both side maps to be
-    invertible; each is decided on its n x n step block (see `gp_map`), so no
-    n^2 x n^2 matrix is inverted.
+    {a}b = b_(2) : a^{b_(1)} twists through d.  With E_l = sum E[i][j][l] u^i v^j
+    and L_k = sum_m E_m D_mk(v), D_mk = sum_j d[j][m][k] v^j (the u^i v^j
+    coefficient of L_k is that of x_k in {x_i}x_j), row (k, l) is L_k E_l.
+    Requires both side maps to be invertible; each is decided on its n x n
+    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted.
     """
     n = s.n
     if _invert([row[0] for row in s.d.entries]) is None:
         raise SingularGd("right side map is not invertible")
-    E = superscript_map(s.p)
+    superscript = CoeffTensor(superscript_map(s.p))
+    E = [Series2(superscript.level(l)) for l in range(n)]
     d = s.d.entries
-    # L[i][j][k]: coefficient of x_k in {x_i}x_j.
-    L = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for j1 in range(j + 1):
-                j2 = j - j1
-                Eij1 = E[i][j1]
-                for m in range(n):
-                    c = Eij1[m]
-                    if c:
-                        dm = d[j2][m]
-                        for k in range(n):
-                            if dm[k]:
-                                L[i][j][k] += c * dm[k]
-    dim = n * n
-    grid = [[ZERO] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for i1 in range(i + 1):
-                i2 = i - i1
-                for j1 in range(j + 1):
-                    j2 = j - j1
-                    Li = L[i1][j2]
-                    Ei = E[i2][j1]
-                    for k in range(n):
-                        a = Li[k]
-                        if not a:
-                            continue
-                        base = k * n
-                        for l in range(n):
-                            b = Ei[l]
-                            if b:
-                                grid[base + l][col] += a * b
-    return LinearMap2(n, grid)
+    L = [
+        sum((E[m].mul_y_series(Series1([d[j][m][k] for j in range(n)])) for m in range(n)),
+            Series2.zero(n))
+        for k in range(n)
+    ]
+    return LinearMap2.from_rows(n, [[L[k] * E[l] for l in range(n)] for k in range(n)])
 
 
 def check_braid_on_map(s: LinearMap2) -> bool:
@@ -425,19 +398,14 @@ def is_coalgebra_endomorphism(s: LinearMap2) -> bool:
     X^n = Y^n = 0.
     """
     n = s.n
-    M = s.matrix
-    rows = {
-        (k, l): Series2([M[k * n + l][i * n:(i + 1) * n] for i in range(n)])
-        for k in range(n)
-        for l in range(n)
-    }
-    x, y = rows[1, 0], rows[0, 1]
+    rows = s.rows()
+    x, y = rows[1][0], rows[0][1]
     return (
-        rows[0, 0] == Series2.monomial(0, 0, n)
-        and all(rows[0, l] == y * rows[0, l - 1] for l in range(1, n))
-        and all(rows[k, l] == x * rows[k - 1, l] for k in range(1, n) for l in range(n))
-        and (x * rows[n - 1, 0]).is_zero()
-        and (y * rows[0, n - 1]).is_zero()
+        rows[0][0] == Series2.monomial(0, 0, n)
+        and all(rows[0][l] == y * rows[0][l - 1] for l in range(1, n))
+        and all(rows[k][l] == x * rows[k - 1][l] for k in range(1, n) for l in range(n))
+        and (x * rows[n - 1][0]).is_zero()
+        and (y * rows[0][n - 1]).is_zero()
     )
 
 

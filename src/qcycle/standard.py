@@ -124,10 +124,11 @@ def column_series(params: StandardCycleParams, order: int) -> Series1:
     return g.truncated(order)
 
 
-def table_slices(params: StandardCycleParams, order: int) -> list[Series1]:
-    """The slices g_v of the table, driven degreewise from g_0 = x."""
+def table_slices(params: StandardCycleParams, g: Series1) -> list[Series1]:
+    """The slices g_v of the table, driven degreewise from g_0 = x, at the
+    order of the column g = `column_series(params, order)`."""
     v0 = params.degree
-    g = column_series(params, order)
+    order = g.trunc_order
     slices = [Series1.x(order)]
     derivs = [slices[0].derivative()]
     for v in range(order - 1):
@@ -163,7 +164,8 @@ def build_standard_cycle(
         order = params.n
     if order < params.n:
         raise ValidationError("order must be at least n")
-    slices = table_slices(params, order)
+    column = column_series(params, order)
+    slices = table_slices(params, column)
     table = Series2.from_y_slices(slices, order)
     level1 = [[slices[v].coeffs[u] for v in range(order)] for u in range(order)]
     tensor = extend_from_level1(level1)
@@ -171,7 +173,7 @@ def build_standard_cycle(
         params=params,
         order=order,
         row=params.row_series(order),
-        column=column_series(params, order),
+        column=column,
         table=table,
         table_flip=table.transposed(),
         tensor=tensor,

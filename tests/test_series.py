@@ -225,6 +225,12 @@ class TestParsing:
         assert Series1.from_payload(s.to_payload()) == s
         g = Series2([[1, 0], [Fraction(1, 7), 2]])
         assert Series2.from_payload(g.to_payload()) == g
+        # the order is a JSON integer: 3.9, "3" and true are not truncated or coerced
+        for order in (3.9, 3.0, "3", True):
+            with pytest.raises(ParseError):
+                Series1.from_payload({"trunc_order": order, "coeffs": ["1", "2", "3"]})
+            with pytest.raises(ParseError):
+                Series2.from_payload({"trunc_order": order, "coeffs": [["0"] * 3] * 3})
 
 
 class TestAlgebraProperties:

@@ -113,6 +113,29 @@ class TestSideMaps:
             superscript_map(t)
 
 
+# The three braid families by their (LHS, RHS) tensor triples.
+FAMILIES = (("pdp", "ppp"), ("ppd", "ddp"), ("dpd", "ddd"))
+
+
+def family_sides_by_fractions(s, family, i, j, k, m):
+    """Both sides of a family at (i, j, k, m), summed on Fractions.  A side is
+    sum over a+b=j, h, l of A[i][a][h] B[k][b][l] C[h][l][m] for its triple
+    (A, B, C); the right-hand side has j and k swapped."""
+    n = s.n
+    tensors = {"p": s.p.entries, "d": s.d.entries}
+
+    def side(names, j, k):
+        A, B, C = (tensors[name] for name in names)
+        return sum(
+            (A[i][a][h] * B[k][j - a][l] * C[h][l][m]
+             for a in range(j + 1) for h in range(n) for l in range(n)),
+            Fraction(0),
+        )
+
+    lhs, rhs = FAMILIES[family - 1]
+    return side(lhs, j, k), side(rhs, k, j)
+
+
 class TestBraidChecks:
     def test_standard_structures_pass(self, rng):
         for n, v0 in [(3, 1), (4, 2), (5, 3)]:
@@ -150,6 +173,28 @@ class TestBraidChecks:
         d = extend_from_level1(random_level1(rng, 4))
         report = check_braid_full(QCycleStructure(p, d))
         assert len(report.violations) <= 20
+
+    def test_violations_match_fraction_sums(self, rng):
+        n = 3
+        families_seen = set()
+        for _ in range(6):
+            p = extend_from_level1(random_level1(rng, n))
+            d = extend_from_level1(random_level1(rng, n))
+            s = QCycleStructure(p, d)
+            for report, ms in ((check_braid_reduced(s), [1]), (check_braid_full(s), range(n))):
+                assert not report
+                for family, i, j, k, m, lhs, rhs in report.violations:
+                    assert (lhs, rhs) == family_sides_by_fractions(s, family, i, j, k, m)
+                    assert lhs != rhs
+                    families_seen.add(family)
+                flags = (report.family1_ok, report.family2_ok, report.family3_ok)
+                for family, ok in enumerate(flags, 1):
+                    sides = [
+                        family_sides_by_fractions(s, family, i, j, k, m)
+                        for i in range(n) for j in range(n) for k in range(n) for m in ms
+                    ]
+                    assert ok == all(lhs == rhs for lhs, rhs in sides)
+        assert families_seen == {1, 2, 3}
 
 
 class TestSolutionMap:
@@ -272,6 +317,104 @@ class TestEndomorphismCheck:
             assert is_coalgebra_endomorphism(m) == ok
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+
+def gp_map_by_convolution(t):
+    """x_i (x) x_j -> sum_{a+b=j} t(x_i (x) x_a) (x) x_b, entry by entry."""
+    n = t.n
+    dim = n * n
+    grid = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            for b in range(j + 1):
+                for k in range(n):
+                    grid[k * n + b][i * n + j] += t.entries[i][j - b][k]
+    return grid
+
+
+def solution_by_convolution(s):
+    """s(x_i (x) x_j) = sum {x_i1}x_j2 (x) x_i2^{x_j1} over i1+i2=i, j1+j2=j,
+    with {x_i}x_j = sum_{j1+j2=j} sum_m E[i][j1][m] d[j2][m][.] and E the
+    superscript map; both sums are written out coefficient by coefficient."""
+    n = s.n
+    E = superscript_map(s.p)
+    d = s.d.entries
+    L = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for j1 in range(j + 1):
+                for m in range(n):
+                    for k in range(n):
+                        L[i][j][k] += E[i][j1][m] * d[j - j1][m][k]
+    dim = n * n
+    grid = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            for i1 in range(i + 1):
+                for j1 in range(j + 1):
+                    for k in range(n):
+                        for l in range(n):
+                            grid[k * n + l][i * n + j] += L[i1][j - j1][k] * E[i - i1][j1][l]
+    return grid
+
+
+def _row_builder_cases(rng, n):
+    """Standard cycles (v0 = 1 and v0 = n - 1, p = d), nonroot family pairs
+    (p != d), the n = 3 fixtures, and random non-comultiplicative pairs."""
+    from qcycle.families import NonRootFamilyInput, build_nonroot_family, fixtures_n3
+
+    cases = [
+        standard_structure(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
+        for v0 in sorted({1, n - 1})
+    ]
+    for _ in range(2):
+        lambdas = [Fraction(rng.choice((-2, 2)))] + [random_fraction(rng) for _ in range(n - 2)]
+        mu = random_fraction(rng) or 1
+        cases.append(build_nonroot_family(NonRootFamilyInput(n, lambdas, mu)))
+    if n == 3:
+        cases += [fixture.structure for fixture in fixtures_n3()]
+
+    def random_tensor():
+        return CoeffTensor(
+            [[[random_fraction(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        )
+
+    return cases + [QCycleStructure(random_tensor(), random_tensor()) for _ in range(3)]
+
+
+class TestRowBuilders:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_match_convolution(self, rng, n):
+        cases = _row_builder_cases(rng, n)
+        built = 0
+        for s in cases:
+            for t in (s.p, s.d):
+                assert gp_map(t).matrix == tuple(map(tuple, gp_map_by_convolution(t)))
+            try:
+                m = build_solution(s)
+            except (SingularGp, SingularGd):
+                continue
+            assert m.matrix == tuple(map(tuple, solution_by_convolution(s)))
+            built += 1
+        # only a random pair can have a singular step block, and not all three do
+        assert built >= len(cases) - 2
+        dim = n * n
+        # identity fixes x_i (x) x_j (column i * n + j); flip sends it to x_j (x) x_i
+        assert LinearMap2.identity(n).matrix == tuple(
+            tuple(Fraction(r == c) for c in range(dim)) for r in range(dim)
+        )
+        assert LinearMap2.flip(n).matrix == tuple(
+            tuple(Fraction(r == (c % n) * n + c // n) for c in range(dim))
+            for r in range(dim)
+        )
+
+    def test_rows_round_trip(self, rng):
+        n = 3
+        grid = [[random_fraction(rng) for _ in range(n * n)] for _ in range(n * n)]
+        m = LinearMap2(n, grid)
+        rows = m.rows()
+        assert rows[1][2].coefficient(2, 0) == grid[1 * n + 2][2 * n + 0]
+        assert LinearMap2.from_rows(n, rows) == m
 
 
 class TestSanity:
