@@ -63,6 +63,25 @@ def _trunc_order(payload: dict) -> int:
     return order
 
 
+def json_array(value) -> list:
+    """A payload field that must be a JSON array; a string is not one."""
+    if not isinstance(value, list):
+        raise ParseError(f"expected a JSON array, got {value!r}")
+    return value
+
+
+def _power(base, exponent: int, one):
+    """base**exponent by square-and-multiply, starting from the unit `one`."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical "a/b" string, denominator omitted when 1."""
     return str(value)
@@ -201,16 +220,7 @@ class Series1:
     def __pow__(self, exponent: int) -> "Series1":
         if exponent < 0:
             raise SeriesError("negative powers: use reciprocal() explicitly")
-        result = Series1.one(len(self.coeffs))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, Series1.one(len(self.coeffs)))
 
     def derivative(self) -> "Series1":
         """Formal derivative, stored at the same order with the top coefficient dropped."""
@@ -249,7 +259,7 @@ class Series1:
     @classmethod
     def from_payload(cls, payload: dict) -> "Series1":
         try:
-            coeffs = [parse_rational(c) for c in payload["coeffs"]]
+            coeffs = [parse_rational(c) for c in json_array(payload["coeffs"])]
             order = _trunc_order(payload)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed series payload: {exc}") from exc
@@ -414,16 +424,7 @@ class Series2:
     def __pow__(self, exponent: int) -> "Series2":
         if exponent < 0:
             raise SeriesError("negative powers are not defined for Series2")
-        result = Series2.monomial(0, 0, len(self.coeffs))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, Series2.monomial(0, 0, len(self.coeffs)))
 
     def mul_x_series(self, s: Series1) -> "Series2":
         """Multiply by a series in x alone."""
@@ -495,7 +496,7 @@ class Series2:
     @classmethod
     def from_payload(cls, payload: dict) -> "Series2":
         try:
-            grid = [[parse_rational(c) for c in row] for row in payload["coeffs"]]
+            grid = [[parse_rational(c) for c in json_array(row)] for row in json_array(payload["coeffs"])]
             order = _trunc_order(payload)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed series payload: {exc}") from exc
@@ -508,32 +509,22 @@ class Series2:
 
 
 def compose(outer: Series1, inner: Union[Series1, Series2]):
-    """outer(inner), truncated; inner must have zero constant term."""
-    if isinstance(inner, Series1):
-        if inner.coeffs[0]:
-            raise NonzeroConstantTerm("inner series has nonzero constant term")
-        n = min(len(outer.coeffs), len(inner.coeffs))
-        acc = Series1.constant(outer.coeffs[0], n)
-        power = Series1.one(n)
-        for k in range(1, n):
-            power = power * inner
-            ck = outer.coeffs[k]
-            if ck:
-                acc = acc + power.scale(ck)
-            if power.is_zero():
-                break
-        return acc
-    if inner.coefficient(0, 0):
+    """outer(inner), truncated; inner must have zero constant term.
+
+    One loop serves both inner types.  The result has the order of inner
+    truncated to len(outer).  The loop runs over every coefficient of outer
+    and stops once the power of inner vanishes: at order N that happens by
+    k = N for a Series1, but a Series2 power can survive up to k = 2N - 2.
+    """
+    if not inner.truncated(1).is_zero():
         raise NonzeroConstantTerm("inner series has nonzero constant term")
-    n = min(len(outer.coeffs), inner.trunc_order)
-    inner = inner.truncated(n)
-    acc = Series2.monomial(0, 0, n, outer.coeffs[0])
-    power = Series2.monomial(0, 0, n)
-    for k in range(1, len(outer.coeffs)):
+    inner = inner.truncated(min(len(outer.coeffs), inner.trunc_order))
+    power = inner ** 0
+    acc = power.scale(outer.coeffs[0])
+    for ck in outer.coeffs[1:]:
         power = power * inner
         if power.is_zero():
             break
-        ck = outer.coeffs[k]
         if ck:
             acc = acc + power.scale(ck)
     return acc
@@ -600,15 +591,5 @@ def binomial_series(exponent: Rational, base: Series1) -> Series1:
     if base.coeffs[0] != 1:
         raise ConstantTermNotOne("base must have constant term 1")
     alpha = as_fraction(exponent)
-    n = len(base.coeffs)
-    t = base.add_constant(-1)
-    acc = Series1.one(n)
-    power = Series1.one(n)
-    for k in range(1, n):
-        power = power * t
-        if power.is_zero():
-            break
-        ck = general_binomial(alpha, k)
-        if ck:
-            acc = acc + power.scale(ck)
-    return acc
+    outer = Series1([general_binomial(alpha, k) for k in range(len(base.coeffs))])
+    return compose(outer, base.add_constant(-1))

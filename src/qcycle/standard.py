@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import ReconstructionError, ValidationError
+from .errors import ValidationError
 from .series import (
     ONE,
     Series1,
@@ -297,11 +297,26 @@ def reconstruct_from_row(n: int, degree: int, row: Sequence[object]) -> CoeffTen
     degree by degree from the coefficient recursions that the braid equations
     force, never touching the series construction, so it serves as a second
     route to the same object.
+
+    One recursion serves every degree v0, with f = sum row[v] x^v:
+      * the column col[i] = t[i][v0][1] comes from f^{v0+1} by the
+        convolution recursion v0 col[i] = (f^{v0+1} - f)_{i+v0-1}
+        - sum_{m<i} col[m] (i+v0-m) f_{i+v0-m};
+      * level w >= 2 at u^i v^j is the (i, j) coefficient of level w-1 times
+        level 1, from strictly lower total degree;
+      * each interior entry t[i][j][1], i >= 2 and v0 < j, solves a linear
+        equation with denominator i + j - 1 >= 3, whose terms use the
+        diagonal constants (f^{v0})_b and t[j][v0][l] = l col[j-l+1].
+    v0 = 1 needs no case of its own: there f^{v0} = f, the column is
+    t[i][1][1], and the derivation identity t[j][1][l] = l t[j-l+1][1][1]
+    holds for level l of any level-1 grid whose v^0 part is u.
     """
     v0 = degree
     frow = [as_fraction(c) for c in row]
     if len(frow) != n:
         raise ValidationError("row must have length n")
+    if not 1 <= v0 < n:
+        raise ValidationError("degree must satisfy 1 <= v0 < n")
     if frow[0] != 1 or any(frow[v] for v in range(1, v0)) or frow[v0] != 1:
         raise ValidationError("row is not in normalized form")
 
@@ -309,47 +324,37 @@ def reconstruct_from_row(n: int, degree: int, row: Sequence[object]) -> CoeffTen
     t[0][0][0] = ONE
     for v in range(n):
         t[1][v][1] = frow[v]
-    t[1][0][1] = ONE
 
-    if v0 > 1:
-        # Column entries t[i][v0][1] from the convolution recursion
-        #   v0 * col[i] = (f^{v0+1} - f)_{i+v0-1} - sum_{m<i} col[m] (i+v0-m) f_{i+v0-m}.
-        top = n + v0 - 1
-        f = [frow[v] if v < n else ZERO for v in range(top)]
-        fpow = [ZERO] * top
-        fpow[0] = ONE
-        for _ in range(v0 + 1):
-            fpow = [
-                sum((fpow[a] * f[j - a] for a in range(j + 1) if fpow[a] and f[j - a]), ZERO)
-                for j in range(top)
-            ]
-        col = [ZERO] * n
-        col[1] = ONE
-        for i in range(2, n):
-            j = i + v0 - 1
-            acc = (fpow[j] if j < top else ZERO) - (f[j] if j < top else ZERO)
-            for m in range(1, i):
-                idx = i + v0 - m
-                if idx < top and f[idx]:
-                    acc -= col[m] * (i + v0 - m) * f[idx]
-            col[i] = acc / v0
-        for i in range(2, n):
-            t[i][v0][1] = col[i]
-        # (f^{v0})_b, needed as the diagonal constants t[v0][b][v0].
-        fp0 = [ZERO] * n
-        fp0[0] = ONE
-        for _ in range(v0):
-            fp0 = [
-                sum((fp0[a] * f[j - a] for a in range(j + 1) if fp0[a] and f[j - a]), ZERO)
-                for j in range(n)
-            ]
+    top = n + v0 - 1
+    f = frow + [ZERO] * (v0 - 1)
+
+    def times_f(a: list) -> list:
+        return [
+            sum((a[b] * f[j - b] for b in range(j + 1) if a[b] and f[j - b]), ZERO)
+            for j in range(top)
+        ]
+
+    fp0 = [ONE] + [ZERO] * (top - 1)
+    for _ in range(v0):
+        fp0 = times_f(fp0)  # f^{v0}: the diagonal constants
+    fpow = times_f(fp0)  # f^{v0+1}: drives the column
+
+    col = [ZERO] * n
+    col[1] = ONE
+    for i in range(2, n):
+        j = i + v0 - 1
+        acc = fpow[j] - f[j]
+        for m in range(1, i):
+            idx = i + v0 - m
+            if f[idx]:
+                acc -= col[m] * (i + v0 - m) * f[idx]
+        col[i] = acc / v0
+        t[i][v0][1] = col[i]
 
     for s in range(2, 2 * n - 1):
         # Higher levels at this total degree, from strictly lower degrees.
         for i in range(max(0, s - n + 1), min(s, n - 1) + 1):
             j = s - i
-            if j >= n:
-                continue
             for w in range(2, n):
                 acc = ZERO
                 for i1 in range(i + 1):
@@ -361,86 +366,36 @@ def reconstruct_from_row(n: int, degree: int, row: Sequence[object]) -> CoeffTen
                                 acc += c * d
                 t[i][j][w] = acc
 
-        if v0 == 1:
-            # Column entry t[s-1][1][1].
-            j = s - 1
-            if 2 <= j < n:
-                acc = ZERO
-                for a in range(j):
-                    acc += frow[a] * frow[j - a]
-                for l in range(2, j + 1):
-                    if frow[l]:
-                        acc -= l * t[j - l + 1][1][1] * frow[l]
-                t[j][1][1] = acc
-            # Interior level-1 entries at this degree.
-            for i in range(2, n):
-                j = s - i
-                if not 2 <= j < n:
+        # Interior level-1 entries for j > v0; lower columns are zero and
+        # the v0 column was computed above.
+        for i in range(2, n):
+            j = s - i
+            if not (v0 < j < n):
+                continue
+            first = ZERO
+            for a in range(j + 1):
+                fb = fp0[j - a]
+                if not fb:
                     continue
-                first = ZERO
-                for a in range(j + 1):
-                    b = j - a
-                    fb = frow[b]
-                    if not fb:
+                for h in range(1, i + 1):
+                    if (h, a) == (1, j):
                         continue
-                    for h in range(1, i + 1):
-                        if (a, h) == (j, 1):
-                            continue
-                        c = t[i][a][h]
-                        if c and t[h][1][1]:
-                            first += c * fb * t[h][1][1]
-                second = ZERO
-                for c0 in range(2):
-                    d0 = 1 - c0
-                    for h in range(1, i + 1):
-                        u = t[i][c0][h]
-                        if not u:
-                            continue
-                        for l in range(1, j + 1):
-                            if (h, l) == (i, j):
-                                continue
-                            v = t[j][d0][l]
-                            if v and t[h][l][1]:
-                                second += u * v * t[h][l][1]
-                denom = i + j - 1
-                if denom == 0:
-                    raise ReconstructionError("vanishing recursion denominator")
-                t[i][j][1] = (first - second) / denom
-        else:
-            # Interior level-1 entries for j > v0; lower columns are zero and
-            # the v0 column was precomputed above.
-            for i in range(2, n):
-                j = s - i
-                if not (v0 < j < n):
-                    continue
-                first = ZERO
-                for a in range(j + 1):
-                    b = j - a
-                    fb = fp0[b]
-                    if not fb:
-                        continue
-                    for h in range(1, i + 1):
-                        if (h, a) == (1, j):
-                            continue
-                        c = t[i][a][h]
-                        if c and col[h]:
-                            first += c * fb * col[h]
-                second = ZERO
-                # c = 0, h = i branch: sum_l t[j][v0][l] t[i][l][1], l < j,
-                # with t[j][v0][l] = l * col[j-l+1].
-                for l in range(v0, j):
-                    cl = t[i][l][1]
-                    if cl and col[j - l + 1]:
-                        second += l * col[j - l + 1] * cl
-                # d = 0, l = j branch: sum_{h<i} t[i][v0][h] t[h][j][1],
-                # with t[i][v0][h] = h * col[i-h+1].
-                for h in range(1, i):
-                    ch = t[h][j][1]
-                    if ch and col[i - h + 1]:
-                        second += h * col[i - h + 1] * ch
-                denom = i + j - 1
-                if denom == 0:
-                    raise ReconstructionError("vanishing recursion denominator")
-                t[i][j][1] = (first - second) / denom
+                    c = t[i][a][h]
+                    if c and col[h]:
+                        first += c * fb * col[h]
+            second = ZERO
+            # c = 0, h = i branch: sum_l t[j][v0][l] t[i][l][1], l < j,
+            # with t[j][v0][l] = l * col[j-l+1].
+            for l in range(v0, j):
+                cl = t[i][l][1]
+                if cl and col[j - l + 1]:
+                    second += l * col[j - l + 1] * cl
+            # d = 0, l = j branch: sum_{h<i} t[i][v0][h] t[h][j][1],
+            # with t[i][v0][h] = h * col[i-h+1].
+            for h in range(1, i):
+                ch = t[h][j][1]
+                if ch and col[i - h + 1]:
+                    second += h * col[i - h + 1] * ch
+            t[i][j][1] = (first - second) / (i + j - 1)
 
     return CoeffTensor(t)

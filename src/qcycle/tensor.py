@@ -24,7 +24,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import BadLinearTerm, NotComultiplicative, ParseError, ZeroLambda
-from .series import Series1, Series2, ZERO, ONE, as_fraction, format_rational, parse_rational
+from .series import Series1, Series2, ZERO, ONE, as_fraction, format_rational, json_array, parse_rational
 
 Grid = Sequence[Sequence[Fraction]]
 
@@ -89,7 +89,8 @@ class CoeffTensor:
     @classmethod
     def from_payload(cls, payload) -> "CoeffTensor":
         try:
-            return cls([[[parse_rational(v) for v in col] for col in row] for row in payload])
+            rows = [[json_array(col) for col in json_array(row)] for row in json_array(payload)]
+            return cls([[[parse_rational(v) for v in col] for col in row] for row in rows])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed tensor payload: {exc}") from exc
 

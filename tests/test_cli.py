@@ -90,6 +90,13 @@ def test_float_coefficient_is_a_parse_error(tmp_path):
     assert main(["verify", "--tensor", str(bad)]) == EXIT_USAGE
 
 
+def test_string_where_a_list_is_expected_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "digits.json"
+    bad.write_text(json.dumps({"schema": 1, "n": 2, "p": [["10", "01"], ["00", "10"]]}))
+    assert main(["verify", "--tensor", str(bad)]) == EXIT_USAGE
+    assert "JSON array" in capsys.readouterr().err
+
+
 def test_structure_n_must_be_an_integer(tmp_path, capsys):
     out = tmp_path / "scc.json"
     main(["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)])

@@ -11,6 +11,7 @@ from qcycle.errors import (
     NonzeroConstantTerm,
     NotInvertible,
     ParseError,
+    SeriesError,
     ZeroConstantTerm,
 )
 from qcycle.series import (
@@ -30,6 +31,66 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 def series1(order):
     return st.lists(rationals, min_size=order, max_size=order).map(Series1)
+
+
+def series2(order):
+    row = st.lists(rationals, min_size=order, max_size=order)
+    return st.lists(row, min_size=order, max_size=order).map(Series2)
+
+
+def compose_by_type(outer, inner):
+    """The per-type loops `compose` had before its single loop; the oracle for it."""
+    if isinstance(inner, Series1):
+        if inner.coeffs[0]:
+            raise NonzeroConstantTerm("inner series has nonzero constant term")
+        n = min(len(outer.coeffs), len(inner.coeffs))
+        acc = Series1.constant(outer.coeffs[0], n)
+        power = Series1.one(n)
+        for k in range(1, n):
+            power = power * inner
+            ck = outer.coeffs[k]
+            if ck:
+                acc = acc + power.scale(ck)
+            if power.is_zero():
+                break
+        return acc
+    if inner.coefficient(0, 0):
+        raise NonzeroConstantTerm("inner series has nonzero constant term")
+    n = min(len(outer.coeffs), inner.trunc_order)
+    inner = inner.truncated(n)
+    acc = Series2.monomial(0, 0, n, outer.coeffs[0])
+    power = Series2.monomial(0, 0, n)
+    for k in range(1, len(outer.coeffs)):
+        power = power * inner
+        if power.is_zero():
+            break
+        ck = outer.coeffs[k]
+        if ck:
+            acc = acc + power.scale(ck)
+    return acc
+
+
+def binomial_by_loop(exponent, base):
+    """`binomial_series` as its own power loop, before it called `compose`; its oracle."""
+    if base.coeffs[0] != 1:
+        raise ConstantTermNotOne("base must have constant term 1")
+    alpha = as_fraction(exponent)
+    n = len(base.coeffs)
+    t = base.add_constant(-1)
+    acc = Series1.one(n)
+    power = Series1.one(n)
+    for k in range(1, n):
+        power = power * t
+        if power.is_zero():
+            break
+        ck = general_binomial(alpha, k)
+        if ck:
+            acc = acc + power.scale(ck)
+    return acc
+
+
+def constant_term(s):
+    return s.coeffs[0] if isinstance(s, Series1) else s.coeffs[0][0]
 
 
 class TestArithmetic:
@@ -231,6 +292,12 @@ class TestParsing:
                 Series1.from_payload({"trunc_order": order, "coeffs": ["1", "2", "3"]})
             with pytest.raises(ParseError):
                 Series2.from_payload({"trunc_order": order, "coeffs": [["0"] * 3] * 3})
+        # a JSON string where an array is due is not read character by character
+        with pytest.raises(ParseError):
+            Series1.from_payload({"trunc_order": 3, "coeffs": "123"})
+        for coeffs in ("000", ["00", "00"], [["0", "0"], "00"]):
+            with pytest.raises(ParseError):
+                Series2.from_payload({"trunc_order": 2, "coeffs": coeffs})
 
 
 class TestAlgebraProperties:
@@ -287,3 +354,56 @@ class TestAlgebraProperties:
         a = Series1([Fraction(i % 5 - 2, 1 + (i % 3)) for i in range(order)])
         b = Series1([Fraction((i * 7) % 4 - 1) for i in range(order)])
         assert a * b == b * a
+
+
+class TestSingleLoopMatchesOracles:
+    """`compose`, `binomial_series` and `**` against the loops they replaced."""
+
+    # (outer order, inner order): outer shorter than, equal to and longer
+    # than inner; a Series2 power survives up to k = 2N - 2, so the longest
+    # outer reaches past the inner order.
+    ORDERS = [(2, 5), (4, 4), (9, 4), (1, 3)]
+
+    @pytest.mark.parametrize("outer_order, inner_order", ORDERS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_compose_matches_per_type_loops(self, outer_order, inner_order, data):
+        outer = data.draw(series1(outer_order))
+        top = inner_order - 1
+        inners = [
+            data.draw(series1(inner_order)),
+            data.draw(series2(inner_order)),
+            # powers that vanish early, before the order does
+            Series1.monomial(top, inner_order),
+            Series2.monomial(top, top, inner_order),
+        ]
+        for inner in inners:
+            inner = inner.add_constant(-constant_term(inner))
+            assert compose(outer, inner) == compose_by_type(outer, inner)
+            shifted = inner.add_constant(data.draw(rationals.filter(bool)))
+            with pytest.raises(NonzeroConstantTerm):
+                compose(outer, shifted)
+            with pytest.raises(NonzeroConstantTerm):
+                compose_by_type(outer, shifted)
+
+    @given(rationals, series1(6))
+    @settings(max_examples=40, deadline=None)
+    def test_binomial_matches_loop(self, alpha, b):
+        base = b.add_constant(1 - b.coeffs[0])
+        assert binomial_series(alpha, base) == binomial_by_loop(alpha, base)
+        if b.coeffs[0] != 1:
+            with pytest.raises(ConstantTermNotOne):
+                binomial_series(alpha, b)
+            with pytest.raises(ConstantTermNotOne):
+                binomial_by_loop(alpha, b)
+
+    @given(series1(5), series2(3))
+    @settings(max_examples=30, deadline=None)
+    def test_powers_match_repeated_products(self, a, g):
+        for s, one in ((a, Series1.one(5)), (g, Series2.monomial(0, 0, 3))):
+            product = one
+            for k in range(s.trunc_order + 1):
+                assert s ** k == product
+                product = product * s
+            with pytest.raises(SeriesError):
+                s ** -1

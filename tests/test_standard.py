@@ -134,7 +134,7 @@ class TestReconstruction:
         assert reconstruct_from_row(5, 2, row) == bundle.tensor
 
     def test_random_inputs_agree(self, rng):
-        for n, v0 in [(4, 1), (5, 1), (5, 3), (6, 2), (6, 5)]:
+        for n, v0 in [(n, v0) for n in range(2, 8) for v0 in range(1, n)]:
             tail = random_standard_tail(rng, n, v0)
             bundle = build_standard_cycle(StandardCycleParams.from_tail(n, v0, tail))
             row = [bundle.tensor.entry(1, v, 1) for v in range(n)]
@@ -145,3 +145,6 @@ class TestReconstruction:
             reconstruct_from_row(4, 1, [1, 2, 0, 0])
         with pytest.raises(ValidationError):
             reconstruct_from_row(4, 2, [1, 1, 1, 0])
+        for degree in (0, 4):
+            with pytest.raises(ValidationError):
+                reconstruct_from_row(4, degree, [1, 0, 0, 0])
