@@ -32,6 +32,7 @@ from .solution import (
     check_braid_on_map,
     check_braid_reduced,
     is_coalgebra_endomorphism,
+    is_involution,
 )
 from .operators import build_context, identity_suite
 from .families import NonRootFamilyInput, build_nonroot_family, classify, fixtures_n3
@@ -115,17 +116,16 @@ def _cmd_verify(args) -> int:
     results["braid_reduced"] = bool(reduced)
     if args.full:
         results["braid_full"] = morphisms and bool(check_braid_full(structure))
-    if args.solution and not morphisms:
+    if args.solution:
         results.update(dict.fromkeys(SOLUTION_CHECKS, False))
-    elif args.solution:
+    if args.solution and morphisms:
         try:
             smap = build_solution(structure)
             results["solution_braid"] = check_braid_on_map(smap)
             results["solution_coalgebra_endo"] = is_coalgebra_endomorphism(smap)
             results["solution_bijective"] = smap.determinant() != 0
-            results["solution_involutive"] = smap.compose(smap).is_identity()
+            results["solution_involutive"] = is_involution(smap)
         except QcycleError as exc:
-            results["solution_braid"] = False
             print(f"solution construction failed: {exc}")
     ok = all(v for k, v in results.items() if k != "solution_involutive")
     if not morphisms:

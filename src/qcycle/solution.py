@@ -19,13 +19,15 @@ its rows in A: row (k, l) is the series whose u^i v^j coefficient is
 s[(k, l), (i, j)] (`LinearMap2.from_rows`, `LinearMap2.rows`).  The side maps
 and the solution map are built row by row with the product in A: row (k, b)
 of `gp_map(t)` is v^b times level k of t, and row (k, l) of the solution map
-is L_k E_l (see `build_solution`).
+is L_k E_l (see `build_solution`).  The braid and involution checks of s pull
+monomials of the dual of C (x) C (x) C back through its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Optional
 
@@ -57,8 +59,8 @@ class LinearMap2:
     def __init__(self, n: int, matrix):
         dim = n * n
         rows = tuple(tuple(as_fraction(v) for v in row) for row in matrix)
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise ValueError("matrix must be n^2 x n^2")
+        if n < 2 or len(rows) != dim or any(len(r) != dim for r in rows):
+            raise ValueError("matrix must be n^2 x n^2 with n >= 2")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", rows)
 
@@ -132,21 +134,6 @@ class LinearMap2:
                     factor = a[r][col] * scale
                     a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
         return det
-
-    def scaled_integer_columns(self) -> tuple[list[list[tuple[int, int]]], int]:
-        """Sparse integer columns: (columns, den) with columns[c] = [(row, int)]
-        holding den * matrix for a common denominator den."""
-        den = 1
-        for row in self.matrix:
-            for v in row:
-                den = lcm(den, v.denominator)
-        dim = self.n * self.n
-        cols = [[] for _ in range(dim)]
-        for r, row in enumerate(self.matrix):
-            for c, v in enumerate(row):
-                if v:
-                    cols[c].append((r, int(v * den)))
-        return cols, den
 
 
 @dataclass(frozen=True)
@@ -351,40 +338,46 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     return LinearMap2.from_rows(n, [[L[k] * E[l] for l in range(n)] for k in range(n)])
 
 
+def _transpose_kernel(s: LinearMap2, factors: int):
+    """(pull, den, starts).  pull(f, first) applies den * s12^T (first) or
+    den * s23^T to f = {(a, b, c): int} in K[y1, y2, y3]/<y_i^n>, for a common
+    denominator den of s; s12^T sends y1^a y2^b y3^c to row (a, b) of s, read
+    in (y1, y2), times y3^c.  Two words in s12^T and s23^T agree on the
+    monomials in y1..y_factors iff they agree on starts: the generators when s
+    is a coalgebra endomorphism (each word is then an algebra map), else all."""
+    den = lcm(*(c.denominator for row in s.matrix for c in row))
+    scaled = [[[((i, j), int(c * den)) for i, line in enumerate(row.coeffs)
+                for j, c in enumerate(line) if c] for row in rows_k] for rows_k in s.rows()]
+
+    def pull(f: dict, first: bool) -> dict:
+        out: dict = {}
+        for (a, b, c), val in f.items():
+            for (i, j), w in scaled[a][b] if first else scaled[b][c]:
+                key = (i, j, c) if first else (a, i, j)
+                out[key] = out.get(key, 0) + val * w
+        return {k: v for k, v in out.items() if v}
+
+    generators = is_coalgebra_endomorphism(s)
+    exps = product(*[range(s.n)] * factors + [range(1)] * (3 - factors))
+    return pull, den, [m for m in exps if not generators or sum(m) == 1]
+
+
 def check_braid_on_map(s: LinearMap2) -> bool:
-    """Exact check of s12 s23 s12 = s23 s12 s23 on C (x) C (x) C.
+    """Exact check of s12 s23 s12 = s23 s12 s23 on C (x) C (x) C, made on the
+    transposes: pull back y1, y2, y3 if s is a coalgebra endomorphism, every
+    monomial otherwise (`_transpose_kernel`).  No n^3 x n^3 matrix is formed."""
+    pull, _den, starts = _transpose_kernel(s, 3)
+    return all(
+        pull(pull(pull({m: 1}, True), False), True) == pull(pull(pull({m: 1}, False), True), False)
+        for m in starts
+    )
 
-    Works on scaled integer columns; s12 and s23 act on sparse vectors, so the
-    n^3 x n^3 products are never materialized densely.
-    """
-    n = s.n
-    cols, _den = s.scaled_integer_columns()
 
-    def apply12(vec: dict) -> dict:
-        out: dict = {}
-        for (idx, val) in vec.items():
-            ij, c = divmod(idx, n)
-            for row, w in cols[ij]:
-                key = row * n + c
-                out[key] = out.get(key, 0) + val * w
-        return {k: v for k, v in out.items() if v}
-
-    def apply23(vec: dict) -> dict:
-        out: dict = {}
-        for (idx, val) in vec.items():
-            a, jk = divmod(idx, n * n)
-            for row, w in cols[jk]:
-                key = a * n * n + row
-                out[key] = out.get(key, 0) + val * w
-        return {k: v for k, v in out.items() if v}
-
-    for basis in range(n * n * n):
-        start = {basis: 1}
-        left = apply12(apply23(apply12(start)))
-        right = apply23(apply12(apply23(start)))
-        if left != right:
-            return False
-    return True
+def is_involution(s: LinearMap2) -> bool:
+    """s . s = id, made as s^T s^T = id on u and v if s is a coalgebra
+    endomorphism, on every u^a v^b otherwise (`_transpose_kernel`)."""
+    pull, den, starts = _transpose_kernel(s, 2)
+    return all(pull(pull({m: 1}, True), True) == {m: den * den} for m in starts)
 
 
 def is_coalgebra_endomorphism(s: LinearMap2) -> bool:

@@ -59,6 +59,29 @@ def test_verify_non_morphism_records_every_check(tmp_path, capsys):
     assert "solution_involutive: False" in out
 
 
+def test_verify_singular_side_map_records_every_solution_check(tmp_path, capsys):
+    # G = uv is a coalgebra morphism (G^3 = 0) whose step block is singular.
+    n = 3
+    level1 = [[Fraction(0)] * n for _ in range(n)]
+    level1[1][1] = Fraction(1)
+    path = tmp_path / "uv.json"
+    path.write_text(json.dumps(QCycleStructure.involutive(extend_from_level1(level1)).to_payload()))
+    report = tmp_path / "report.json"
+    argv = ["verify", "--tensor", str(path), "--solution", "--report-json", str(report)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    results = json.loads(report.read_text())["results"]
+    assert results["morphism_p"] and results["morphism_d"]
+    solution = ["solution_braid", "solution_coalgebra_endo", "solution_bijective"]
+    assert {k: results[k] for k in solution + ["solution_involutive"]} == dict.fromkeys(
+        solution + ["solution_involutive"], False
+    )
+    assert "solution construction failed: right side map is not invertible" in out
+    for name in solution:
+        assert f"{name}: FAIL" in out
+    assert "solution_involutive: False" in out
+
+
 def test_schema_is_checked(tmp_path):
     out = tmp_path / "scc.json"
     main(["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)])

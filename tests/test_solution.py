@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -13,9 +13,11 @@ from qcycle.solution import (
     gd_map,
     gp_map,
     is_coalgebra_endomorphism,
+    is_involution,
     structure_sanity,
     superscript_map,
 )
+from qcycle.series import Series2
 from qcycle.tensor import (
     CoeffTensor,
     QCycleStructure,
@@ -211,6 +213,7 @@ class TestSolutionMap:
             s = standard_structure(n, v0, tail)
             m = build_solution(s)
             assert m.compose(m).is_identity()
+            assert is_involution(m)
             assert check_braid_on_map(m)
             assert is_coalgebra_endomorphism(m)
             assert m.determinant() != 0
@@ -317,6 +320,101 @@ class TestEndomorphismCheck:
             assert is_coalgebra_endomorphism(m) == ok
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+
+def braid_by_sweep(s):
+    """s12 s23 s12 = s23 s12 s23, compared on each of the n^3 basis vectors of
+    C (x) C (x) C, with s as sparse integer columns over a common denominator."""
+    n = s.n
+    den = lcm(*(v.denominator for row in s.matrix for v in row))
+    cols = [[] for _ in range(n * n)]
+    for r, row in enumerate(s.matrix):
+        for c, v in enumerate(row):
+            if v:
+                cols[c].append((r, int(v * den)))
+
+    def apply12(vec):
+        out = {}
+        for idx, val in vec.items():
+            ij, c = divmod(idx, n)
+            for row, w in cols[ij]:
+                out[row * n + c] = out.get(row * n + c, 0) + val * w
+        return {k: v for k, v in out.items() if v}
+
+    def apply23(vec):
+        out = {}
+        for idx, val in vec.items():
+            a, jk = divmod(idx, n * n)
+            for row, w in cols[jk]:
+                out[a * n * n + row] = out.get(a * n * n + row, 0) + val * w
+        return {k: v for k, v in out.items() if v}
+
+    return all(
+        apply12(apply23(apply12({basis: 1}))) == apply23(apply12(apply23({basis: 1})))
+        for basis in range(n ** 3)
+    )
+
+
+def _algebra_map(n, x, y):
+    """The coalgebra endomorphism whose transpose sends u to x and v to y:
+    row (k, l) is x^k y^l (x^n = y^n = 0 for every caller)."""
+    return LinearMap2.from_rows(n, [[x ** k * y ** l for l in range(n)] for k in range(n)])
+
+
+def _diagonal_variant(n, factor):
+    """The identity with row (1, 1) multiplied by factor: the rows of u and
+    v are u and v, so on the generators alone it looks like the identity,
+    but it is a coalgebra endomorphism only for factor 1."""
+    rows = [[Series2.monomial(k, l, n) for l in range(n)] for k in range(n)]
+    rows[1][1] = Series2.monomial(1, 1, n, factor)
+    return LinearMap2.from_rows(n, rows)
+
+
+def _braid_map_cases(rng, n):
+    """`_endomorphism_cases`; algebra maps from generator rows (u h1, v h2),
+    (v, u), (u h1, u h2) with a rank-1 linear part, and (-u, v); and the
+    identity with row (1, 1) negated, an involution that is no endomorphism."""
+    u, v = Series2.monomial(1, 0, n), Series2.monomial(0, 1, n)
+
+    def h():
+        return Series2([[random_fraction(rng) for _ in range(n)] for _ in range(n)])
+
+    algebra = [(u * h(), v * h()), (v, u), (u * h(), u * h()), (-u, v)]
+    return (
+        _endomorphism_cases(rng, n)
+        + [_algebra_map(n, x, y) for x, y in algebra]
+        + [_diagonal_variant(n, -1)]
+    )
+
+
+class TestTransposeKernel:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_sweep_and_compose(self, rng, n):
+        verdicts = {"endo": set(), "braid": set(), "involution": set()}
+        for m in _braid_map_cases(rng, n):
+            braid = braid_by_sweep(m)
+            involution = m.compose(m).is_identity()
+            assert check_braid_on_map(m) == braid
+            assert is_involution(m) == involution
+            verdicts["endo"].add(is_coalgebra_endomorphism(m))
+            verdicts["braid"].add(braid)
+            verdicts["involution"].add(involution)
+        assert all(seen == {True, False} for seen in verdicts.values())
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_non_endomorphism_uses_every_monomial(self, n):
+        # Both maps fix u and v, so their words agree on y1, y2 and y3; the
+        # verdicts below need the monomials of higher degree.
+        negated, doubled = _diagonal_variant(n, -1), _diagonal_variant(n, 2)
+        for m in (negated, doubled):
+            assert not is_coalgebra_endomorphism(m)
+            assert not check_braid_on_map(m) and not braid_by_sweep(m)
+        assert is_involution(negated) and negated.compose(negated).is_identity()
+        assert not is_involution(doubled) and not doubled.compose(doubled).is_identity()
+
+    def test_maps_need_n_at_least_2(self):
+        with pytest.raises(ValueError):
+            LinearMap2(1, [[1]])
 
 
 def gp_map_by_convolution(t):
