@@ -71,13 +71,10 @@ class CoeffTensor:
 
     def scaled_integers(self) -> tuple[list[list[list[int]]], int]:
         """(den * entries as ints, den) for a common denominator den."""
-        den = 1
-        for row in self.entries:
-            for col in row:
-                for v in col:
-                    den = lcm(den, v.denominator)
+        den = lcm(*(v.denominator for row in self.entries for col in row for v in col))
         scaled = [
-            [[int(v * den) for v in col] for col in row] for row in self.entries
+            [[v.numerator * (den // v.denominator) for v in col] for col in row]
+            for row in self.entries
         ]
         return scaled, den
 

@@ -5,6 +5,8 @@ import pytest
 
 from qcycle.errors import NotComultiplicative, SingularGd, SingularGp
 from qcycle.solution import (
+    MAX_VIOLATIONS,
+    BraidReport,
     LinearMap2,
     build_solution,
     check_braid_full,
@@ -138,6 +140,84 @@ def family_sides_by_fractions(s, family, i, j, k, m):
     return side(lhs, j, k), side(rhs, k, j)
 
 
+def braid_scan_by_loops(s, ms):
+    """The three families at every (i, j, k) and every m in ms, each side summed
+    whole at each point over the tensors scaled to integers, with violations
+    in family, i, j, k, m order and capped at MAX_VIOLATIONS."""
+    n = s.n
+
+    def scaled(t):
+        den = lcm(*(v.denominator for row in t.entries for col in row for v in col))
+        return [[[int(v * den) for v in col] for col in row] for row in t.entries], den
+
+    tensors = {"p": scaled(s.p), "d": scaled(s.d)}
+
+    def side(A, B, C, i, j, k, m):
+        acc = 0
+        for a in range(j + 1):
+            row_a, row_b = A[i][a], B[k][j - a]
+            for h in range(n):
+                x = row_a[h]
+                if not x:
+                    continue
+                inner = 0
+                for l in range(n):
+                    y = row_b[l]
+                    if y:
+                        z = C[h][l][m]
+                        if z:
+                            inner += y * z
+                if inner:
+                    acc += x * inner
+        return acc
+
+    flags = [True, True, True]
+    violations = []
+    for index, names in enumerate(FAMILIES):
+        (A, da), (B, db), (C, dc) = (tensors[name] for name in names[0])
+        (A2, da2), (B2, db2), (C2, dc2) = (tensors[name] for name in names[1])
+        den_l, den_r = da * db * dc, da2 * db2 * dc2
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for m in ms:
+                        lhs = side(A, B, C, i, j, k, m)
+                        rhs = side(A2, B2, C2, i, k, j, m)
+                        if lhs * den_r != rhs * den_l:
+                            flags[index] = False
+                            if len(violations) < MAX_VIOLATIONS:
+                                violations.append((index + 1, i, j, k, m,
+                                                   Fraction(lhs, den_l), Fraction(rhs, den_r)))
+    return BraidReport(flags[0], flags[1], flags[2], tuple(violations))
+
+
+def _braid_scan_cases(rng, n):
+    """(class, structure) pairs: standard cycles at v0 = 1 and v0 = n - 1;
+    candidates made from a v0 = 1 standard cycle by perturbing one level-1
+    entry t[i][j][1] with i, j >= 2 (i, j = 1 at n = 2) and re-extending;
+    `family nonroot` pairs (p != d); and random comultiplicative pairs."""
+    from qcycle.families import NonRootFamilyInput, build_nonroot_family
+
+    cases = [
+        ("standard", standard_structure(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)]))
+        for v0 in sorted({1, n - 1})
+    ]
+    for _ in range(2):
+        base = standard_structure(n, 1, [random_fraction(rng) for _ in range(n - 2)]).p
+        level1 = base.level(1)
+        low = min(2, n - 1)
+        level1[rng.randint(low, n - 1)][rng.randint(low, n - 1)] += Fraction(rng.choice((-1, 1)), 2)
+        cases.append(("candidate", QCycleStructure.involutive(extend_from_level1(level1))))
+    for mu in (Fraction(3, 2), Fraction(-1, 3)):
+        lambdas = [Fraction(rng.choice((-2, 2)))] + [random_fraction(rng) for _ in range(n - 2)]
+        cases.append(("nonroot", build_nonroot_family(NonRootFamilyInput(n, lambdas, mu))))
+    for _ in range(3):
+        p = extend_from_level1(random_level1(rng, n))
+        d = extend_from_level1(random_level1(rng, n))
+        cases.append(("random", QCycleStructure(p, d)))
+    return cases
+
+
 class TestBraidChecks:
     def test_standard_structures_pass(self, rng):
         for n, v0 in [(3, 1), (4, 2), (5, 3)]:
@@ -164,11 +244,37 @@ class TestBraidChecks:
             check_braid_reduced(QCycleStructure.involutive(bad))
 
     def test_full_equals_reduced_verdict(self, rng):
-        for _ in range(25):
-            p = extend_from_level1(random_level1(rng, 3))
-            d = extend_from_level1(random_level1(rng, 3))
-            s = QCycleStructure(p, d)
-            assert bool(check_braid_reduced(s)) == bool(check_braid_full(s))
+        for n in range(4, 8):
+            verdicts = {}
+            for label, s in _braid_scan_cases(rng, n):
+                reduced = bool(check_braid_reduced(s))
+                assert reduced == bool(check_braid_full(s))
+                verdicts.setdefault(label, set()).add(reduced)
+            assert verdicts["standard"] == verdicts["nonroot"] == {True}
+            assert verdicts["candidate"] == verdicts["random"] == {False}
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_scan_matches_loop_oracle(self, rng, n):
+        verdicts = {}
+        capped = joined = False
+        for label, s in _braid_scan_cases(rng, n):
+            assert (s.p == s.d) == (label in ("standard", "candidate"))
+            for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(n))):
+                report = check(s)
+                assert report == braid_scan_by_loops(s, ms)
+                assert all(type(lhs) is type(rhs) is Fraction
+                           for *_, lhs, rhs in report.violations)
+                flags = (report.family1_ok, report.family2_ok, report.family3_ok)
+                verdicts.setdefault(label, set()).add(flags)
+                capped |= len(report.violations) == MAX_VIOLATIONS
+                joined |= len({v[0] for v in report.violations}) > 1
+        assert verdicts["standard"] == verdicts["nonroot"] == {(True, True, True)}
+        assert (False, False, False) in verdicts["random"]
+        if n >= 3:
+            assert all(not all(flags) for flags in verdicts["candidate"])
+        # reports cut at the cap, and reports listing more than one family
+        assert capped == (n >= 3)
+        assert joined or n > 4
 
     def test_violation_reports_cap(self, rng):
         p = extend_from_level1(random_level1(rng, 4))
