@@ -45,6 +45,10 @@ EXIT_USAGE = 2
 # would otherwise read as an unknown option.
 RATIONAL_OPTIONS = ("--params", "--lambdas", "--mu")
 
+# Largest truncation order n + pad that `ops-check` accepts.  The suite's cost
+# grows about as the fourth power of the order, and nothing bounds --pad.
+MAX_OPS_ORDER = 24
+
 SOLUTION_CHECKS = ("solution_braid", "solution_coalgebra_endo", "solution_bijective",
                    "solution_involutive")
 
@@ -144,6 +148,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ops_check(args) -> int:
+    if args.n + args.pad > MAX_OPS_ORDER:
+        raise ValidationError(
+            f"truncation order n + pad = {args.n + args.pad} is above the limit {MAX_OPS_ORDER}"
+        )
     params = StandardCycleParams.from_tail(
         args.n, args.v0, _parse_rational_list(args.params)
     )
@@ -219,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--v0", type=int, required=True)
     p.add_argument("--params", default="")
-    p.add_argument("--pad", type=int, default=2, help="extra truncation beyond n (default 2)")
+    p.add_argument("--pad", type=int, default=2,
+                   help=f"extra truncation beyond n (default 2; n + pad <= {MAX_OPS_ORDER})")
     p.add_argument("--seed", type=int, default=20240)
     p.set_defaults(handler=_cmd_ops_check)
 

@@ -9,9 +9,12 @@ partial_y^u is partial_x^u acting on y; the global operator is
 partial^k = sum_{a+b=k} partial_x^a partial_y^b.  The tilde variants replace
 Gbar by P, which regrades Gbar in powers of f(y) - 1.  Each operator is linear
 on series of the context's order N: an N x N matrix with entry
-[u][c] = sum_k C(c, k) (B^k)_v[u - c + k], B = Gbar or P, built once per (B, v).
-It acts on the x-index of a series (partial_x) or on its y-index (partial_y).
-Inputs at any order other than N raise SeriesError.  The context also carries:
+[u][c] = sum_k C(c, k) (B^k)_v[u - c + k], B = Gbar or P, stored once per (B, v)
+as sparse integer rows over one common denominator.  It acts on the x-index of
+a series (partial_x) or on its y-index (partial_y); each input vector is
+scaled to integers over its own denominator, products are summed in int, and
+only nonzero results become Fractions.  Inputs at any order other than N raise
+SeriesError.  The context also carries:
 
   * the eigenfunction q of the derivation h -> g h' (g q' = q, q = x + ...),
     its compositional inverse, and the scaled eigenfunctions q_i = a_i q^i;
@@ -21,14 +24,17 @@ Inputs at any order other than N raise SeriesError.  The context also carries:
 
 `identity_suite` checks, exactly and up to the truncation order, every
 identity the construction is built on, ending with the slice symmetry
-(partial^j G)_i = (partial^i G)_j that encodes the braid equations.
+(partial^j G)_i = (partial^i G)_j that encodes the braid equations.  It makes
+each global table partial^k H and tilde^k H once per input, from the defining
+sum (`global_table`), and the braid sums R(i, j, k) that partial^j G must
+reproduce once, with the braid scan's two integer contractions (`braid_sums`).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Optional, Union
 
 from .errors import DegreeOutOfRange, InvariantViolation, SeriesError
@@ -43,8 +49,9 @@ from .series import (
     general_binomial,
     substitute_y,
 )
+from .solution import _first_contraction, _second_contraction
 from .standard import StandardCycleBundle, build_standard_cycle
-from .tensor import CheckResult, SuiteReport, _check
+from .tensor import CheckResult, CoeffTensor, SuiteReport, _check
 
 SeriesLike = Union[Series1, Series2]
 
@@ -208,25 +215,33 @@ class OperatorContext:
             raise DegreeOutOfRange(f"degree {v} at truncation order {self.order}")
 
     def _matrix(self, name: str, v: int) -> tuple:
-        """The N x N matrix of h -> sum_{k=1}^{v} (1/k!) (B^k)_v h^(k), B = `name`.
+        """The N x N matrix of h -> sum_{k=0}^{v} (1/k!) (B^k)_v h^(k), B = `name`.
 
         Entry [u][c] = sum_k C(c, k) (B^k)_v[u - c + k] is the x^u coefficient of
-        the image of x^c.  Each row keeps its nonzero entries as (c, entry) pairs.
+        the image of x^c.  B^0 = 1 adds nothing for v > 0 and makes the v = 0
+        matrix the identity.  The matrix is stored once, as (rows, den): den is the
+        common denominator of its entries, and rows[u] keeps the nonzero entries
+        of row u as (c, den * entry) pairs of integers.
         """
         key = (name, v)
         if key not in self._matrices:
             N = self.order
-            rows = []
+            entries = []
             for u in range(N):
                 row = []
                 for c in range(N):
                     entry = ZERO
-                    for k in range(max(1, c - u), min(v, c) + 1):
+                    for k in range(max(0, c - u), min(v, c) + 1):
                         entry += comb(c, k) * self.power_slice(name, k, v).coeffs[u - c + k]
                     if entry:
                         row.append((c, entry))
-                rows.append(tuple(row))
-            self._matrices[key] = tuple(rows)
+                entries.append(row)
+            den = lcm(*(entry.denominator for row in entries for _, entry in row))
+            rows = tuple(
+                tuple((c, entry.numerator * (den // entry.denominator)) for c, entry in row)
+                for row in entries
+            )
+            self._matrices[key] = (rows, den)
         return self._matrices[key]
 
     def _apply(self, name: str, v: int, h: SeriesLike, along_y: bool = False) -> SeriesLike:
@@ -238,12 +253,12 @@ class OperatorContext:
             )
         if v == 0:
             return h
-        rows = self._matrix(name, v)
+        matrix = self._matrix(name, v)
         if isinstance(h, Series1):
-            return Series1(_times(rows, h.coeffs))
+            return Series1(_times([(matrix, h.coeffs)]))
         if along_y:
-            return Series2([_times(rows, coeffs) for coeffs in h.coeffs])
-        columns = [_times(rows, coeffs) for coeffs in zip(*h.coeffs)]
+            return Series2([_times([(matrix, coeffs)]) for coeffs in h.coeffs])
+        columns = [_times([(matrix, coeffs)]) for coeffs in zip(*h.coeffs)]
         return Series2(zip(*columns))
 
     def partial_x(self, v: int, h: SeriesLike) -> SeriesLike:
@@ -263,22 +278,73 @@ class OperatorContext:
     def partial_global(self, k: int, H: Series2) -> Series2:
         """partial^k = sum_{a+b=k} partial_x^a partial_y^b."""
         self._check_degree(k)
-        acc = Series2.zero(self.order)
-        for b in range(k + 1):
-            acc = acc + self.partial_x(k - b, self.partial_y(b, H))
-        return acc
+        return self._global_sum("table_reduced", k, [self.partial_y(b, H) for b in range(k + 1)])
 
     def tilde_partial_global(self, u: int, H: Series2) -> Series2:
         self._check_degree(u)
-        acc = Series2.zero(self.order)
-        for l in range(u + 1):
-            acc = acc + self.tilde_partial_x(l, self.tilde_partial_y(u - l, H))
-        return acc
+        return self._global_sum("p", u, [self.tilde_partial_y(b, H) for b in range(u + 1)])
+
+    def global_table(self, name: str, H: Series2, count: int) -> list[Series2]:
+        """[B^k H for k < count], B^k = sum_{a+b=k} B_x^a B_y^b the global operator
+        of B = `name`: the defining sum, with each B_y^b H made once for all k."""
+        self._check_degree(count - 1)
+        ys = [self._apply(name, b, H, along_y=True) for b in range(count)]
+        return [self._global_sum(name, k, ys) for k in range(count)]
+
+    def _global_sum(self, name: str, k: int, ys: list) -> Series2:
+        """sum_{a+b=k} B_x^a ys[b], summed on integers one x-fibre at a time."""
+        fibres = [list(zip(*ys[b].coeffs)) for b in range(k + 1)]
+        columns = [
+            _times([(self._matrix(name, k - b), fibres[b][w]) for b in range(k + 1)])
+            for w in range(self.order)
+        ]
+        return Series2(zip(*columns))
 
 
-def _times(rows: tuple, coeffs) -> list:
-    """A matrix, stored as sparse rows of (column, entry) pairs, times a vector."""
-    return [sum((entry * coeffs[c] for c, entry in row if coeffs[c]), ZERO) for row in rows]
+def _times(terms: list) -> list:
+    """sum M v over the (matrix, vector) terms, each matrix M as `_matrix` stores it.
+
+    Each vector is scaled to integers over its own common denominator, zero
+    vectors and zero inputs are skipped, the products are summed in int (the
+    terms over the lcm of their denominators), and only a nonzero result
+    becomes a Fraction.
+    """
+    total, den = [0] * len(terms[0][1]), 1
+    for (rows, row_den), coeffs in terms:
+        if not any(coeffs):
+            continue
+        scale = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        term = []
+        for row in rows:
+            acc = 0
+            for c, entry in row:
+                x = ints[c]
+                if x:
+                    acc += entry * x
+            term.append(acc)
+        term_den = row_den * scale
+        common = lcm(den, term_den)
+        up, term_up = common // den, common // term_den
+        total = [t * up + x * term_up for t, x in zip(total, term)]
+        den = common
+    return [Fraction(t, den) if t else ZERO for t in total]
+
+
+def braid_sums(t: CoeffTensor) -> tuple[list[list[int]], int]:
+    """R(i, j, k) = sum_{a+b=j} sum_{h,l} t[i][a][h] t[k][b][l] t[h][l][1] for all
+    i, j, k, as (sums, den): R(i, j, k) = sums[i][j * n + k] / den.
+
+    Made on t scaled to integers with the braid scan's two contractions over
+    the output index m = 1: first over h, then over a + b = j and l.
+    """
+    ints, den = t.scaled_integers()
+    n = t.n
+    c_rows = [[col[1] for col in row] for row in ints]
+    b_cols = [[ints[k][b][l] for b in range(n) for k in range(n)] for l in range(n)]
+    sums = [_second_contraction(_first_contraction(ints[i], c_rows), b_cols, n, 1)[0]
+            for i in range(n)]
+    return sums, den ** 3
 
 
 def build_context(bundle: StandardCycleBundle, order: Optional[int] = None) -> OperatorContext:
@@ -418,13 +484,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     checks.append(_check("column_slice_exchange", fails))
 
     # global operator: slice symmetry (the braid identity in series form)
-    dy_table = [ctx.partial_y(b, ctx.table) for b in range(N)]
-    d_table = []
-    for j in range(N):
-        acc = Series2.zero(N)
-        for b in range(j + 1):
-            acc = acc + ctx.partial_x(j - b, dy_table[b])
-        d_table.append(acc)
+    d_table = ctx.global_table("table_reduced", ctx.table, N)
     fails = []
     for i in range(N):
         for j in range(i + 1, N):
@@ -432,31 +492,16 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 fails.append((i, j))
     checks.append(_check("global_slice_symmetry", fails))
 
-    # (partial^j G)_{ik} equals the brute-forced braid sum R(i, j, k)
+    # (partial^j G)_{ik} equals the braid sum R(i, j, k)
     t = ctx.tensor
-
-    def braid_sum(i, j, k):
-        acc = ZERO
-        for a in range(j + 1):
-            b = j - a
-            for h in range(i + 1):
-                c1 = t.entry(i, a, h)
-                if not c1:
-                    continue
-                for l in range(k + 1):
-                    c2 = t.entry(k, b, l)
-                    if c2:
-                        c3 = t.entry(h, l, 1)
-                        if c3:
-                            acc += c1 * c2 * c3
-        return acc
-
+    sums, den = braid_sums(t)
     fails = []
     for j in range(N):
         dj = d_table[j]
         for i in range(1, N):
             for k in range(1, N):
-                if dj.coefficient(i, k) != braid_sum(i, j, k):
+                c = dj.coeffs[i][k]
+                if c.numerator * den != sums[i][j * N + k] * c.denominator:
                     fails.append((i, j, k))
     checks.append(_check("braid_sum_match", fails))
 
@@ -464,7 +509,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fails = []
     for i in range(N):
         for k in range(N):
-            if v0 < N and braid_sum(i, v0, k) != braid_sum(i, k, v0):
+            if v0 < N and sums[i][v0 * N + k] != sums[i][k * N + v0]:
                 fails.append((i, k))
     checks.append(_check("degree_slot_symmetry", fails))
 
@@ -492,38 +537,62 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             break
     checks.append(_check("tilde_x_recursion", fails))
 
-    # same recursion for the global tilde operator
-    fails = []
-    glob_inputs = x2_basis[: N + 1] + x2_random[:1]
-    for H in glob_inputs:
-        prev = H
-        for v in range(1, min(N, 5)):
-            cur = ctx.tilde_partial_global(v, H)
-            if v > 1:
-                rhs = ctx.tilde_partial_global(1, prev) - prev.scale(v - 1)
-                if cur.scale(v) != rhs:
-                    fails.append(v)
-                    break
-            prev = cur
-        if fails:
-            break
-    checks.append(_check("tilde_global_recursion", fails))
-
-    # tilde^v = C(tilde^1, v) as an operator, small v
-    fails = []
+    # The three global tilde checks run in one pass over their inputs, so the
+    # tables tilde^k H and partial^k H of an input are made once, from the
+    # defining sum, and dropped when its checks are done.  Each check keeps
+    # the failure it would meet first: the recursion and the binomial check
+    # scan inputs, then v; partial_global_from_tilde scans v, then inputs,
+    # so it keeps the least failing v over all inputs.
     cap = min(N, 5)
-    bin_inputs = x2_basis[: 2 * N] + x2_random[:1]
-    for H in bin_inputs:
-        w = H
+    fbar_coeffs = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(min(N, 6))]
+
+    def recursion_fault(table):
+        """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}: [first v that fails]."""
+        for v in range(2, cap):
+            rhs = ctx.tilde_partial_global(1, table[v - 1]) - table[v - 1].scale(v - 1)
+            if table[v].scale(v) != rhs:
+                return [v]
+        return []
+
+    def binomial_fault(table):
+        """tilde^v = C(tilde^1, v) as an operator, small v: [first v that fails]."""
+        w = table[0]
         for v in range(1, cap):
             # after this step w = tilde^1 (tilde^1 - 1) ... (tilde^1 - v + 1) H
             w = ctx.tilde_partial_global(1, w) - w.scale(v - 1)
-            if ctx.tilde_partial_global(v, H) != w.scale(ctx.inv_factorial[v]):
-                fails.append(v)
-                break
-        if fails:
-            break
-    checks.append(_check("tilde_global_binomial", fails))
+            if table[v] != w.scale(ctx.inv_factorial[v]):
+                return [v]
+        return []
+
+    def from_tilde_fault(tilde, H):
+        """partial^v = sum_u (fbar^u)_v tilde^u: [first v that fails]."""
+        partial = ctx.global_table("table_reduced", H, min(N, 6))
+        for v in range(1, min(N, 6)):
+            acc = Series2.zero(N)
+            for u in range(1, N):
+                if fbar_coeffs[v][u]:
+                    acc = acc + tilde[u].scale(fbar_coeffs[v][u])
+            if acc != partial[v]:
+                return [v]
+        return []
+
+    # (input, read by the recursion check, read by partial_global_from_tilde);
+    # the binomial check reads every input, the flip comes after them
+    inputs = [(H, index <= N, index < N) for index, H in enumerate(x2_basis[: 2 * N])]
+    inputs.append((x2_random[0], True, True))
+    recursion_fails, binomial_fails, from_tilde_fails = [], [], []
+    for H, in_recursion, in_from_tilde in inputs:
+        table = ctx.global_table("p", H, N if in_from_tilde else cap)
+        if in_recursion and not recursion_fails:
+            recursion_fails = recursion_fault(table)
+        if not binomial_fails:
+            binomial_fails = binomial_fault(table)
+        if in_from_tilde:
+            from_tilde_fails += from_tilde_fault(table, H)
+    tilde_flip = ctx.global_table("p", ctx.flip, N)
+    from_tilde_fails += from_tilde_fault(tilde_flip, ctx.flip)
+    checks.append(_check("tilde_global_recursion", recursion_fails))
+    checks.append(_check("tilde_global_binomial", binomial_fails))
 
     # partial_x^v = sum_u (fbar^u)_v tilde_x^u
     fails = []
@@ -541,22 +610,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             break
     checks.append(_check("partial_x_from_tilde", fails))
 
-    # partial^v = sum_u (fbar^u)_v tilde^u on two-variable inputs
-    fails = []
-    glob_check = x2_basis[:N] + x2_random[:1] + [ctx.flip]
-    for v in range(1, min(N, 6)):
-        coeffs = [ctx.fbar_power(u).coeffs[v] for u in range(N)]
-        for H in glob_check:
-            acc = Series2.zero(N)
-            for u in range(1, N):
-                if coeffs[u]:
-                    acc = acc + ctx.tilde_partial_global(u, H).scale(coeffs[u])
-            if acc != ctx.partial_global(v, H):
-                fails.append(v)
-                break
-        if fails:
-            break
-    checks.append(_check("partial_global_from_tilde", fails))
+    # partial^v = sum_u (fbar^u)_v tilde^u on two-variable inputs (run above)
+    checks.append(_check("partial_global_from_tilde", sorted(from_tilde_fails)))
 
     # Gbar^u = sum_{v >= u} (P^u)_v(x) fbar(y)^v
     fails = []
@@ -704,7 +759,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fbar_y = ctx.row_reduced
     if compose(ctx.to_eigen, fbar_y) != (q ** v0).scale(v0):
         fails.append("to_eigen")
-    fbar_flip = compose(ctx.row_reduced, ctx.flip)
+    fbar_flip = compose(ctx.row_reduced, ctx.flip)    # read again by main_series_identity
     if substitute_y(ctx.from_eigen, (q ** v0).scale(v0)) != fbar_flip:
         fails.append("from_eigen")
     if substitute_y(ctx.transport, fbar_y) != fbar_flip:
@@ -730,17 +785,15 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             coeff = ctx.power_slice("transport", h, k)
             if not coeff.is_zero():
                 acc = acc + tilde_y_flip[h].mul_x_series(coeff)
-        if acc != ctx.tilde_partial_global(k, ctx.flip):
+        if acc != tilde_flip[k]:
             fails.append(k)
     checks.append(_check("tilde_flip_transport", fails))
 
     # sum_i (fbar(y)^i)_j tilde^i F = sum_i (fbar(F)^i)_j tilde_y^i F
     fails = []
-    fbar_flip = compose(ctx.row_reduced, ctx.flip)
     fbar_flip_pows = [Series2.monomial(0, 0, N)]
     for i in range(1, N):
         fbar_flip_pows.append(fbar_flip_pows[-1] * fbar_flip)
-    tilde_flip = [None] + [ctx.tilde_partial_global(i, ctx.flip) for i in range(1, N)]
     for j in range(1, N):
         lhs3 = Series2.zero(N)
         for i in range(1, N):

@@ -36,6 +36,12 @@ from .series import (
 from .tensor import CheckResult, CoeffTensor, SuiteReport, _check, extend_from_level1
 
 
+def _require_degree(n: int, degree: int) -> None:
+    """1 <= v0 < n, which also requires n >= 2."""
+    if not 1 <= degree < n:
+        raise ValidationError("degree must satisfy 1 <= v0 < n")
+
+
 @dataclass(frozen=True)
 class StandardCycleParams:
     """Normalized defining data: dimension n, degree v0, parameters p_v.
@@ -51,8 +57,7 @@ class StandardCycleParams:
     def __init__(self, n: int, degree: int, coeffs: Mapping[int, object]):
         if n < 2:
             raise ValidationError("n must be at least 2")
-        if not 1 <= degree < n:
-            raise ValidationError("degree must satisfy 1 <= v0 < n")
+        _require_degree(n, degree)
         normalized = {int(v): as_fraction(c) for v, c in coeffs.items()}
         if set(normalized) != set(range(degree, n)):
             raise ValidationError("parameters must cover exactly v0 <= v < n")
@@ -65,6 +70,7 @@ class StandardCycleParams:
     @classmethod
     def from_tail(cls, n: int, degree: int, tail: Sequence[object]) -> "StandardCycleParams":
         """Parameters p_{v0+1}, ..., p_{n-1}; p_{v0} is fixed to 1."""
+        _require_degree(n, degree)    # before the count, which assumes it
         if len(tail) != n - degree - 1:
             raise ValidationError(
                 f"expected {n - degree - 1} parameters p_{{{degree + 1}}}..p_{{{n - 1}}}, got {len(tail)}"
@@ -315,8 +321,7 @@ def reconstruct_from_row(n: int, degree: int, row: Sequence[object]) -> CoeffTen
     frow = [as_fraction(c) for c in row]
     if len(frow) != n:
         raise ValidationError("row must have length n")
-    if not 1 <= v0 < n:
-        raise ValidationError("degree must satisfy 1 <= v0 < n")
+    _require_degree(n, v0)
     if frow[0] != 1 or any(frow[v] for v in range(1, v0)) or frow[v0] != 1:
         raise ValidationError("row is not in normalized form")
 

@@ -1,7 +1,11 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from qcycle import cli
 from qcycle.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from qcycle.tensor import QCycleStructure, extend_from_level1
 
@@ -155,6 +159,33 @@ def test_ops_check(capsys):
     assert main(["ops-check", "--n", "3", "--v0", "2", "--params", "", "--pad", "1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "identity suite: all pass" in out
+
+
+def test_bad_degree_is_reported_before_the_parameter_count(capsys):
+    # v0 = n and n = 1 leave no valid degree; the count p_{v0+1}..p_{n-1}
+    # would be negative, so the degree is checked first.
+    for argv in (["ops-check", "--n", "3", "--v0", "3", "--params="],
+                 ["scc", "--n", "1", "--v0", "1", "--params="]):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "degree must satisfy 1 <= v0 < n" in err
+        assert "parameters" not in err
+
+
+def test_ops_check_rejects_an_order_above_the_cap(monkeypatch, capsys):
+    def no_series(*args):
+        raise AssertionError("a series was built for an order above the cap")
+
+    monkeypatch.setattr(cli, "build_standard_cycle", no_series)
+    start = time.perf_counter()
+    argv = ["ops-check", "--n", "4", "--v0", "2", "--params=1/2", "--pad", "1000000000"]
+    assert main(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert f"is above the limit {cli.MAX_OPS_ORDER}" in capsys.readouterr().err
+    # the cap itself is accepted (only the build is stubbed out here)
+    pad = str(cli.MAX_OPS_ORDER - 4)
+    with pytest.raises(AssertionError, match="a series was built"):
+        main(["ops-check", "--n", "4", "--v0", "2", "--params=1/2", "--pad", pad])
 
 
 def test_classify_output(tmp_path, capsys):

@@ -5,9 +5,10 @@ from math import factorial
 import pytest
 
 from qcycle.errors import DegreeOutOfRange, SeriesError
-from qcycle.operators import build_context, identity_suite
+from qcycle.operators import braid_sums, build_context, identity_suite
 from qcycle.series import Series1, Series2, compose
 from qcycle.standard import StandardCycleParams, build_standard_cycle
+from qcycle.tensor import CoeffTensor
 
 from conftest import random_fraction, random_series1
 
@@ -105,6 +106,26 @@ def random_series2(rng, order):
     return Series2([[random_fraction(rng) for _ in range(order)] for _ in range(order)])
 
 
+def edge_inputs(rng, N):
+    """Inputs for the integer kernel's zero skips and common denominators: the
+    zero series, monomials, a grid whose even x- and y-fibres are all zero,
+    and large coprime denominators."""
+    big = [Fraction(1, 97), Fraction(5, 101), Fraction(-3, 103)]
+    h1 = [
+        Series1.zero(N),
+        Series1.monomial(rng.randrange(N), N, Fraction(5, 101)),
+        Series1([big[u % 3] * (u % 2) for u in range(N)]),
+    ]
+    sparse = [[random_fraction(rng) if u % 2 and w % 2 else 0 for w in range(N)] for u in range(N)]
+    h2 = [
+        Series2.zero(N),
+        Series2.monomial(rng.randrange(N), rng.randrange(N), N, Fraction(1, 97)),
+        Series2(sparse),
+        Series2([[big[(u + w) % 3] for w in range(N)] for u in range(N)]),
+    ]
+    return h1, h2
+
+
 class TestMatrixKernel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_defining_formula(self, n):
@@ -113,17 +134,38 @@ class TestMatrixKernel:
             tail = [random_fraction(rng) for _ in range(n - v0 - 1)]
             ctx = make_context(n, v0, tail)
             N = ctx.order
-            h = random_series1(rng, N)
-            H = random_series2(rng, N)
+            h, H = random_series1(rng, N), random_series2(rng, N)
+            # one edge input of each kind per v0, in turn (all of them by n = 5)
+            edge1, edge2 = edge_inputs(rng, N)
+            h1 = [h, edge1[v0 % len(edge1)]]
+            h2 = [H, edge2[v0 % len(edge2)]]
             for v in range(N):
                 for name, px, py, pg in (
                     ("table_reduced", ctx.partial_x, ctx.partial_y, ctx.partial_global),
                     ("p", ctx.tilde_partial_x, ctx.tilde_partial_y, ctx.tilde_partial_global),
                 ):
-                    assert px(v, h) == oracle_x(ctx, name, v, h), (v0, v, name)
-                    assert px(v, H) == oracle_x(ctx, name, v, H), (v0, v, name)
-                    assert py(v, H) == oracle_y(ctx, name, v, H), (v0, v, name)
+                    for one in h1:
+                        assert px(v, one) == oracle_x(ctx, name, v, one), (v0, v, name)
+                    for two in h2:
+                        assert px(v, two) == oracle_x(ctx, name, v, two), (v0, v, name)
+                        assert py(v, two) == oracle_y(ctx, name, v, two), (v0, v, name)
                     assert pg(v, H) == oracle_global(ctx, name, v, H), (v0, v, name)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_global_table_matches_per_degree(self, n):
+        rng = random.Random(200 + n)
+        for v0 in sorted({1, n // 2, n - 1}):
+            ctx = make_context(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
+            N = ctx.order
+            inputs = [random_series2(rng, N)] + edge_inputs(rng, N)[1] + [ctx.flip, ctx.table]
+            for H in inputs:
+                for name, pg in (("table_reduced", ctx.partial_global),
+                                 ("p", ctx.tilde_partial_global)):
+                    table = ctx.global_table(name, H, N)
+                    assert len(table) == N
+                    for k in range(N):
+                        assert table[k] == pg(k, H), (v0, name, k)
+                    assert ctx.global_table(name, H, 2) == table[:2]
 
     def test_inputs_at_another_order_raise(self, ctx_deg2, rng):
         ctx = ctx_deg2
@@ -200,3 +242,78 @@ class TestSuite:
             "main_series_identity",
             "binomial_transform_pair",
         } <= names
+
+
+# -- the braid-sum table and planted faults ---------------------------------------
+
+
+def braid_sum(t, i, j, k):
+    """R(i, j, k) = sum_{a+b=j} sum_{h,l} t[i][a][h] t[k][b][l] t[h][l][1], summed
+    point by point over h <= i and l <= k (t[i][a][h] = 0 for h > i on every
+    tensor built here); the oracle of `braid_sums`."""
+    acc = Fraction(0)
+    for a in range(j + 1):
+        b = j - a
+        for h in range(i + 1):
+            c1 = t.entry(i, a, h)
+            if not c1:
+                continue
+            for l in range(k + 1):
+                c2 = t.entry(k, b, l)
+                if c2:
+                    c3 = t.entry(h, l, 1)
+                    if c3:
+                        acc += c1 * c2 * c3
+    return acc
+
+
+def perturbed(t, i, j, k, delta):
+    entries = [[list(col) for col in row] for row in t.entries]
+    entries[i][j][k] += delta
+    return CoeffTensor(entries)
+
+
+class TestPlantedFaults:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_braid_sums_match_oracle(self, n):
+        rng = random.Random(300 + n)
+        tensors = []
+        for v0 in sorted({1, n // 2, n - 1}):
+            tail = [random_fraction(rng) for _ in range(n - v0 - 1)]
+            tensors.append(build_standard_cycle(StandardCycleParams.from_tail(n, v0, tail)).tensor)
+        tensors.append(perturbed(tensors[0], n - 1, 1, 1, Fraction(3, 7)))
+        for t in tensors:
+            sums, den = braid_sums(t)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        assert Fraction(sums[i][j * n + k], den) == braid_sum(t, i, j, k)
+
+    def test_perturbed_tensor_fails_braid_sum_match(self):
+        ctx = make_context(4, 1, [Fraction(1, 2), -1])
+        ctx.tensor = perturbed(ctx.tensor, 2, 1, 1, Fraction(1, 3))
+        failed = {c.name for c in identity_suite(ctx, rng=random.Random(5)).failures()}
+        assert "braid_sum_match" in failed
+
+    @pytest.mark.parametrize("n,v0", [(4, 1), (4, 3)])
+    def test_perturbed_p_series_fails_a_tilde_check(self, n, v0):
+        ctx = make_context(n, v0, [Fraction(1, 2)] * (n - v0 - 1))
+        assert not ctx._matrices
+        ctx.p_series = ctx.p_series + Series2.monomial(2, 2, ctx.order, Fraction(1, 5))
+        failed = {c.name for c in identity_suite(ctx, rng=random.Random(5)).failures()}
+        # P no longer solves its recursion, so both identities of the global
+        # tilde operator fail: neither may be read back into its own table.
+        assert {"tilde_global_recursion", "tilde_global_binomial"} <= failed, failed
+
+    def test_first_failure_is_the_least_failing_degree(self):
+        # This Gbar fails partial_global_from_tilde at v = 3 on the first input
+        # (y) and at v = 2 on later ones; the check scans v first, so it
+        # reports v = 2.
+        ctx = make_context(4, 1, [Fraction(1, 2), Fraction(1, 2)])
+        N = ctx.order
+        assert not ctx._matrices
+        ctx.table_reduced = (ctx.table_reduced + Series2.monomial(0, 0, N, Fraction(1, 5))
+                             + Series2.monomial(0, 3, N, Fraction(1, 5)))
+        report = identity_suite(ctx, rng=random.Random(5))
+        details = {c.name: c.detail for c in report.failures()}
+        assert details["partial_global_from_tilde"] == "first failure at 2"
