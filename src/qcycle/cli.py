@@ -49,6 +49,11 @@ RATIONAL_OPTIONS = ("--params", "--lambdas", "--mu")
 # grows about as the fourth power of the order, and nothing bounds --pad.
 MAX_OPS_ORDER = 24
 
+# Largest declared "n" that `verify --full` or `verify --solution` accepts.
+# Their cost grows about as n^6: `verify --full --solution` on a v0 = 1
+# standard cycle takes about 13 s of CPU at n = 20 and 36 s at n = 24.
+MAX_VERIFY_N = 24
+
 SOLUTION_CHECKS = ("solution_braid", "solution_coalgebra_endo", "solution_bijective",
                    "solution_involutive")
 
@@ -71,12 +76,15 @@ def _attach_negative_values(argv: list) -> list:
     return out
 
 
-def _load_structure(path: str) -> QCycleStructure:
+def _read_tensor_file(path: str):
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read tensor file {path}: {exc}") from exc
-    return QCycleStructure.from_payload(payload)
+
+
+def _load_structure(path: str) -> QCycleStructure:
+    return QCycleStructure.from_payload(_read_tensor_file(path))
 
 
 def _emit_json(path: str, payload: dict) -> None:
@@ -109,7 +117,13 @@ def _cmd_scc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    structure = _load_structure(args.tensor)
+    payload = _read_tensor_file(args.tensor)
+    n = payload.get("n") if isinstance(payload, dict) else None
+    if (args.full or args.solution) and type(n) is int and n > MAX_VERIFY_N:
+        raise ValidationError(
+            f"structure n = {n} is above the limit {MAX_VERIFY_N} for verify --full and --solution"
+        )
+    structure = QCycleStructure.from_payload(payload)
     results = {}
     for name, tensor in (("p", structure.p), ("d", structure.d)):
         results[f"morphism_{name}"] = bool(is_coalgebra_morphism(tensor))
@@ -218,8 +232,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a tensor file")
     p.add_argument("--tensor", required=True)
-    p.add_argument("--full", action="store_true", help="also run the all-levels braid check")
-    p.add_argument("--solution", action="store_true", help="build the solution map and check it")
+    p.add_argument("--full", action="store_true",
+                   help=f"also run the all-levels braid check (n <= {MAX_VERIFY_N})")
+    p.add_argument("--solution", action="store_true",
+                   help=f"build the solution map and check it (n <= {MAX_VERIFY_N})")
     p.add_argument("--report-json", dest="report_json")
     p.set_defaults(handler=_cmd_verify)
 

@@ -6,6 +6,13 @@ series of different orders truncate to the smaller order, so precision loss is
 always explicit.  All coefficients are `fractions.Fraction`; nothing is ever
 rounded.
 
+The product of two-variable series, the product in A = K[u, v]/<u^n, v^n>
+that the tensor and solution layers are built on, runs on integers: each
+operand is scaled to an integer grid over one common denominator
+(`integer_grid`), the grids are multiplied in `int` (`_mul_ints`), and the
+result is divided once by the product of the two denominators.  Only a
+nonzero result coefficient becomes a `Fraction`.
+
 Values are immutable after construction (tuples all the way down), so they are
 safe to share freely, including across threads.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -68,6 +76,31 @@ def json_array(value) -> list:
     if not isinstance(value, list):
         raise ParseError(f"expected a JSON array, got {value!r}")
     return value
+
+
+def integer_grid(grid) -> tuple[list[list[int]], int]:
+    """(den * grid as ints, den) for the least common denominator den of a
+    grid of `Fraction`s; each entry is numerator * (den // denominator)."""
+    den = lcm(*(c.denominator for row in grid for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in grid], den
+
+
+def _mul_ints(a, b, n: int) -> list[list[int]]:
+    """The product of the n x n integer grids a and b in K[u, v]/<u^n, v^n>:
+    out[u][v] = sum a[ua][va] b[u - ua][v - va].  Each nonzero entry of a adds
+    its multiple of a row of b; zero entries of a and zero rows of b are
+    skipped."""
+    out = [[0] * n for _ in range(n)]
+    rows_b = [(ub, row) for ub, row in enumerate(b) if any(row)]
+    for ua, row_a in enumerate(a):
+        for va, c in enumerate(row_a):
+            if c:
+                for ub, row in rows_b:
+                    if ua + ub >= n:
+                        break
+                    orow = out[ua + ub]
+                    orow[va:] = [o + c * x for o, x in zip(orow[va:], row)]
+    return out
 
 
 def _power(base, exponent: int, one):
@@ -404,22 +437,12 @@ class Series2:
 
     def __mul__(self, other: "Series2") -> "Series2":
         n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        out = [[ZERO] * n for _ in range(n)]
-        for ua in range(n):
-            rowa = a[ua]
-            for va in range(n):
-                c = rowa[va]
-                if not c:
-                    continue
-                for ub in range(n - ua):
-                    rowb = b[ub]
-                    orow = out[ua + ub]
-                    for vb in range(n - va):
-                        d = rowb[vb]
-                        if d:
-                            orow[va + vb] += c * d
-        return Series2(out)
+        a, den_a = integer_grid([row[:n] for row in self.coeffs[:n]])
+        b, den_b = integer_grid([row[:n] for row in other.coeffs[:n]])
+        den = den_a * den_b
+        return Series2(
+            [[Fraction(c, den) if c else ZERO for c in row] for row in _mul_ints(a, b, n)]
+        )
 
     def __pow__(self, exponent: int) -> "Series2":
         if exponent < 0:

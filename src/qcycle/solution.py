@@ -24,6 +24,13 @@ and the solution map are built row by row with the product in A: row (k, b)
 of `gp_map(t)` is v^b times level k of t, and row (k, l) of the solution map
 is L_k E_l (see `build_solution`).  The braid and involution checks of s pull
 monomials of the dual of C (x) C (x) C back through its rows.
+
+The exact kernels run on integers over common denominators, and a `Fraction`
+is made only for a nonzero result: `superscript_map` is a fraction-free
+recurrence on integer blocks N_j (see its docstring), `build_solution` makes
+the L_k and the row products L_k E_l in `int`, and
+`is_coalgebra_endomorphism` compares each row, scaled on its own, with the
+integer product of a generator row and its predecessor.
 """
 
 from __future__ import annotations
@@ -31,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import prod
 from typing import Optional
 
 from .errors import NotComultiplicative, SingularGd, SingularGp
-from .series import ONE, Series2, ZERO, as_fraction
+from .series import ONE, Series2, ZERO, _mul_ints, as_fraction, integer_grid
 from .tensor import (
     CheckResult,
     CoeffTensor,
@@ -301,27 +308,48 @@ def superscript_map(p: CoeffTensor) -> list[list[list[Fraction]]]:
     step by step in j, each step one solve with the n x n step block
     p[.][0][.].  Raises SingularGp when the side map is not invertible, which
     is exactly when the step block is singular.
+
+    The steps are fraction-free.  With the step-block inverse scaled to S / D
+    and p to Q / P (S and Q integer grids, Q_j1[i][h] = Q[i][j1][h]), the
+    n x n block E_j = E[.][j][.] is N_j / (D^(j+1) P^j) for the integer grids
+
+        N_0 = S,
+        N_j = -S . sum_{j1=1..j} (D P)^(j1-1) Q_j1 . N_(j-j1),
+
+    and each entry becomes a `Fraction` once, at the end.
     """
     n = p.n
-    e = p.entries
-    step_inv = _invert([row[0] for row in e])
+    step_inv = _invert([row[0] for row in p.entries])
     if step_inv is None:
         raise SingularGp("left side map is not invertible")
-    E = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            rhs = [ONE if (j == 0 and i == k) else ZERO for i in range(n)]
-            for j1 in range(1, j + 1):
-                for i in range(n):
-                    acc = ZERO
-                    for h in range(n):
-                        c = e[i][j1][h]
-                        if c:
-                            acc += c * E[h][j - j1][k]
-                    rhs[i] -= acc
-            for h in range(n):
-                E[h][j][k] = sum((step_inv[h][r] * rhs[r] for r in range(n)), ZERO)
-    return E
+    S, D = integer_grid(step_inv)
+    q, P = p.scaled_integers()
+    minus_s = [[-v for v in row] for row in S]
+    weighted = [None]   # weighted[j1] = (D P)^(j1 - 1) Q_j1
+    for j1 in range(1, n):
+        w = (D * P) ** (j1 - 1)
+        weighted.append([[w * x for x in row[j1]] for row in q])
+    blocks = [S]
+    for j in range(1, n):
+        acc = [[0] * n for _ in range(n)]
+        for j1 in range(1, j + 1):
+            _add_matmul(acc, weighted[j1], blocks[j - j1])
+        block = [[0] * n for _ in range(n)]
+        _add_matmul(block, minus_s, acc)
+        blocks.append(block)
+    dens = [D ** (j + 1) * P ** j for j in range(n)]
+    return [
+        [[Fraction(v, dens[j]) if v else ZERO for v in blocks[j][i]] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _add_matmul(out, a, b) -> None:
+    """out += a . b for square integer matrices; zero entries of a are skipped."""
+    for orow, arow in zip(out, a):
+        for x, brow in zip(arow, b):
+            if x:
+                orow[:] = [o + x * y for o, y in zip(orow, brow)]
 
 
 def _invert(m) -> Optional[list[list[Fraction]]]:
@@ -356,29 +384,33 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     and L_k = sum_m E_m D_mk(v), D_mk = sum_j d[j][m][k] v^j (the u^i v^j
     coefficient of L_k is that of x_k in {x_i}x_j), row (k, l) is L_k E_l.
     Requires both side maps to be invertible; each is decided on its n x n
-    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted.
+    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted.  E and d
+    are scaled to integers, the L_k and the n^2 row products are made in
+    `int`, and each nonzero entry of the map becomes a `Fraction` once.
     """
     n = s.n
     if _invert([row[0] for row in s.d.entries]) is None:
         raise SingularGd("right side map is not invertible")
-    superscript = CoeffTensor(superscript_map(s.p))
-    E = [Series2(superscript.level(l)) for l in range(n)]
-    e, d = superscript.entries, s.d.entries
+    flat, den_e = integer_grid([col for row in superscript_map(s.p) for col in row])
+    d, den_d = s.d.scaled_integers()
+    # E[l][i][j] = den_e * E[i][j][l], the grid of E_l
+    E = [[[flat[i * n + j][l] for j in range(n)] for i in range(n)] for l in range(n)]
     L = []
     for k in range(n):
         # the u^i v^(j1+j2) coefficient of L_k gains E[i][j1][m] d[j2][m][k]
-        grid = [[ZERO] * n for _ in range(n)]
+        grid = [[0] * n for _ in range(n)]
         for m in range(n):
             for j2 in range(n):
                 c = d[j2][m][k]
                 if c:
-                    for row, out in zip(e, grid):
-                        for j1 in range(n - j2):
-                            x = row[j1][m]
-                            if x:
-                                out[j1 + j2] += x * c
-        L.append(Series2(grid))
-    return LinearMap2.from_rows(n, [[L[k] * E[l] for l in range(n)] for k in range(n)])
+                    for row, out in zip(E[m], grid):
+                        out[j2:] = [o + x * c for o, x in zip(out[j2:], row)]
+        L.append(grid)
+    den = den_e * den_e * den_d
+    return LinearMap2(n, [
+        [Fraction(v, den) if v else ZERO for line in _mul_ints(L[k], E[l], n) for v in line]
+        for k in range(n) for l in range(n)
+    ])
 
 
 def _transpose_kernel(s: LinearMap2, factors: int):
@@ -388,9 +420,10 @@ def _transpose_kernel(s: LinearMap2, factors: int):
     in (y1, y2), times y3^c.  Two words in s12^T and s23^T agree on the
     monomials in y1..y_factors iff they agree on starts: the generators when s
     is a coalgebra endomorphism (each word is then an algebra map), else all."""
-    den = lcm(*(c.denominator for row in s.matrix for c in row))
-    scaled = [[[((i, j), int(c * den)) for i, line in enumerate(row.coeffs)
-                for j, c in enumerate(line) if c] for row in rows_k] for rows_k in s.rows()]
+    n = s.n
+    ints, den = integer_grid(s.matrix)
+    scaled = [[[(divmod(c, n), w) for c, w in enumerate(ints[a * n + b]) if w]
+               for b in range(n)] for a in range(n)]
 
     def pull(f: dict, first: bool) -> dict:
         out: dict = {}
@@ -431,18 +464,41 @@ def is_coalgebra_endomorphism(s: LinearMap2) -> bool:
     under the transpose of s.  So s is a coalgebra endomorphism iff that
     transpose is a unital algebra map: row (0, 0) is 1, row (k, l) is
     X^k Y^l for the generator rows X = row (1, 0) and Y = row (0, 1), and
-    X^n = Y^n = 0.
+    X^n = Y^n = 0.  Each row is scaled to integers over its own denominator
+    when the walk reaches it, and compared, cross-multiplied, with the
+    integer product of a generator row and the row before it.
     """
-    n = s.n
-    rows = s.rows()
-    x, y = rows[1][0], rows[0][1]
-    return (
-        rows[0][0] == Series2.monomial(0, 0, n)
-        and all(rows[0][l] == y * rows[0][l - 1] for l in range(1, n))
-        and all(rows[k][l] == x * rows[k - 1][l] for k in range(1, n) for l in range(n))
-        and (x * rows[n - 1][0]).is_zero()
-        and (y * rows[0][n - 1]).is_zero()
-    )
+    n, M = s.n, s.matrix
+    if M[0] != (ONE,) + (ZERO,) * (n * n - 1):
+        return False
+
+    def row(k, l):
+        line = M[k * n + l]
+        return integer_grid([line[i * n:(i + 1) * n] for i in range(n)])
+
+    def is_product(target, gen, prev) -> bool:
+        """target == gen * prev, each an (integer grid, denominator) pair."""
+        (t, den_t), (g, den_g), (p, den_p) = target, gen, prev
+        scale = den_g * den_p
+        return ([[v * den_t for v in line] for line in _mul_ints(g, p, n)]
+                == [[v * scale for v in line] for line in t])
+
+    x, y, zero = row(1, 0), row(0, 1), ([[0] * n for _ in range(n)], 1)
+    top = row(0, 0)
+    for l in range(n):
+        if l:
+            left, top = top, row(0, l)
+            if not is_product(top, y, left):
+                return False
+        below = top
+        for k in range(1, n):
+            current = row(k, l)
+            if not is_product(current, x, below):
+                return False
+            below = current
+        if l == 0 and not is_product(zero, x, below):   # X^n = 0
+            return False
+    return is_product(zero, y, top)   # Y^n = 0
 
 
 def structure_sanity(s: QCycleStructure) -> SuiteReport:

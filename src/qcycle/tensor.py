@@ -14,17 +14,22 @@ algebra map, which is fixed by the image of y: the series
 Level k of t (the grid t[.][.][k], read as a series in A) must be G^k, and
 G^n must vanish.  `extend_from_level1` builds the powers; `is_coalgebra_morphism`
 checks them, and the check G^n = 0 is what makes the result a morphism.
+Both use the integer product in A from `qcycle.series`: the check scales t
+once to integers over a common denominator den and compares den * L_k with
+the integer product L_(k-1) G, so no `Fraction` is made unless a violation
+is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import BadLinearTerm, NotComultiplicative, ParseError, ZeroLambda
-from .series import Series1, Series2, ZERO, ONE, as_fraction, format_rational, json_array, parse_rational
+from .series import (ONE, ZERO, Series1, Series2, _mul_ints, as_fraction, format_rational,
+                     integer_grid, json_array, parse_rational)
 
 Grid = Sequence[Sequence[Fraction]]
 
@@ -71,12 +76,9 @@ class CoeffTensor:
 
     def scaled_integers(self) -> tuple[list[list[list[int]]], int]:
         """(den * entries as ints, den) for a common denominator den."""
-        den = lcm(*(v.denominator for row in self.entries for col in row for v in col))
-        scaled = [
-            [[v.numerator * (den // v.denominator) for v in col] for col in row]
-            for row in self.entries
-        ]
-        return scaled, den
+        n = self.n
+        flat, den = integer_grid([col for row in self.entries for col in row])
+        return [flat[i * n:(i + 1) * n] for i in range(n)], den
 
     # -- serialization -----------------------------------------------------
 
@@ -167,7 +169,11 @@ def is_coalgebra_morphism(t: CoeffTensor) -> MorphismReport:
     """Check that level 0 is 1, level k is G^k for 1 < k < n, and G^n = 0.
 
     G is level 1 read as a series in A = K[u, v]/<u^n, v^n> (see the module
-    docstring); each level is compared with the previous one times G.
+    docstring); each level is compared with the previous one times G.  The
+    comparison runs on t scaled to integers over one denominator den
+    (`CoeffTensor.scaled_integers`): den * L_k against the integer product
+    L_(k-1) G, which is den^2 times the rational one.  Only the entries of a
+    reported violation become `Fraction`s.
     """
     n = t.n
     e = t.entries
@@ -176,14 +182,15 @@ def is_coalgebra_morphism(t: CoeffTensor) -> MorphismReport:
             expect = ONE if i + j == 0 else ZERO
             if e[i][j][0] != expect:
                 return MorphismReport(False, (i, j, 0, 0, e[i][j][0], expect))
-    g = Series2(t.level(1))
+    ints, den = t.scaled_integers()
+    levels = [[[col[k] for col in row] for row in ints] for k in range(n)] + [[[0] * n] * n]
     for k in range(2, n + 1):
-        product = (Series2(t.level(k - 1)) * g).coeffs
-        for i in range(n):
-            for j in range(n):
-                entry = e[i][j][k] if k < n else ZERO
-                if product[i][j] != entry:
-                    return MorphismReport(False, (i, j, 1, k - 1, entry, product[i][j]))
+        product = _mul_ints(levels[k - 1], levels[1], n)
+        for i, (level_row, product_row) in enumerate(zip(levels[k], product)):
+            for j, (entry, value) in enumerate(zip(level_row, product_row)):
+                if entry * den != value:
+                    rhs = Fraction(value, den * den)
+                    return MorphismReport(False, (i, j, 1, k - 1, Fraction(entry, den), rhs))
     return MorphismReport(True)
 
 

@@ -188,6 +188,33 @@ def test_ops_check_rejects_an_order_above_the_cap(monkeypatch, capsys):
         main(["ops-check", "--n", "4", "--v0", "2", "--params=1/2", "--pad", pad])
 
 
+def test_verify_rejects_a_declared_n_above_the_cap(tmp_path, monkeypatch, capsys):
+    def no_check(*args):
+        raise AssertionError("the structure was parsed or checked")
+
+    for name in ("is_coalgebra_morphism", "check_braid_reduced", "check_braid_full",
+                 "build_solution"):
+        monkeypatch.setattr(cli, name, no_check)
+    monkeypatch.setattr(cli.QCycleStructure, "from_payload", staticmethod(no_check))
+
+    def write(n):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"schema": 1, "n": n, "p": [[["1", "0"], ["0", "1"]]] * 2}))
+        return str(path)
+
+    above = write(cli.MAX_VERIFY_N + 1)
+    for flags in (["--full"], ["--solution"], ["--full", "--solution"]):
+        start = time.perf_counter()
+        assert main(["verify", "--tensor", above] + flags) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert f"is above the limit {cli.MAX_VERIFY_N}" in capsys.readouterr().err
+    # without --full and --solution, and at the cap itself, the guard lets the
+    # payload through to the (stubbed) parser
+    for argv in (["--tensor", above], ["--tensor", write(cli.MAX_VERIFY_N), "--full", "--solution"]):
+        with pytest.raises(AssertionError, match="was parsed"):
+            main(["verify"] + argv)
+
+
 def test_classify_output(tmp_path, capsys):
     out = tmp_path / "scc.json"
     main(["scc", "--n", "3", "--v0", "1", "--params", "2", "--emit-json", str(out)])

@@ -93,6 +93,46 @@ def constant_term(s):
     return s.coeffs[0] if isinstance(s, Series1) else s.coeffs[0][0]
 
 
+def series2_product_by_fractions(a, b):
+    """`Series2.__mul__` as the `Fraction` loop it was before it ran on
+    integers; the oracle for the integer product."""
+    n = min(a.trunc_order, b.trunc_order)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for ua in range(n):
+        for va in range(n):
+            c = a.coeffs[ua][va]
+            if not c:
+                continue
+            for ub in range(n - ua):
+                for vb in range(n - va):
+                    d = b.coeffs[ub][vb]
+                    if d:
+                        out[ua + ub][va + vb] += c * d
+    return Series2(out)
+
+
+def _product_operands(rng, n):
+    """Grids of order n: zero, two monomials, sparse, dense, all negative, and
+    dense over the coprime denominators 97, 101 and 103."""
+    def grid(density, numerators, denominators):
+        return Series2([
+            [Fraction(rng.choice(numerators), rng.choice(denominators))
+             if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ])
+
+    top = n - 1
+    return [
+        Series2.zero(n),
+        Series2.monomial(0, top, n, Fraction(-3, 97)),
+        Series2.monomial(rng.randrange(n), rng.randrange(n), n, Fraction(5, 2)),
+        grid(0.25, range(-3, 4), (1, 2, 3)),
+        grid(1.0, range(-5, 6), (1, 2, 3, 4)),
+        grid(1.0, range(-9, 0), (1, 5, 7)),
+        grid(1.0, range(-50, 51), (97, 101, 103)),
+    ]
+
+
 class TestArithmetic:
     def test_add_cancellation(self):
         a = Series1([1, 1, 0])
@@ -256,6 +296,22 @@ class TestSeries2:
         assert t.coefficient(2, 1) == 2
         u = s.mul_y_series(Series1([0, 3, 0, 0]))
         assert u.coefficient(1, 2) == 3
+
+
+class TestProductKernel:
+    """`Series2.__mul__` on integers against the `Fraction` loop it replaced."""
+
+    # (order of a, order of b): equal, and unequal either way round, where
+    # the product takes the smaller order
+    ORDERS = [(1, 1), (2, 2), (3, 5), (5, 3), (6, 6), (4, 7)]
+
+    @pytest.mark.parametrize("order_a, order_b", ORDERS)
+    def test_matches_fraction_loop(self, rng, order_a, order_b):
+        for a in _product_operands(rng, order_a):
+            for b in _product_operands(rng, order_b):
+                product = a * b
+                assert product == series2_product_by_fractions(a, b)
+                assert product.trunc_order == min(order_a, order_b)
 
 
 class TestParsing:

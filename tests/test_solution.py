@@ -8,6 +8,7 @@ from qcycle.solution import (
     MAX_VIOLATIONS,
     BraidReport,
     LinearMap2,
+    _invert,
     build_solution,
     check_braid_full,
     check_braid_on_map,
@@ -28,6 +29,7 @@ from qcycle.tensor import (
 )
 
 from conftest import random_fraction, random_level1, standard_structure
+from test_series import series2_product_by_fractions
 
 
 def _step_block_cases(rng, n):
@@ -417,6 +419,22 @@ def _shear(n, mirrored):
     return LinearMap2(n, grid)
 
 
+def endomorphism_by_fractions(s):
+    """`is_coalgebra_endomorphism` as the `Fraction` loop it was before it ran
+    on integers: the rows in A against products of the generator rows."""
+    n = s.n
+    rows = s.rows()
+    x, y = rows[1][0], rows[0][1]
+    return (
+        rows[0][0] == Series2.monomial(0, 0, n)
+        and all(rows[0][l] == series2_product_by_fractions(y, rows[0][l - 1]) for l in range(1, n))
+        and all(rows[k][l] == series2_product_by_fractions(x, rows[k - 1][l])
+                for k in range(1, n) for l in range(n))
+        and series2_product_by_fractions(x, rows[n - 1][0]).is_zero()
+        and series2_product_by_fractions(y, rows[0][n - 1]).is_zero()
+    )
+
+
 class TestEndomorphismCheck:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_scan(self, rng, n):
@@ -424,6 +442,7 @@ class TestEndomorphismCheck:
         for m in _endomorphism_cases(rng, n):
             ok = is_endomorphism_by_scan(m)
             assert is_coalgebra_endomorphism(m) == ok
+            assert endomorphism_by_fractions(m) == ok
             verdicts.add(ok)
         assert verdicts == {True, False}
 
@@ -584,6 +603,75 @@ def _row_builder_cases(rng, n):
         )
 
     return cases + [QCycleStructure(random_tensor(), random_tensor()) for _ in range(3)]
+
+
+def superscript_by_fractions(p):
+    """`superscript_map` as the `Fraction` loop it was before it went
+    fraction-free: each step solved with the step-block inverse."""
+    n = p.n
+    e = p.entries
+    step_inv = _invert([row[0] for row in e])
+    if step_inv is None:
+        raise SingularGp("left side map is not invertible")
+    E = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            rhs = [Fraction(int(j == 0 and i == k)) for i in range(n)]
+            for j1 in range(1, j + 1):
+                for i in range(n):
+                    rhs[i] -= sum((e[i][j1][h] * E[h][j - j1][k] for h in range(n)), Fraction(0))
+            for h in range(n):
+                E[h][j][k] = sum((step_inv[h][r] * rhs[r] for r in range(n)), Fraction(0))
+    return E
+
+
+def solution_by_fractions(s):
+    """`build_solution` as the `Fraction` loops it was before it ran on
+    integers: L_k summed on Fractions, row (k, l) the product L_k E_l in A."""
+    n = s.n
+    if _invert([row[0] for row in s.d.entries]) is None:
+        raise SingularGd("right side map is not invertible")
+    e, d = superscript_by_fractions(s.p), s.d.entries
+    E = [Series2([[e[i][j][l] for j in range(n)] for i in range(n)]) for l in range(n)]
+    L = []
+    for k in range(n):
+        grid = [[Fraction(0)] * n for _ in range(n)]
+        for m in range(n):
+            for j2 in range(n):
+                for i in range(n):
+                    for j1 in range(n - j2):
+                        grid[i][j1 + j2] += e[i][j1][m] * d[j2][m][k]
+        L.append(Series2(grid))
+    return LinearMap2.from_rows(
+        n, [[series2_product_by_fractions(L[k], E[l]) for l in range(n)] for k in range(n)])
+
+
+class TestFractionFreeKernels:
+    """`superscript_map` and `build_solution` against their `Fraction` loops,
+    on the step-block cases (singular ones included, as p and as d),
+    standard cycles, nonroot pairs and random pairs."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_match_fraction_loops(self, rng, n):
+        structures = _row_builder_cases(rng, n)
+        for t in _step_block_cases(rng, n):
+            structures += [QCycleStructure(t, counit_action(n)), QCycleStructure(counit_action(n), t)]
+        outcomes = set()
+        for s in structures:
+            results = []
+            for build in (superscript_map, superscript_by_fractions):
+                try:
+                    results.append(build(s.p))
+                except SingularGp as exc:
+                    results.append(type(exc))
+            for build in (build_solution, solution_by_fractions):
+                try:
+                    results.append(build(s))
+                except (SingularGp, SingularGd) as exc:
+                    results.append(type(exc))
+            assert results[0] == results[1] and results[2] == results[3]
+            outcomes.add(results[2] if isinstance(results[2], type) else LinearMap2)
+        assert outcomes == {LinearMap2, SingularGp, SingularGd}
 
 
 class TestRowBuilders:

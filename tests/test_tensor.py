@@ -5,9 +5,10 @@ from math import comb
 import pytest
 
 from qcycle.errors import BadLinearTerm, NotComultiplicative, ZeroLambda
-from qcycle.series import Series1
+from qcycle.series import Series1, Series2
 from qcycle.solution import check_braid_reduced
 from qcycle.tensor import (
+    MorphismReport,
     QCycleStructure,
     counit_action,
     extend_from_level1,
@@ -19,6 +20,7 @@ from qcycle.tensor import (
 )
 
 from conftest import random_fraction, random_level1, standard_structure
+from test_series import series2_product_by_fractions
 
 
 def vanishing_params_level1(n):
@@ -63,11 +65,42 @@ def is_morphism_by_definition(t):
     return True
 
 
+def morphism_report_by_fractions(t):
+    """`is_coalgebra_morphism` as the `Fraction` loop it was before it ran on
+    integers, report and violation tuple included; its oracle."""
+    n = t.n
+    e = t.entries
+    for i in range(n):
+        for j in range(n):
+            expect = Fraction(1 if i + j == 0 else 0)
+            if e[i][j][0] != expect:
+                return MorphismReport(False, (i, j, 0, 0, e[i][j][0], expect))
+    g = Series2(t.level(1))
+    for k in range(2, n + 1):
+        product = series2_product_by_fractions(Series2(t.level(k - 1)), g).coeffs
+        for i in range(n):
+            for j in range(n):
+                entry = e[i][j][k] if k < n else Fraction(0)
+                if product[i][j] != entry:
+                    return MorphismReport(False, (i, j, 1, k - 1, entry, product[i][j]))
+    return MorphismReport(True)
+
+
 def _morphism_cases(rng, n):
     """Extensions with a zero top row, a nonzero top row, or t[0][0][1] != 0,
     and one-entry +-1 perturbations of each.  Every other nonzero top row
-    comes with a zero first column, so that G lies in (v) and G^n = 0."""
+    comes with a zero first column, so that G lies in (v) and G^n = 0.  Then,
+    from one morphism: a perturbed entry at each level k, a broken counit,
+    and G = u + v, whose levels below n are its powers but G^n != 0."""
+    base = extend_from_level1(random_level1(rng, n))
     cases = []
+    for k in range(n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        cases.append(base.with_entry(i, j, k, base.entry(i, j, k) + random_fraction(rng) + 1))
+    cases.append(base.with_entry(rng.randrange(1, n), 0, 0, Fraction(1, 2)))
+    two_sided = [[Fraction(0)] * n for _ in range(n)]
+    two_sided[1][0] = two_sided[0][1] = Fraction(1)
+    cases.append(extend_from_level1(two_sided))
     for round_ in range(14):
         zero_top = extend_from_level1(random_level1(rng, n))
         top = random_level1(rng, n, zero_top_row=False)
@@ -98,11 +131,19 @@ class TestMorphismCheck:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_definition(self, rng, n):
         verdicts = {True: 0, False: 0}
+        kinds = set()
         for t in _morphism_cases(rng, n):
             ok = is_morphism_by_definition(t)
-            assert bool(is_coalgebra_morphism(t)) == ok
+            report = is_coalgebra_morphism(t)
+            assert bool(report) == ok
+            assert report == morphism_report_by_fractions(t)
             verdicts[ok] += 1
+            if not ok:
+                _i, _j, l, h = report.violation[:4]
+                kinds.add("counit" if l == 0 else "top power" if l + h == n else "level")
         assert min(verdicts.values()) >= 20
+        # at n = 2 the only level above 1 is the top power G^2
+        assert kinds == {"counit", "top power"} | ({"level"} if n > 2 else set())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_two_sided_steps_rejected_at_top_power(self, n):
