@@ -78,8 +78,8 @@ def _attach_negative_values(argv: list) -> list:
 
 def _read_tensor_file(path: str):
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read tensor file {path}: {exc}") from exc
 
 
@@ -88,7 +88,10 @@ def _load_structure(path: str) -> QCycleStructure:
 
 
 def _emit_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_scc(args) -> int:
@@ -206,7 +209,10 @@ def _cmd_fixtures(args) -> int:
     if args.n != 3:
         raise ValidationError("fixtures are defined for n = 3 only")
     out_dir = Path(args.emit)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_dir}: {exc}") from exc
     for index, fixture in enumerate(fixtures_n3()):
         path = out_dir / f"{fixture.name}_{index}.json"
         payload = fixture.structure.to_payload()

@@ -589,7 +589,9 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             binomial_fails = binomial_fault(table)
         if in_from_tilde:
             from_tilde_fails += from_tilde_fault(table, H)
-    tilde_flip = ctx.global_table("p", ctx.flip, N)
+    # tilde_y^h F for every h, read again by the transport identities below
+    tilde_y_flip = [ctx.tilde_partial_y(h, ctx.flip) for h in range(N)]
+    tilde_flip = [ctx._global_sum("p", k, tilde_y_flip) for k in range(N)]
     from_tilde_fails += from_tilde_fault(tilde_flip, ctx.flip)
     checks.append(_check("tilde_global_recursion", recursion_fails))
     checks.append(_check("tilde_global_binomial", binomial_fails))
@@ -777,7 +779,6 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     checks.append(_check("transport_ode", fails))
 
     # tilde^k F = sum_h (T^h)_k tilde_y^h F
-    tilde_y_flip = [None] + [ctx.tilde_partial_y(h, ctx.flip) for h in range(1, N)]
     fails = []
     for k in range(1, N):
         acc = Series2.zero(N)

@@ -6,12 +6,14 @@ series of different orders truncate to the smaller order, so precision loss is
 always explicit.  All coefficients are `fractions.Fraction`; nothing is ever
 rounded.
 
-The product of two-variable series, the product in A = K[u, v]/<u^n, v^n>
-that the tensor and solution layers are built on, runs on integers: each
-operand is scaled to an integer grid over one common denominator
-(`integer_grid`), the grids are multiplied in `int` (`_mul_ints`), and the
-result is divided once by the product of the two denominators.  Only a
-nonzero result coefficient becomes a `Fraction`.
+Every series product (in one or two variables, by an x- or a y-series, and
+in `substitute_y`) runs on integers: each operand is scaled to an integer grid
+over one common denominator (`integer_grid`), a one-variable series being a
+grid of one row; the one kernel `_mul_ints`, the product in A = K[u, v]/<u^n,
+v^n> that the tensor and solution layers also use, multiplies them in `int`;
+and the result is divided once by the product of the two denominators, so
+only a nonzero coefficient becomes a `Fraction`.  The `Fraction` loops these
+products replaced survive only in the tests, as oracles.
 
 Values are immutable after construction (tuples all the way down), so they are
 safe to share freely, including across threads.
@@ -86,21 +88,33 @@ def integer_grid(grid) -> tuple[list[list[int]], int]:
 
 
 def _mul_ints(a, b, n: int) -> list[list[int]]:
-    """The product of the n x n integer grids a and b in K[u, v]/<u^n, v^n>:
-    out[u][v] = sum a[ua][va] b[u - ua][v - va].  Each nonzero entry of a adds
-    its multiple of a row of b; zero entries of a and zero rows of b are
-    skipped."""
-    out = [[0] * n for _ in range(n)]
+    """The product of the integer grids a and b in K[u, v]/<u^n, v^n>, each
+    of at most n rows of n entries (a series in one variable is one row):
+    out[u][v] = sum a[ua][va] b[u - ua][v - va], with min(n, rows(a) +
+    rows(b) - 1) rows.  Each nonzero entry of a adds its multiple of a row of
+    b; zero entries of a and zero rows of b are skipped."""
+    rows = min(n, len(a) + len(b) - 1)
+    out = [[0] * n for _ in range(rows)]
     rows_b = [(ub, row) for ub, row in enumerate(b) if any(row)]
     for ua, row_a in enumerate(a):
         for va, c in enumerate(row_a):
             if c:
                 for ub, row in rows_b:
-                    if ua + ub >= n:
+                    if ua + ub >= rows:
                         break
                     orow = out[ua + ub]
                     orow[va:] = [o + c * x for o, x in zip(orow[va:], row)]
     return out
+
+
+def _product(a, b, n: int) -> list[list[Fraction]]:
+    """The product of two grids of `Fraction`s by `_mul_ints`: each is scaled
+    to integers (`integer_grid`), and the integer product is divided once by
+    the product of the two denominators."""
+    a, den_a = integer_grid(a)
+    b, den_b = integer_grid(b)
+    den = den_a * den_b
+    return [[Fraction(c, den) if c else ZERO for c in row] for row in _mul_ints(a, b, n)]
 
 
 def _power(base, exponent: int, one):
@@ -238,17 +252,7 @@ class Series1:
 
     def __mul__(self, other: "Series1") -> "Series1":
         n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        out = [ZERO] * n
-        for u in range(n):
-            cu = a[u]
-            if not cu:
-                continue
-            for v in range(n - u):
-                cv = b[v]
-                if cv:
-                    out[u + v] += cu * cv
-        return Series1(out)
+        return Series1(_product([self.coeffs[:n]], [other.coeffs[:n]], n)[0])
 
     def __pow__(self, exponent: int) -> "Series1":
         if exponent < 0:
@@ -437,12 +441,8 @@ class Series2:
 
     def __mul__(self, other: "Series2") -> "Series2":
         n = min(len(self.coeffs), len(other.coeffs))
-        a, den_a = integer_grid([row[:n] for row in self.coeffs[:n]])
-        b, den_b = integer_grid([row[:n] for row in other.coeffs[:n]])
-        den = den_a * den_b
-        return Series2(
-            [[Fraction(c, den) if c else ZERO for c in row] for row in _mul_ints(a, b, n)]
-        )
+        return Series2(_product([row[:n] for row in self.coeffs[:n]],
+                                [row[:n] for row in other.coeffs[:n]], n))
 
     def __pow__(self, exponent: int) -> "Series2":
         if exponent < 0:
@@ -450,36 +450,14 @@ class Series2:
         return _power(self, exponent, Series2.monomial(0, 0, len(self.coeffs)))
 
     def mul_x_series(self, s: Series1) -> "Series2":
-        """Multiply by a series in x alone."""
-        n = min(len(self.coeffs), len(s.coeffs))
-        out = [[ZERO] * n for _ in range(n)]
-        for w, c in enumerate(s.coeffs[:n]):
-            if not c:
-                continue
-            for u in range(n - w):
-                row = self.coeffs[u]
-                orow = out[u + w]
-                for v in range(n):
-                    d = row[v]
-                    if d:
-                        orow[v] += c * d
-        return Series2(out)
+        """Multiply by a series in x alone.  The kernel skips zero entries of
+        its first operand and zero rows of its second: the x-series goes first."""
+        return Series2.from_x_series(s, min(len(self.coeffs), len(s.coeffs))) * self
 
     def mul_y_series(self, s: Series1) -> "Series2":
-        """Multiply by a series in y alone (s read with its variable as y)."""
-        n = min(len(self.coeffs), len(s.coeffs))
-        out = [[ZERO] * n for _ in range(n)]
-        for w, c in enumerate(s.coeffs[:n]):
-            if not c:
-                continue
-            for u in range(n):
-                row = self.coeffs[u]
-                orow = out[u]
-                for v in range(n - w):
-                    d = row[v]
-                    if d:
-                        orow[v + w] += c * d
-        return Series2(out)
+        """Multiply by a series in y alone (s read with its variable as y); the
+        y-series, one nonzero row, goes second (see `mul_x_series`)."""
+        return self * Series2.from_y_series(s, min(len(self.coeffs), len(s.coeffs)))
 
     def partial_x(self) -> "Series2":
         n = len(self.coeffs)
@@ -554,26 +532,20 @@ def compose(outer: Series1, inner: Union[Series1, Series2]):
 
 
 def substitute_y(series: Series2, inner: Series1) -> Series2:
-    """series(x, inner(y)) for inner with zero constant term (read in y)."""
+    """series(x, inner(y)) for inner with zero constant term (read in y): the
+    sum over v of slice_v(x) * inner(y)^v, stopping once the power vanishes."""
     if inner.coeffs[0]:
         raise NonzeroConstantTerm("inner series has nonzero constant term")
     n = min(series.trunc_order, len(inner.coeffs))
-    out = [[ZERO] * n for _ in range(n)]
+    acc = Series2.zero(n)
     power = Series1.one(n)
     for v in range(n):
         if v:
             power = power * inner
             if power.is_zero():
                 break
-        for u in range(n):
-            c = series.coeffs[u][v]
-            if not c:
-                continue
-            orow = out[u]
-            for w, pw in enumerate(power.coeffs):
-                if pw:
-                    orow[w] += c * pw
-    return Series2(out)
+        acc = acc + Series2.from_x_series(series.slice_y(v), n).mul_y_series(power)
+    return acc
 
 
 def compositional_inverse(q: Series1) -> Series1:

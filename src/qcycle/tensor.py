@@ -37,7 +37,7 @@ Grid = Sequence[Sequence[Fraction]]
 class CoeffTensor:
     """Immutable n*n*n grid of exact rationals; entry(i, j, k) is 0 off-grid."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_scaled")
 
     def __init__(self, entries):
         data = tuple(tuple(tuple(as_fraction(v) for v in col) for col in row) for row in entries)
@@ -74,11 +74,17 @@ class CoeffTensor:
         grid[i][j][k] = as_fraction(value)
         return CoeffTensor(grid)
 
-    def scaled_integers(self) -> tuple[list[list[list[int]]], int]:
-        """(den * entries as ints, den) for a common denominator den."""
-        n = self.n
-        flat, den = integer_grid([col for row in self.entries for col in row])
-        return [flat[i * n:(i + 1) * n] for i in range(n)], den
+    def scaled_integers(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
+        """(den * entries as ints, den) for a common denominator den, made on
+        the first call and kept; nested tuples, so the shared value is immutable."""
+        try:
+            return self._scaled
+        except AttributeError:
+            n = self.n
+            flat, den = integer_grid([col for row in self.entries for col in row])
+            ints = tuple(tuple(map(tuple, flat[i * n:(i + 1) * n])) for i in range(n))
+            object.__setattr__(self, "_scaled", (ints, den))
+            return self._scaled
 
     # -- serialization -----------------------------------------------------
 

@@ -107,6 +107,28 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["scc", "--n", "4", "--v0", "1", "--params", "1,zzz"]) == EXIT_USAGE
 
 
+def test_non_utf8_tensor_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["verify", "--tensor", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot read tensor file")
+
+
+def test_scc_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "scc.json"
+    argv = ["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_verify_unwritable_report_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "scc.json"
+    main(["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)])
+    report = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--tensor", str(out), "--report-json", str(report)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {report}: ")
+
+
 def test_float_coefficient_is_a_parse_error(tmp_path):
     out = tmp_path / "scc.json"
     main(["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)])
@@ -248,6 +270,13 @@ def test_fixture_emission(tmp_path):
     assert len(files) == 9
     for path in files:
         QCycleStructure.from_payload(json.loads(path.read_text()))
+
+
+def test_fixtures_into_a_regular_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["fixtures", "--n", "3", "--emit", str(taken)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {taken}: ")
 
 
 def test_fixture_wrong_n():

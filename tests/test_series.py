@@ -24,6 +24,7 @@ from qcycle.series import (
     as_fraction,
     general_binomial,
     parse_rational,
+    substitute_y,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -111,6 +112,80 @@ def series2_product_by_fractions(a, b):
     return Series2(out)
 
 
+def series1_product_by_fractions(a, b):
+    """`Series1.__mul__` as its `Fraction` loop, before it ran on the integer
+    kernel; the oracle for one-variable products."""
+    n = min(len(a.coeffs), len(b.coeffs))
+    out = [Fraction(0)] * n
+    for u in range(n):
+        cu = a.coeffs[u]
+        if not cu:
+            continue
+        for v in range(n - u):
+            cv = b.coeffs[v]
+            if cv:
+                out[u + v] += cu * cv
+    return Series1(out)
+
+
+def mul_x_series_by_fractions(h, s):
+    """`Series2.mul_x_series` as its `Fraction` loop; its oracle."""
+    n = min(h.trunc_order, len(s.coeffs))
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for w, c in enumerate(s.coeffs[:n]):
+        if not c:
+            continue
+        for u in range(n - w):
+            row = h.coeffs[u]
+            orow = out[u + w]
+            for v in range(n):
+                d = row[v]
+                if d:
+                    orow[v] += c * d
+    return Series2(out)
+
+
+def mul_y_series_by_fractions(h, s):
+    """`Series2.mul_y_series` as its `Fraction` loop; its oracle."""
+    n = min(h.trunc_order, len(s.coeffs))
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for w, c in enumerate(s.coeffs[:n]):
+        if not c:
+            continue
+        for u in range(n):
+            row = h.coeffs[u]
+            orow = out[u]
+            for v in range(n - w):
+                d = row[v]
+                if d:
+                    orow[v + w] += c * d
+    return Series2(out)
+
+
+def substitute_y_by_fractions(series, inner):
+    """`substitute_y` as its `Fraction` loop, each power of inner made by the
+    one-variable oracle; its oracle."""
+    if inner.coeffs[0]:
+        raise NonzeroConstantTerm("inner series has nonzero constant term")
+    n = min(series.trunc_order, len(inner.coeffs))
+    out = [[Fraction(0)] * n for _ in range(n)]
+    power = Series1.one(n)
+    for v in range(n):
+        if v:
+            power = series1_product_by_fractions(power, inner)
+            if power.is_zero():
+                break
+        for u in range(n):
+            c = series.coeffs[u][v]
+            if not c:
+                continue
+            orow = out[u]
+            for w, pw in enumerate(power.coeffs):
+                if pw:
+                    orow[w] += c * pw
+    return Series2(out)
+
+
 def _product_operands(rng, n):
     """Grids of order n: zero, two monomials, sparse, dense, all negative, and
     dense over the coprime denominators 97, 101 and 103."""
@@ -131,6 +206,12 @@ def _product_operands(rng, n):
         grid(1.0, range(-9, 0), (1, 5, 7)),
         grid(1.0, range(-50, 51), (97, 101, 103)),
     ]
+
+
+def _series1_operands(rng, n):
+    """Series of order n: the first and last rows of the `_product_operands`,
+    among them zero, the top monomial, sparse and dense series."""
+    return [g.slice_x(u) for g in _product_operands(rng, n) for u in (0, n - 1)]
 
 
 class TestArithmetic:
@@ -299,7 +380,8 @@ class TestSeries2:
 
 
 class TestProductKernel:
-    """`Series2.__mul__` on integers against the `Fraction` loop it replaced."""
+    """Every series product, on the one integer kernel, against the `Fraction`
+    loop it replaced."""
 
     # (order of a, order of b): equal, and unequal either way round, where
     # the product takes the smaller order
@@ -312,6 +394,51 @@ class TestProductKernel:
                 product = a * b
                 assert product == series2_product_by_fractions(a, b)
                 assert product.trunc_order == min(order_a, order_b)
+
+    @pytest.mark.parametrize("order_a, order_b", ORDERS)
+    def test_series1_matches_fraction_loop(self, rng, order_a, order_b):
+        for a in _series1_operands(rng, order_a):
+            for b in _series1_operands(rng, order_b):
+                product = a * b
+                assert product == series1_product_by_fractions(a, b)
+                assert product.trunc_order == min(order_a, order_b)
+
+    @pytest.mark.parametrize("order_a, order_b", ORDERS)
+    def test_one_variable_factor_matches_fraction_loops(self, rng, order_a, order_b):
+        for h in _product_operands(rng, order_a):
+            for s in _series1_operands(rng, order_b):
+                for product, oracle in ((h.mul_x_series(s), mul_x_series_by_fractions(h, s)),
+                                        (h.mul_y_series(s), mul_y_series_by_fractions(h, s))):
+                    assert product == oracle
+                    assert product.trunc_order == min(order_a, order_b)
+
+    @pytest.mark.parametrize("order_a, order_b", ORDERS)
+    def test_substitute_y_matches_fraction_loop(self, rng, monkeypatch, order_a, order_b):
+        # substitute_y makes the powers of inner with Series1 products; count
+        # them, so that a loop running on past a vanished power is caught
+        n = min(order_a, order_b)
+        made, multiply = [], Series1.__mul__
+
+        def counted(a, b):
+            made.append((a, b))
+            return multiply(a, b)
+
+        monkeypatch.setattr(Series1, "__mul__", counted)
+        inners = [Series1([0] + list(s.coeffs[1:])) for s in _series1_operands(rng, order_b)]
+        stopped_early = False
+        for series in _product_operands(rng, order_a):
+            for inner in inners:
+                powers = [Series1.one(n)]
+                while len(powers) < n and not powers[-1].is_zero():
+                    powers.append(series1_product_by_fractions(powers[-1], inner))
+                made.clear()
+                result = substitute_y(series, inner)
+                assert result == substitute_y_by_fractions(series, inner)
+                assert result.trunc_order == n
+                assert len(made) == len(powers) - 1
+                stopped_early |= not inner.is_zero() and len(powers) < n
+        # a nonzero inner, the top monomial, has inner^2 = 0
+        assert stopped_early or n < 4
 
 
 class TestParsing:

@@ -8,6 +8,7 @@ from qcycle.errors import BadLinearTerm, NotComultiplicative, ZeroLambda
 from qcycle.series import Series1, Series2
 from qcycle.solution import check_braid_reduced
 from qcycle.tensor import (
+    CoeffTensor,
     MorphismReport,
     QCycleStructure,
     counit_action,
@@ -302,3 +303,18 @@ class TestPayload:
         payload = involutive.to_payload()
         assert "d" not in payload
         assert QCycleStructure.from_payload(payload) == involutive
+
+
+class TestScaledIntegers:
+    def test_scaled_once_and_immutable(self, rng):
+        t = extend_from_level1(random_level1(rng, 4))
+        ints, den = t.scaled_integers()
+        assert t.scaled_integers() is t.scaled_integers()
+        assert all(isinstance(part, tuple) for part in (ints, ints[0], ints[0][0]))
+        for i, j, k in itertools.product(range(4), repeat=3):
+            assert Fraction(ints[i][j][k], den) == t.entry(i, j, k)
+        # the cached pair is not part of the value
+        fresh = CoeffTensor(t.entries)
+        assert t == fresh and hash(t) == hash(fresh)
+        with pytest.raises(AttributeError):
+            t._scaled = None
