@@ -9,11 +9,14 @@ partial_y^u is partial_x^u acting on y; the global operator is
 partial^k = sum_{a+b=k} partial_x^a partial_y^b.  The tilde variants replace
 Gbar by P, which regrades Gbar in powers of f(y) - 1.  Each operator is linear
 on series of the context's order N: an N x N matrix with entry
-[u][c] = sum_k C(c, k) (B^k)_v[u - c + k], B = Gbar or P, stored once per (B, v)
-as sparse integer rows over one common denominator.  It acts on the x-index of
-a series (partial_x) or on its y-index (partial_y); each input vector is
-scaled to integers over its own denominator, products are summed in int, and
-only nonzero results become Fractions.  Inputs at any order other than N raise
+[u][c] = sum_k C(c, k) (B^k)_v[u - c + k], B = Gbar or P, made on integers
+and stored once per (B, v) as sparse integer rows over one denominator.  It
+acts on the x-index of a series (partial_x) or on its y-index (partial_y).
+The kernels read an input as it is stored, integer numerators over one
+denominator (see `series`), and return a series over the input's denominator
+times the matrix's, normalised once; no input is rescaled, and no `Fraction`
+is made per coefficient.  A global operator sums its terms in int over the
+lcm of their denominators.  Inputs at any order other than N raise
 SeriesError.  The context also carries:
 
   * the eigenfunction q of the derivation h -> g h' (g q' = q, q = x + ...),
@@ -24,17 +27,20 @@ SeriesError.  The context also carries:
 
 `identity_suite` checks, exactly and up to the truncation order, every
 identity the construction is built on, ending with the slice symmetry
-(partial^j G)_i = (partial^i G)_j that encodes the braid equations.  It makes
-each global table partial^k H and tilde^k H once per input, from the defining
-sum (`global_table`), and the braid sums R(i, j, k) that partial^j G must
-reproduce once, with the braid scan's two integer contractions (`braid_sums`).
+(partial^j G)_i = (partial^i G)_j that encodes the braid equations.  Each
+application that several checks read is made once: the tables of partial_x^v
+and tilde_x^v on the one-variable inputs, of the inner partial_x^v H and
+partial_y^u H of the commutation check, and each global table partial^k H and
+tilde^k H per input, from the defining sum (`global_table`).  The braid sums
+R(i, j, k) that partial^j G must reproduce are made once, with the braid
+scan's two integer contractions (`braid_sums`).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Optional, Union
 
 from .errors import DegreeOutOfRange, InvariantViolation, SeriesError
@@ -219,33 +225,36 @@ class OperatorContext:
 
         Entry [u][c] = sum_k C(c, k) (B^k)_v[u - c + k] is the x^u coefficient of
         the image of x^c.  B^0 = 1 adds nothing for v > 0 and makes the v = 0
-        matrix the identity.  The matrix is stored once, as (rows, den): den is the
-        common denominator of its entries, and rows[u] keeps the nonzero entries
-        of row u as (c, den * entry) pairs of integers.
+        matrix the identity.  The matrix is made on integers, over the lcm of
+        the slices' denominators, and stored once, as (rows, den) in lowest
+        terms: rows[u] keeps the nonzero entries of row u as (c, den * entry)
+        pairs of integers.
         """
         key = (name, v)
         if key not in self._matrices:
             N = self.order
+            slices = [self.power_slice(name, k, v) for k in range(v + 1)]
+            den = lcm(*(s._den for s in slices))
+            scaled = [[x * (den // s._den) for x in s._nums] for s in slices]
             entries = []
             for u in range(N):
                 row = []
                 for c in range(N):
-                    entry = ZERO
+                    entry = 0
                     for k in range(max(0, c - u), min(v, c) + 1):
-                        entry += comb(c, k) * self.power_slice(name, k, v).coeffs[u - c + k]
+                        entry += comb(c, k) * scaled[k][u - c + k]
                     if entry:
                         row.append((c, entry))
                 entries.append(row)
-            den = lcm(*(entry.denominator for row in entries for _, entry in row))
-            rows = tuple(
-                tuple((c, entry.numerator * (den // entry.denominator)) for c, entry in row)
-                for row in entries
-            )
-            self._matrices[key] = (rows, den)
+            g = gcd(den, *(entry for row in entries for _, entry in row))
+            rows = tuple(tuple((c, entry // g) for c, entry in row) for row in entries)
+            self._matrices[key] = (rows, den // g)
         return self._matrices[key]
 
     def _apply(self, name: str, v: int, h: SeriesLike, along_y: bool = False) -> SeriesLike:
-        """Apply the (name, v) matrix to the x-coefficients of h, or to its y-coefficients."""
+        """Apply the (name, v) matrix to the x-coefficients of h, or to its
+        y-coefficients: the stored integers of h times the integer rows, as a
+        series over h's denominator times the matrix's."""
         self._check_degree(v)
         if h.trunc_order != self.order:
             raise SeriesError(
@@ -253,13 +262,13 @@ class OperatorContext:
             )
         if v == 0:
             return h
-        matrix = self._matrix(name, v)
+        rows, den = self._matrix(name, v)
         if isinstance(h, Series1):
-            return Series1(_times([(matrix, h.coeffs)]))
+            return Series1._from_rows([_times_vector(rows, h._nums)], h._den * den)
         if along_y:
-            return Series2([_times([(matrix, coeffs)]) for coeffs in h.coeffs])
-        columns = [_times([(matrix, coeffs)]) for coeffs in zip(*h.coeffs)]
-        return Series2(zip(*columns))
+            return Series2._from_rows([_times_vector(rows, line) for line in h._nums], h._den * den)
+        zero = [[0] * self.order for _ in range(self.order)]
+        return Series2._from_rows(_add_times_grid(zero, rows, h._nums), h._den * den)
 
     def partial_x(self, v: int, h: SeriesLike) -> SeriesLike:
         """partial_x^v: acts on the x-coefficients, one y-slice at a time."""
@@ -292,43 +301,38 @@ class OperatorContext:
         return [self._global_sum(name, k, ys) for k in range(count)]
 
     def _global_sum(self, name: str, k: int, ys: list) -> Series2:
-        """sum_{a+b=k} B_x^a ys[b], summed on integers one x-fibre at a time."""
-        fibres = [list(zip(*ys[b].coeffs)) for b in range(k + 1)]
-        columns = [
-            _times([(self._matrix(name, k - b), fibres[b][w]) for b in range(k + 1)])
-            for w in range(self.order)
-        ]
-        return Series2(zip(*columns))
+        """sum_{a+b=k} B_x^a ys[b], summed in int over the lcm of the terms'
+        denominators (B_x^0 is the identity, so ys[k] is a term as it is)."""
+        terms = [(self._matrix(name, k - b), ys[b]) for b in range(k) if not ys[b].is_zero()]
+        den = lcm(ys[k]._den, *(row_den * y._den for (_, row_den), y in terms))
+        up = den // ys[k]._den
+        total = [[up * x for x in line] for line in ys[k]._nums]
+        for (rows, row_den), y in terms:
+            _add_times_grid(total, rows, y._nums, den // (row_den * y._den))
+        return Series2._from_rows(total, den)
 
 
-def _times(terms: list) -> list:
-    """sum M v over the (matrix, vector) terms, each matrix M as `_matrix` stores it.
+def _times_vector(rows: tuple, x) -> list:
+    """The matrix (integer `rows`, as `_matrix` stores them) times the integer
+    vector x; a zero x is skipped."""
+    if not any(x):
+        return [0] * len(rows)
+    return [sum([entry * x[c] for c, entry in row]) for row in rows]
 
-    Each vector is scaled to integers over its own common denominator, zero
-    vectors and zero inputs are skipped, the products are summed in int (the
-    terms over the lcm of their denominators), and only a nonzero result
-    becomes a Fraction.
-    """
-    total, den = [0] * len(terms[0][1]), 1
-    for (rows, row_den), coeffs in terms:
-        if not any(coeffs):
-            continue
-        scale = lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-        term = []
-        for row in rows:
-            acc = 0
-            for c, entry in row:
-                x = ints[c]
-                if x:
-                    acc += entry * x
-            term.append(acc)
-        term_den = row_den * scale
-        common = lcm(den, term_den)
-        up, term_up = common // den, common // term_den
-        total = [t * up + x * term_up for t, x in zip(total, term)]
-        den = common
-    return [Fraction(t, den) if t else ZERO for t in total]
+
+def _add_times_grid(out: list, rows: tuple, grid, up: int = 1) -> list:
+    """Add up * (the matrix times the integer grid) to `out` and return it:
+    row u gains up * M[u][c] grid[c] for each nonzero entry of row u of the
+    matrix and nonzero row c of the grid."""
+    nonzero = [any(line) for line in grid]
+    for u, row in enumerate(rows):
+        acc = out[u]
+        for c, entry in row:
+            if nonzero[c]:
+                entry *= up
+                acc = [a + entry * x for a, x in zip(acc, grid[c])]
+        out[u] = acc
+    return out
 
 
 def braid_sums(t: CoeffTensor) -> tuple[list[list[int]], int]:
@@ -389,20 +393,26 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     ]
     x2_random = [_random_series2(rng, N) for _ in range(2)]
 
+    # Each application to an input that several checks read is made once:
+    # px[i][v] = partial_x^v of x1_inputs[i], tx[i][v] = tilde_x^v of the
+    # first N + 2 of them (x1_inputs[1] is x).
+    px = [[ctx.partial_x(v, h) for v in range(N)] for h in x1_inputs]
+    tx = [[h] + [ctx.tilde_partial_x(v, h) for v in range(1, N)] for h in x1_inputs[: N + 2]]
+
     # identity and vanishing range of partial_x
     fails = []
-    for h in x1_inputs:
-        if ctx.partial_x(0, h) != h:
+    for h, ph in zip(x1_inputs, px):
+        if ph[0] != h:
             fails.append(("identity", 0))
         for v in range(1, min(v0, N)):
-            if not ctx.partial_x(v, h).is_zero():
+            if not ph[v].is_zero():
                 fails.append(("low_degree", v))
     checks.append(_check("partial_x_identity_and_gap", fails))
 
     # partial_x^{v0} is the derivation h -> g h'
     fails = []
-    for h in x1_inputs:
-        if v0 < N and ctx.partial_x(v0, h) != ctx.column * h.derivative():
+    for h, ph in zip(x1_inputs, px):
+        if v0 < N and ph[v0] != ctx.column * h.derivative():
             fails.append("derivation")
     if v0 < N and ctx.partial_x(v0, ctx.row) != ctx.row * (
         ctx.f_power(v0).add_constant(-1)
@@ -412,9 +422,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
 
     # partial_x^v x = g_v
     fails = []
-    x = Series1.x(N)
     for v in range(N):
-        if ctx.partial_x(v, x) != ctx.table.slice_y(v):
+        if px[1][v] != ctx.table.slice_y(v):
             fails.append(v)
     checks.append(_check("partial_x_of_x_gives_slices", fails))
 
@@ -422,10 +431,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fails = []
     for u in range(1, N):
         for v in range(u + 1, N):
-            for h in x1_inputs:
-                if ctx.partial_x(u, ctx.partial_x(v, h)) != ctx.partial_x(
-                    v, ctx.partial_x(u, h)
-                ):
+            for ph in px:
+                if ctx.partial_x(u, ph[v]) != ctx.partial_x(v, ph[u]):
                     fails.append((u, v))
                     break
             if fails:
@@ -439,11 +446,12 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     small = [H for H in x2_basis if not H.is_zero()][: 2 * N] + x2_random[:1]
     pairs = [(v, u) for v in range(1, min(N, 5)) for u in range(1, min(N, 5))]
     pairs += [(N - 1, N - 1)]
+    degrees = sorted({v for pair in pairs for v in pair})
+    dx_small = [{v: ctx.partial_x(v, H) for v in degrees} for H in small]
+    dy_small = [{u: ctx.partial_y(u, H) for u in degrees} for H in small]
     for v, u in pairs:
-        for H in small:
-            if ctx.partial_x(v, ctx.partial_y(u, H)) != ctx.partial_y(
-                u, ctx.partial_x(v, H)
-            ):
+        for dx, dy in zip(dx_small, dy_small):
+            if ctx.partial_x(v, dy[u]) != ctx.partial_y(u, dx[v]):
                 fails.append((v, u))
                 break
         if fails:
@@ -459,14 +467,14 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     checks.append(_check("partial_y_kills_pure_x", fails))
 
     # partial_y^{v0} G = (f(y)^{v0} - 1) partial_x^{v0} G
+    dx_table = [ctx.partial_x(u, ctx.table) for u in range(N)]
     fails = []
     fyv = ctx.f_power(v0).add_constant(-1)
-    if ctx.partial_y(v0, ctx.table) != ctx.partial_x(v0, ctx.table).mul_y_series(fyv):
+    if ctx.partial_y(v0, ctx.table) != dx_table[v0].mul_y_series(fyv):
         fails.append("twist")
     checks.append(_check("table_y_vs_x_twist", fails))
 
     # slice symmetry of the x-operators on the table
-    dx_table = [ctx.partial_x(u, ctx.table) for u in range(N)]
     fails = []
     for u in range(N):
         for v in range(u + 1, N):
@@ -515,24 +523,20 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
 
     # tilde_x^1 = partial_x^{v0} = g d/dx
     fails = []
-    for h in x1_inputs[: N + 2]:
-        t1 = ctx.tilde_partial_x(1, h)
-        if t1 != ctx.column * h.derivative() or (v0 < N and t1 != ctx.partial_x(v0, h)):
+    for h, ph, th in zip(x1_inputs, px, tx):
+        if th[1] != ctx.column * h.derivative() or (v0 < N and th[1] != ph[v0]):
             fails.append("unit")
             break
     checks.append(_check("tilde_x_unit", fails))
 
     # v tilde_x^v = tilde_x^1 tilde_x^{v-1} - (v-1) tilde_x^{v-1}
     fails = []
-    for h in x1_inputs[: N + 2]:
-        prev = h
-        for v in range(1, N):
-            cur = ctx.tilde_partial_x(v, h)
-            rhs = ctx.tilde_partial_x(1, prev) - prev.scale(v - 1) if v > 1 else cur
-            if v > 1 and cur.scale(v) != rhs:
+    for th in tx:
+        for v in range(2, N):
+            prev = th[v - 1]
+            if th[v].scale(v) != ctx.tilde_partial_x(1, prev) - prev.scale(v - 1):
                 fails.append(v)
                 break
-            prev = cur
         if fails:
             break
     checks.append(_check("tilde_x_recursion", fails))
@@ -600,12 +604,12 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fails = []
     for v in range(1, N):
         coeffs = [ctx.fbar_power(u).coeffs[v] for u in range(N)]
-        for h in x1_inputs[: N + 1]:
+        for ph, th in zip(px, tx[: N + 1]):
             acc = Series1.zero(N)
             for u in range(1, N):
                 if coeffs[u]:
-                    acc = acc + ctx.tilde_partial_x(u, h).scale(coeffs[u])
-            if acc != ctx.partial_x(v, h):
+                    acc = acc + th[u].scale(coeffs[u])
+            if acc != ph[v]:
                 fails.append(v)
                 break
         if fails:
@@ -627,20 +631,23 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             fails.append(u)
     checks.append(_check("table_regrade_powers", fails))
 
+    # The three checks on entries of t compare integers: t scaled to
+    # ints / den_t against each series' stored numerators over its own den.
+    ints, den_t = t.scaled_integers()
+
     # t[d+w][v][w] = sum_i C(w, i) (Gbar^i)_{d+i, v}
+    gbar = [ctx.power("table_reduced", i) for i in range(N)]
     fails = []
     for w in range(1, N):
+        den = lcm(*(gbar[i]._den for i in range(1, w + 1)))
+        weights = [comb(w, i) * (den // gbar[i]._den) for i in range(w + 1)]
         for d in range(N - w):
             for v in range(N):
                 if v == 0 and d == 0:
                     continue
-                acc = ZERO
-                for i in range(1, w + 1):
-                    if d + i < N:
-                        acc += comb(w, i) * ctx.power("table_reduced", i).coefficient(
-                            d + i, v
-                        )
-                if t.entry(d + w, v, w) != acc:
+                acc = sum(weights[i] * gbar[i]._nums[d + i][v]
+                          for i in range(1, min(w, N - 1 - d) + 1))
+                if ints[d + w][v][w] * den != acc * den_t:
                     fails.append((d, w, v))
     checks.append(_check("level_entry_binomial", fails))
 
@@ -651,12 +658,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         for v in range(N):
             pxl = ctx.partial_x(v, ell)
             for u in range(1, N):
-                acc = ZERO
-                for h in range(1, u + 1):
-                    c = t.entry(u, v, h)
-                    if c and ell.coeffs[h]:
-                        acc += c * ell.coeffs[h]
-                if pxl.coeffs[u] != acc:
+                acc = sum(ints[u][v][h] * ell._nums[h] for h in range(1, u + 1))
+                if pxl._nums[u] * den_t * ell._den != acc * pxl._den:
                     fails.append((u, v))
     checks.append(_check("row_action_is_partial", fails))
 
@@ -666,7 +669,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         fh = ctx.power("flip", h)
         for a in range(N):
             for j in range(N):
-                if t.entry(j, a, h) != fh.coefficient(a, j):
+                if ints[j][a][h] * fh._den != fh._nums[a][j] * den_t:
                     fails.append((j, a, h))
     checks.append(_check("flip_power_entries", fails))
 

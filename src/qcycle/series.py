@@ -3,17 +3,31 @@
 A series carries an explicit truncation order N: coefficients of x^u (resp.
 x^u * y^v) are stored and exact for all u, v < N.  Binary operations between
 series of different orders truncate to the smaller order, so precision loss is
-always explicit.  All coefficients are `fractions.Fraction`; nothing is ever
-rounded.
+always explicit.  Nothing is ever rounded.
+
+One stored form.  A series is its integer numerators over one common
+denominator: (nums, den), a tuple of ints for `Series1` and a tuple of int
+rows for `Series2`, the coefficient of x^u (y^v) being nums[u] ([v]) / den.
+The form is canonical: den >= 1, gcd(den, *nums) = 1, and the zero series has
+den = 1.  So `==` and `hash` compare the stored tuples, and no
+cross-multiplication is needed.  Every operation reads and writes the
+integers and normalises its result once, with one `math.gcd` (`_reduced`).
+
+Where `Fraction`s are made.  Only at the edges:
+  * the public constructors coerce each coefficient with `as_fraction` (a
+    float or a bool raises) and scale the grid to integers;
+  * `.coeffs`, a read-only tuple (of tuples) of `Fraction`s, is built on its
+    first read and cached in a slot that is not part of equality or hash;
+    `coefficient`, indexing and payloads read it.
+Internal results are built by `_from_ints` from integers already normalised.
 
 Every series product (in one or two variables, by an x- or a y-series, and
-in `substitute_y`) runs on integers: each operand is scaled to an integer grid
-over one common denominator (`integer_grid`), a one-variable series being a
-grid of one row; the one kernel `_mul_ints`, the product in A = K[u, v]/<u^n,
-v^n> that the tensor and solution layers also use, multiplies them in `int`;
-and the result is divided once by the product of the two denominators, so
-only a nonzero coefficient becomes a `Fraction`.  The `Fraction` loops these
-products replaced survive only in the tests, as oracles.
+in `substitute_y`) runs on the one kernel `_mul_ints`, the product in
+A = K[u, v]/<u^n, v^n> that the tensor and solution layers also use; its
+denominator is the product of the operands' (a one-variable series being a
+grid of one row).  `substitute_y` sums its products over one denominator.
+The `Fraction` loops these operations replaced survive only in the tests, as
+oracles.
 
 Values are immutable after construction (tuples all the way down), so they are
 safe to share freely, including across threads.
@@ -23,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -66,10 +80,12 @@ def parse_rational(text: Union[str, int]) -> Fraction:
 
 
 def _trunc_order(payload: dict) -> int:
-    """A series payload's "trunc_order", which must be a JSON integer."""
+    """A series payload's "trunc_order", which must be a positive JSON integer."""
     order = payload["trunc_order"]
     if type(order) is not int:
         raise ParseError(f"trunc_order must be a JSON integer, got {order!r}")
+    if order < 1:
+        raise ParseError(f"trunc_order must be positive, got {order}")
     return order
 
 
@@ -107,14 +123,15 @@ def _mul_ints(a, b, n: int) -> list[list[int]]:
     return out
 
 
-def _product(a, b, n: int) -> list[list[Fraction]]:
-    """The product of two grids of `Fraction`s by `_mul_ints`: each is scaled
-    to integers (`integer_grid`), and the integer product is divided once by
-    the product of the two denominators."""
-    a, den_a = integer_grid(a)
-    b, den_b = integer_grid(b)
-    den = den_a * den_b
-    return [[Fraction(c, den) if c else ZERO for c in row] for row in _mul_ints(a, b, n)]
+def _reduced(rows, den: int):
+    """(rows, den) divided by their gcd: the canonical form of a grid of
+    integer rows over the positive denominator den, as a tuple of tuples."""
+    g = den
+    for row in rows:
+        g = gcd(g, *row)
+        if g == 1:
+            return tuple(map(tuple, rows)), den
+    return tuple([tuple([x // g for x in row]) for row in rows]), den // g
 
 
 def _power(base, exponent: int, one):
@@ -148,29 +165,127 @@ def general_binomial(alpha: Fraction, k: int) -> Fraction:
     return result
 
 
-class Series1:
+class _Series:
+    """The stored form shared by `Series1` and `Series2`: numerators `_nums`
+    over the denominator `_den`, canonical, and the cached `Fraction` view
+    `_coeffs`.  The operations written once here read the numerators as rows
+    (`_rows`, one row for a `Series1`) and shape rows back (`_shaped`)."""
+
+    __slots__ = ("_nums", "_den", "_coeffs")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _store(self, view: tuple) -> None:
+        """Set the stored form from rows of `Fraction`s, kept as the view."""
+        ints, den = integer_grid(view)
+        object.__setattr__(self, "_nums", self._shaped(tuple(map(tuple, ints))))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", self._shaped(view))
+
+    @classmethod
+    def _from_ints(cls, nums: tuple, den: int):
+        """The series stored as (nums, den), which must be canonical."""
+        if not nums:
+            raise SeriesError("truncation order must be positive")
+        self = object.__new__(cls)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", None)
+        return self
+
+    @classmethod
+    def _from_rows(cls, rows, den: int):
+        """The series with the integer rows `rows` over den > 0, normalised."""
+        rows, den = _reduced(rows, den)
+        return cls._from_ints(cls._shaped(rows), den)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as `Fraction`s, made on the first read and kept."""
+        view = self._coeffs
+        if view is None:
+            den = self._den
+            view = self._shaped(tuple(tuple(Fraction(x, den) if x else ZERO for x in row)
+                                      for row in self._rows()))
+            object.__setattr__(self, "_coeffs", view)
+        return view
+
+    @property
+    def trunc_order(self) -> int:
+        return len(self._nums)
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self._rows()))
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._den == other._den
+                and self._nums == other._nums)
+
+    def __hash__(self):
+        return hash((self._nums, self._den))
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        ua, ub = den // self._den, sign * (den // other._den)
+        return self._from_rows([[x * ua + y * ub for x, y in zip(ra, rb)]
+                                for ra, rb in zip(self._rows(), other._rows())], den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._from_ints(self._shaped(tuple(tuple(-x for x in row) for row in self._rows())),
+                               self._den)
+
+    def scale(self, factor: Rational):
+        f = as_fraction(factor)
+        c = f.numerator
+        return self._from_rows([[c * x for x in row] for row in self._rows()],
+                               self._den * f.denominator)
+
+    def add_constant(self, value: Rational):
+        c = as_fraction(value)
+        den = lcm(self._den, c.denominator)
+        up = den // self._den
+        rows = [[x * up for x in row] for row in self._rows()]
+        rows[0][0] += c.numerator * (den // c.denominator)
+        return self._from_rows(rows, den)
+
+
+class Series1(_Series):
     """Truncated one-variable series sum(c[u] * x^u for u < trunc_order)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Rational]):
         data = tuple(as_fraction(c) for c in coeffs)
         if not data:
             raise SeriesError("truncation order must be positive")
-        object.__setattr__(self, "coeffs", data)
+        self._store((data,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Series1 is immutable")
+    def _rows(self) -> tuple:
+        return (self._nums,)
+
+    @staticmethod
+    def _shaped(rows: tuple) -> tuple:
+        return rows[0]
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "Series1":
-        return cls([ZERO] * order)
+        return cls._from_ints((0,) * order, 1)
 
     @classmethod
     def one(cls, order: int) -> "Series1":
-        return cls([ONE] + [ZERO] * (order - 1))
+        return cls._from_ints((1,) + (0,) * (order - 1), 1)
 
     @classmethod
     def x(cls, order: int) -> "Series1":
@@ -180,25 +295,20 @@ class Series1:
     def monomial(cls, degree: int, order: int, coeff: Rational = 1) -> "Series1":
         if degree >= order:
             return cls.zero(order)
-        data = [ZERO] * order
-        data[degree] = as_fraction(coeff)
-        return cls(data)
+        c = as_fraction(coeff)
+        nums = [0] * order
+        nums[degree] = c.numerator
+        return cls._from_ints(tuple(nums), c.denominator)
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> "Series1":
-        data = [ZERO] * order
-        data[0] = as_fraction(value)
-        return cls(data)
+        return cls.monomial(0, order, value)
 
     # -- basic queries -------------------------------------------------------
 
-    @property
-    def trunc_order(self) -> int:
-        return len(self.coeffs)
-
     def coefficient(self, degree: int) -> Fraction:
-        if not 0 <= degree < len(self.coeffs):
-            raise IndexOutOfTruncation(f"degree {degree} at order {len(self.coeffs)}")
+        if not 0 <= degree < len(self._nums):
+            raise IndexOutOfTruncation(f"degree {degree} at order {len(self._nums)}")
         return self.coeffs[degree]
 
     def __getitem__(self, degree: int) -> Fraction:
@@ -206,90 +316,62 @@ class Series1:
 
     def valuation(self) -> Union[int, None]:
         """Least degree with a nonzero coefficient; None for the zero series."""
-        for u, c in enumerate(self.coeffs):
+        for u, c in enumerate(self._nums):
             if c:
                 return u
         return None
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Series1) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Series1({[str(c) for c in self.coeffs]})"
 
     def truncated(self, order: int) -> "Series1":
-        if order > len(self.coeffs):
+        if order > len(self._nums):
             raise SeriesError("cannot extend truncation order without new data")
-        return Series1(self.coeffs[:order])
+        return Series1._from_rows([self._nums[:order]], self._den)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Series1") -> "Series1":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series1([self.coeffs[u] + other.coeffs[u] for u in range(n)])
-
-    def __sub__(self, other: "Series1") -> "Series1":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series1([self.coeffs[u] - other.coeffs[u] for u in range(n)])
-
-    def __neg__(self) -> "Series1":
-        return Series1([-c for c in self.coeffs])
-
-    def scale(self, factor: Rational) -> "Series1":
-        f = as_fraction(factor)
-        return Series1([f * c for c in self.coeffs])
-
-    def add_constant(self, value: Rational) -> "Series1":
-        data = list(self.coeffs)
-        data[0] = data[0] + as_fraction(value)
-        return Series1(data)
-
     def __mul__(self, other: "Series1") -> "Series1":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series1(_product([self.coeffs[:n]], [other.coeffs[:n]], n)[0])
+        n = min(len(self._nums), len(other._nums))
+        return Series1._from_rows(_mul_ints([self._nums[:n]], [other._nums[:n]], n),
+                                  self._den * other._den)
 
     def __pow__(self, exponent: int) -> "Series1":
         if exponent < 0:
             raise SeriesError("negative powers: use reciprocal() explicitly")
-        return _power(self, exponent, Series1.one(len(self.coeffs)))
+        return _power(self, exponent, Series1.one(len(self._nums)))
 
     def derivative(self) -> "Series1":
         """Formal derivative, stored at the same order with the top coefficient dropped."""
-        n = len(self.coeffs)
-        out = [ZERO] * n
-        for u in range(1, n):
-            out[u - 1] = u * self.coeffs[u]
-        return Series1(out)
+        a = self._nums
+        return Series1._from_rows([[u * a[u] for u in range(1, len(a))] + [0]], self._den)
 
     def reciprocal(self) -> "Series1":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a = self.coeffs
-        if not a[0]:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        For self = A / d the inverse is d / A, and 1 / A has the x^k
+        coefficient C_k / A_0^(k+1) for the integers C_0 = 1 and
+        C_k = -sum_{j=1..k} A_j A_0^(j-1) C_(k-j); all n over A_0^n.
+        """
+        a, n = self._nums, len(self._nums)
+        a0 = a[0]
+        if not a0:
             raise ZeroConstantTerm("series has zero constant term")
-        n = len(a)
-        inv0 = ONE / a[0]
-        out = [ZERO] * n
-        out[0] = inv0
+        pw = [1]
+        for _ in range(n):
+            pw.append(pw[-1] * a0)
+        c = [1]
         for k in range(1, n):
-            acc = ZERO
-            for j in range(1, k + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * out[k - j]
-            out[k] = -inv0 * acc
-        return Series1(out)
+            c.append(-sum(a[j] * pw[j - 1] * c[k - j] for j in range(1, k + 1) if a[j]))
+        sign = -1 if pw[n] < 0 else 1
+        d = self._den * sign
+        return Series1._from_rows([[d * c[k] * pw[n - 1 - k] for k in range(n)]], pw[n] * sign)
 
     # -- serialization ---------------------------------------------------------
 
     def to_payload(self) -> dict:
         return {
-            "trunc_order": len(self.coeffs),
+            "trunc_order": len(self._nums),
             "coeffs": [format_rational(c) for c in self.coeffs],
         }
 
@@ -305,10 +387,10 @@ class Series1:
         return cls(coeffs)
 
 
-class Series2:
+class Series2(_Series):
     """Truncated two-variable series sum(c[u][v] * x^u * y^v for u, v < trunc_order)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, grid: Iterable[Iterable[Rational]]):
         rows = tuple(tuple(as_fraction(c) for c in row) for row in grid)
@@ -317,180 +399,148 @@ class Series2:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise SeriesError("coefficient grid must be square")
-        object.__setattr__(self, "coeffs", rows)
+        self._store(rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Series2 is immutable")
+    def _rows(self) -> tuple:
+        return self._nums
+
+    @staticmethod
+    def _shaped(rows: tuple) -> tuple:
+        return rows
+
+    def _grid(self, n: int) -> tuple:
+        """The numerators truncated to order n (at most the own order)."""
+        if n == len(self._nums):
+            return self._nums
+        return tuple(row[:n] for row in self._nums[:n])
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "Series2":
-        return cls([[ZERO] * order for _ in range(order)])
+        return cls._from_ints(((0,) * order,) * order, 1)
 
     @classmethod
     def monomial(cls, xdeg: int, ydeg: int, order: int, coeff: Rational = 1) -> "Series2":
-        grid = [[ZERO] * order for _ in range(order)]
-        if xdeg < order and ydeg < order:
-            grid[xdeg][ydeg] = as_fraction(coeff)
-        return cls(grid)
+        if not (xdeg < order and ydeg < order):
+            return cls.zero(order)
+        c = as_fraction(coeff)
+        grid = [[0] * order for _ in range(order)]
+        grid[xdeg][ydeg] = c.numerator
+        return cls._from_ints(tuple(map(tuple, grid)), c.denominator)
 
     @classmethod
     def from_y_slices(cls, slices: Sequence[Series1], order: int) -> "Series2":
         """Assemble sum(slices[v](x) * y^v); slices beyond the list are zero."""
-        grid = [[ZERO] * order for _ in range(order)]
-        for v, s in enumerate(slices[:order]):
-            for u in range(min(order, len(s.coeffs))):
-                grid[u][v] = s.coeffs[u]
-        return cls(grid)
+        slices = slices[:order]
+        den = lcm(*(s._den for s in slices))
+        grid = [[0] * order for _ in range(order)]
+        for v, s in enumerate(slices):
+            up = den // s._den
+            for u, x in enumerate(s._nums[:order]):
+                grid[u][v] = x * up
+        return cls._from_rows(grid, den)
 
     @classmethod
     def from_x_series(cls, s: Series1, order: int) -> "Series2":
         """Embed a series in x as a two-variable series (constant in y)."""
-        grid = [[ZERO] * order for _ in range(order)]
-        for u in range(min(order, len(s.coeffs))):
-            grid[u][0] = s.coeffs[u]
-        return cls(grid)
+        grid = [[0] * order for _ in range(order)]
+        for u, x in enumerate(s._nums[:order]):
+            grid[u][0] = x
+        return cls._from_rows(grid, s._den)
 
     @classmethod
     def from_y_series(cls, s: Series1, order: int) -> "Series2":
         """Embed a series (read in y) as a two-variable series (constant in x)."""
-        grid = [[ZERO] * order for _ in range(order)]
-        for v in range(min(order, len(s.coeffs))):
-            grid[0][v] = s.coeffs[v]
-        return cls(grid)
+        grid = [[0] * order for _ in range(order)]
+        grid[0][:len(s._nums[:order])] = s._nums[:order]
+        return cls._from_rows(grid, s._den)
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def trunc_order(self) -> int:
-        return len(self.coeffs)
-
     def coefficient(self, xdeg: int, ydeg: int) -> Fraction:
-        n = len(self.coeffs)
+        n = len(self._nums)
         if not (0 <= xdeg < n and 0 <= ydeg < n):
             raise IndexOutOfTruncation(f"({xdeg},{ydeg}) at order {n}")
         return self.coeffs[xdeg][ydeg]
 
     def slice_y(self, ydeg: int) -> Series1:
         """The coefficient of y^ydeg, as a series in x."""
-        n = len(self.coeffs)
+        n = len(self._nums)
         if not 0 <= ydeg < n:
             raise IndexOutOfTruncation(f"y-degree {ydeg} at order {n}")
-        return Series1([self.coeffs[u][ydeg] for u in range(n)])
+        return Series1._from_rows([[row[ydeg] for row in self._nums]], self._den)
 
     def slice_x(self, xdeg: int) -> Series1:
         """The coefficient of x^xdeg, as a series in y."""
-        n = len(self.coeffs)
+        n = len(self._nums)
         if not 0 <= xdeg < n:
             raise IndexOutOfTruncation(f"x-degree {xdeg} at order {n}")
-        return Series1(list(self.coeffs[xdeg]))
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Series2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return Series1._from_rows([self._nums[xdeg]], self._den)
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self._nums)
         return f"Series2(order={n})"
 
     def truncated(self, order: int) -> "Series2":
-        if order > len(self.coeffs):
+        if order > len(self._nums):
             raise SeriesError("cannot extend truncation order without new data")
-        return Series2([row[:order] for row in self.coeffs[:order]])
+        return Series2._from_rows(self._grid(order), self._den)
 
     def agrees_with(self, other: "Series2", x_order: int, y_order: int) -> bool:
         """Coefficientwise equality restricted to x-degree < x_order, y-degree < y_order."""
-        for u in range(x_order):
-            ru, so = self.coeffs[u], other.coeffs[u]
-            for v in range(y_order):
-                if ru[v] != so[v]:
-                    return False
-        return True
+        da, db = self._den, other._den
+        return all(x * db == y * da
+                   for ra, rb in zip(self._nums[:x_order], other._nums[:x_order])
+                   for x, y in zip(ra[:y_order], rb[:y_order]))
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: "Series2") -> "Series2":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series2(
-            [[self.coeffs[u][v] + other.coeffs[u][v] for v in range(n)] for u in range(n)]
-        )
-
-    def __sub__(self, other: "Series2") -> "Series2":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series2(
-            [[self.coeffs[u][v] - other.coeffs[u][v] for v in range(n)] for u in range(n)]
-        )
-
-    def __neg__(self) -> "Series2":
-        return Series2([[-c for c in row] for row in self.coeffs])
-
-    def scale(self, factor: Rational) -> "Series2":
-        f = as_fraction(factor)
-        return Series2([[f * c for c in row] for row in self.coeffs])
-
-    def add_constant(self, value: Rational) -> "Series2":
-        grid = [list(row) for row in self.coeffs]
-        grid[0][0] = grid[0][0] + as_fraction(value)
-        return Series2(grid)
-
     def __mul__(self, other: "Series2") -> "Series2":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series2(_product([row[:n] for row in self.coeffs[:n]],
-                                [row[:n] for row in other.coeffs[:n]], n))
+        n = min(len(self._nums), len(other._nums))
+        return Series2._from_rows(_mul_ints(self._grid(n), other._grid(n), n),
+                                  self._den * other._den)
 
     def __pow__(self, exponent: int) -> "Series2":
         if exponent < 0:
             raise SeriesError("negative powers are not defined for Series2")
-        return _power(self, exponent, Series2.monomial(0, 0, len(self.coeffs)))
+        return _power(self, exponent, Series2.monomial(0, 0, len(self._nums)))
 
     def mul_x_series(self, s: Series1) -> "Series2":
         """Multiply by a series in x alone.  The kernel skips zero entries of
-        its first operand and zero rows of its second: the x-series goes first."""
-        return Series2.from_x_series(s, min(len(self.coeffs), len(s.coeffs))) * self
+        its first operand and zero rows of its second: the x-series, a grid
+        of one column, goes first."""
+        n = min(len(self._nums), len(s._nums))
+        column = [(x,) for x in s._nums[:n]]
+        return Series2._from_rows(_mul_ints(column, self._grid(n), n), self._den * s._den)
 
     def mul_y_series(self, s: Series1) -> "Series2":
         """Multiply by a series in y alone (s read with its variable as y); the
-        y-series, one nonzero row, goes second (see `mul_x_series`)."""
-        return self * Series2.from_y_series(s, min(len(self.coeffs), len(s.coeffs)))
+        y-series, one row, goes second (see `mul_x_series`)."""
+        n = min(len(self._nums), len(s._nums))
+        return Series2._from_rows(_mul_ints(self._grid(n), [s._nums[:n]], n),
+                                  self._den * s._den)
 
     def partial_x(self) -> "Series2":
-        n = len(self.coeffs)
-        out = [[ZERO] * n for _ in range(n)]
-        for u in range(1, n):
-            row = self.coeffs[u]
-            orow = out[u - 1]
-            for v in range(n):
-                if row[v]:
-                    orow[v] = u * row[v]
-        return Series2(out)
+        a = self._nums
+        n = len(a)
+        return Series2._from_rows([[u * x for x in a[u]] for u in range(1, n)] + [[0] * n],
+                                  self._den)
 
     def partial_y(self) -> "Series2":
-        n = len(self.coeffs)
-        out = [[ZERO] * n for _ in range(n)]
-        for u in range(n):
-            row = self.coeffs[u]
-            orow = out[u]
-            for v in range(1, n):
-                if row[v]:
-                    orow[v - 1] = v * row[v]
-        return Series2(out)
+        n = len(self._nums)
+        return Series2._from_rows([[v * row[v] for v in range(1, n)] + [0]
+                                   for row in self._nums], self._den)
 
     def transposed(self) -> "Series2":
         """Swap the two variables."""
-        n = len(self.coeffs)
-        return Series2([[self.coeffs[v][u] for v in range(n)] for u in range(n)])
+        return Series2._from_ints(tuple(zip(*self._nums)), self._den)
 
     # -- serialization -----------------------------------------------------------
 
     def to_payload(self) -> dict:
         return {
-            "trunc_order": len(self.coeffs),
+            "trunc_order": len(self._nums),
             "coeffs": [[format_rational(c) for c in row] for row in self.coeffs],
         }
 
@@ -519,10 +569,11 @@ def compose(outer: Series1, inner: Union[Series1, Series2]):
     """
     if not inner.truncated(1).is_zero():
         raise NonzeroConstantTerm("inner series has nonzero constant term")
-    inner = inner.truncated(min(len(outer.coeffs), inner.trunc_order))
+    inner = inner.truncated(min(len(outer._nums), inner.trunc_order))
     power = inner ** 0
-    acc = power.scale(outer.coeffs[0])
-    for ck in outer.coeffs[1:]:
+    coeffs = outer.coeffs
+    acc = power.scale(coeffs[0])
+    for ck in coeffs[1:]:
         power = power * inner
         if power.is_zero():
             break
@@ -533,19 +584,28 @@ def compose(outer: Series1, inner: Union[Series1, Series2]):
 
 def substitute_y(series: Series2, inner: Series1) -> Series2:
     """series(x, inner(y)) for inner with zero constant term (read in y): the
-    sum over v of slice_v(x) * inner(y)^v, stopping once the power vanishes."""
-    if inner.coeffs[0]:
+    sum over v of slice_v(x) * inner(y)^v, the powers made until one
+    vanishes.  The terms are summed in `int` over one denominator, the
+    series' times the lcm of the powers'."""
+    if inner._nums[0]:
         raise NonzeroConstantTerm("inner series has nonzero constant term")
-    n = min(series.trunc_order, len(inner.coeffs))
-    acc = Series2.zero(n)
-    power = Series1.one(n)
-    for v in range(n):
-        if v:
-            power = power * inner
-            if power.is_zero():
-                break
-        acc = acc + Series2.from_x_series(series.slice_y(v), n).mul_y_series(power)
-    return acc
+    n = min(series.trunc_order, len(inner._nums))
+    powers = [Series1.one(n)]
+    while len(powers) < n:
+        power = powers[-1] * inner
+        if power.is_zero():
+            break
+        powers.append(power)
+    den = lcm(*(p._den for p in powers))
+    scaled = [[x * (den // p._den) for x in p._nums] for p in powers]
+    out = []
+    for row in series._grid(n):
+        orow = [0] * n
+        for c, pv in zip(row, scaled):
+            if c:
+                orow = [o + c * x for o, x in zip(orow, pv)]
+        out.append(orow)
+    return Series2._from_rows(out, series._den * den)
 
 
 def compositional_inverse(q: Series1) -> Series1:
@@ -575,16 +635,16 @@ def divide_exact(a: Series1, b: Series1) -> Series1:
     va = a.valuation()
     if va is not None and va < vb:
         raise ExactDivisionError(f"ord(a)={va} < ord(b)={vb}")
-    n = min(len(a.coeffs), len(b.coeffs)) - vb
-    a_shift = Series1(a.coeffs[vb:vb + n])
-    b_shift = Series1(b.coeffs[vb:vb + n])
+    n = min(len(a._nums), len(b._nums)) - vb
+    a_shift = Series1._from_rows([a._nums[vb:vb + n]], a._den)
+    b_shift = Series1._from_rows([b._nums[vb:vb + n]], b._den)
     return a_shift * b_shift.reciprocal()
 
 
 def binomial_series(exponent: Rational, base: Series1) -> Series1:
     """base**exponent = sum C(exponent, k) (base - 1)^k; base(0) must be 1."""
-    if base.coeffs[0] != 1:
+    if base._nums[0] != base._den:
         raise ConstantTermNotOne("base must have constant term 1")
     alpha = as_fraction(exponent)
-    outer = Series1([general_binomial(alpha, k) for k in range(len(base.coeffs))])
+    outer = Series1([general_binomial(alpha, k) for k in range(len(base._nums))])
     return compose(outer, base.add_constant(-1))

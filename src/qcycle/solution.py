@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .errors import NotComultiplicative, SingularGd, SingularGp
@@ -318,6 +318,16 @@ def superscript_map(p: CoeffTensor) -> list[list[list[Fraction]]]:
 
     and each entry becomes a `Fraction` once, at the end.
     """
+    blocks, dens = _superscript_blocks(p)
+    return [
+        [[Fraction(v, dens[j]) if v else ZERO for v in blocks[j][i]] for j in range(p.n)]
+        for i in range(p.n)
+    ]
+
+
+def _superscript_blocks(p: CoeffTensor) -> tuple[list, list[int]]:
+    """(blocks, dens): the integer blocks N_j of `superscript_map` and their
+    denominators D^(j+1) P^j, so that E[i][j][k] = blocks[j][i][k] / dens[j]."""
     n = p.n
     step_inv = _invert([row[0] for row in p.entries])
     if step_inv is None:
@@ -337,11 +347,7 @@ def superscript_map(p: CoeffTensor) -> list[list[list[Fraction]]]:
         block = [[0] * n for _ in range(n)]
         _add_matmul(block, minus_s, acc)
         blocks.append(block)
-    dens = [D ** (j + 1) * P ** j for j in range(n)]
-    return [
-        [[Fraction(v, dens[j]) if v else ZERO for v in blocks[j][i]] for j in range(n)]
-        for i in range(n)
-    ]
+    return blocks, [D ** (j + 1) * P ** j for j in range(n)]
 
 
 def _add_matmul(out, a, b) -> None:
@@ -384,17 +390,23 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     and L_k = sum_m E_m D_mk(v), D_mk = sum_j d[j][m][k] v^j (the u^i v^j
     coefficient of L_k is that of x_k in {x_i}x_j), row (k, l) is L_k E_l.
     Requires both side maps to be invertible; each is decided on its n x n
-    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted.  E and d
-    are scaled to integers, the L_k and the n^2 row products are made in
-    `int`, and each nonzero entry of the map becomes a `Fraction` once.
+    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted.  E is
+    read off the integer blocks of `superscript_map` (`_superscript_blocks`)
+    without a `Fraction` per entry, d is scaled to integers, the L_k and the
+    n^2 row products are made in `int`, and each nonzero entry of the map
+    becomes a `Fraction` once.
     """
     n = s.n
     if _invert([row[0] for row in s.d.entries]) is None:
         raise SingularGd("right side map is not invertible")
-    flat, den_e = integer_grid([col for row in superscript_map(s.p) for col in row])
-    d, den_d = s.d.scaled_integers()
+    blocks, dens = _superscript_blocks(s.p)
+    # den_e is the lcm of the entries' denominators in lowest terms, and
     # E[l][i][j] = den_e * E[i][j][l], the grid of E_l
-    E = [[[flat[i * n + j][l] for j in range(n)] for i in range(n)] for l in range(n)]
+    den_e = lcm(*(dens[j] // gcd(v, dens[j])
+                  for j, block in enumerate(blocks) for row in block for v in row))
+    E = [[[blocks[j][i][l] * den_e // dens[j] for j in range(n)] for i in range(n)]
+         for l in range(n)]
+    d, den_d = s.d.scaled_integers()
     L = []
     for k in range(n):
         # the u^i v^(j1+j2) coefficient of L_k gains E[i][j1][m] d[j2][m][k]

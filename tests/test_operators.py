@@ -126,6 +126,24 @@ def edge_inputs(rng, N):
     return h1, h2
 
 
+def assert_matches_defining_formula(ctx, h1, h2):
+    """Every operator at every degree, on the one-variable inputs h1 and the
+    two-variable inputs h2 (the global operators on h2[0]), against the
+    defining formula."""
+    v0, H = ctx.degree, h2[0]
+    for v in range(ctx.order):
+        for name, px, py, pg in (
+            ("table_reduced", ctx.partial_x, ctx.partial_y, ctx.partial_global),
+            ("p", ctx.tilde_partial_x, ctx.tilde_partial_y, ctx.tilde_partial_global),
+        ):
+            for one in h1:
+                assert px(v, one) == oracle_x(ctx, name, v, one), (v0, v, name)
+            for two in h2:
+                assert px(v, two) == oracle_x(ctx, name, v, two), (v0, v, name)
+                assert py(v, two) == oracle_y(ctx, name, v, two), (v0, v, name)
+            assert pg(v, H) == oracle_global(ctx, name, v, H), (v0, v, name)
+
+
 class TestMatrixKernel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_defining_formula(self, n):
@@ -137,19 +155,19 @@ class TestMatrixKernel:
             h, H = random_series1(rng, N), random_series2(rng, N)
             # one edge input of each kind per v0, in turn (all of them by n = 5)
             edge1, edge2 = edge_inputs(rng, N)
-            h1 = [h, edge1[v0 % len(edge1)]]
-            h2 = [H, edge2[v0 % len(edge2)]]
-            for v in range(N):
-                for name, px, py, pg in (
-                    ("table_reduced", ctx.partial_x, ctx.partial_y, ctx.partial_global),
-                    ("p", ctx.tilde_partial_x, ctx.tilde_partial_y, ctx.tilde_partial_global),
-                ):
-                    for one in h1:
-                        assert px(v, one) == oracle_x(ctx, name, v, one), (v0, v, name)
-                    for two in h2:
-                        assert px(v, two) == oracle_x(ctx, name, v, two), (v0, v, name)
-                        assert py(v, two) == oracle_y(ctx, name, v, two), (v0, v, name)
-                    assert pg(v, H) == oracle_global(ctx, name, v, H), (v0, v, name)
+            assert_matches_defining_formula(
+                ctx, [h, edge1[v0 % len(edge1)]], [H, edge2[v0 % len(edge2)]])
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_matches_defining_formula_at_high_order(self, n):
+        # v0 = n - 1, the sparse structure, at orders 7-9 with no padding;
+        # the one-variable edge inputs all run, the two-variable ones in turn
+        rng = random.Random(400 + n)
+        ctx = make_context(n, n - 1, [], pad=0)
+        N = ctx.order
+        edge1, edge2 = edge_inputs(rng, N)
+        assert_matches_defining_formula(
+            ctx, [random_series1(rng, N)] + edge1, [random_series2(rng, N), edge2[n % len(edge2)]])
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_global_table_matches_per_degree(self, n):

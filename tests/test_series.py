@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from qcycle.errors import (
     SeriesError,
     ZeroConstantTerm,
 )
+import qcycle.series as series_module
 from qcycle.series import (
     Series1,
     Series2,
@@ -441,6 +444,272 @@ class TestProductKernel:
         assert stopped_early or n < 4
 
 
+# -- the stored integer form, against the `Fraction` loops it replaced -----------
+
+
+def assert_canonical(s):
+    """The one stored form: int numerators in tuples over one denominator
+    den >= 1 with gcd(den, *nums) = 1 (so the zero series has den = 1), and a
+    `.coeffs` view of `Fraction`s equal to nums / den."""
+    rows = (s._nums,) if isinstance(s, Series1) else s._nums
+    view = (s.coeffs,) if isinstance(s, Series1) else s.coeffs
+    assert type(s._nums) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(x) is int for row in rows for x in row)
+    assert type(s._den) is int and s._den >= 1
+    assert gcd(s._den, *(x for row in rows for x in row)) == 1
+    assert type(view) is tuple and all(type(line) is tuple for line in view)
+    assert all(type(c) is Fraction and c == Fraction(x, s._den)
+               for row, line in zip(rows, view) for x, c in zip(row, line))
+
+
+def entrywise_by_fractions(op, *operands):
+    """op applied coefficient by coefficient, at the least order of the operands."""
+    n = min(s.trunc_order for s in operands)
+    if isinstance(operands[0], Series1):
+        return Series1([op(*(s.coeffs[u] for s in operands)) for u in range(n)])
+    return Series2([[op(*(s.coeffs[u][v] for s in operands)) for v in range(n)]
+                    for u in range(n)])
+
+
+def add_constant_by_fractions(s, c):
+    if isinstance(s, Series1):
+        return Series1([s.coeffs[0] + c] + list(s.coeffs[1:]))
+    grid = [list(row) for row in s.coeffs]
+    grid[0][0] += c
+    return Series2(grid)
+
+
+def derivative_by_fractions(s):
+    n = s.trunc_order
+    return Series1([u * s.coeffs[u] for u in range(1, n)] + [0])
+
+
+def partial_x_by_fractions(s):
+    n = s.trunc_order
+    return Series2([[u * c for c in s.coeffs[u]] for u in range(1, n)] + [[0] * n])
+
+
+def partial_y_by_fractions(s):
+    n = s.trunc_order
+    return Series2([[v * row[v] for v in range(1, n)] + [0] for row in s.coeffs])
+
+
+def reciprocal_by_fractions(s):
+    """`Series1.reciprocal` as the `Fraction` recurrence it was; its oracle."""
+    a = s.coeffs
+    n = len(a)
+    inv0 = 1 / a[0]
+    out = [Fraction(0)] * n
+    out[0] = inv0
+    for k in range(1, n):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            if a[j]:
+                acc += a[j] * out[k - j]
+        out[k] = -inv0 * acc
+    return Series1(out)
+
+
+def compose_by_fractions(outer, inner):
+    """outer(inner) with every power and sum made by the `Fraction` loops."""
+    n = min(len(outer.coeffs), inner.trunc_order)
+    inner = inner.truncated(n)
+    if isinstance(inner, Series1):
+        multiply, power = series1_product_by_fractions, Series1.one(n)
+    else:
+        multiply, power = series2_product_by_fractions, Series2.monomial(0, 0, n)
+    acc = entrywise_by_fractions(lambda c: outer.coeffs[0] * c, power)
+    for ck in outer.coeffs[1:]:
+        power = multiply(power, inner)
+        acc = entrywise_by_fractions(lambda x, y: x + ck * y, acc, power)
+    return acc
+
+
+def one_variable_cases(a, b, f):
+    """(result, oracle) for every operation of `Series1` on the operands."""
+    inner = b.add_constant(-b.coeffs[0])
+    cases = [
+        (a + b, entrywise_by_fractions(lambda x, y: x + y, a, b)),
+        (a - b, entrywise_by_fractions(lambda x, y: x - y, a, b)),
+        (-a, entrywise_by_fractions(lambda x: -x, a)),
+        (a.scale(f), entrywise_by_fractions(lambda x: f * x, a)),
+        (a.scale(0), Series1.zero(a.trunc_order)),
+        (a.add_constant(f), add_constant_by_fractions(a, f)),
+        (a * b, series1_product_by_fractions(a, b)),
+        (a.derivative(), derivative_by_fractions(a)),
+        (a.truncated(1), Series1(a.coeffs[:1])),
+        (compose(a, inner), compose_by_fractions(a, inner)),
+    ]
+    if a.coeffs[0]:
+        cases.append((a.reciprocal(), reciprocal_by_fractions(a)))
+    return cases
+
+
+def two_variable_cases(g, h, s, f):
+    """(result, oracle) for every operation of `Series2` on the operands."""
+    n = g.trunc_order
+    inner = s.add_constant(-s.coeffs[0])
+    cases = [
+        (g + h, entrywise_by_fractions(lambda x, y: x + y, g, h)),
+        (g - h, entrywise_by_fractions(lambda x, y: x - y, g, h)),
+        (-g, entrywise_by_fractions(lambda x: -x, g)),
+        (g.scale(f), entrywise_by_fractions(lambda x: f * x, g)),
+        (g.scale(0), Series2.zero(n)),
+        (g.add_constant(f), add_constant_by_fractions(g, f)),
+        (g * h, series2_product_by_fractions(g, h)),
+        (g.mul_x_series(s), mul_x_series_by_fractions(g, s)),
+        (g.mul_y_series(s), mul_y_series_by_fractions(g, s)),
+        (substitute_y(g, inner), substitute_y_by_fractions(g, inner)),
+        (g.partial_x(), partial_x_by_fractions(g)),
+        (g.partial_y(), partial_y_by_fractions(g)),
+        (g.transposed(), Series2(zip(*g.coeffs))),
+        (g.truncated(1), Series2([g.coeffs[0][:1]])),
+        (compose(s, g.add_constant(-g.coeffs[0][0])),
+         compose_by_fractions(s, g.add_constant(-g.coeffs[0][0]))),
+    ]
+    for k in (0, n - 1):
+        cases.append((g.slice_y(k), Series1([row[k] for row in g.coeffs])))
+        cases.append((g.slice_x(k), Series1(g.coeffs[k])))
+    return cases
+
+
+def assert_cases(cases):
+    for result, oracle in cases:
+        assert result == oracle
+        assert result.trunc_order == oracle.trunc_order
+        assert_canonical(result)
+
+
+@st.composite
+def mixed_orders(draw, kind):
+    """Two operands of orders 1-6, either way round, and a rational factor."""
+    a = draw(kind(draw(st.integers(1, 6))))
+    b = draw(kind(draw(st.integers(1, 6))))
+    return a, b, draw(rationals)
+
+
+class TestIntegerForm:
+    """Each operation on the stored (nums, den) form against the `Fraction`
+    loop it replaced, with the canonical form asserted after each one."""
+
+    @given(operands=mixed_orders(series1))
+    @settings(max_examples=50, deadline=None)
+    def test_one_variable_operations(self, operands):
+        a, b, f = operands
+        assert_canonical(a)
+        assert_cases(one_variable_cases(a, b, f))
+
+    @given(operands=mixed_orders(series2), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_two_variable_operations(self, operands, data):
+        g, h, f = operands
+        s = data.draw(series1(data.draw(st.integers(1, 6))))
+        assert_canonical(g)
+        assert_cases(two_variable_cases(g, h, s, f))
+        x_order, y_order = min(g.trunc_order, h.trunc_order), data.draw(st.integers(0, 6))
+        y_order = min(y_order, x_order)
+        assert g.agrees_with(h, x_order, y_order) == all(
+            g.coeffs[u][v] == h.coeffs[u][v] for u in range(x_order) for v in range(y_order))
+        assert g.agrees_with(g.scale(3).scale(Fraction(1, 3)), g.trunc_order, g.trunc_order)
+
+    @pytest.mark.parametrize("order_a, order_b", [(9, 9), (9, 7), (7, 9)])
+    def test_order_nine(self, order_a, order_b):
+        # zero, the top monomial, sparse and dense grids over coprime denominators
+        rng = random.Random(900 + order_a * 10 + order_b)
+        f = Fraction(-7, 15)
+        ones = _series1_operands(rng, order_b)
+        for a in _series1_operands(rng, order_a):
+            for b in ones[::3]:
+                assert_cases(one_variable_cases(a, b, f))
+        twos = _product_operands(rng, order_b)
+        for g in _product_operands(rng, order_a):
+            for h, s in zip(twos[::2], ones[::3]):
+                assert_cases(two_variable_cases(g, h, s, f))
+
+    def test_zero_and_top_monomial(self):
+        for n in (1, 2, 9):
+            top = Series2.monomial(n - 1, n - 1, n, Fraction(6, 4))
+            assert (top._nums[n - 1][n - 1], top._den) == (3, 2)
+            assert (top * top).is_zero() == (n > 1)
+            for s in (Series1.zero(n), Series2.zero(n), top.scale(0), top - top,
+                      Series1.monomial(n - 1, n, Fraction(-3, 97)).scale(0)):
+                assert_canonical(s)
+                assert s._den == 1 and s.is_zero()
+
+    def test_equal_by_different_routes(self):
+        half = Fraction(1, 2)
+        routes = [
+            Series1([half, 1, 0]),
+            Series1([Fraction(3, 6), Fraction(4, 4), 0]),
+            Series1([1, 2, 0]).scale(half),
+            Series1([half, 3, 5]) - Series1([0, 2, 5]),
+            Series1.constant(half, 3) + Series1.x(3),
+            Series1([1, 2, 0]) * Series1.constant(half, 3),
+            Series1([2, 0, 0]).reciprocal().add_constant(0) + Series1.x(3),
+            Series1([half, 1, 0, 7]).truncated(3),
+            Series1([0, half, half]).derivative(),
+            Series2([[half, 0, 0], [1, 0, 0], [0, 0, 0]]).slice_y(0),
+            Series2([[half, 1, 0], [0, 0, 0], [0, 0, 0]]).slice_x(0),
+            Series1.from_payload({"trunc_order": 3, "coeffs": ["1/2", "1", "0"]}),
+        ]
+        grid = [[half, 0, 0], [1, 0, Fraction(2, 3)], [0, 0, 0]]
+        routes2 = [
+            Series2(grid),
+            Series2(zip(*grid)).transposed(),
+            Series2(grid).scale(3).scale(Fraction(1, 3)),
+            Series2.from_y_slices([Series1([half, 1, 0]), Series1.zero(3),
+                                   Series1([0, Fraction(2, 3), 0])], 3),
+            Series2.monomial(0, 0, 3, half) + Series2.monomial(1, 0, 3)
+            + Series2.monomial(1, 2, 3, Fraction(2, 3)),
+            Series2([[half, 0, 0, 1], [1, 0, Fraction(2, 3), 0], [0, 0, 0, 0],
+                     [0, 0, 0, 0]]).truncated(3),
+            Series2.from_payload(Series2(grid).to_payload()),
+        ]
+        for group in (routes, routes2):
+            for s in group:
+                assert_canonical(s)
+                assert s == group[0] and hash(s) == hash(group[0])
+                assert s._nums == group[0]._nums and s._den == group[0]._den
+        assert len({*routes, *routes2}) == 2
+
+    def test_views_are_fractions_of_their_own_series(self):
+        a, b = Series1([1, Fraction(1, 3)]), Series1([Fraction(2, 5), 7])
+        sums = [a + b, a - b]
+        assert [s.coeffs for s in sums] == [(Fraction(7, 5), Fraction(22, 3)),
+                                           (Fraction(3, 5), Fraction(-20, 3))]
+        g, h = Series2.monomial(1, 0, 2, Fraction(1, 3)), Series2.monomial(0, 1, 2, 5)
+        assert (g + h).coeffs == ((0, 5), (Fraction(1, 3), 0))
+        assert (g - h).coeffs == ((0, -5), (Fraction(1, 3), 0))
+        for s in (a, b, *sums, g, h):
+            assert_canonical(s)
+            assert s.coeffs is s.coeffs
+
+    def test_sum_over_lcm_of_denominators(self, monkeypatch):
+        # + and - form their sum over lcm(da, db), not da * db, so repeated
+        # sums do not grow the integers
+        seen, reduced = [], series_module._reduced
+
+        def spy(rows, den):
+            seen.append(den)
+            return reduced(rows, den)
+
+        monkeypatch.setattr(series_module, "_reduced", spy)
+        a, b = Series1([Fraction(1, 6), 1]), Series1([Fraction(1, 10), 1])
+        g, h = Series2([[Fraction(1, 6)]]), Series2([[Fraction(1, 10)]])
+        for result in (a + b, a - b, g + h, g - h):
+            assert seen.pop() == 30
+
+    def test_public_constructors_reject_floats_and_bools(self):
+        for bad in (0.1, 2.0, True):
+            for build in (lambda: Series1([1, bad]), lambda: Series2([[bad]]),
+                          lambda: Series1.monomial(1, 3, bad),
+                          lambda: Series2.monomial(0, 0, 2, bad),
+                          lambda: Series1.one(2).scale(bad),
+                          lambda: Series2.zero(2).add_constant(bad)):
+                with pytest.raises(TypeError):
+                    build()
+
+
 class TestParsing:
     def test_rational_round_trip(self):
         assert parse_rational("3/4") == Fraction(3, 4)
@@ -481,6 +750,10 @@ class TestParsing:
         for coeffs in ("000", ["00", "00"], [["0", "0"], "00"]):
             with pytest.raises(ParseError):
                 Series2.from_payload({"trunc_order": 2, "coeffs": coeffs})
+        # an empty series is malformed input, like every other bad payload
+        for cls in (Series1, Series2):
+            with pytest.raises(ParseError, match="positive"):
+                cls.from_payload({"trunc_order": 0, "coeffs": []})
 
 
 class TestAlgebraProperties:
