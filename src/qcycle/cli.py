@@ -49,9 +49,11 @@ RATIONAL_OPTIONS = ("--params", "--lambdas", "--mu")
 # grows about as the fourth power of the order, and nothing bounds --pad.
 MAX_OPS_ORDER = 24
 
-# Largest declared "n" that `verify --full` or `verify --solution` accepts.
-# Their cost grows about as n^6: `verify --full --solution` on a v0 = 1
-# standard cycle takes about 13 s of CPU at n = 20 and 36 s at n = 24.
+# Largest n that the subcommands running a braid scan accept: `scc`,
+# `family`, `classify` and `verify` (a declared "n" for the last two).  The
+# bound is one, so every structure `scc` or `family` emits can be verified
+# with --full --solution, whose cost grows about as n^6: on a v0 = 1
+# standard cycle it takes about 13 s of CPU at n = 20 and 36 s at n = 24.
 MAX_VERIFY_N = 24
 
 SOLUTION_CHECKS = ("solution_braid", "solution_coalgebra_endo", "solution_bijective",
@@ -83,8 +85,17 @@ def _read_tensor_file(path: str):
         raise ParseError(f"cannot read tensor file {path}: {exc}") from exc
 
 
+def _bound_n(n) -> None:
+    """Reject an n above MAX_VERIFY_N before any work is done."""
+    if type(n) is int and n > MAX_VERIFY_N:
+        raise ValidationError(f"n = {n} is above the limit {MAX_VERIFY_N} for a braid scan")
+
+
 def _load_structure(path: str) -> QCycleStructure:
-    return QCycleStructure.from_payload(_read_tensor_file(path))
+    """The structure in a tensor file, its declared "n" bounded first."""
+    payload = _read_tensor_file(path)
+    _bound_n(payload.get("n") if isinstance(payload, dict) else None)
+    return QCycleStructure.from_payload(payload)
 
 
 def _emit_json(path: str, payload: dict) -> None:
@@ -95,6 +106,7 @@ def _emit_json(path: str, payload: dict) -> None:
 
 
 def _cmd_scc(args) -> int:
+    _bound_n(args.n)
     params = StandardCycleParams.from_tail(
         args.n, args.v0, _parse_rational_list(args.params)
     )
@@ -120,13 +132,7 @@ def _cmd_scc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    payload = _read_tensor_file(args.tensor)
-    n = payload.get("n") if isinstance(payload, dict) else None
-    if (args.full or args.solution) and type(n) is int and n > MAX_VERIFY_N:
-        raise ValidationError(
-            f"structure n = {n} is above the limit {MAX_VERIFY_N} for verify --full and --solution"
-        )
-    structure = QCycleStructure.from_payload(payload)
+    structure = _load_structure(args.tensor)
     results = {}
     for name, tensor in (("p", structure.p), ("d", structure.d)):
         results[f"morphism_{name}"] = bool(is_coalgebra_morphism(tensor))
@@ -192,6 +198,7 @@ def _cmd_classify(args) -> int:
 def _cmd_family(args) -> int:
     if args.kind != "nonroot":
         raise ValidationError(f"unknown family kind: {args.kind}")
+    _bound_n(args.n)
     lambdas = _parse_rational_list(args.lambdas)
     inp = NonRootFamilyInput(args.n, lambdas, parse_rational(args.mu))
     structure = build_nonroot_family(inp)
@@ -230,18 +237,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scc", help="build a standard cycle structure")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"dimension (n <= {MAX_VERIFY_N})")
     p.add_argument("--v0", type=int, required=True)
     p.add_argument("--params", default="", help='comma list "p_{v0+1},...,p_{n-1}" (p_{v0} is 1)')
     p.add_argument("--emit-json", dest="emit_json")
     p.set_defaults(handler=_cmd_scc)
 
     p = sub.add_parser("verify", help="verify a tensor file")
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--full", action="store_true",
-                   help=f"also run the all-levels braid check (n <= {MAX_VERIFY_N})")
-    p.add_argument("--solution", action="store_true",
-                   help=f"build the solution map and check it (n <= {MAX_VERIFY_N})")
+    p.add_argument("--tensor", required=True, help=f"structure file (n <= {MAX_VERIFY_N})")
+    p.add_argument("--full", action="store_true", help="also run the all-levels braid check")
+    p.add_argument("--solution", action="store_true", help="build the solution map and check it")
     p.add_argument("--report-json", dest="report_json")
     p.set_defaults(handler=_cmd_verify)
 
@@ -255,12 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ops_check)
 
     p = sub.add_parser("classify", help="classification row of a tensor file")
-    p.add_argument("--tensor", required=True)
+    p.add_argument("--tensor", required=True, help=f"structure file (n <= {MAX_VERIFY_N})")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("family", help="build a classified family")
     p.add_argument("kind", choices=["nonroot"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"dimension (n <= {MAX_VERIFY_N})")
     p.add_argument("--lambdas", required=True, help='comma list "lambda_1,...,lambda_{n-1}"')
     p.add_argument("--mu", required=True)
     p.add_argument("--emit-json", dest="emit_json")

@@ -12,22 +12,24 @@ The form is canonical: den >= 1, gcd(den, *nums) = 1, and the zero series has
 den = 1.  So `==` and `hash` compare the stored tuples, and no
 cross-multiplication is needed.  Every operation reads and writes the
 integers and normalises its result once, with one `math.gcd` (`_reduced`).
+The base `_Stored` holds this form for the tensors (`tensor.CoeffTensor`)
+and the maps on C (x) C (`solution.LinearMap2`) too.
 
 Where `Fraction`s are made.  Only at the edges:
-  * the public constructors coerce each coefficient with `as_fraction` (a
-    float or a bool raises) and scale the grid to integers;
-  * `.coeffs`, a read-only tuple (of tuples) of `Fraction`s, is built on its
-    first read and cached in a slot that is not part of equality or hash;
-    `coefficient`, indexing and payloads read it.
+  * the public constructors coerce each value with `as_fraction` (a float or
+    a bool raises) and scale the grid to integers (`integer_grid`);
+  * `.coeffs` (`.entries`, `.matrix`), a read-only tuple of tuples of
+    `Fraction`s, is built on its first read and cached in a slot that is not
+    part of equality or hash; `coefficient`, indexing and payloads read it.
 Internal results are built by `_from_ints` from integers already normalised.
 
 Every series product (in one or two variables, by an x- or a y-series, and
 in `substitute_y`) runs on the one kernel `_mul_ints`, the product in
-A = K[u, v]/<u^n, v^n> that the tensor and solution layers also use; its
-denominator is the product of the operands' (a one-variable series being a
-grid of one row).  `substitute_y` sums its products over one denominator.
-The `Fraction` loops these operations replaced survive only in the tests, as
-oracles.
+A = K[u, v]/<u^n, v^n>; its denominator is the product of the operands' (a
+one-variable series being a grid of one row).  The one power-chain kernel
+`_chain_break` on it checks a tensor and a map on C (x) C as algebra maps on
+A.  The `Fraction` loops these operations replaced survive only in the tests,
+as oracles.
 
 Values are immutable after construction (tuples all the way down), so they are
 safe to share freely, including across threads.
@@ -123,6 +125,21 @@ def _mul_ints(a, b, n: int) -> list[list[int]]:
     return out
 
 
+def _chain_break(chain, gen, den: int, n: int):
+    """The first failing link of the power chain chain[k] = chain[k - 1] gen
+    in K[u, v]/<u^n, v^n>, for n x n integer grids over the one denominator
+    den: (k, i, j, p) for the least k >= 1, then the first (i, j), with
+    den * chain[k][i][j] != p, p being that entry of the integer product
+    chain[k - 1] gen; None when every link holds."""
+    for k in range(1, len(chain)):
+        product = _mul_ints(chain[k - 1], gen, n)
+        for i, (row, line) in enumerate(zip(chain[k], product)):
+            if [x * den for x in row] != line:
+                j = next(j for j, (x, p) in enumerate(zip(row, line)) if x * den != p)
+                return k, i, j, line[j]
+    return None
+
+
 def _reduced(rows, den: int):
     """(rows, den) divided by their gcd: the canonical form of a grid of
     integer rows over the positive denominator den, as a tuple of tuples."""
@@ -165,58 +182,60 @@ def general_binomial(alpha: Fraction, k: int) -> Fraction:
     return result
 
 
-class _Series:
-    """The stored form shared by `Series1` and `Series2`: numerators `_nums`
-    over the denominator `_den`, canonical, and the cached `Fraction` view
-    `_coeffs`.  The operations written once here read the numerators as rows
-    (`_rows`, one row for a `Series1`) and shape rows back (`_shaped`)."""
+class _Stored:
+    """The one stored form of `Series1`, `Series2`, `CoeffTensor` and
+    `LinearMap2`: integer numerators `_nums` over the denominator `_den`,
+    canonical (den >= 1, gcd(den, *nums) = 1, den = 1 for zero), immutable,
+    compared and hashed on the integers, and the `Fraction` view `_view`, made
+    on its first read (`_fractions`).  A class reads its numerators as rows
+    (`_rows`) and shapes rows back (`_shaped`); by default both are the
+    identity on a tuple of int rows."""
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den", "_view")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _rows(self) -> tuple:
+        return self._nums
+
+    @staticmethod
+    def _shaped(rows: tuple) -> tuple:
+        return rows
 
     def _store(self, view: tuple) -> None:
         """Set the stored form from rows of `Fraction`s, kept as the view."""
         ints, den = integer_grid(view)
         object.__setattr__(self, "_nums", self._shaped(tuple(map(tuple, ints))))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_coeffs", self._shaped(view))
+        object.__setattr__(self, "_view", self._shaped(view))
 
     @classmethod
     def _from_ints(cls, nums: tuple, den: int):
-        """The series stored as (nums, den), which must be canonical."""
+        """The value stored as (nums, den), which must be canonical."""
         if not nums:
             raise SeriesError("truncation order must be positive")
         self = object.__new__(cls)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_coeffs", None)
+        object.__setattr__(self, "_view", None)
         return self
 
     @classmethod
     def _from_rows(cls, rows, den: int):
-        """The series with the integer rows `rows` over den > 0, normalised."""
+        """The value with the integer rows `rows` over den > 0, normalised."""
         rows, den = _reduced(rows, den)
         return cls._from_ints(cls._shaped(rows), den)
 
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as `Fraction`s, made on the first read and kept."""
-        view = self._coeffs
+    def _fractions(self) -> tuple:
+        """The values as `Fraction`s, made on the first read and kept."""
+        view = self._view
         if view is None:
             den = self._den
             view = self._shaped(tuple(tuple(Fraction(x, den) if x else ZERO for x in row)
                                       for row in self._rows()))
-            object.__setattr__(self, "_coeffs", view)
+            object.__setattr__(self, "_view", view)
         return view
-
-    @property
-    def trunc_order(self) -> int:
-        return len(self._nums)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self._rows()))
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self._den == other._den
@@ -224,6 +243,21 @@ class _Series:
 
     def __hash__(self):
         return hash((self._nums, self._den))
+
+
+class _Series(_Stored):
+    """The operations written once for `Series1` and `Series2`, on their rows."""
+
+    __slots__ = ()
+
+    coeffs = property(_Stored._fractions, doc="The coefficients as `Fraction`s.")
+
+    @property
+    def trunc_order(self) -> int:
+        return len(self._nums)
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self._rows()))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -400,13 +434,6 @@ class Series2(_Series):
         if any(len(row) != n for row in rows):
             raise SeriesError("coefficient grid must be square")
         self._store(rows)
-
-    def _rows(self) -> tuple:
-        return self._nums
-
-    @staticmethod
-    def _shaped(rows: tuple) -> tuple:
-        return rows
 
     def _grid(self, n: int) -> tuple:
         """The numerators truncated to order n (at most the own order)."""

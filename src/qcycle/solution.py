@@ -25,12 +25,13 @@ of `gp_map(t)` is v^b times level k of t, and row (k, l) of the solution map
 is L_k E_l (see `build_solution`).  The braid and involution checks of s pull
 monomials of the dual of C (x) C (x) C back through its rows.
 
-The exact kernels run on integers over common denominators, and a `Fraction`
-is made only for a nonzero result: `superscript_map` is a fraction-free
-recurrence on integer blocks N_j (see its docstring), `build_solution` makes
-the L_k and the row products L_k E_l in `int`, and
-`is_coalgebra_endomorphism` compares each row, scaled on its own, with the
-integer product of a generator row and its predecessor.
+A map is stored as integer rows over one denominator, the one stored form of
+`qcycle.series` (`_Stored`), and the exact kernels read those integers: a
+`Fraction` is made only for the `matrix` view or a result.  `build_solution`
+and `gp_map` store their integer rows as made, `superscript_map` is a
+fraction-free recurrence on integer blocks N_j (see its docstring), and
+`is_coalgebra_endomorphism` runs the rows through the power-chain kernel
+`_chain_break` that `tensor.is_coalgebra_morphism` also uses.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Optional
 
 from .errors import NotComultiplicative, SingularGd, SingularGp
-from .series import ONE, Series2, ZERO, _mul_ints, as_fraction, integer_grid
+from .series import (ONE, Series2, ZERO, _chain_break, _mul_ints, _Stored, as_fraction,
+                     integer_grid)
 from .tensor import (
     CheckResult,
     CoeffTensor,
@@ -55,44 +57,51 @@ from .tensor import (
 MAX_VIOLATIONS = 20
 
 
-class LinearMap2:
+class LinearMap2(_Stored):
     """Exact n^2 x n^2 matrix acting on C (x) C in the basis {x_i (x) x_j}.
 
     Basis pairs are flattened as (i, j) -> i * n + j; matrix[row][col] is the
-    coefficient of the row basis vector in the image of the column one.
-    `from_rows` and `rows` read the map as its rows in A instead, and are the
-    only code that turns a row index k * n + l into (k, l) or back.
+    coefficient of the row basis vector in the image of the column one.  The
+    matrix is stored as integer rows over one denominator (`series._Stored`),
+    and `matrix` is its `Fraction` view.  `from_rows` and `rows` read the map
+    as its rows in A instead; they and `_grids` are the only code that turns
+    a row index k * n + l into (k, l) or back.
     """
 
-    __slots__ = ("n", "matrix")
+    __slots__ = ()
 
     def __init__(self, n: int, matrix):
         dim = n * n
         rows = tuple(tuple(as_fraction(v) for v in row) for row in matrix)
         if n < 2 or len(rows) != dim or any(len(r) != dim for r in rows):
             raise ValueError("matrix must be n^2 x n^2 with n >= 2")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", rows)
+        self._store(rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap2 is immutable")
+    matrix = property(_Stored._fractions, doc="The matrix entries as `Fraction`s.")
+
+    @property
+    def n(self) -> int:
+        return isqrt(len(self._nums))
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "LinearMap2":
         """The map whose row (k, l) is the series rows[k][l] in A (see `rows`)."""
-        return cls(
-            n, [[c for line in row.coeffs for c in line] for rows_k in rows for row in rows_k]
-        )
+        den = lcm(*(row._den for rows_k in rows for row in rows_k))
+        return cls._from_rows([[x * (den // row._den) for line in row._nums for x in line]
+                               for rows_k in rows for row in rows_k], den)
 
     def rows(self) -> list[list[Series2]]:
         """Row (k, l) as the series sum_{i,j} s[(k, l), (i, j)] u^i v^j in
         A = K[u, v]/<u^n, v^n>, the dual of C (x) C: the image of u^k v^l
         under the transpose of s."""
-        n, M = self.n, self.matrix
-        return [
-            [Series2([M[k * n + l][i * n:(i + 1) * n] for i in range(n)]) for l in range(n)]
-            for k in range(n)
-        ]
+        return [[Series2._from_rows(grid, self._den) for grid in grids]
+                for grids in self._grids()]
+
+    def _grids(self) -> list[list[list[tuple]]]:
+        """Row (k, l) as the n x n integer grid over the stored denominator."""
+        n, M = self.n, self._nums
+        return [[[M[k * n + l][i * n:(i + 1) * n] for i in range(n)] for l in range(n)]
+                for k in range(n)]
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap2":
@@ -102,21 +111,12 @@ class LinearMap2:
     def flip(cls, n: int) -> "LinearMap2":
         return cls.from_rows(n, [[Series2.monomial(l, k, n) for l in range(n)] for k in range(n)])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearMap2) and self.n == other.n and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash((self.n, self.matrix))
-
     def compose(self, other: "LinearMap2") -> "LinearMap2":
-        """self after other (matrix product self * other)."""
-        a, b = self.matrix, other.matrix
-        bt = list(zip(*b))
-        out = [
-            [sum((x * y for x, y in zip(arow, bcol) if x and y), ZERO) for bcol in bt]
-            for arow in a
-        ]
-        return LinearMap2(self.n, out)
+        """self after other (matrix product self * other), on the integers."""
+        bt = list(zip(*other._nums))
+        return LinearMap2._from_rows(
+            [[sum(x * y for x, y in zip(arow, bcol) if x) for bcol in bt] for arow in self._nums],
+            self._den * other._den)
 
     def is_identity(self) -> bool:
         return self == LinearMap2.identity(self.n)
@@ -285,10 +285,10 @@ def gp_map(t: CoeffTensor) -> LinearMap2:
     t[.][0][.] on the diagonal: invertible exactly when that block is.
     """
     n = t.n
-    levels = [Series2(t.level(k)) for k in range(n)]
-    return LinearMap2.from_rows(
-        n, [[Series2.monomial(0, b, n) * levels[k] for b in range(n)] for k in range(n)]
-    )
+    ints, den = t.scaled_integers()
+    return LinearMap2._from_rows(
+        [[x for row in ints for x in [0] * b + [col[k] for col in row[:n - b]]]
+         for k in range(n) for b in range(n)], den)
 
 
 # G_d sends x_i (x) x_j to sum_{a+b=j} t(x_i (x) x_b) (x) x_a.  C is
@@ -418,11 +418,8 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
                     for row, out in zip(E[m], grid):
                         out[j2:] = [o + x * c for o, x in zip(out[j2:], row)]
         L.append(grid)
-    den = den_e * den_e * den_d
-    return LinearMap2(n, [
-        [Fraction(v, den) if v else ZERO for line in _mul_ints(L[k], E[l], n) for v in line]
-        for k in range(n) for l in range(n)
-    ])
+    return LinearMap2._from_rows([[v for line in _mul_ints(L[k], E[l], n) for v in line]
+                                  for k in range(n) for l in range(n)], den_e * den_e * den_d)
 
 
 def _transpose_kernel(s: LinearMap2, factors: int):
@@ -432,8 +429,7 @@ def _transpose_kernel(s: LinearMap2, factors: int):
     in (y1, y2), times y3^c.  Two words in s12^T and s23^T agree on the
     monomials in y1..y_factors iff they agree on starts: the generators when s
     is a coalgebra endomorphism (each word is then an algebra map), else all."""
-    n = s.n
-    ints, den = integer_grid(s.matrix)
+    n, ints, den = s.n, s._nums, s._den
     scaled = [[[(divmod(c, n), w) for c, w in enumerate(ints[a * n + b]) if w]
                for b in range(n)] for a in range(n)]
 
@@ -476,41 +472,17 @@ def is_coalgebra_endomorphism(s: LinearMap2) -> bool:
     under the transpose of s.  So s is a coalgebra endomorphism iff that
     transpose is a unital algebra map: row (0, 0) is 1, row (k, l) is
     X^k Y^l for the generator rows X = row (1, 0) and Y = row (0, 1), and
-    X^n = Y^n = 0.  Each row is scaled to integers over its own denominator
-    when the walk reaches it, and compared, cross-multiplied, with the
-    integer product of a generator row and the row before it.
+    X^n = Y^n = 0.  The rows, stored as integers over one denominator, run
+    through the power-chain kernel `_chain_break`: the rows (0, l) as the
+    chain of Y, each column of rows (k, l) as a chain of X.
     """
-    n, M = s.n, s.matrix
-    if M[0] != (ONE,) + (ZERO,) * (n * n - 1):
-        return False
-
-    def row(k, l):
-        line = M[k * n + l]
-        return integer_grid([line[i * n:(i + 1) * n] for i in range(n)])
-
-    def is_product(target, gen, prev) -> bool:
-        """target == gen * prev, each an (integer grid, denominator) pair."""
-        (t, den_t), (g, den_g), (p, den_p) = target, gen, prev
-        scale = den_g * den_p
-        return ([[v * den_t for v in line] for line in _mul_ints(g, p, n)]
-                == [[v * scale for v in line] for line in t])
-
-    x, y, zero = row(1, 0), row(0, 1), ([[0] * n for _ in range(n)], 1)
-    top = row(0, 0)
-    for l in range(n):
-        if l:
-            left, top = top, row(0, l)
-            if not is_product(top, y, left):
-                return False
-        below = top
-        for k in range(1, n):
-            current = row(k, l)
-            if not is_product(current, x, below):
-                return False
-            below = current
-        if l == 0 and not is_product(zero, x, below):   # X^n = 0
-            return False
-    return is_product(zero, y, top)   # Y^n = 0
+    n, den, rows = s.n, s._den, s._grids()
+    zero = [[0] * n] * n
+    return (s._nums[0] == (den,) + (0,) * (n * n - 1)
+            and _chain_break(rows[0] + [zero], rows[0][1], den, n) is None
+            and _chain_break([r[0] for r in rows] + [zero], rows[1][0], den, n) is None
+            and all(_chain_break([r[l] for r in rows], rows[1][0], den, n) is None
+                    for l in range(1, n)))
 
 
 def structure_sanity(s: QCycleStructure) -> SuiteReport:

@@ -14,53 +14,61 @@ algebra map, which is fixed by the image of y: the series
 Level k of t (the grid t[.][.][k], read as a series in A) must be G^k, and
 G^n must vanish.  `extend_from_level1` builds the powers; `is_coalgebra_morphism`
 checks them, and the check G^n = 0 is what makes the result a morphism.
-Both use the integer product in A from `qcycle.series`: the check scales t
-once to integers over a common denominator den and compares den * L_k with
-the integer product L_(k-1) G, so no `Fraction` is made unless a violation
-is reported.
+A tensor is stored as integers over one denominator den, in the one stored
+form of `qcycle.series` (`_Stored`), and both functions work on it: the
+powers are made by the integer product in A, and the check runs the
+power-chain kernel `_chain_break`, comparing den * L_k with the integer
+product L_(k-1) G, so no `Fraction` is made unless a violation is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import BadLinearTerm, NotComultiplicative, ParseError, ZeroLambda
-from .series import (ONE, ZERO, Series1, Series2, _mul_ints, as_fraction, format_rational,
-                     integer_grid, json_array, parse_rational)
+from .series import (ONE, ZERO, Series1, Series2, _chain_break, _Stored, as_fraction,
+                     format_rational, json_array, parse_rational)
 
 Grid = Sequence[Sequence[Fraction]]
 
 
-class CoeffTensor:
-    """Immutable n*n*n grid of exact rationals; entry(i, j, k) is 0 off-grid."""
+class CoeffTensor(_Stored):
+    """Immutable n*n*n grid of exact rationals; entry(i, j, k) is 0 off-grid.
 
-    __slots__ = ("n", "entries", "_scaled")
+    Stored as `_nums[i][j][k]` over `_den` (see `series._Stored`); `entries`
+    is the `Fraction` view."""
+
+    __slots__ = ()
 
     def __init__(self, entries):
         data = tuple(tuple(tuple(as_fraction(v) for v in col) for col in row) for row in entries)
         n = len(data)
         if n < 2 or any(len(r) != n for r in data) or any(len(c) != n for r in data for c in r):
             raise ValueError("entries must form an n*n*n grid with n >= 2")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", data)
+        self._store(tuple(col for row in data for col in row))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CoeffTensor is immutable")
+    entries = property(_Stored._fractions, doc="The entries as `Fraction`s.")
+
+    @property
+    def n(self) -> int:
+        return len(self._nums)
+
+    def _rows(self) -> tuple:
+        return tuple(col for row in self._nums for col in row)
+
+    @staticmethod
+    def _shaped(rows: tuple) -> tuple:
+        n = isqrt(len(rows))
+        return tuple(rows[i * n:(i + 1) * n] for i in range(n))
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
         n = self.n
         if 0 <= i < n and 0 <= j < n and 0 <= k < n:
             return self.entries[i][j][k]
         return ZERO
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoeffTensor) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"CoeffTensor(n={self.n})"
@@ -75,16 +83,9 @@ class CoeffTensor:
         return CoeffTensor(grid)
 
     def scaled_integers(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
-        """(den * entries as ints, den) for a common denominator den, made on
-        the first call and kept; nested tuples, so the shared value is immutable."""
-        try:
-            return self._scaled
-        except AttributeError:
-            n = self.n
-            flat, den = integer_grid([col for row in self.entries for col in row])
-            ints = tuple(tuple(map(tuple, flat[i * n:(i + 1) * n])) for i in range(n))
-            object.__setattr__(self, "_scaled", (ints, den))
-            return self._scaled
+        """The stored pair (den * entries as ints, den), den the least common
+        denominator; nested tuples, so the shared value is immutable."""
+        return self._nums, self._den
 
     # -- serialization -----------------------------------------------------
 
@@ -175,28 +176,24 @@ def is_coalgebra_morphism(t: CoeffTensor) -> MorphismReport:
     """Check that level 0 is 1, level k is G^k for 1 < k < n, and G^n = 0.
 
     G is level 1 read as a series in A = K[u, v]/<u^n, v^n> (see the module
-    docstring); each level is compared with the previous one times G.  The
-    comparison runs on t scaled to integers over one denominator den
-    (`CoeffTensor.scaled_integers`): den * L_k against the integer product
-    L_(k-1) G, which is den^2 times the rational one.  Only the entries of a
-    reported violation become `Fraction`s.
+    docstring).  The levels, read off the stored integers of t over its
+    denominator den, run through the power-chain kernel `_chain_break`:
+    den * L_k against the integer product L_(k-1) G, which is den^2 times the
+    rational one.  Only the entries of a reported violation become `Fraction`s.
     """
     n = t.n
-    e = t.entries
-    for i in range(n):
-        for j in range(n):
-            expect = ONE if i + j == 0 else ZERO
-            if e[i][j][0] != expect:
-                return MorphismReport(False, (i, j, 0, 0, e[i][j][0], expect))
     ints, den = t.scaled_integers()
     levels = [[[col[k] for col in row] for row in ints] for k in range(n)] + [[[0] * n] * n]
-    for k in range(2, n + 1):
-        product = _mul_ints(levels[k - 1], levels[1], n)
-        for i, (level_row, product_row) in enumerate(zip(levels[k], product)):
-            for j, (entry, value) in enumerate(zip(level_row, product_row)):
-                if entry * den != value:
-                    rhs = Fraction(value, den * den)
-                    return MorphismReport(False, (i, j, 1, k - 1, Fraction(entry, den), rhs))
+    for i, row in enumerate(levels[0]):
+        for j, x in enumerate(row):
+            expect = int(i + j == 0)
+            if x != den * expect:
+                return MorphismReport(False, (i, j, 0, 0, Fraction(x, den), Fraction(expect)))
+    found = _chain_break(levels[1:], levels[1], den, n)
+    if found:
+        k, i, j, p = found
+        return MorphismReport(False, (i, j, 1, k, Fraction(levels[k + 1][i][j], den),
+                                      Fraction(p, den * den)))
     return MorphismReport(True)
 
 
@@ -205,15 +202,19 @@ def extend_from_level1(level1: Grid) -> CoeffTensor:
 
     Level 0 is delta_{0,i+j}.  The result is a coalgebra morphism exactly when
     G^n = 0 as well, e.g. when level1 has a zero top row (no pure v^j terms).
+    The powers are made in `int` and stored over the lcm of their denominators.
     """
-    n = len(level1)
     g = Series2(level1)
+    n = g.trunc_order
+    if n < 2:
+        raise ValueError("entries must form an n*n*n grid with n >= 2")
     levels = [Series2.monomial(0, 0, n), g]
     while len(levels) < n:
         levels.append(levels[-1] * g)
-    return CoeffTensor(
-        [[[levels[w].coeffs[u][v] for w in range(n)] for v in range(n)] for u in range(n)]
-    )
+    den = lcm(*(s._den for s in levels))
+    ups = [den // s._den for s in levels]
+    return CoeffTensor._from_rows([[s._nums[u][v] * up for s, up in zip(levels, ups)]
+                                   for u in range(n) for v in range(n)], den)
 
 
 def rescale_tensor(t: CoeffTensor, lam) -> CoeffTensor:

@@ -225,16 +225,48 @@ def test_verify_rejects_a_declared_n_above_the_cap(tmp_path, monkeypatch, capsys
         return str(path)
 
     above = write(cli.MAX_VERIFY_N + 1)
-    for flags in (["--full"], ["--solution"], ["--full", "--solution"]):
+    for flags in ([], ["--full"], ["--solution"], ["--full", "--solution"]):
         start = time.perf_counter()
         assert main(["verify", "--tensor", above] + flags) == EXIT_USAGE
         assert time.perf_counter() - start < 1.0
         assert f"is above the limit {cli.MAX_VERIFY_N}" in capsys.readouterr().err
-    # without --full and --solution, and at the cap itself, the guard lets the
-    # payload through to the (stubbed) parser
-    for argv in (["--tensor", above], ["--tensor", write(cli.MAX_VERIFY_N), "--full", "--solution"]):
+    # at the cap itself the guard lets the payload through to the (stubbed) parser
+    for flags in ([], ["--full", "--solution"]):
         with pytest.raises(AssertionError, match="was parsed"):
-            main(["verify"] + argv)
+            main(["verify", "--tensor", write(cli.MAX_VERIFY_N)] + flags)
+
+
+def test_every_braid_scan_rejects_n_above_the_cap(tmp_path, monkeypatch, capsys):
+    # scc, family nonroot and classify scan at any n they are given; each
+    # rejects n = cap + 1 before it parses or builds anything (all stubbed)
+    def no_work(*args, **kwargs):
+        raise AssertionError("input was parsed or built")
+
+    for name in ("NonRootFamilyInput", "parse_rational", "classify", "check_braid_reduced"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.StandardCycleParams, "from_tail", staticmethod(no_work))
+    monkeypatch.setattr(cli.QCycleStructure, "from_payload", staticmethod(no_work))
+
+    def argvs(n):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"schema": 1, "n": n, "p": []}))
+        return (["scc", "--n", str(n), "--v0", "1", "--params=1"],
+                ["family", "nonroot", "--n", str(n), "--lambdas=2", "--mu=3/2"],
+                ["classify", "--tensor", str(path)])
+
+    for argv in argvs(cli.MAX_VERIFY_N + 1):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert f"n = {cli.MAX_VERIFY_N + 1} is above the limit {cli.MAX_VERIFY_N}" in \
+            capsys.readouterr().err
+    for argv in argvs(cli.MAX_VERIFY_N):
+        with pytest.raises(AssertionError, match="parsed or built"):
+            main(argv)
+    for command in ("scc", "verify", "classify", "family"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"n <= {cli.MAX_VERIFY_N}" in capsys.readouterr().out
 
 
 def test_classify_output(tmp_path, capsys):

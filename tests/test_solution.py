@@ -30,6 +30,7 @@ from qcycle.tensor import (
 
 from conftest import random_fraction, random_level1, standard_structure
 from test_series import series2_product_by_fractions
+from test_tensor import assert_stored_form
 
 
 def _step_block_cases(rng, n):
@@ -707,6 +708,46 @@ class TestRowBuilders:
         rows = m.rows()
         assert rows[1][2].coefficient(2, 0) == grid[1 * n + 2][2 * n + 0]
         assert LinearMap2.from_rows(n, rows) == m
+
+
+class TestStoredForm:
+    """`LinearMap2` holds the one stored form of `series._Stored`: int rows
+    over one canonical denominator, the `Fraction` matrix a view of it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_canonical(self, rng, n):
+        dim = n * n
+        zero = LinearMap2(n, [[0] * dim for _ in range(dim)])
+        assert zero._den == 1
+        maps = [zero, LinearMap2.identity(n), LinearMap2.flip(n)]
+        for s in _row_builder_cases(rng, n)[:3]:
+            m = build_solution(s)
+            maps += [m, gp_map(s.p), m.compose(m), m.inverse(), LinearMap2(n, m.matrix)]
+        for m in maps:
+            assert_stored_form(m, m._nums)
+            assert len(m._nums) == dim and m.n == n
+            assert m.matrix == tuple(tuple(Fraction(x, m._den) for x in row) for row in m._nums)
+        for name in ("_nums", "_den", "n", "matrix"):
+            with pytest.raises(AttributeError):
+                setattr(maps[3], name, None)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equal_by_different_routes(self, rng, n):
+        for s in _row_builder_cases(rng, n)[:3]:
+            m = build_solution(s)
+            routes = [
+                LinearMap2(n, m.matrix),
+                LinearMap2(n, [[Fraction(3 * v.numerator, 3 * v.denominator) for v in row]
+                               for row in m.matrix]),
+                LinearMap2.from_rows(n, m.rows()),
+                solution_by_fractions(s),
+                m.compose(LinearMap2.identity(n)),
+            ]
+            for other in routes:
+                assert other == m and hash(other) == hash(m)
+                assert (other._nums, other._den) == (m._nums, m._den)
+        assert LinearMap2.flip(n).compose(LinearMap2.flip(n)) == LinearMap2.identity(n)
+        assert LinearMap2.identity(n) != LinearMap2.flip(n)
 
 
 class TestSanity:

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -305,16 +305,76 @@ class TestPayload:
         assert QCycleStructure.from_payload(payload) == involutive
 
 
-class TestScaledIntegers:
-    def test_scaled_once_and_immutable(self, rng):
+def assert_stored_form(value, rows):
+    """The one stored form of `series._Stored`: int numerators in nested
+    tuples over one denominator den >= 1 with gcd(den, *nums) = 1 (so zero
+    has den = 1); `rows` lists the numerator rows of `value`."""
+    assert type(value._den) is int and value._den >= 1
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in rows)
+    assert gcd(value._den, *(x for row in rows for x in row)) == 1
+
+
+def tensor_rows(t):
+    return [col for row in t._nums for col in row]
+
+
+class TestStoredForm:
+    def test_scaled_integers_is_the_stored_pair(self, rng):
         t = extend_from_level1(random_level1(rng, 4))
         ints, den = t.scaled_integers()
-        assert t.scaled_integers() is t.scaled_integers()
+        assert ints is t._nums and den == t._den
         assert all(isinstance(part, tuple) for part in (ints, ints[0], ints[0][0]))
         for i, j, k in itertools.product(range(4), repeat=3):
             assert Fraction(ints[i][j][k], den) == t.entry(i, j, k)
-        # the cached pair is not part of the value
+        # the Fraction view is not part of the value
         fresh = CoeffTensor(t.entries)
         assert t == fresh and hash(t) == hash(fresh)
-        with pytest.raises(AttributeError):
-            t._scaled = None
+        for name in ("_nums", "_den", "_view", "n", "entries"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+
+    def test_canonical(self, rng):
+        zero = CoeffTensor([[[0] * 3] * 3] * 3)
+        assert (zero._den, zero.scaled_integers()[1]) == (1, 1)
+        halves = CoeffTensor([[[Fraction(2, 4)] * 2] * 2] * 2)
+        assert halves.scaled_integers() == ((((1, 1),) * 2,) * 2, 2)
+        for n in (2, 3, 4):
+            base = extend_from_level1(random_level1(rng, n))
+            for t in (zero, halves, counit_action(n), base, rescale_tensor(base, Fraction(-3, 2)),
+                      base.with_entry(1, 1, 1, Fraction(6, 4)), CoeffTensor(base.entries)):
+                assert_stored_form(t, tensor_rows(t))
+                assert t.entries == tuple(tuple(tuple(Fraction(x, t._den) for x in col)
+                                                for col in row) for row in t._nums)
+
+    def test_equal_by_different_routes(self, rng):
+        for n in (2, 3, 5):
+            level1 = random_level1(rng, n)
+            t = extend_from_level1(level1)
+            routes = [
+                CoeffTensor(t.entries),
+                CoeffTensor([[[int(v) if v.denominator == 1 else v for v in col] for col in row]
+                             for row in t.entries]),
+                CoeffTensor.from_payload(t.to_payload()),
+                extend_from_level1([[Fraction(2 * v.numerator, 2 * v.denominator) for v in row]
+                                    for row in level1]),
+                rescale_tensor(rescale_tensor(t, 3), Fraction(1, 3)),
+                t.with_entry(0, 0, 0, 1),
+            ]
+            for other in routes:
+                assert other == t and hash(other) == hash(t)
+                assert other.scaled_integers() == t.scaled_integers()
+            assert len({t, *routes, t.with_entry(1, 1, 1, t.entry(1, 1, 1) + 1)}) == 2
+
+    def test_extension_matches_fraction_powers(self, rng):
+        # `extend_from_level1` stores its powers over their lcm; the entries
+        # are those of the `Fraction` powers of G
+        for n in (2, 3, 4):
+            level1 = random_level1(rng, n, zero_top_row=False)
+            g = Series2(level1)
+            powers = [Series2.monomial(0, 0, n), g]
+            while len(powers) < n:
+                powers.append(series2_product_by_fractions(powers[-1], g))
+            t = extend_from_level1(level1)
+            assert t.entries == tuple(tuple(tuple(powers[w].coeffs[u][v] for w in range(n))
+                                            for v in range(n)) for u in range(n))
+            assert_stored_form(t, tensor_rows(t))
