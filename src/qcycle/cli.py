@@ -16,6 +16,7 @@ errors.  Rationals are written "a/b" (or "a"); JSON documents carry
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -229,7 +230,10 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused: parsing
+    does not change it, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qcycle",
         description="exact construction and verification of q-cycle coalgebra structures",

@@ -30,8 +30,10 @@ A map is stored as integer rows over one denominator, the one stored form of
 `Fraction` is made only for the `matrix` view or a result.  `build_solution`
 and `gp_map` store their integer rows as made, `superscript_map` is a
 fraction-free recurrence on integer blocks N_j (see its docstring), and
-`is_coalgebra_endomorphism` runs the rows through the power-chain kernel
-`_chain_break` that `tensor.is_coalgebra_morphism` also uses.
+the power-chain kernel `_chain_break` that `tensor.is_coalgebra_morphism`
+also uses decides whether s is a coalgebra endomorphism: `build_solution` runs
+it on the factors L_k and E_l and stores the verdict on the map, and
+`is_coalgebra_endomorphism` runs it on the rows of a map without one.
 """
 
 from __future__ import annotations
@@ -65,10 +67,12 @@ class LinearMap2(_Stored):
     matrix is stored as integer rows over one denominator (`series._Stored`),
     and `matrix` is its `Fraction` view.  `from_rows` and `rows` read the map
     as its rows in A instead; they and `_grids` are the only code that turns
-    a row index k * n + l into (k, l) or back.
+    a row index k * n + l into (k, l) or back.  The slot `_endo` keeps the
+    verdict of `is_coalgebra_endomorphism` once it is known; like the view,
+    it is not part of equality or hash.
     """
 
-    __slots__ = ()
+    __slots__ = ("_endo",)
 
     def __init__(self, n: int, matrix):
         dim = n * n
@@ -325,11 +329,18 @@ def superscript_map(p: CoeffTensor) -> list[list[list[Fraction]]]:
     ]
 
 
+def _step_block(t: CoeffTensor) -> list[list[Fraction]]:
+    """The n x n step block t[.][0][.] as `Fraction`s, read off the stored
+    integers (n^2 values, not the n^3 view)."""
+    ints, den = t.scaled_integers()
+    return [[Fraction(x, den) for x in row[0]] for row in ints]
+
+
 def _superscript_blocks(p: CoeffTensor) -> tuple[list, list[int]]:
     """(blocks, dens): the integer blocks N_j of `superscript_map` and their
     denominators D^(j+1) P^j, so that E[i][j][k] = blocks[j][i][k] / dens[j]."""
     n = p.n
-    step_inv = _invert([row[0] for row in p.entries])
+    step_inv = _invert(_step_block(p))
     if step_inv is None:
         raise SingularGp("left side map is not invertible")
     S, D = integer_grid(step_inv)
@@ -394,10 +405,12 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     read off the integer blocks of `superscript_map` (`_superscript_blocks`)
     without a `Fraction` per entry, d is scaled to integers, the L_k and the
     n^2 row products are made in `int`, and each nonzero entry of the map
-    becomes a `Fraction` once.
+    becomes a `Fraction` once.  Whether the map is a coalgebra endomorphism
+    is decided here on the factors (`_factor_verdict`) and stored on it for
+    `is_coalgebra_endomorphism`, unless L_0 or E_0 is not 1.
     """
     n = s.n
-    if _invert([row[0] for row in s.d.entries]) is None:
+    if _invert(_step_block(s.d)) is None:
         raise SingularGd("right side map is not invertible")
     blocks, dens = _superscript_blocks(s.p)
     # den_e is the lcm of the entries' denominators in lowest terms, and
@@ -418,8 +431,28 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
                     for row, out in zip(E[m], grid):
                         out[j2:] = [o + x * c for o, x in zip(out[j2:], row)]
         L.append(grid)
-    return LinearMap2._from_rows([[v for line in _mul_ints(L[k], E[l], n) for v in line]
+    smap = LinearMap2._from_rows([[v for line in _mul_ints(L[k], E[l], n) for v in line]
                                   for k in range(n) for l in range(n)], den_e * den_e * den_d)
+    object.__setattr__(smap, "_endo", _factor_verdict(L, E, den_e * den_d, den_e, n))
+    return smap
+
+
+def _factor_verdict(L, E, den_l: int, den_e: int, n: int) -> Optional[bool]:
+    """Whether the map with rows (k, l) = L_k E_l is a coalgebra endomorphism,
+    for the integer grids L_k over den_l and E_l over den_e; None when L_0 or
+    E_0 is not 1, where the factors decide nothing.
+
+    With L_0 = E_0 = 1, row (1, 0) is X = L_1 and row (0, 1) is Y = E_1, so
+    the rows are X^k Y^l with X^n = Y^n = 0 (`is_coalgebra_endomorphism`)
+    exactly when L_k = L_1^k and E_l = E_1^l for k, l < n and the n-th powers
+    vanish: two power chains from the generator, each closed by a zero grid,
+    2 (n - 1) products in A in place of the n^2 of the row walk.
+    """
+    zero = [[0] * n] * n
+    chains = ((E, den_e), (L, den_l))
+    if any(chain[0] != [[den] + [0] * (n - 1)] + zero[1:] for chain, den in chains):
+        return None
+    return all(_chain_break(chain[1:] + [zero], chain[1], den, n) is None for chain, den in chains)
 
 
 def _transpose_kernel(s: LinearMap2, factors: int):
@@ -475,14 +508,22 @@ def is_coalgebra_endomorphism(s: LinearMap2) -> bool:
     X^n = Y^n = 0.  The rows, stored as integers over one denominator, run
     through the power-chain kernel `_chain_break`: the rows (0, l) as the
     chain of Y, each column of rows (k, l) as a chain of X.
+
+    The verdict is kept on s, so a map is walked at most once; a map made by
+    `build_solution` with L_0 = E_0 = 1 carries the verdict of its factors
+    (`_factor_verdict`) and is not walked.
     """
-    n, den, rows = s.n, s._den, s._grids()
-    zero = [[0] * n] * n
-    return (s._nums[0] == (den,) + (0,) * (n * n - 1)
-            and _chain_break(rows[0] + [zero], rows[0][1], den, n) is None
-            and _chain_break([r[0] for r in rows] + [zero], rows[1][0], den, n) is None
-            and all(_chain_break([r[l] for r in rows], rows[1][0], den, n) is None
-                    for l in range(1, n)))
+    verdict = getattr(s, "_endo", None)
+    if verdict is None:
+        n, den, rows = s.n, s._den, s._grids()
+        zero = [[0] * n] * n
+        verdict = (s._nums[0] == (den,) + (0,) * (n * n - 1)
+                   and _chain_break(rows[0] + [zero], rows[0][1], den, n) is None
+                   and _chain_break([r[0] for r in rows] + [zero], rows[1][0], den, n) is None
+                   and all(_chain_break([r[l] for r in rows], rows[1][0], den, n) is None
+                           for l in range(1, n)))
+        object.__setattr__(s, "_endo", verdict)
+    return verdict
 
 
 def structure_sanity(s: QCycleStructure) -> SuiteReport:

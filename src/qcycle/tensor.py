@@ -23,6 +23,7 @@ product L_(k-1) G, so no `Fraction` is made unless a violation is reported.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt, lcm
@@ -33,6 +34,9 @@ from .series import (ONE, ZERO, Series1, Series2, _chain_break, _Stored, as_frac
                      format_rational, json_array, parse_rational)
 
 Grid = Sequence[Sequence[Fraction]]
+
+# A payload string "a" or "a/b" in plain decimal digits, read without a Fraction.
+_INTEGER_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class CoeffTensor(_Stored):
@@ -45,9 +49,7 @@ class CoeffTensor(_Stored):
 
     def __init__(self, entries):
         data = tuple(tuple(tuple(as_fraction(v) for v in col) for col in row) for row in entries)
-        n = len(data)
-        if n < 2 or any(len(r) != n for r in data) or any(len(c) != n for r in data for c in r):
-            raise ValueError("entries must form an n*n*n grid with n >= 2")
+        _require_cube(data)
         self._store(tuple(col for row in data for col in row))
 
     entries = property(_Stored._fractions, doc="The entries as `Fraction`s.")
@@ -94,11 +96,40 @@ class CoeffTensor(_Stored):
 
     @classmethod
     def from_payload(cls, payload) -> "CoeffTensor":
+        """The tensor of a JSON payload, an n*n*n array of rationals, each an
+        "a/b" string (or an integer); stored over the lcm of the denominators."""
         try:
             rows = [[json_array(col) for col in json_array(row)] for row in json_array(payload)]
-            return cls([[[parse_rational(v) for v in col] for col in row] for row in rows])
+            pairs = [[[_payload_ratio(v) for v in col] for col in row] for row in rows]
+            _require_cube(pairs)
+            den = lcm(*(q for row in pairs for col in row for _, q in col))
+            return cls._from_rows([[x * (den // q) for x, q in col] for row in pairs for col in row],
+                                  den)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed tensor payload: {exc}") from exc
+
+
+def _require_cube(data) -> None:
+    n = len(data)
+    if n < 2 or any(len(r) != n for r in data) or any(len(c) != n for r in data for c in r):
+        raise ValueError("entries must form an n*n*n grid with n >= 2")
+
+
+def _payload_ratio(value) -> tuple[int, int]:
+    """A payload value as (numerator, denominator > 0), not necessarily in
+    lowest terms.  A string of plain digits "a" or "a/b" with b != 0 is read
+    with `int`; every other value goes through `parse_rational`, which
+    decides what is accepted and words every error."""
+    if isinstance(value, str) and _INTEGER_RATIO.fullmatch(value):
+        num, _, den = value.partition("/")
+        try:
+            den = int(den) if den else 1
+            if den:
+                return int(num), den
+        except ValueError:   # more digits than `int` reads from a string
+            pass
+    value = parse_rational(value)
+    return value.numerator, value.denominator
 
 
 def counit_action(n: int) -> CoeffTensor:

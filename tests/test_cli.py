@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +32,43 @@ def test_scc_emit_and_verify_round_trip(tmp_path, capsys):
     results = json.loads(report.read_text())
     assert results["schema"] == 1
     assert results["results"]["braid_full"] is True
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # `main` reuses the parser it built first; a run of calls in one process,
+    # usage errors included, prints and exits as separate processes do
+    scc, report = tmp_path / "scc.json", tmp_path / "report.json"
+    argvs = [
+        ["scc", "--n", "4", "--v0", "1", "--params=1/2,-2/3", "--emit-json", str(scc)],
+        ["verify", "--tensor", str(scc), "--full", "--solution", "--report-json", str(report)],
+        ["ops-check", "--n", "3", "--v0", "1", "--params=1/2", "--pad", "1"],
+        ["verify", "--full"],
+        ["fixtures", "--n", "4", "--emit", str(tmp_path / "fx")],
+        ["scc", "--n", "4", "--v0", "3", "--params="],
+    ]
+
+    def written():
+        return [path.read_text() if path.exists() else None for path in (scc, report)]
+
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err, written()))
+    assert [run[0] for run in in_process] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_USAGE,
+                                              EXIT_OK]
+    assert cli._build_parser() is cli._build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    scc.unlink()
+    report.unlink()
+    for argv, run in zip(argvs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "qcycle.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr, written()) == run, argv
 
 
 def test_verify_detects_corruption(tmp_path, capsys):

@@ -8,6 +8,7 @@ from qcycle.solution import (
     MAX_VIOLATIONS,
     BraidReport,
     LinearMap2,
+    _factor_verdict,
     _invert,
     build_solution,
     check_braid_full,
@@ -20,12 +21,13 @@ from qcycle.solution import (
     structure_sanity,
     superscript_map,
 )
-from qcycle.series import Series2
+from qcycle.series import Series2, _mul_ints
 from qcycle.tensor import (
     CoeffTensor,
     QCycleStructure,
     counit_action,
     extend_from_level1,
+    is_coalgebra_morphism,
 )
 
 from conftest import random_fraction, random_level1, standard_structure
@@ -446,6 +448,119 @@ class TestEndomorphismCheck:
             assert endomorphism_by_fractions(m) == ok
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+
+def _factor_path_cases(rng, n):
+    """Structures for the factor-path differential test: standard cycles at
+    every v0 and nonroot pairs (endomorphisms, L_0 = E_0 = 1); a p or a d
+    perturbed above level 0, or re-extended from a level 1 with a pure v^j
+    term (L_0 = E_0 = 1, most not endomorphisms); and random tensors beside
+    a standard p or d or each other (L_0 or E_0 != 1, so the row walk runs)."""
+    from qcycle.families import NonRootFamilyInput, build_nonroot_family
+
+    p = standard_structure(n, 1, [random_fraction(rng) for _ in range(n - 2)]).p
+    cases = [standard_structure(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
+             for v0 in range(1, n)]
+    for _ in range(2):
+        lambdas = [Fraction(rng.choice((-2, 2)))] + [random_fraction(rng) for _ in range(n - 2)]
+        cases.append(build_nonroot_family(NonRootFamilyInput(n, lambdas, random_fraction(rng) or 1)))
+    bumped = p.with_entry(rng.randrange(n), rng.randrange(n), rng.randrange(1, n), 5)
+    extended = extend_from_level1(random_level1(rng, n, zero_top_row=False))
+
+    def random_tensor():
+        return CoeffTensor(
+            [[[random_fraction(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        )
+
+    return cases + [
+        QCycleStructure(p, bumped), QCycleStructure.involutive(bumped),
+        QCycleStructure.involutive(extended), QCycleStructure(p, extended),
+        QCycleStructure(p, random_tensor()), QCycleStructure(random_tensor(), p),
+        QCycleStructure(random_tensor(), random_tensor()),
+    ]
+
+
+def _power_chains(n, x, y, scale_l=1, scale_e=1):
+    """(L, E) with L_k = x^k and E_l = y^l for k, l < n, as integer grids
+    over the denominators scale_l and scale_e."""
+    def powers(gen, scale):
+        grids = [[[int(i == j == 0) for j in range(n)] for i in range(n)]]
+        for _ in range(1, n):
+            grids.append(_mul_ints(grids[-1], gen, n))
+        return [[[scale * v for v in row] for row in grid] for grid in grids]
+    return powers(x, scale_l), powers(y, scale_e)
+
+
+def _generators(n):
+    """x = u + 2 u v and y = v - u v^2 (both nilpotent in A), and u + v,
+    whose n-th power is not 0 in A; as n x n integer grids."""
+    def grid(terms):
+        out = [[0] * n for _ in range(n)]
+        for (i, j), c in terms.items():
+            if i < n and j < n:
+                out[i][j] += c
+        return out
+    return grid({(1, 0): 1, (1, 1): 2}), grid({(0, 1): 1, (1, 2): -1}), grid({(1, 0): 1, (0, 1): 1})
+
+
+class TestFactorVerdict:
+    """`build_solution` decides the endomorphism property on its factors L_k
+    and E_l (`_factor_verdict`) and stores it; `is_coalgebra_endomorphism`
+    returns it, or runs the row walk when L_0 or E_0 is not 1."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_row_walk(self, rng, n):
+        stored = set()
+        for s in _factor_path_cases(rng, n):
+            try:
+                m = build_solution(s)
+            except (SingularGp, SingularGd):
+                continue
+            stored.add(getattr(m, "_endo", None))
+            # p and d morphisms make L_0 = E_0 = 1, so the factors decide
+            if is_coalgebra_morphism(s.p) and is_coalgebra_morphism(s.d):
+                assert m._endo is not None
+            walked = LinearMap2._from_ints(m._nums, m._den)
+            assert getattr(walked, "_endo", None) is None
+            assert is_coalgebra_endomorphism(m) == is_coalgebra_endomorphism(walked)
+            assert is_coalgebra_endomorphism(m) == endomorphism_by_fractions(walked)
+        # a stored True, a stored False and the row walk all ran
+        assert stored == {True, False, None}
+
+    def test_walk_verdict_is_kept(self):
+        m = LinearMap2.flip(3)
+        assert getattr(m, "_endo", None) is None
+        assert is_coalgebra_endomorphism(m) and m._endo is True
+        assert m == LinearMap2.flip(3) and hash(m) == hash(LinearMap2.flip(3))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_power_chains_decide(self, rng, n):
+        x, y, shear = _generators(n)
+        # L and E over different denominators, so that a chain run over the
+        # other's denominator breaks
+        L, E = _power_chains(n, x, y, 6, 3)
+        assert _factor_verdict(L, E, 6, 3, n) is True
+        # a perturbed power (a perturbed generator may be another generator)
+        for k in range(2, n):
+            for chain in (L, E):
+                grid = chain[k]
+                i, j = rng.randrange(n), rng.randrange(n)
+                grid[i][j] += 1
+                assert _factor_verdict(L, E, 6, 3, n) is False
+                grid[i][j] -= 1
+        # links that all hold, but the n-th power of u + v is not 0
+        L_shear, E_shear = _power_chains(n, shear, shear)
+        assert _factor_verdict(L_shear, E, 1, 3, n) is False
+        assert _factor_verdict(L, E_shear, 6, 1, n) is False
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_no_verdict_without_unit_factors(self, n):
+        x, y, _ = _generators(n)
+        for index, bump in ((0, 0), (0, n - 1), (n - 1, 0)):
+            for which in ("L", "E"):
+                L, E = _power_chains(n, x, y)
+                (L if which == "L" else E)[0][index][bump] += 1
+                assert _factor_verdict(L, E, 1, 1, n) is None
 
 
 def braid_by_sweep(s):

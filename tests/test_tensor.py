@@ -4,8 +4,8 @@ from math import comb, gcd
 
 import pytest
 
-from qcycle.errors import BadLinearTerm, NotComultiplicative, ZeroLambda
-from qcycle.series import Series1, Series2
+from qcycle.errors import BadLinearTerm, NotComultiplicative, ParseError, ZeroLambda
+from qcycle.series import Series1, Series2, json_array, parse_rational
 from qcycle.solution import check_braid_reduced
 from qcycle.tensor import (
     CoeffTensor,
@@ -294,6 +294,21 @@ class TestRowFromColumn:
 
 
 class TestPayload:
+    def test_matches_fraction_route(self, rng):
+        # the integer read agrees with the `Fraction` route on every value
+        # and every error, message included
+        outcomes = []
+        for payload in _payload_corpus(rng):
+            outcome = _payload_outcome(CoeffTensor.from_payload, payload)
+            assert outcome == _payload_outcome(tensor_from_payload_by_fractions, payload), payload
+            outcomes.append(outcome)
+        kinds = {o[0] for o in outcomes if isinstance(o[0], type)}
+        assert kinds == {ParseError}
+        assert sum(not isinstance(o[0], type) for o in outcomes) > 20
+        for payload in _payload_corpus(rng)[:6]:
+            t = CoeffTensor.from_payload(payload)
+            assert_stored_form(t, tensor_rows(t))
+
     def test_structure_round_trip(self, rng):
         p = extend_from_level1(random_level1(rng, 3))
         d = extend_from_level1(random_level1(rng, 3))
@@ -303,6 +318,61 @@ class TestPayload:
         payload = involutive.to_payload()
         assert "d" not in payload
         assert QCycleStructure.from_payload(payload) == involutive
+
+
+def tensor_from_payload_by_fractions(payload):
+    """`CoeffTensor.from_payload` as it was before it read digit strings as
+    integers: every value through `parse_rational`, then the constructor."""
+    try:
+        rows = [[json_array(col) for col in json_array(row)] for row in json_array(payload)]
+        return CoeffTensor([[[parse_rational(v) for v in col] for col in row] for row in rows])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed tensor payload: {exc}") from exc
+
+
+def _payload_outcome(read, payload):
+    try:
+        t = read(payload)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return t._nums, t._den, t.entries
+
+
+def _payload_corpus(rng):
+    """Tensor payloads: written ones, the same with every entry spelled out of
+    lowest terms, one cell replaced by each kind of accepted or rejected value,
+    and each kind of wrong shape."""
+    corpus = []
+    for n in (2, 3, 4):
+        payload = extend_from_level1(random_level1(rng, n, zero_top_row=False)).to_payload()
+        corpus.append(payload)
+        spelled = []
+        for row in payload:
+            spelled.append([])
+            for col in row:
+                cells = []
+                for v in col:
+                    v, k = Fraction(v), rng.choice((1, 2, 6))
+                    cells.append(rng.choice((f"{k * v.numerator}/{k * v.denominator}",
+                                             f"{v.numerator:04d}/{v.denominator:03d}")))
+                spelled[-1].append(cells)
+        corpus.append(spelled)
+    cells = [
+        "0", "-0", "0/7", "-0/3", "007", "-12/-3", "6/4", "1" * 60, "-" + "9" * 30 + "/" + "7" * 25,
+        "1" * 5000, "1/" + "3" * 5000, 3, -5, 0, True, False, 0.5, 1.0, None, "1/0", "0/0",
+        "-1/0", "1.5", "1e3", " 1/2", "1/2 ", "1/2\n", "+3", "1_000", "\u0663", "1/-2", "",
+        "/2", "1/", "--1", "1//2", [], ["1"], {}, "nan", "inf",
+    ]
+    for cell in cells:
+        corpus.append([[["1", "0"], ["0", cell]], [["0", "1"], ["0", "0"]]])
+    corpus += [
+        [], [[["1"]]], [[["1", "0"]], [["0", "1"], ["1", "0"]]],
+        [[["1", "0"], ["0"]], [["0", "1"], ["1", "0"]]],
+        [[["1", "0", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+        [[["1", "0"], ["0", "x"]], [["0", "1"]]],
+        "1", {"p": 1}, None, 3, [["10", "01"], ["00", "10"]], [[[1, 0], "01"], [[0, 1], [1, 0]]],
+    ]
+    return corpus
 
 
 def assert_stored_form(value, rows):
