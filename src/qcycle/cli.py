@@ -233,7 +233,12 @@ def _cmd_fixtures(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first `main` call and reused: parsing
-    does not change it, and each call gets a fresh namespace."""
+    does not change it, and each call gets a fresh namespace.
+
+    The `_cmd_*` handlers and the caps in the help texts (MAX_VERIFY_N,
+    MAX_OPS_ORDER) are bound at that first build; code that replaces one of
+    them afterwards must call `_build_parser.cache_clear()` to see it.
+    """
     parser = argparse.ArgumentParser(
         prog="qcycle",
         description="exact construction and verification of q-cycle coalgebra structures",
