@@ -49,13 +49,14 @@ from .series import (
     Series1,
     Series2,
     ZERO,
+    _add_matmul,
     binomial_series,
     compose,
     compositional_inverse,
     general_binomial,
     substitute_y,
 )
-from .solution import _first_contraction, _second_contraction
+from .solution import _braid_operands, _second_contraction
 from .standard import StandardCycleBundle, build_standard_cycle
 from .tensor import CheckResult, CoeffTensor, SuiteReport, _check
 
@@ -148,10 +149,9 @@ class OperatorContext:
         N = self.order
         slices = [Series1.zero(N), self.column]
         for v in range(1, N - 1):
-            nxt = (self.column * slices[v].derivative() - slices[v].scale(v)).scale(
-                Fraction(1, v + 1)
-            )
-            slices.append(nxt)
+            slices.append(Series1._combination(
+                [(Fraction(1, v + 1), self.column * slices[v].derivative()),
+                 (Fraction(-v, v + 1), slices[v])], N))
         return slices[:N]
 
     def _build_eigenfunction(self) -> Series1:
@@ -192,12 +192,9 @@ class OperatorContext:
         if compose(q, self.eigenfunction_inv) != x or compose(self.eigenfunction_inv, q) != x:
             raise InvariantViolation("eigenfunction_inverse_roundtrip")
 
-        regraded = Series2.zero(N)
-        for v in range(1, N):
-            fb = self.fbar_power(v)
-            pv = self.p_slices[v]
-            if not pv.is_zero():
-                regraded = regraded + Series2.from_x_series(pv, N).mul_y_series(fb)
+        regraded = Series2._combination(
+            [(1, Series2.from_x_series(self.p_slices[v], N).mul_y_series(self.fbar_power(v)))
+             for v in range(1, N)], N)
         if regraded != self.table_reduced:
             raise InvariantViolation("table_regrading")
 
@@ -342,12 +339,8 @@ def braid_sums(t: CoeffTensor) -> tuple[list[list[int]], int]:
     Made on t scaled to integers with the braid scan's two contractions over
     the output index m = 1: first over h, then over a + b = j and l.
     """
-    ints, den = t.scaled_integers()
-    n = t.n
-    c_rows = [[col[1] for col in row] for row in ints]
-    b_cols = [[ints[k][b][l] for b in range(n) for k in range(n)] for l in range(n)]
-    sums = [_second_contraction(_first_contraction(ints[i], c_rows), b_cols, n, 1)[0]
-            for i in range(n)]
+    ints, den, c_rows, b_cols = _braid_operands(t, range(1, 2))
+    sums = [_second_contraction(_add_matmul(a_i, c_rows), b_cols, t.n, 1)[0] for a_i in ints]
     return sums, den ** 3
 
 
@@ -534,7 +527,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     for th in tx:
         for v in range(2, N):
             prev = th[v - 1]
-            if th[v].scale(v) != ctx.tilde_partial_x(1, prev) - prev.scale(v - 1):
+            if th[v].scale(v) != Series1._combination(
+                    [(1, ctx.tilde_partial_x(1, prev)), (1 - v, prev)], N):
                 fails.append(v)
                 break
         if fails:
@@ -553,7 +547,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     def recursion_fault(table):
         """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}: [first v that fails]."""
         for v in range(2, cap):
-            rhs = ctx.tilde_partial_global(1, table[v - 1]) - table[v - 1].scale(v - 1)
+            rhs = Series2._combination(
+                [(1, ctx.tilde_partial_global(1, table[v - 1])), (1 - v, table[v - 1])], N)
             if table[v].scale(v) != rhs:
                 return [v]
         return []
@@ -563,7 +558,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         w = table[0]
         for v in range(1, cap):
             # after this step w = tilde^1 (tilde^1 - 1) ... (tilde^1 - v + 1) H
-            w = ctx.tilde_partial_global(1, w) - w.scale(v - 1)
+            w = Series2._combination([(1, ctx.tilde_partial_global(1, w)), (1 - v, w)], N)
             if table[v] != w.scale(ctx.inv_factorial[v]):
                 return [v]
         return []
@@ -572,11 +567,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         """partial^v = sum_u (fbar^u)_v tilde^u: [first v that fails]."""
         partial = ctx.global_table("table_reduced", H, min(N, 6))
         for v in range(1, min(N, 6)):
-            acc = Series2.zero(N)
-            for u in range(1, N):
-                if fbar_coeffs[v][u]:
-                    acc = acc + tilde[u].scale(fbar_coeffs[v][u])
-            if acc != partial[v]:
+            if Series2._combination(zip(fbar_coeffs[v][1:], tilde[1:]), N) != partial[v]:
                 return [v]
         return []
 
@@ -605,11 +596,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     for v in range(1, N):
         coeffs = [ctx.fbar_power(u).coeffs[v] for u in range(N)]
         for ph, th in zip(px, tx[: N + 1]):
-            acc = Series1.zero(N)
-            for u in range(1, N):
-                if coeffs[u]:
-                    acc = acc + th[u].scale(coeffs[u])
-            if acc != ph[v]:
+            if Series1._combination(zip(coeffs[1:], th[1:]), N) != ph[v]:
                 fails.append(v)
                 break
         if fails:
@@ -622,11 +609,9 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # Gbar^u = sum_{v >= u} (P^u)_v(x) fbar(y)^v
     fails = []
     for u in range(1, N):
-        acc = Series2.zero(N)
-        for v in range(u, N):
-            pv = ctx.power_slice("p", u, v)
-            if not pv.is_zero():
-                acc = acc + Series2.from_x_series(pv, N).mul_y_series(ctx.fbar_power(v))
+        acc = Series2._combination(
+            [(1, Series2.from_x_series(ctx.power_slice("p", u, v), N).mul_y_series(
+                ctx.fbar_power(v))) for v in range(u, N)], N)
         if acc != ctx.power("table_reduced", u):
             fails.append(u)
     checks.append(_check("table_regrade_powers", fails))
@@ -676,11 +661,9 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # partial^j G = sum_h (F^h)_j(y) partial_x^h G
     fails = []
     for j in range(1, N):
-        acc = Series2.zero(N)
-        for h in range(1, j + 1):
-            coeff = ctx.power_slice("flip", h, j)  # a series, read in y below
-            if not coeff.is_zero():
-                acc = acc + dx_table[h].mul_y_series(coeff)
+        acc = Series2._combination(   # each (F^h)_j is a series, read in y
+            [(1, dx_table[h].mul_y_series(ctx.power_slice("flip", h, j)))
+             for h in range(1, j + 1)], N)
         if acc != d_table[j]:
             fails.append(j)
     checks.append(_check("global_as_flip_convolution", fails))
@@ -705,10 +688,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     lhs = (q ** v0).scale(v0)
     if lhs != Series1.one(N) - ctx.f_power(v0).reciprocal():
         fails.append("closed_form")
-    acc = Series1.zero(N)
-    for k in range(1, N):
-        c = general_binomial(Fraction(-v0), k)
-        acc = acc + ctx.fbar_power(k).scale(-c)
+    acc = Series1._combination(
+        [(-general_binomial(Fraction(-v0), k), ctx.fbar_power(k)) for k in range(1, N)], N)
     if lhs != acc:
         fails.append("binomial_form")
     checks.append(_check("eigen_power_vs_row", fails))
@@ -720,23 +701,18 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     )
     if fa ** v0 != geo:
         fails.append("power_closed_form")
-    acc = Series1.zero(N)
-    k = 0
-    while v0 * k < N:
-        c = general_binomial(Fraction(1, v0) + k - 1, k)
-        acc = acc + Series1.monomial(v0 * k, N, c * Fraction(v0) ** k)
-        k += 1
+    acc = Series1._combination(
+        [(general_binomial(Fraction(1, v0) + k - 1, k) * v0 ** k, Series1.monomial(v0 * k, N))
+         for k in range((N - 1) // v0 + 1)], N)
     if fa != acc:
         fails.append("root_expansion")
     checks.append(_check("row_at_eigen_inverse", fails))
 
     # G = sum a_i q(x)^i f(y)^i and F = A(q(y) f(x))
     fails = []
-    acc = Series2.zero(N)
-    for i in range(1, N):
-        qi = ctx.eigen_slices[i]
-        if not qi.is_zero():
-            acc = acc + Series2.from_x_series(qi, N).mul_y_series(ctx.f_power(i))
+    acc = Series2._combination(
+        [(1, Series2.from_x_series(ctx.eigen_slices[i], N).mul_y_series(ctx.f_power(i)))
+         for i in range(1, N)], N)
     if acc != ctx.table:
         fails.append("table_expansion")
     inner = Series2.from_y_series(q, N).mul_x_series(ctx.row)
@@ -747,14 +723,12 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # binomial transform pair between the two regradings
     fails = []
     for j in range(1, N):
-        acc = Series1.zero(N)
-        for i in range(j, N):
-            acc = acc + ctx.eigen_slices[i].scale(comb(i, j))
+        acc = Series1._combination(
+            [(comb(i, j), ctx.eigen_slices[i]) for i in range(j, N)], N)
         if acc != ctx.p_slices[j]:
             fails.append(("forward", j))
-        acc = Series1.zero(N)
-        for i in range(j, N):
-            acc = acc + ctx.p_slices[i].scale((-1) ** (i - j) * comb(i, j))
+        acc = Series1._combination(
+            [((-1) ** (i - j) * comb(i, j), ctx.p_slices[i]) for i in range(j, N)], N)
         if acc != ctx.eigen_slices[j]:
             fails.append(("inverse", j))
     checks.append(_check("binomial_transform_pair", fails))
@@ -784,11 +758,9 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # tilde^k F = sum_h (T^h)_k tilde_y^h F
     fails = []
     for k in range(1, N):
-        acc = Series2.zero(N)
-        for h in range(1, k + 1):
-            coeff = ctx.power_slice("transport", h, k)
-            if not coeff.is_zero():
-                acc = acc + tilde_y_flip[h].mul_x_series(coeff)
+        acc = Series2._combination(
+            [(1, tilde_y_flip[h].mul_x_series(ctx.power_slice("transport", h, k)))
+             for h in range(1, k + 1)], N)
         if acc != tilde_flip[k]:
             fails.append(k)
     checks.append(_check("tilde_flip_transport", fails))
@@ -799,16 +771,11 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     for i in range(1, N):
         fbar_flip_pows.append(fbar_flip_pows[-1] * fbar_flip)
     for j in range(1, N):
-        lhs3 = Series2.zero(N)
-        for i in range(1, N):
-            c = ctx.fbar_power(i).coeffs[j]
-            if c:
-                lhs3 = lhs3 + tilde_flip[i].scale(c)
-        rhs3 = Series2.zero(N)
-        for i in range(1, N):
-            coeff = fbar_flip_pows[i].slice_y(j)
-            if not coeff.is_zero():
-                rhs3 = rhs3 + tilde_y_flip[i].mul_x_series(coeff)
+        lhs3 = Series2._combination(
+            [(ctx.fbar_power(i).coeffs[j], tilde_flip[i]) for i in range(1, N)], N)
+        rhs3 = Series2._combination(
+            [(1, tilde_y_flip[i].mul_x_series(fbar_flip_pows[i].slice_y(j)))
+             for i in range(1, N)], N)
         if lhs3 != rhs3:
             fails.append(j)
     checks.append(_check("main_series_identity", fails))

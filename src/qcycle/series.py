@@ -23,13 +23,23 @@ Where `Fraction`s are made.  Only at the edges:
     part of equality or hash; `coefficient`, indexing and payloads read it.
 Internal results are built by `_from_ints` from integers already normalised.
 
-Every series product (in one or two variables, by an x- or a y-series, and
-in `substitute_y`) runs on the one kernel `_mul_ints`, the product in
-A = K[u, v]/<u^n, v^n>; its denominator is the product of the operands' (a
-one-variable series being a grid of one row).  The one power-chain kernel
-`_chain_break` on it checks a tensor and a map on C (x) C as algebra maps on
-A.  The `Fraction` loops these operations replaced survive only in the tests,
-as oracles.
+Three integer kernels do the arithmetic:
+  * `_mul_ints`, the product in A = K[u, v]/<u^n, v^n>: every series product
+    (in one or two variables, by an x- or a y-series), the power-chain kernel
+    `_chain_break` that checks a tensor (`tensor.is_coalgebra_morphism`) and
+    a map on C (x) C (`solution`) as algebra maps on A, and the rows of the
+    solution map (`solution.build_solution`); its denominator is the product
+    of the operands' (a one-variable series being a grid of one row);
+  * `_add_matmul`, the dense integer matrix product: the powers of the inner
+    series in `substitute_y`, the blocks of `solution.superscript_map` and
+    the first contraction of each braid-scan side (`solution._braid_scan`,
+    `operators.braid_sums`);
+  * `_Series._combination`, the n-ary linear combination sum c * s over the
+    lcm of the terms' denominators, normalised once: `+` and `-`, `compose`,
+    the table slices (`standard.table_slices`) and every sum of series that
+    an operator identity compares (`operators`).
+The `Fraction` loops these kernels replaced survive only in the tests, as
+oracles.
 
 Values are immutable after construction (tuples all the way down), so they are
 safe to share freely, including across threads.
@@ -122,6 +132,20 @@ def _mul_ints(a, b, n: int) -> list[list[int]]:
                         break
                     orow = out[ua + ub]
                     orow[va:] = [o + c * x for o, x in zip(orow[va:], row)]
+    return out
+
+
+def _add_matmul(a, b, out=None) -> list[list[int]]:
+    """out + a . b for integer matrices, a row of a having at most len(b)
+    entries; out (a new zero matrix when None) gets each row rebound to its
+    sum and is returned.  Zero entries of a are skipped."""
+    if out is None:
+        out = [[0] * len(b[0]) for _ in a]
+    for r, (orow, arow) in enumerate(zip(out, a)):
+        for x, brow in zip(arow, b):
+            if x:
+                orow = [o + x * y for o, y in zip(orow, brow)]
+        out[r] = orow
     return out
 
 
@@ -261,18 +285,38 @@ class _Series(_Stored):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _plus(self, other, sign: int):
-        """self + sign * other, over the lcm of the two denominators."""
-        den = lcm(self._den, other._den)
-        ua, ub = den // self._den, sign * (den // other._den)
-        return self._from_rows([[x * ua + y * ub for x, y in zip(ra, rb)]
-                                for ra, rb in zip(self._rows(), other._rows())], den)
+    @classmethod
+    def _combination(cls, terms, order: int):
+        """sum c * s over the pairs (c, s) of `terms`, truncated to `order`
+        (at most the order of each s), for c an int or a `Fraction` (a float
+        or a bool raises TypeError).  Summed on the stored integers over the
+        lcm of the terms' denominators c.denominator * s._den and normalised
+        once; a term with c = 0 is skipped."""
+        scaled = []
+        for c, s in terms:
+            c = as_fraction(c)
+            if c:
+                if len(s._nums) < order:
+                    raise SeriesError(f"term of order {len(s._nums)} in a sum at order {order}")
+                scaled.append((c.numerator, c.denominator * s._den, s._rows()))
+        if not scaled:
+            return cls.zero(order)
+        den = lcm(*(d for _, d, _ in scaled))
+        (num, d, rows), *rest = scaled
+        up = num * (den // d)
+        total = [[up * x for x in row[:order]] for row in rows[:order]]
+        for num, d, rows in rest:
+            up = num * (den // d)
+            total = [[t + up * x for t, x in zip(trow, row)] for trow, row in zip(total, rows)]
+        return cls._from_rows(total, den)
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        return self._combination([(ONE, self), (ONE, other)],
+                                 min(len(self._nums), len(other._nums)))
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self._combination([(ONE, self), (-ONE, other)],
+                                 min(len(self._nums), len(other._nums)))
 
     def __neg__(self):
         return self._from_ints(self._shaped(tuple(tuple(-x for x in row) for row in self._rows())),
@@ -598,15 +642,13 @@ def compose(outer: Series1, inner: Union[Series1, Series2]):
         raise NonzeroConstantTerm("inner series has nonzero constant term")
     inner = inner.truncated(min(len(outer._nums), inner.trunc_order))
     power = inner ** 0
-    coeffs = outer.coeffs
-    acc = power.scale(coeffs[0])
-    for ck in coeffs[1:]:
+    terms = [(outer.coeffs[0], power)]
+    for ck in outer.coeffs[1:]:
         power = power * inner
         if power.is_zero():
             break
-        if ck:
-            acc = acc + power.scale(ck)
-    return acc
+        terms.append((ck, power))
+    return type(inner)._combination(terms, inner.trunc_order)
 
 
 def substitute_y(series: Series2, inner: Series1) -> Series2:
@@ -625,14 +667,7 @@ def substitute_y(series: Series2, inner: Series1) -> Series2:
         powers.append(power)
     den = lcm(*(p._den for p in powers))
     scaled = [[x * (den // p._den) for x in p._nums] for p in powers]
-    out = []
-    for row in series._grid(n):
-        orow = [0] * n
-        for c, pv in zip(row, scaled):
-            if c:
-                orow = [o + c * x for o, x in zip(orow, pv)]
-        out.append(orow)
-    return Series2._from_rows(out, series._den * den)
+    return Series2._from_rows(_add_matmul(series._grid(n), scaled), series._den * den)
 
 
 def compositional_inverse(q: Series1) -> Series1:

@@ -45,8 +45,8 @@ from math import gcd, isqrt, lcm, prod
 from typing import Optional
 
 from .errors import NotComultiplicative, SingularGd, SingularGp
-from .series import (ONE, Series2, ZERO, _chain_break, _mul_ints, _Stored, as_fraction,
-                     integer_grid)
+from .series import (ONE, Series2, ZERO, _add_matmul, _chain_break, _mul_ints, _Stored,
+                     as_fraction, integer_grid)
 from .tensor import (
     CheckResult,
     CoeffTensor,
@@ -201,15 +201,9 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
     """
     n, count = s.n, len(ms)
     tensors = {"p": s.p} if s.d == s.p else {"p": s.p, "d": s.d}
-    # Per tensor: its integers, its denominator, each C[h] flattened over
-    # (l, m in ms), and B transposed and flattened to B[l][b * n + k], so that
-    # both contractions are runs of axpy steps.
     ints, dens, c_rows, b_cols = {}, {}, {}, {}
     for name, t in tensors.items():
-        ints[name], dens[name] = t.scaled_integers()
-        c_rows[name] = [[col[m] for col in row for m in ms] for row in ints[name]]
-        b_cols[name] = [[ints[name][k][b][l] for b in range(n) for k in range(n)]
-                        for l in range(n)]
+        ints[name], dens[name], c_rows[name], b_cols[name] = _braid_operands(t, ms)
     families = [
         tuple(side if "d" in tensors else side.replace("d", "p") for side in family)
         for family in _FAMILIES
@@ -220,7 +214,7 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
         firsts, sides = {}, {}
         for a_name, b_name, c_name in {side for family in families for side in family}:
             if a_name + c_name not in firsts:
-                firsts[a_name + c_name] = _first_contraction(ints[a_name][i], c_rows[c_name])
+                firsts[a_name + c_name] = _add_matmul(ints[a_name][i], c_rows[c_name])
             sides[a_name + b_name + c_name] = _second_contraction(
                 firsts[a_name + c_name], b_cols[b_name], n, count)
         for index, (lhs_side, rhs_side) in enumerate(families):
@@ -240,17 +234,18 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
     return BraidReport(flags[0], flags[1], flags[2], joined)
 
 
-def _first_contraction(a_i, c_rows) -> list[list[int]]:
-    """T[a][l * len(ms) + slot] = sum_h a_i[a][h] C[h][l][ms[slot]], with
-    c_rows[h] the flattened C[h]; zero entries of a_i are skipped."""
-    out = []
-    for row in a_i:
-        acc = [0] * len(c_rows[0])
-        for h, x in enumerate(row):
-            if x:
-                acc = [t + x * z for t, z in zip(acc, c_rows[h])]
-        out.append(acc)
-    return out
+def _braid_operands(t: CoeffTensor, ms: range) -> tuple:
+    """The layout both contractions of a braid side read, for t as A, B or C:
+    (ints, den, c_rows, b_cols), with ints / den the tensor t, c_rows[h] the
+    flattened C[h] over (l, m in ms), and b_cols[l] = B[.][.][l] transposed
+    and flattened to [b * n + k].  The first contraction
+    T[a][l * len(ms) + slot] is the matrix product A[i] . c_rows
+    (`_add_matmul`), the second `_second_contraction`."""
+    ints, den = t.scaled_integers()
+    n = t.n
+    c_rows = [[col[m] for col in row for m in ms] for row in ints]
+    b_cols = [[ints[k][b][l] for b in range(n) for k in range(n)] for l in range(n)]
+    return ints, den, c_rows, b_cols
 
 
 def _second_contraction(first, b_cols, n: int, count: int) -> list[list[int]]:
@@ -352,21 +347,11 @@ def _superscript_blocks(p: CoeffTensor) -> tuple[list, list[int]]:
         weighted.append([[w * x for x in row[j1]] for row in q])
     blocks = [S]
     for j in range(1, n):
-        acc = [[0] * n for _ in range(n)]
+        acc = None
         for j1 in range(1, j + 1):
-            _add_matmul(acc, weighted[j1], blocks[j - j1])
-        block = [[0] * n for _ in range(n)]
-        _add_matmul(block, minus_s, acc)
-        blocks.append(block)
+            acc = _add_matmul(weighted[j1], blocks[j - j1], acc)
+        blocks.append(_add_matmul(minus_s, acc))
     return blocks, [D ** (j + 1) * P ** j for j in range(n)]
-
-
-def _add_matmul(out, a, b) -> None:
-    """out += a . b for square integer matrices; zero entries of a are skipped."""
-    for orow, arow in zip(out, a):
-        for x, brow in zip(arow, b):
-            if x:
-                orow[:] = [o + x * y for o, y in zip(orow, brow)]
 
 
 def _invert(m) -> Optional[list[list[Fraction]]]:

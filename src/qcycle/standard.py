@@ -138,20 +138,14 @@ def table_slices(params: StandardCycleParams, g: Series1) -> list[Series1]:
     slices = [Series1.x(order)]
     derivs = [slices[0].derivative()]
     for v in range(order - 1):
-        acc = Series1.zero(order)
-        # g * sum_l (v-l+1) p_{v-l+1} g_l'
-        inner = Series1.zero(order)
-        for l in range(0, v - v0 + 2):
-            c = params.coeff(v - l + 1)
-            if c:
-                inner = inner + derivs[l].scale((v - l + 1) * c)
-        acc = acc + g * inner
-        # - sum_l p_{v-l+1} l g_l
-        for l in range(1, v - v0 + 2):
-            c = params.coeff(v - l + 1)
-            if c:
-                acc = acc - slices[l].scale(l * c)
-        nxt = acc.scale(Fraction(1, v + 1))
+        # (v+1) g_{v+1} = g * sum_l (v-l+1) p_{v-l+1} g_l' - sum_l p_{v-l+1} l g_l
+        inner = Series1._combination(
+            [((v - l + 1) * params.coeff(v - l + 1), derivs[l]) for l in range(v - v0 + 2)],
+            order)
+        nxt = Series1._combination(
+            [(Fraction(1, v + 1), g * inner)]
+            + [(Fraction(-l, v + 1) * params.coeff(v - l + 1), slices[l])
+               for l in range(1, v - v0 + 2)], order)
         slices.append(nxt)
         derivs.append(nxt.derivative())
     return slices

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qcycle.errors import (
@@ -531,6 +531,8 @@ def one_variable_cases(a, b, f):
     cases = [
         (a + b, entrywise_by_fractions(lambda x, y: x + y, a, b)),
         (a - b, entrywise_by_fractions(lambda x, y: x - y, a, b)),
+        (Series1._combination([(f, a), (-2, b), (0, a)], min(a.trunc_order, b.trunc_order)),
+         entrywise_by_fractions(lambda x, y: f * x - 2 * y, a, b)),
         (-a, entrywise_by_fractions(lambda x: -x, a)),
         (a.scale(f), entrywise_by_fractions(lambda x: f * x, a)),
         (a.scale(0), Series1.zero(a.trunc_order)),
@@ -552,6 +554,8 @@ def two_variable_cases(g, h, s, f):
     cases = [
         (g + h, entrywise_by_fractions(lambda x, y: x + y, g, h)),
         (g - h, entrywise_by_fractions(lambda x, y: x - y, g, h)),
+        (Series2._combination([(f, g), (-2, h), (0, g)], min(n, h.trunc_order)),
+         entrywise_by_fractions(lambda x, y: f * x - 2 * y, g, h)),
         (-g, entrywise_by_fractions(lambda x: -x, g)),
         (g.scale(f), entrywise_by_fractions(lambda x: f * x, g)),
         (g.scale(0), Series2.zero(n)),
@@ -632,7 +636,9 @@ class TestIntegerForm:
             assert (top._nums[n - 1][n - 1], top._den) == (3, 2)
             assert (top * top).is_zero() == (n > 1)
             for s in (Series1.zero(n), Series2.zero(n), top.scale(0), top - top,
-                      Series1.monomial(n - 1, n, Fraction(-3, 97)).scale(0)):
+                      Series1.monomial(n - 1, n, Fraction(-3, 97)).scale(0),
+                      Series2._combination([(Fraction(2, 3), top), (Fraction(-4, 6), top)], n),
+                      Series1._combination([], n)):
                 assert_canonical(s)
                 assert s._den == 1 and s.is_zero()
 
@@ -698,16 +704,85 @@ class TestIntegerForm:
         g, h = Series2([[Fraction(1, 6)]]), Series2([[Fraction(1, 10)]])
         for result in (a + b, a - b, g + h, g - h):
             assert seen.pop() == 30
+        # the coefficients' denominators join the lcm; a zero term's do not
+        sevenths = Series1([Fraction(1, 7), 1])
+        Series1._combination([(Fraction(1, 2), a), (0, sevenths), (Fraction(-1, 3), b)], 2)
+        assert seen.pop() == 60
 
     def test_public_constructors_reject_floats_and_bools(self):
-        for bad in (0.1, 2.0, True):
+        for bad in (0.1, 2.0, True, 0.0, False):
             for build in (lambda: Series1([1, bad]), lambda: Series2([[bad]]),
                           lambda: Series1.monomial(1, 3, bad),
                           lambda: Series2.monomial(0, 0, 2, bad),
                           lambda: Series1.one(2).scale(bad),
-                          lambda: Series2.zero(2).add_constant(bad)):
+                          lambda: Series2.zero(2).add_constant(bad),
+                          lambda: Series1._combination([(bad, Series1.one(2))], 2),
+                          lambda: Series2._combination([(1, Series2.zero(2)),
+                                                        (bad, Series2.zero(2))], 2)):
                 with pytest.raises(TypeError):
                     build()
+
+
+coefficients = st.one_of(st.integers(-6, 6), st.just(0), st.just(Fraction(0)),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=12))
+
+
+@st.composite
+def combinations(draw, cls):
+    """(terms, order) for `cls._combination`: int, `Fraction` and zero
+    coefficients over mixed denominators, on series of orders `order` to 6
+    (a zero coefficient's series may be shorter, being skipped), zero series
+    among them, and, half the time, every term again with its coefficient
+    negated, so that the sum cancels to zero."""
+    order = draw(st.integers(1, 6))
+    kind = series1 if cls is Series1 else series2
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        c = draw(coefficients)
+        s_order = draw(st.integers(1 if c == 0 else order, 6))
+        s = cls.zero(s_order) if draw(st.integers(0, 4)) == 0 else draw(kind(s_order))
+        terms.append((c, s))
+    if draw(st.booleans()):
+        terms += [(-c, s) for c, s in terms]
+    return draw(st.permutations(terms)), order
+
+
+def combination_by_fractions(cls, terms, order):
+    """sum c * s as the loop `acc = zero; acc = acc + c * s` of `Fraction`s
+    that `_combination` replaced."""
+    acc = cls.zero(order)
+    for c, s in terms:
+        if c:
+            acc = entrywise_by_fractions(lambda x, y: x + c * y, acc, s)
+    return acc
+
+
+class TestCombinationKernel:
+    """`_Series._combination`, the one n-ary sum, against the `Fraction` loop
+    it replaced, on `Series1` and `Series2`."""
+
+    @pytest.mark.parametrize("cls", [Series1, Series2])
+    @given(data=st.data())
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_loop(self, cls, data):
+        terms, order = data.draw(combinations(cls))
+        result = cls._combination(terms, order)
+        oracle = combination_by_fractions(cls, terms, order)
+        assert type(result) is cls and result.trunc_order == order
+        assert result == oracle and result.coeffs == oracle.coeffs
+        assert_canonical(result)
+        if result.is_zero():
+            assert result._den == 1
+        assert cls._combination(terms + [(0, cls.zero(1))], order) == result
+
+    @pytest.mark.parametrize("cls", [Series1, Series2])
+    def test_terms_below_the_order(self, cls):
+        # a skipped term may be shorter than the sum; a summed one may not
+        s = cls.zero(4).add_constant(Fraction(7, 6))
+        assert cls._combination([(1, s), (0, cls.zero(2))], 3) == s.truncated(3)
+        with pytest.raises(SeriesError, match="order"):
+            cls._combination([(1, s), (2, cls.zero(2))], 3)
 
 
 class TestParsing:
