@@ -80,9 +80,11 @@ def _attach_negative_values(argv: list) -> list:
 
 
 def _read_tensor_file(path: str):
+    """The JSON document in path; a file nested too deep for the decoder
+    (`RecursionError`) is a parse error like any other malformed file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read tensor file {path}: {exc}") from exc
 
 

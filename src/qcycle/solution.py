@@ -7,7 +7,8 @@ already imply all m, which `check_braid_full` confirms against
 `check_braid_reduced`.  Each side of a family is a sum over a triple of p and
 d, made on integers as two contractions (first over h, then over a + b = j
 and l); a triple that several sides share, as all six do when p = d, is made
-once (`_braid_scan`).
+once, and a failing scan stops once its report can no longer change
+(`_braid_scan`).
 
 A structure passing the checks and with invertible side maps yields a linear
 endomorphism s of C (x) C that satisfies the braid identity
@@ -194,22 +195,26 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
     about n^5 + n^6/2 multiply-adds for all m, against n^7/2 for the sum taken
     whole at each point.  Zero entries of A and T are skipped.  Each distinct
     triple is computed once per scan, one i at a time (both sides of a family
-    have the same i); when d = p all six sides are the one triple (p, p, p).
+    have the same i).  When d = p all six sides are the one triple (p, p, p),
+    so the three families make the same comparison: it is made once, as
+    family 1, and its flag and violations are copied to families 2 and 3.
     A side is an integer over the product of its three denominators, and the
     two sides are cross-multiplied, so the comparison stays exact.
     Violations are listed family by family, then in i, j, k, m order.
+
+    The scan stops after slice i once every flag is False and family 1 lists
+    MAX_VIOLATIONS violations: later slices can then change neither the flags
+    nor the report's list, which is family 1's first MAX_VIOLATIONS.
     """
     n, count = s.n, len(ms)
-    tensors = {"p": s.p} if s.d == s.p else {"p": s.p, "d": s.d}
+    same = s.d == s.p
+    tensors = {"p": s.p} if same else {"p": s.p, "d": s.d}
     ints, dens, c_rows, b_cols = {}, {}, {}, {}
     for name, t in tensors.items():
         ints[name], dens[name], c_rows[name], b_cols[name] = _braid_operands(t, ms)
-    families = [
-        tuple(side if "d" in tensors else side.replace("d", "p") for side in family)
-        for family in _FAMILIES
-    ]
-    flags = [True, True, True]
-    violations: list[list] = [[], [], []]
+    families = (("ppp", "ppp"),) if same else _FAMILIES
+    flags = [True] * len(families)
+    violations: list[list] = [[] for _ in families]
     for i in range(n):
         firsts, sides = {}, {}
         for a_name, b_name, c_name in {side for family in families for side in family}:
@@ -230,6 +235,11 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
                             if len(found) < MAX_VIOLATIONS:
                                 found.append((index + 1, i, j, k, m,
                                               Fraction(lhs, den_l), Fraction(rhs, den_r)))
+        if not any(flags) and len(violations[0]) == MAX_VIOLATIONS:
+            break
+    if same:
+        flags *= 3
+        violations = [[(index,) + v[1:] for v in violations[0]] for index in (1, 2, 3)]
     joined = tuple(v for found in violations for v in found)[:MAX_VIOLATIONS]
     return BraidReport(flags[0], flags[1], flags[2], joined)
 

@@ -43,9 +43,11 @@ class CoeffTensor(_Stored):
     """Immutable n*n*n grid of exact rationals; entry(i, j, k) is 0 off-grid.
 
     Stored as `_nums[i][j][k]` over `_den` (see `series._Stored`); `entries`
-    is the `Fraction` view."""
+    is the `Fraction` view.  The slot `_morph` keeps the report of
+    `is_coalgebra_morphism` once it is known; like the view, it is not part
+    of equality or hash."""
 
-    __slots__ = ()
+    __slots__ = ("_morph",)
 
     def __init__(self, entries):
         data = tuple(tuple(tuple(as_fraction(v) for v in col) for col in row) for row in entries)
@@ -211,7 +213,20 @@ def is_coalgebra_morphism(t: CoeffTensor) -> MorphismReport:
     denominator den, run through the power-chain kernel `_chain_break`:
     den * L_k against the integer product L_(k-1) G, which is den^2 times the
     rational one.  Only the entries of a reported violation become `Fraction`s.
+
+    The report is kept on t, so a tensor is walked at most once however often
+    it is checked: `verify --full` asks 6 times, for p and d in the command
+    and in each braid check, and walks one tensor when d is p.
     """
+    report = getattr(t, "_morph", None)
+    if report is None:
+        report = _morphism_walk(t)
+        object.__setattr__(t, "_morph", report)
+    return report
+
+
+def _morphism_walk(t: CoeffTensor) -> MorphismReport:
+    """The report of `is_coalgebra_morphism`, made on the stored integers."""
     n = t.n
     ints, den = t.scaled_integers()
     levels = [[[col[k] for col in row] for row in ints] for k in range(n)] + [[[0] * n] * n]

@@ -154,6 +154,17 @@ def test_non_utf8_tensor_file_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read tensor file")
 
 
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_tensor_file_nested_too_deep_is_a_parse_error(tmp_path, capsys, command):
+    # json.loads raises RecursionError here; exit 1 would read as a FAIL verdict
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, "--tensor", str(bad)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: cannot read tensor file") and "Traceback" not in err
+
+
 def test_scc_unwritable_output_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "scc.json"
     argv = ["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)]

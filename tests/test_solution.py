@@ -310,6 +310,85 @@ class TestBraidChecks:
         assert families_seen == {1, 2, 3}
 
 
+def _perturbed_standard(n, entry):
+    """A v0 = 1 standard cycle with level-1 entry t[entry][entry][1] raised by
+    1 and re-extended: comultiplicative, p = d, and failing for n >= 3."""
+    tail = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(1, 3), Fraction(2)]
+    level1 = standard_structure(n, 1, tail[:n - 2]).p.level(1)
+    level1[entry][entry] += 1
+    return QCycleStructure.involutive(extend_from_level1(level1))
+
+
+def _perturbed_nonroot():
+    """A `family nonroot` pair (p != d) at n = 6 with level-1 entry (2, 2) of
+    p raised by 1 and re-extended: families 1 and 2 fail, family 3 holds."""
+    from qcycle.families import NonRootFamilyInput, build_nonroot_family
+
+    lambdas = [Fraction(2), Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(1, 3)]
+    s = build_nonroot_family(NonRootFamilyInput(6, lambdas, Fraction(3, 2)))
+    level1 = s.p.level(1)
+    level1[2][2] += 1
+    return QCycleStructure(extend_from_level1(level1), s.d)
+
+
+class TestBraidScanEarlyExit:
+    """The scan stops after the slice i where every flag is False and family
+    1 holds MAX_VIOLATIONS entries; when p = d it compares once, as family 1.
+    Each distinct side triple makes one `_second_contraction` per slice."""
+
+    @pytest.fixture
+    def contractions(self, monkeypatch):
+        from qcycle import solution
+
+        calls = []
+        inner = solution._second_contraction
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(solution, "_second_contraction", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_capped_scan_stops_early(self, n, contractions):
+        s = _perturbed_standard(n, 2)
+        for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(n))):
+            contractions.clear()
+            report = check(s)
+            assert report == braid_scan_by_loops(s, ms)
+            assert len(report.violations) == MAX_VIOLATIONS
+            assert {v[0] for v in report.violations} == {1}
+            # one triple (p, p, p) per slice, up to the slice of the 20th violation
+            last = report.violations[-1][1]
+            assert len(contractions) == last + 1 < n
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_uncapped_copies_family_one(self, n, contractions):
+        s = _perturbed_standard(n, n - 1)
+        for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(n))):
+            contractions.clear()
+            report = check(s)
+            assert report == braid_scan_by_loops(s, ms)
+            assert not (report.family1_ok or report.family2_ok or report.family3_ok)
+            assert len(report.violations) < MAX_VIOLATIONS
+            by_family = [[v[1:] for v in report.violations if v[0] == f] for f in (1, 2, 3)]
+            assert by_family[0] and by_family[0] == by_family[1] == by_family[2]
+            assert len(contractions) == n
+
+    def test_holding_family_scans_every_slice(self, contractions):
+        s = _perturbed_nonroot()
+        assert s.p != s.d
+        for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(6))):
+            contractions.clear()
+            report = check(s)
+            assert report == braid_scan_by_loops(s, ms)
+            assert (report.family1_ok, report.family2_ok, report.family3_ok) == (False, False, True)
+            assert len(report.violations) == MAX_VIOLATIONS
+            # six distinct triples (pdp, ppp, ppd, ddp, dpd, ddd) at each of the 6 slices
+            assert len(contractions) == 6 * 6
+
+
 class TestSolutionMap:
     def test_counit_action_gives_flip(self):
         s = QCycleStructure.involutive(counit_action(4))

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from math import comb, gcd
 
@@ -155,6 +156,73 @@ class TestMorphismCheck:
         report = is_coalgebra_morphism(t)
         assert not report and not is_morphism_by_definition(t)
         assert report.violation[2] + report.violation[3] == n
+
+
+class TestMorphismMemo:
+    """`is_coalgebra_morphism` keeps its report on the tensor (`_morph`), so
+    each tensor object is walked once; equality and hash ignore the slot."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        from qcycle import tensor
+
+        calls = []
+        inner = tensor._chain_break
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(tensor, "_chain_break", counted)
+        return calls
+
+    def test_repeated_calls_walk_once(self, rng, walks):
+        t = extend_from_level1(random_level1(rng, 5))
+        reports = [is_coalgebra_morphism(t) for _ in range(3)]
+        assert reports[0] and reports[0] == reports[1] == reports[2]
+        assert len(walks) == 1
+        twin = CoeffTensor(t.entries)
+        assert is_coalgebra_morphism(twin) == reports[0]
+        assert len(walks) == 2
+
+    def test_failing_tensor_keeps_its_first_violation(self, rng, walks):
+        base = extend_from_level1(random_level1(rng, 5))
+        t = base.with_entry(3, 1, 2, base.entry(3, 1, 2) + 1)
+        first = is_coalgebra_morphism(t)
+        assert not first and first == morphism_report_by_fractions(t)
+        assert is_coalgebra_morphism(t).violation == first.violation
+        assert len(walks) == 1
+
+    def test_equality_and_hash_ignore_the_report(self, rng):
+        t = extend_from_level1(random_level1(rng, 4))
+        twin = CoeffTensor(t.entries)
+        assert t == twin and hash(t) == hash(twin)
+        is_coalgebra_morphism(t)   # t holds a report, twin none
+        assert t == twin and hash(t) == hash(twin) and len({t, twin}) == 1
+        is_coalgebra_morphism(twin)
+        assert t == twin and hash(t) == hash(twin)
+
+    @pytest.mark.parametrize("involutive", [True, False])
+    def test_verify_walks_each_tensor_once(self, rng, tmp_path, monkeypatch, walks, involutive):
+        from qcycle import cli, solution
+
+        checked = []
+
+        def counting(t):
+            checked.append(t)
+            return is_coalgebra_morphism(t)
+
+        for module in (cli, solution):
+            monkeypatch.setattr(module, "is_coalgebra_morphism", counting)
+        s = standard_structure(4, 1, [Fraction(1, 2), Fraction(-1, 3)])
+        if not involutive:
+            s = QCycleStructure(s.p, extend_from_level1(random_level1(rng, 4)))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(s.to_payload()))
+        cli.main(["verify", "--tensor", str(path), "--full"])
+        # six checks in verify --full; p and d are one object when d is absent
+        assert len(checked) == 6
+        assert len({id(t) for t in checked}) == len(walks) == (1 if involutive else 2)
 
 
 class TestExtension:
