@@ -58,7 +58,11 @@ class BadLinearTerm(TensorError):
 
 
 class ReconstructionError(TensorError):
-    """A reconstruction denominator vanished; input row violates its contract."""
+    """A reconstruction denominator vanished; input row violates its contract.
+
+    Kept as public API; nothing raises it any more.  The denominators of
+    `standard.reconstruct_from_row` that it guarded are at least 3 for every
+    entry the recursion fills."""
 
 
 # -- solutions -----------------------------------------------------------

@@ -12,11 +12,12 @@ on series of the context's order N: an N x N matrix with entry
 [u][c] = sum_k C(c, k) (B^k)_v[u - c + k], B = Gbar or P, made on integers
 and stored once per (B, v) as sparse integer rows over one denominator.  It
 acts on the x-index of a series (partial_x) or on its y-index (partial_y).
-The kernels read an input as it is stored, integer numerators over one
-denominator (see `series`), and return a series over the input's denominator
-times the matrix's, normalised once; no input is rescaled, and no `Fraction`
-is made per coefficient.  A global operator sums its terms in int over the
-lcm of their denominators.  Inputs at any order other than N raise
+One kernel, `OperatorContext._image`, multiplies an input as it is stored,
+integer numerators over one denominator (see `series`), and returns the
+image's integer rows over the input's denominator times the matrix's;
+`_apply` normalises them once into a series.  No input is rescaled, and no
+`Fraction` is made per coefficient.  A global operator sums its terms in int
+over the lcm of their denominators.  Inputs at any order other than N raise
 SeriesError.  The context also carries:
 
   * the eigenfunction q of the derivation h -> g h' (g q' = q, q = x + ...),
@@ -30,10 +31,13 @@ identity the construction is built on, ending with the slice symmetry
 (partial^j G)_i = (partial^i G)_j that encodes the braid equations.  Each
 application that several checks read is made once: the tables of partial_x^v
 and tilde_x^v on the one-variable inputs, of the inner partial_x^v H and
-partial_y^u H of the commutation check, and each global table partial^k H and
-tilde^k H per input, from the defining sum (`global_table`).  The braid sums
-R(i, j, k) that partial^j G must reproduce are made once, with the braid
-scan's two integer contractions (`braid_sums`).
+partial_y^u H of the commutation check, each global table partial^k H and
+tilde^k H per input, from the defining sum (`global_table`), and tilde^1 of
+each entry of a tilde table, read by both the recursion and the binomial
+check.  The two commutation checks compare integer images, never series:
+directly where both sides are over one denominator, cross-multiplied where
+not.  The braid sums R(i, j, k) that partial^j G must reproduce are made
+once, with the braid scan's two integer contractions (`braid_sums`).
 """
 
 from __future__ import annotations
@@ -248,10 +252,21 @@ class OperatorContext:
             self._matrices[key] = (rows, den // g)
         return self._matrices[key]
 
+    def _image(self, name: str, v: int, nums, along_y: bool) -> tuple:
+        """The (name, v) matrix times the integer grid `nums`, on its row index
+        (the x-index of a `Series2`) or along each row (its y-index; a
+        `Series1` is one row): (rows, den), the image's integer rows over the
+        input's denominator times den, the matrix's.  Not normalised."""
+        rows, den = self._matrix(name, v)
+        if along_y:
+            return [_times_vector(rows, line) for line in nums], den
+        zero = [[0] * self.order for _ in range(self.order)]
+        return _add_times_grid(zero, rows, nums), den
+
     def _apply(self, name: str, v: int, h: SeriesLike, along_y: bool = False) -> SeriesLike:
         """Apply the (name, v) matrix to the x-coefficients of h, or to its
-        y-coefficients: the stored integers of h times the integer rows, as a
-        series over h's denominator times the matrix's."""
+        y-coefficients: the image (`_image`) of h's stored integers, as a
+        series over h's denominator times the matrix's, normalised once."""
         self._check_degree(v)
         if h.trunc_order != self.order:
             raise SeriesError(
@@ -259,13 +274,8 @@ class OperatorContext:
             )
         if v == 0:
             return h
-        rows, den = self._matrix(name, v)
-        if isinstance(h, Series1):
-            return Series1._from_rows([_times_vector(rows, h._nums)], h._den * den)
-        if along_y:
-            return Series2._from_rows([_times_vector(rows, line) for line in h._nums], h._den * den)
-        zero = [[0] * self.order for _ in range(self.order)]
-        return Series2._from_rows(_add_times_grid(zero, rows, h._nums), h._den * den)
+        rows, den = self._image(name, v, h._rows(), along_y or isinstance(h, Series1))
+        return h._from_rows(rows, h._den * den)
 
     def partial_x(self, v: int, h: SeriesLike) -> SeriesLike:
         """partial_x^v: acts on the x-coefficients, one y-slice at a time."""
@@ -420,12 +430,16 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             fails.append(v)
     checks.append(_check("partial_x_of_x_gives_slices", fails))
 
-    # commutation of the x-operators
+    # commutation of the x-operators, on the integer images of ph[v] and
+    # ph[u], cross-multiplied by their denominators
     fails = []
     for u in range(1, N):
         for v in range(u + 1, N):
             for ph in px:
-                if ctx.partial_x(u, ph[v]) != ctx.partial_x(v, ph[u]):
+                (uv,), den_uv = ctx._image("table_reduced", u, ph[v]._rows(), True)
+                (vu,), den_vu = ctx._image("table_reduced", v, ph[u]._rows(), True)
+                den_uv, den_vu = den_uv * ph[v]._den, den_vu * ph[u]._den
+                if [x * den_vu for x in uv] != [y * den_uv for y in vu]:
                     fails.append((u, v))
                     break
             if fails:
@@ -434,22 +448,24 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             break
     checks.append(_check("partial_x_commutation", fails))
 
-    # x and y operators commute
-    fails = []
+    # x and y operators commute: both orders of the integer images of H are
+    # over den(H) times the same two matrix denominators, so rows compare as
+    # they are.  One input's images at a time; each input scans the pairs
+    # before the least failing one so far, which is the one reported.
     small = [H for H in x2_basis if not H.is_zero()][: 2 * N] + x2_random[:1]
     pairs = [(v, u) for v in range(1, min(N, 5)) for u in range(1, min(N, 5))]
     pairs += [(N - 1, N - 1)]
     degrees = sorted({v for pair in pairs for v in pair})
-    dx_small = [{v: ctx.partial_x(v, H) for v in degrees} for H in small]
-    dy_small = [{u: ctx.partial_y(u, H) for u in degrees} for H in small]
-    for v, u in pairs:
-        for dx, dy in zip(dx_small, dy_small):
-            if ctx.partial_x(v, dy[u]) != ctx.partial_y(u, dx[v]):
-                fails.append((v, u))
+    first = len(pairs)
+    for H in small:
+        dx = {v: ctx._image("table_reduced", v, H._nums, False)[0] for v in degrees}
+        dy = {u: ctx._image("table_reduced", u, H._nums, True)[0] for u in degrees}
+        for index, (v, u) in enumerate(pairs[:first]):
+            if (ctx._image("table_reduced", v, dy[u], False)[0]
+                    != ctx._image("table_reduced", u, dx[v], True)[0]):
+                first = index
                 break
-        if fails:
-            break
-    checks.append(_check("xy_commutation", fails))
+    checks.append(_check("xy_commutation", pairs[first:first + 1]))
 
     # partial_y annihilates pure-x series
     fails = []
@@ -544,21 +560,25 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     cap = min(N, 5)
     fbar_coeffs = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(min(N, 6))]
 
-    def recursion_fault(table):
-        """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}: [first v that fails]."""
+    def recursion_fault(table, unit):
+        """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}: [first v that fails];
+        unit(k) is tilde^1 table[k]."""
         for v in range(2, cap):
-            rhs = Series2._combination(
-                [(1, ctx.tilde_partial_global(1, table[v - 1])), (1 - v, table[v - 1])], N)
+            rhs = Series2._combination([(1, unit(v - 1)), (1 - v, table[v - 1])], N)
             if table[v].scale(v) != rhs:
                 return [v]
         return []
 
-    def binomial_fault(table):
-        """tilde^v = C(tilde^1, v) as an operator, small v: [first v that fails]."""
-        w = table[0]
-        for v in range(1, cap):
-            # after this step w = tilde^1 (tilde^1 - 1) ... (tilde^1 - v + 1) H
-            w = Series2._combination([(1, ctx.tilde_partial_global(1, w)), (1 - v, w)], N)
+    def binomial_fault(table, unit):
+        """tilde^v = C(tilde^1, v) as an operator, small v: [first v that fails].
+        The step v = 1 makes tilde^1 H, which is table[1]: the same sum of the
+        same terms, so it holds by construction and w starts there."""
+        w = table[1]
+        for v in range(2, cap):
+            # after this step w = tilde^1 (tilde^1 - 1) ... (tilde^1 - v + 1) H.
+            # The step before proved w = (v-1)! table[v-1], so tilde^1 w is
+            # (v-1)! tilde^1 table[v-1]; only that proof lets unit(v - 1) stand in.
+            w = Series2._combination([(factorial(v - 1), unit(v - 1)), (1 - v, w)], N)
             if table[v] != w.scale(ctx.inv_factorial[v]):
                 return [v]
         return []
@@ -578,10 +598,18 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     recursion_fails, binomial_fails, from_tilde_fails = [], [], []
     for H, in_recursion, in_from_tilde in inputs:
         table = ctx.global_table("p", H, N if in_from_tilde else cap)
+        units: dict = {}
+
+        def unit(k):
+            """tilde^1 table[k], made on its first read; both checks read it."""
+            if k not in units:
+                units[k] = ctx.tilde_partial_global(1, table[k])
+            return units[k]
+
         if in_recursion and not recursion_fails:
-            recursion_fails = recursion_fault(table)
+            recursion_fails = recursion_fault(table, unit)
         if not binomial_fails:
-            binomial_fails = binomial_fault(table)
+            binomial_fails = binomial_fault(table, unit)
         if in_from_tilde:
             from_tilde_fails += from_tilde_fault(table, H)
     # tilde_y^h F for every h, read again by the transport identities below

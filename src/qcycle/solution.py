@@ -396,7 +396,9 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     and L_k = sum_m E_m D_mk(v), D_mk = sum_j d[j][m][k] v^j (the u^i v^j
     coefficient of L_k is that of x_k in {x_i}x_j), row (k, l) is L_k E_l.
     Requires both side maps to be invertible; each is decided on its n x n
-    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted.  E is
+    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted.  Raises
+    SingularGd, then SingularGp, then NotComultiplicative when p or d is not a
+    coalgebra morphism (read from the report kept on each tensor).  E is
     read off the integer blocks of `superscript_map` (`_superscript_blocks`)
     without a `Fraction` per entry, d is scaled to integers, the L_k and the
     n^2 row products are made in `int`, and each nonzero entry of the map
@@ -404,17 +406,25 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     is decided here on the factors (`_factor_verdict`) and stored on it for
     `is_coalgebra_endomorphism`, unless L_0 or E_0 is not 1.
     """
-    n = s.n
     if _invert(_step_block(s.d)) is None:
         raise SingularGd("right side map is not invertible")
     blocks, dens = _superscript_blocks(s.p)
+    _require_morphisms(s)
+    return _solution_map(blocks, dens, s.d)
+
+
+def _solution_map(blocks: list, dens: list[int], tensor_d: CoeffTensor) -> LinearMap2:
+    """The map with rows (k, l) = L_k E_l of `build_solution`, from the
+    integer blocks of p's superscript map (`_superscript_blocks`) and d, for
+    any pair; `build_solution` makes its checks first."""
+    n = tensor_d.n
     # den_e is the lcm of the entries' denominators in lowest terms, and
     # E[l][i][j] = den_e * E[i][j][l], the grid of E_l
     den_e = lcm(*(dens[j] // gcd(v, dens[j])
                   for j, block in enumerate(blocks) for row in block for v in row))
     E = [[[blocks[j][i][l] * den_e // dens[j] for j in range(n)] for i in range(n)]
          for l in range(n)]
-    d, den_d = s.d.scaled_integers()
+    d, den_d = tensor_d.scaled_integers()
     L = []
     for k in range(n):
         # the u^i v^(j1+j2) coefficient of L_k gains E[i][j1][m] d[j2][m][k]

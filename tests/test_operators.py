@@ -1,14 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from qcycle.errors import DegreeOutOfRange, SeriesError
-from qcycle.operators import braid_sums, build_context, identity_suite
+from qcycle.operators import (
+    OperatorContext,
+    _random_series1,
+    _random_series2,
+    braid_sums,
+    build_context,
+    identity_suite,
+)
 from qcycle.series import Series1, Series2, compose
 from qcycle.standard import StandardCycleParams, build_standard_cycle
-from qcycle.tensor import CoeffTensor
+from qcycle.tensor import CoeffTensor, _check
 
 from conftest import random_fraction, random_series1
 
@@ -335,3 +343,177 @@ class TestPlantedFaults:
         report = identity_suite(ctx, rng=random.Random(5))
         details = {c.name: c.detail for c in report.failures()}
         assert details["partial_global_from_tilde"] == "first failure at 2"
+
+
+# -- the checks that compare integer images, against their Series forms ----------
+
+
+def suite_inputs(ctx, seed):
+    """(x1_inputs, x2_basis, x2_random): the inputs that
+    identity_suite(ctx, random.Random(seed)) draws, made in its order."""
+    rng, N = random.Random(seed), ctx.order
+    x1 = [Series1.monomial(a, N) for a in range(N)] + [_random_series1(rng, N) for _ in range(3)]
+    basis = [Series2.monomial(a, b, N) for a in range(N) for b in range(N) if 0 < a + b <= N]
+    return x1, basis, [_random_series2(rng, N) for _ in range(2)]
+
+
+def x_commutation_by_series(ctx, x1):
+    """partial_x_commutation on normalised series, the oracle."""
+    N = ctx.order
+    px = [[ctx.partial_x(v, h) for v in range(N)] for h in x1]
+    for u in range(1, N):
+        for v in range(u + 1, N):
+            for ph in px:
+                if ctx.partial_x(u, ph[v]) != ctx.partial_x(v, ph[u]):
+                    return _check("partial_x_commutation", [(u, v)])
+    return _check("partial_x_commutation", [])
+
+
+def xy_commutation_by_series(ctx, basis, x2_random):
+    """xy_commutation on normalised series, scanning pairs first: the oracle."""
+    N = ctx.order
+    small = [H for H in basis if not H.is_zero()][: 2 * N] + x2_random[:1]
+    pairs = [(v, u) for v in range(1, min(N, 5)) for u in range(1, min(N, 5))] + [(N - 1, N - 1)]
+    for v, u in pairs:
+        for H in small:
+            if ctx.partial_x(v, ctx.partial_y(u, H)) != ctx.partial_y(u, ctx.partial_x(v, H)):
+                return _check("xy_commutation", [(v, u)])
+    return _check("xy_commutation", [])
+
+
+def tilde_pass_by_series(ctx, basis, x2_random):
+    """The recursion and binomial checks of the global tilde pass, the
+    oracle: tilde^1 applied afresh at every step, and the binomial walk
+    from w = H."""
+    N = ctx.order
+    cap = min(N, 5)
+    inputs = [(H, index <= N) for index, H in enumerate(basis[: 2 * N])] + [(x2_random[0], True)]
+    recursion, binomial = [], []
+    for H, in_recursion in inputs:
+        table = ctx.global_table("p", H, cap)
+        for v in range(2, cap if in_recursion and not recursion else 0):
+            rhs = Series2._combination(
+                [(1, ctx.tilde_partial_global(1, table[v - 1])), (1 - v, table[v - 1])], N)
+            if table[v].scale(v) != rhs:
+                recursion = [v]
+                break
+        w = table[0]
+        for v in range(1, cap if not binomial else 0):
+            w = Series2._combination([(1, ctx.tilde_partial_global(1, w)), (1 - v, w)], N)
+            if table[v] != w.scale(Fraction(1, factorial(v))):
+                binomial = [v]
+                break
+    return [_check("tilde_global_recursion", recursion), _check("tilde_global_binomial", binomial)]
+
+
+def plant_matrix_entry(ctx, key, rng):
+    """Add 1 to one numerator of the cached operator matrix `key`."""
+    rows, den = ctx._matrix(*key)
+    u, c = rng.randrange(ctx.order), rng.randrange(ctx.order)
+    row = dict(rows[u])
+    row[c] = row.get(c, 0) + 1
+    rows = list(rows)
+    rows[u] = tuple(sorted((col, entry) for col, entry in row.items() if entry))
+    ctx._matrices[key] = (tuple(rows), den)
+
+
+def plant_y_kernel(ctx, rng, mix):
+    """A kernel fault in the images along y of partial^d, d drawn from 1-4:
+    each gains 1 at x^0 y^0 (mix False), or the input's x^1 y^0 numerator
+    there (mix True, on two-variable inputs).  Matrices alone cannot fail
+    xy_commutation, since images along x and along y act on different
+    indices; these kernels mix the x-index into an image along y."""
+    image, degree = ctx._image, rng.randrange(1, min(ctx.order, 5))
+
+    def faulty(name, v, nums, along_y):
+        rows, den = image(name, v, nums, along_y)
+        if along_y and (name, v) == ("table_reduced", degree):
+            rows[0][0] += nums[1][0] if mix and len(nums) > 1 else (not mix)
+        return rows, den
+
+    ctx._image = faulty
+
+
+PLANTS = {
+    "none": lambda ctx, rng: None,
+    "y_offset_kernel": lambda ctx, rng: plant_y_kernel(ctx, rng, False),
+    "y_mix_kernel": lambda ctx, rng: plant_y_kernel(ctx, rng, True),
+    "gbar_matrix": lambda ctx, rng: plant_matrix_entry(
+        ctx, ("table_reduced", rng.randrange(1, min(ctx.order, 5))), rng),
+    "p_unit_matrix": lambda ctx, rng: plant_matrix_entry(ctx, ("p", 1), rng),
+    "p_cube_matrix": lambda ctx, rng: plant_matrix_entry(ctx, ("p", 3), rng),
+    "p_series": lambda ctx, rng: setattr(
+        ctx, "p_series", ctx.p_series + Series2.monomial(2, 2, ctx.order, Fraction(1, 5))),
+}
+
+
+class TestImageComparisons:
+    """partial_x_commutation, xy_commutation and the global tilde pass compare
+    integer images (`OperatorContext._image`) and share tilde^1 images; each
+    must give the verdict and the first failure of its Series form above."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_match_series_oracles(self, n):
+        rng = random.Random(700 + n)
+        failed = Counter()
+        for v0 in (1, n - 1):
+            tail = [random_fraction(rng) for _ in range(n - v0 - 1)]
+            for plant in PLANTS:
+                # a planted matrix entry or kernel degree is drawn at random, so twice
+                for _ in range(1 if plant in ("none", "p_series") else 2):
+                    ctx = make_context(n, v0, tail)
+                    PLANTS[plant](ctx, rng)
+                    seed = rng.randrange(1 << 20)
+                    report = {c.name: c for c in identity_suite(ctx, random.Random(seed)).checks}
+                    x1, basis, x2_random = suite_inputs(ctx, seed)
+                    oracles = [x_commutation_by_series(ctx, x1),
+                               xy_commutation_by_series(ctx, basis, x2_random),
+                               *tilde_pass_by_series(ctx, basis, x2_random)]
+                    for want in oracles:
+                        assert report[want.name] == want, (v0, plant)
+                        failed[want.name] += not want.ok
+                    if plant == "none":
+                        assert all(want.ok for want in oracles), v0
+        # every rewritten check met a planted fault
+        assert set(failed) == {"partial_x_commutation", "xy_commutation",
+                               "tilde_global_recursion", "tilde_global_binomial"}
+        assert all(failed.values()), failed
+
+    def test_xy_commutation_reports_the_least_failing_pair(self):
+        """xy_commutation makes one input's images at a time.  Kernel faults
+        planted on three inputs make x fail first at the pair (1, 3), the
+        later input x y at (1, 1) and x^2, after both, at (1, 4); the check
+        must report (1, 1), as its oracle, which scans pairs first, does."""
+        ctx = make_context(4, 1, [Fraction(1, 2), Fraction(-2, 3)])
+        N, image = ctx.order, ctx._image
+        faults = {3: Series2.monomial(1, 0, N)._nums, 1: Series2.monomial(1, 1, N)._nums,
+                  4: Series2.monomial(2, 0, N)._nums}
+
+        def faulty(name, v, nums, along_y):
+            rows, den = image(name, v, nums, along_y)
+            if along_y and name == "table_reduced" and nums == faults.get(v):
+                rows[1][0] += 1
+            return rows, den
+
+        ctx._image = faulty
+        x1, basis, x2_random = suite_inputs(ctx, 5)
+        small = [H for H in basis if not H.is_zero()][: 2 * N]
+        assert [small.index(Series2._from_ints(faults[v], 1)) for v in (3, 1, 4)] == [5, 6, 11]
+        want = xy_commutation_by_series(ctx, basis, x2_random)
+        assert want.detail == "first failure at (1, 1)"
+        report = {c.name: c for c in identity_suite(ctx, random.Random(5)).checks}
+        assert report["xy_commutation"] == want
+
+    def test_work_per_suite_run(self, monkeypatch):
+        """The kernel images and tilde^1 applications of one suite run at
+        n = 7, v0 = 1, pad 2, so that a duplicated image shows here."""
+        counts = Counter()
+        for name in ("_image", "tilde_partial_global"):
+            def counted(self, *args, _name=name, _method=getattr(OperatorContext, name)):
+                counts[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(OperatorContext, name, counted)
+        ctx = make_context(7, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2),
+                                  Fraction(1, 3), Fraction(-3, 4)])
+        assert identity_suite(ctx, rng=random.Random(5)).ok
+        assert counts == {"_image": 2064, "tilde_partial_global": 57}

@@ -10,6 +10,9 @@ from qcycle.solution import (
     LinearMap2,
     _factor_verdict,
     _invert,
+    _solution_map,
+    _step_block,
+    _superscript_blocks,
     build_solution,
     check_braid_full,
     check_braid_on_map,
@@ -33,6 +36,15 @@ from qcycle.tensor import (
 from conftest import random_fraction, random_level1, standard_structure
 from test_series import series2_product_by_fractions
 from test_tensor import assert_stored_form
+
+
+def solution_of_any_pair(s):
+    """`build_solution` without its morphism check: its SingularGd and
+    SingularGp checks, then its rows, so that the row kernel runs on random
+    pairs too."""
+    if _invert(_step_block(s.d)) is None:
+        raise SingularGd("right side map is not invertible")
+    return _solution_map(*_superscript_blocks(s.p), s.d)
 
 
 def _step_block_cases(rng, n):
@@ -70,10 +82,14 @@ class TestSideMaps:
                 E = None
             try:
                 build_solution(QCycleStructure(counit_action(n), t))
-                gd_singular = False
-            except SingularGd:
-                gd_singular = True
+                raised = None
+            except (SingularGd, NotComultiplicative) as exc:
+                raised = type(exc)
+            gd_singular = raised is SingularGd
             assert (inv is None) == (E is None) == gd_singular
+            # past the step block, a d that is not a coalgebra morphism is refused
+            if not gd_singular:
+                assert (raised is NotComultiplicative) == (not is_coalgebra_morphism(t))
             if inv is None:
                 singular += 1
                 continue
@@ -592,7 +608,7 @@ class TestFactorVerdict:
         stored = set()
         for s in _factor_path_cases(rng, n):
             try:
-                m = build_solution(s)
+                m = solution_of_any_pair(s)
             except (SingularGp, SingularGd):
                 continue
             stored.add(getattr(m, "_endo", None))
@@ -842,9 +858,9 @@ def solution_by_fractions(s):
 
 
 class TestFractionFreeKernels:
-    """`superscript_map` and `build_solution` against their `Fraction` loops,
-    on the step-block cases (singular ones included, as p and as d),
-    standard cycles, nonroot pairs and random pairs."""
+    """`superscript_map` and the rows of `build_solution` (`_solution_map`)
+    against their `Fraction` loops, on the step-block cases (singular ones
+    included, as p and as d), standard cycles, nonroot pairs and random pairs."""
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_match_fraction_loops(self, rng, n):
@@ -859,7 +875,7 @@ class TestFractionFreeKernels:
                     results.append(build(s.p))
                 except SingularGp as exc:
                     results.append(type(exc))
-            for build in (build_solution, solution_by_fractions):
+            for build in (solution_of_any_pair, solution_by_fractions):
                 try:
                     results.append(build(s))
                 except (SingularGp, SingularGd) as exc:
@@ -878,11 +894,16 @@ class TestRowBuilders:
             for t in (s.p, s.d):
                 assert gp_map(t).matrix == tuple(map(tuple, gp_map_by_convolution(t)))
             try:
-                m = build_solution(s)
+                m = solution_of_any_pair(s)
             except (SingularGp, SingularGd):
                 continue
             assert m.matrix == tuple(map(tuple, solution_by_convolution(s)))
             built += 1
+            if is_coalgebra_morphism(s.p) and is_coalgebra_morphism(s.d):
+                assert build_solution(s) == m
+            else:
+                with pytest.raises(NotComultiplicative):
+                    build_solution(s)
         # only a random pair can have a singular step block, and not all three do
         assert built >= len(cases) - 2
         dim = n * n
