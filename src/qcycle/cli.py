@@ -142,10 +142,13 @@ def _cmd_verify(args) -> int:
     # The braid scans and the solution map presuppose coalgebra morphisms;
     # without them every later check is recorded as failed without running.
     morphisms = results["morphism_p"] and results["morphism_d"]
-    reduced = check_braid_reduced(structure) if morphisms else None
+    # The full scan's m = 1 slice is the reduced scan, so a passing full scan
+    # is a passing reduced report; only a failing one leaves it to be made.
+    full = check_braid_full(structure) if morphisms and args.full else None
+    reduced = (full or check_braid_reduced(structure)) if morphisms else None
     results["braid_reduced"] = bool(reduced)
     if args.full:
-        results["braid_full"] = morphisms and bool(check_braid_full(structure))
+        results["braid_full"] = bool(full)
     if args.solution:
         results.update(dict.fromkeys(SOLUTION_CHECKS, False))
     if args.solution and morphisms:

@@ -72,6 +72,10 @@ def root_of_unity_order(value: Fraction, bound: int) -> Optional[int]:
     return None
 
 
+def _verdict(row: ClassificationRow, notes: str) -> ClassificationVerdict:
+    return ClassificationVerdict(row, ROW_STATUS[row], notes)
+
+
 def classify(s: QCycleStructure) -> ClassificationVerdict:
     """Route a verified structure to its classification row."""
     if not check_braid_reduced(s):
@@ -83,11 +87,8 @@ def classify(s: QCycleStructure) -> ClassificationVerdict:
     d10 = d.entry(1, 0, 1)
 
     if p11:
-        return ClassificationVerdict(
-            ClassificationRow.P11_NONZERO,
-            ROW_STATUS[ClassificationRow.P11_NONZERO],
-            "equivalent to a unique degree-1 standard cycle by rescaling with t[1][1][1]",
-        )
+        return _verdict(ClassificationRow.P11_NONZERO, "equivalent to a unique degree-1 "
+                        "standard cycle by rescaling with t[1][1][1]")
 
     if s.is_involutive():
         delta_column = all(
@@ -96,55 +97,32 @@ def classify(s: QCycleStructure) -> ClassificationVerdict:
         if delta_column:
             higher = next((j for j in range(2, n) if p.entry(1, j, 1)), None)
             if higher is not None:
-                return ClassificationVerdict(
-                    ClassificationRow.INVOLUTIVE_DELTA_WITH_HIGHER_PARAM,
-                    ROW_STATUS[ClassificationRow.INVOLUTIVE_DELTA_WITH_HIGHER_PARAM],
-                    f"first nonzero row parameter at degree {higher}; standard cycle after "
-                    "rescaling by a degree-th root of it (may not exist over Q)",
-                )
-            return ClassificationVerdict(
-                ClassificationRow.INVOLUTIVE_DELTA_ALL_ZERO,
-                ROW_STATUS[ClassificationRow.INVOLUTIVE_DELTA_ALL_ZERO],
-                "row parameters all vanish; first column forced to vanish as well",
-            )
+                return _verdict(ClassificationRow.INVOLUTIVE_DELTA_WITH_HIGHER_PARAM,
+                                f"first nonzero row parameter at degree {higher}; standard "
+                                "cycle after rescaling by a degree-th root of it (may not exist "
+                                "over Q)")
+            return _verdict(ClassificationRow.INVOLUTIVE_DELTA_ALL_ZERO,
+                            "row parameters all vanish; first column forced to vanish as well")
         if p10 == 1:
-            return ClassificationVerdict(
-                ClassificationRow.INVOLUTIVE_P10_EQ_1_NONDELTA,
-                ROW_STATUS[ClassificationRow.INVOLUTIVE_P10_EQ_1_NONDELTA],
-                "column zero is not the identity action although the step entry is 1",
-            )
+            return _verdict(ClassificationRow.INVOLUTIVE_P10_EQ_1_NONDELTA,
+                            "column zero is not the identity action although the step entry is 1")
         order = root_of_unity_order(p10, n)
         if order is not None:
-            return ClassificationVerdict(
-                ClassificationRow.INVOLUTIVE_P10_ROOT_OF_UNITY,
-                ROW_STATUS[ClassificationRow.INVOLUTIVE_P10_ROOT_OF_UNITY],
-                f"step entry {p10} is a root of unity of order {order} below n = {n}",
-            )
-        return ClassificationVerdict(
-            ClassificationRow.INVOLUTIVE_P10_NOT_ROOT,
-            ROW_STATUS[ClassificationRow.INVOLUTIVE_P10_NOT_ROOT],
-            f"step entry {p10} is not a root of unity of order below n = {n}",
-        )
+            return _verdict(ClassificationRow.INVOLUTIVE_P10_ROOT_OF_UNITY,
+                            f"step entry {p10} is a root of unity of order {order} below n = {n}")
+        return _verdict(ClassificationRow.INVOLUTIVE_P10_NOT_ROOT,
+                        f"step entry {p10} is not a root of unity of order below n = {n}")
 
     p_order = root_of_unity_order(p10, n)
     d_order = root_of_unity_order(d10, n)
     if p_order is not None and d_order is not None:
-        return ClassificationVerdict(
-            ClassificationRow.NONINV_BOTH_ROOTS,
-            ROW_STATUS[ClassificationRow.NONINV_BOTH_ROOTS],
-            f"both step entries are roots of unity (orders {p_order}, {d_order})",
-        )
+        return _verdict(ClassificationRow.NONINV_BOTH_ROOTS,
+                        f"both step entries are roots of unity (orders {p_order}, {d_order})")
     if p_order is None:
-        return ClassificationVerdict(
-            ClassificationRow.NONINV_P10_NOT_ROOT,
-            ROW_STATUS[ClassificationRow.NONINV_P10_NOT_ROOT],
-            f"p step entry {p10} is not a root of unity below n = {n}",
-        )
-    return ClassificationVerdict(
-        ClassificationRow.NONINV_D10_NOT_ROOT,
-        ROW_STATUS[ClassificationRow.NONINV_D10_NOT_ROOT],
-        f"d step entry {d10} is not a root of unity below n = {n}",
-    )
+        return _verdict(ClassificationRow.NONINV_P10_NOT_ROOT,
+                        f"p step entry {p10} is not a root of unity below n = {n}")
+    return _verdict(ClassificationRow.NONINV_D10_NOT_ROOT,
+                    f"d step entry {d10} is not a root of unity below n = {n}")
 
 
 @dataclass(frozen=True)
@@ -225,9 +203,9 @@ def nonunit_vanishing_check(s: QCycleStructure, order_bound: int) -> SuiteReport
     p, d = s.p, s.d
     n = s.n
     p10 = p.entry(1, 0, 1)
-    for r in range(1, order_bound):
-        if p10 ** r == 1:
-            raise PreconditionNotMet(f"step entry has order {r} < {order_bound}")
+    order = root_of_unity_order(p10, order_bound)
+    if order is not None:
+        raise PreconditionNotMet(f"step entry has order {order} < {order_bound}")
     checks = []
 
     fails = [

@@ -32,19 +32,20 @@ identity the construction is built on, ending with the slice symmetry
 application that several checks read is made once: the tables of partial_x^v
 and tilde_x^v on the one-variable inputs, of the inner partial_x^v H and
 partial_y^u H of the commutation check, each global table partial^k H and
-tilde^k H per input, from the defining sum (`global_table`), and tilde^1 of
-each entry of a tilde table, read by both the recursion and the binomial
-check.  The two commutation checks compare integer images, never series:
-directly where both sides are over one denominator, cross-multiplied where
-not.  The braid sums R(i, j, k) that partial^j G must reproduce are made
-once, with the braid scan's two integer contractions (`braid_sums`).
+tilde^k H per input, from the defining sum (`global_table`), and the
+(fbar^u)_v coefficients.  Each fact is proved once: one walk of the tilde
+recursion per input decides the binomial check too, whose steps it matches
+one for one.  The two commutation checks compare integer images, never
+series: directly where both sides are over one denominator, cross-multiplied
+where not.  The braid sums R(i, j, k) that partial^j G must reproduce are
+made once, with the braid scan's two integer contractions (`braid_sums`).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Union
 
 from .errors import DegreeOutOfRange, InvariantViolation, SeriesError
@@ -82,8 +83,6 @@ class OperatorContext:
 
         self.table_reduced = bundle.table - Series2.monomial(1, 0, N)   # G - x
         self.row_reduced = bundle.row.add_constant(-1)                   # f - 1
-
-        self.inv_factorial = [Fraction(1, factorial(k)) for k in range(N + 1)]
 
         self._pows: dict = {}
         self._slices: dict = {}
@@ -448,10 +447,13 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             break
     checks.append(_check("partial_x_commutation", fails))
 
-    # x and y operators commute: both orders of the integer images of H are
-    # over den(H) times the same two matrix denominators, so rows compare as
-    # they are.  One input's images at a time; each input scans the pairs
-    # before the least failing one so far, which is the one reported.
+    # x and y operators commute.  Images along x act on the row index of H
+    # and images along y on its column index, so no operator matrices can
+    # fail this check: it guards the index layout of the kernel `_image`.
+    # Both orders of the integer images of H are over den(H) times the same
+    # two matrix denominators, so rows compare as they are.  One input's
+    # images at a time; each input scans the pairs before the least failing
+    # one so far, which is the one reported.
     small = [H for H in x2_basis if not H.is_zero()][: 2 * N] + x2_random[:1]
     pairs = [(v, u) for v in range(1, min(N, 5)) for u in range(1, min(N, 5))]
     pairs += [(N - 1, N - 1)]
@@ -557,29 +559,24 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # the failure it would meet first: the recursion and the binomial check
     # scan inputs, then v; partial_global_from_tilde scans v, then inputs,
     # so it keeps the least failing v over all inputs.
+    #
+    # One walk of the recursion decides the binomial check too.  tilde^v =
+    # C(tilde^1, v) walks w_v = tilde^1 w_{v-1} - (v-1) w_{v-1} from w_1 =
+    # tilde^1 H = table[1] and tests table[v] = w_v / v!.  Once the step
+    # before has proved w_{v-1} = (v-1)! table[v-1], that test reads
+    # v table[v] = tilde^1 table[v-1] - (v-1) table[v-1], the recursion at v,
+    # so on every input both checks first fail at the same v.  They differ
+    # only in their inputs: the recursion reads the first N + 1 basis inputs
+    # and the random one, the binomial check every input.
     cap = min(N, 5)
-    fbar_coeffs = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(min(N, 6))]
+    # fbar[v][u] = (fbar^u)_v, read by three checks
+    fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
 
-    def recursion_fault(table, unit):
-        """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}: [first v that fails];
-        unit(k) is tilde^1 table[k]."""
+    def recursion_fault(table):
+        """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}: [first v that fails]."""
         for v in range(2, cap):
-            rhs = Series2._combination([(1, unit(v - 1)), (1 - v, table[v - 1])], N)
-            if table[v].scale(v) != rhs:
-                return [v]
-        return []
-
-    def binomial_fault(table, unit):
-        """tilde^v = C(tilde^1, v) as an operator, small v: [first v that fails].
-        The step v = 1 makes tilde^1 H, which is table[1]: the same sum of the
-        same terms, so it holds by construction and w starts there."""
-        w = table[1]
-        for v in range(2, cap):
-            # after this step w = tilde^1 (tilde^1 - 1) ... (tilde^1 - v + 1) H.
-            # The step before proved w = (v-1)! table[v-1], so tilde^1 w is
-            # (v-1)! tilde^1 table[v-1]; only that proof lets unit(v - 1) stand in.
-            w = Series2._combination([(factorial(v - 1), unit(v - 1)), (1 - v, w)], N)
-            if table[v] != w.scale(ctx.inv_factorial[v]):
+            unit = ctx.tilde_partial_global(1, table[v - 1])
+            if table[v].scale(v) != Series2._combination([(1, unit), (1 - v, table[v - 1])], N):
                 return [v]
         return []
 
@@ -587,7 +584,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         """partial^v = sum_u (fbar^u)_v tilde^u: [first v that fails]."""
         partial = ctx.global_table("table_reduced", H, min(N, 6))
         for v in range(1, min(N, 6)):
-            if Series2._combination(zip(fbar_coeffs[v][1:], tilde[1:]), N) != partial[v]:
+            if Series2._combination(zip(fbar[v][1:], tilde[1:]), N) != partial[v]:
                 return [v]
         return []
 
@@ -598,18 +595,11 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     recursion_fails, binomial_fails, from_tilde_fails = [], [], []
     for H, in_recursion, in_from_tilde in inputs:
         table = ctx.global_table("p", H, N if in_from_tilde else cap)
-        units: dict = {}
-
-        def unit(k):
-            """tilde^1 table[k], made on its first read; both checks read it."""
-            if k not in units:
-                units[k] = ctx.tilde_partial_global(1, table[k])
-            return units[k]
-
-        if in_recursion and not recursion_fails:
-            recursion_fails = recursion_fault(table, unit)
-        if not binomial_fails:
-            binomial_fails = binomial_fault(table, unit)
+        if not binomial_fails or (in_recursion and not recursion_fails):
+            fault = recursion_fault(table)
+            binomial_fails = binomial_fails or fault
+            if in_recursion:
+                recursion_fails = recursion_fails or fault
         if in_from_tilde:
             from_tilde_fails += from_tilde_fault(table, H)
     # tilde_y^h F for every h, read again by the transport identities below
@@ -622,9 +612,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # partial_x^v = sum_u (fbar^u)_v tilde_x^u
     fails = []
     for v in range(1, N):
-        coeffs = [ctx.fbar_power(u).coeffs[v] for u in range(N)]
         for ph, th in zip(px, tx[: N + 1]):
-            if Series1._combination(zip(coeffs[1:], th[1:]), N) != ph[v]:
+            if Series1._combination(zip(fbar[v][1:], th[1:]), N) != ph[v]:
                 fails.append(v)
                 break
         if fails:
@@ -799,8 +788,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     for i in range(1, N):
         fbar_flip_pows.append(fbar_flip_pows[-1] * fbar_flip)
     for j in range(1, N):
-        lhs3 = Series2._combination(
-            [(ctx.fbar_power(i).coeffs[j], tilde_flip[i]) for i in range(1, N)], N)
+        lhs3 = Series2._combination(zip(fbar[j][1:], tilde_flip[1:]), N)
         rhs3 = Series2._combination(
             [(1, tilde_y_flip[i].mul_x_series(fbar_flip_pows[i].slice_y(j)))
              for i in range(1, N)], N)

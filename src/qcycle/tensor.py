@@ -100,21 +100,32 @@ class CoeffTensor(_Stored):
     def from_payload(cls, payload) -> "CoeffTensor":
         """The tensor of a JSON payload, an n*n*n array of rationals, each an
         "a/b" string (or an integer); stored over the lcm of the denominators."""
-        try:
-            rows = [[json_array(col) for col in json_array(row)] for row in json_array(payload)]
-            pairs = [[[_payload_ratio(v) for v in col] for col in row] for row in rows]
-            _require_cube(pairs)
-            den = lcm(*(q for row in pairs for col in row for _, q in col))
-            return cls._from_rows([[x * (den // q) for x, q in col] for row in pairs for col in row],
-                                  den)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed tensor payload: {exc}") from exc
+        return cls._from_cube(_payload_cube(payload))
+
+    @classmethod
+    def _from_cube(cls, cube: list) -> "CoeffTensor":
+        """The tensor of the cells of a payload that `_payload_cube` passed."""
+        pairs = [[[_payload_ratio(v) for v in col] for col in row] for row in cube]
+        den = lcm(*(q for row in pairs for col in row for _, q in col))
+        return cls._from_rows([[x * (den // q) for x, q in col] for row in pairs for col in row],
+                              den)
 
 
 def _require_cube(data) -> None:
     n = len(data)
     if n < 2 or any(len(r) != n for r in data) or any(len(c) != n for r in data for c in r):
         raise ValueError("entries must form an n*n*n grid with n >= 2")
+
+
+def _payload_cube(payload) -> list:
+    """A tensor payload's arrays, checked to form an n*n*n grid before any
+    cell is read: a misshapen payload costs no rational parse."""
+    cube = [[json_array(col) for col in json_array(row)] for row in json_array(payload)]
+    try:
+        _require_cube(cube)
+    except ValueError as exc:
+        raise ParseError(f"malformed tensor payload: {exc}") from exc
+    return cube
 
 
 def _payload_ratio(value) -> tuple[int, int]:
@@ -178,16 +189,15 @@ class QCycleStructure:
         n = payload.get("n")
         if type(n) is not int:
             raise ParseError(f"structure n must be a JSON integer, got {n!r}")
-        try:
-            p = CoeffTensor.from_payload(payload["p"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed structure payload: {exc}") from exc
-        if p.n != n:
-            raise ParseError("tensor dimension does not match declared n")
-        d = CoeffTensor.from_payload(payload["d"]) if "d" in payload else p
-        if d.n != n:
-            raise ParseError("tensor dimension does not match declared n")
-        return cls(p, d)
+        if "p" not in payload:
+            raise ParseError("malformed structure payload: 'p'")
+        tensors = []
+        for key in ("p", "d") if "d" in payload else ("p",):
+            cube = _payload_cube(payload[key])
+            if len(cube) != n:   # checked before any cell is read
+                raise ParseError("tensor dimension does not match declared n")
+            tensors.append(CoeffTensor._from_cube(cube))
+        return cls(tensors[0], tensors[-1])
 
 
 @dataclass(frozen=True)
@@ -215,8 +225,9 @@ def is_coalgebra_morphism(t: CoeffTensor) -> MorphismReport:
     rational one.  Only the entries of a reported violation become `Fraction`s.
 
     The report is kept on t, so a tensor is walked at most once however often
-    it is checked: `verify --full` asks 6 times, for p and d in the command
-    and in each braid check, and walks one tensor when d is p.
+    it is checked: `verify --full` asks for p and d in the command and in
+    the full scan, and again in the reduced scan when the full one fails
+    (4 or 6 times), and walks one tensor when d is p.
     """
     report = getattr(t, "_morph", None)
     if report is None:

@@ -10,7 +10,11 @@ import pytest
 
 from qcycle import cli
 from qcycle.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from qcycle.tensor import QCycleStructure, extend_from_level1
+from qcycle.families import NonRootFamilyInput, build_nonroot_family
+from qcycle.solution import check_braid_full
+from qcycle.tensor import QCycleStructure, extend_from_level1, is_coalgebra_morphism
+
+from conftest import standard_structure
 
 
 def test_scc_emit_and_verify_round_trip(tmp_path, capsys):
@@ -126,6 +130,58 @@ def test_verify_singular_side_map_records_every_solution_check(tmp_path, capsys)
     assert "solution_involutive: False" in out
 
 
+def _verify_cases():
+    """The reordered braid scans of verify --full meet passing and failing
+    inputs with p = d and p != d, and a pair that is not coalgebra morphisms."""
+    scc = standard_structure(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
+    nonroot = build_nonroot_family(NonRootFamilyInput(
+        5, [Fraction(2), Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)], Fraction(3, 2)))
+    bent = []
+    for s in (scc, nonroot):
+        level1 = s.p.level(1)
+        level1[2][2] += 1
+        p = extend_from_level1(level1)
+        bent.append(QCycleStructure(p, p if s.is_involutive() else s.d))
+    two_sided = [[Fraction(0)] * 3 for _ in range(3)]
+    two_sided[1][0] = two_sided[0][1] = Fraction(1)   # G = u + v, G^3 != 0
+    not_morphism = QCycleStructure.involutive(extend_from_level1(two_sided))
+    return [pytest.param(scc, True, id="pass p = d"), pytest.param(nonroot, True, id="pass p != d"),
+            pytest.param(bent[0], False, id="fail p = d"),
+            pytest.param(bent[1], False, id="fail p != d"),
+            pytest.param(not_morphism, False, id="not a morphism")]
+
+
+@pytest.mark.parametrize("structure, passes", _verify_cases())
+def test_verify_full_reads_the_reduced_verdict_off_a_passing_full_scan(
+        tmp_path, capsys, monkeypatch, structure, passes):
+    # verify --full runs the full scan first and the reduced scan only when
+    # the full one fails; its output is plain verify's plus the braid_full line
+    morphisms = is_coalgebra_morphism(structure.p) and is_coalgebra_morphism(structure.d)
+    if morphisms and not passes and not structure.is_involutive():
+        full = check_braid_full(structure)   # families 1 and 2 fail, family 3 holds
+        assert not full.family1_ok and not full.family2_ok and full.family3_ok
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(structure.to_payload()))
+    reduced_calls = []
+    reduced = cli.check_braid_reduced
+
+    def counted(s):
+        reduced_calls.append(s)
+        return reduced(s)
+
+    monkeypatch.setattr(cli, "check_braid_reduced", counted)
+    plain_code = main(["verify", "--tensor", str(path)])
+    plain = capsys.readouterr().out
+    del reduced_calls[:]
+    full_code = main(["verify", "--tensor", str(path), "--full"])
+    full = capsys.readouterr().out
+    assert full_code == plain_code == (EXIT_OK if passes else EXIT_CHECK_FAILED)
+    lines = full.splitlines(keepends=True)
+    assert sum(line.startswith("braid_full:") for line in lines) == 1
+    assert "".join(line for line in lines if not line.startswith("braid_full:")) == plain
+    assert len(reduced_calls) == (0 if passes or not morphisms else 1)
+
+
 def test_schema_is_checked(tmp_path):
     out = tmp_path / "scc.json"
     main(["scc", "--n", "3", "--v0", "1", "--params", "1", "--emit-json", str(out)])
@@ -210,6 +266,32 @@ def test_structure_n_must_be_an_integer(tmp_path, capsys):
     payload["n"] = 3
     bad.write_text(json.dumps(payload))
     assert main(["verify", "--tensor", str(bad)]) == EXIT_OK
+
+
+def test_misshapen_tensor_is_rejected_before_any_cell_is_read(tmp_path, monkeypatch, capsys):
+    # a p of the wrong size for the declared n, a ragged row, and a d of the
+    # wrong size are each rejected on the raw arrays: no cell becomes a rational
+    from qcycle import tensor
+
+    read = []
+    ratio = tensor._payload_ratio
+    monkeypatch.setattr(tensor, "_payload_ratio", lambda value: read.append(value) or ratio(value))
+    good = QCycleStructure.involutive(extend_from_level1([[Fraction(0)] * 3] * 3)).to_payload()
+    big = [[["0"] * 30 for _ in range(30)] for _ in range(30)]
+    ragged = [list(row) for row in good["p"]]
+    ragged[1][2] = ["0"] * 100_000
+    cases = [({**good, "p": big}, "tensor dimension does not match declared n"),
+             ({**good, "p": ragged}, "malformed tensor payload: entries must form an n*n*n grid"),
+             ({**good, "d": big}, "tensor dimension does not match declared n")]
+    for payload, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        for flags in ([], ["--full"]):
+            assert main(["verify", "--tensor", str(path)] + flags) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+            # d is checked after p is read, so only p's 27 cells are
+            assert len(read) == (27 if "d" in payload else 0)
+            del read[:]
 
 
 def test_negative_rational_option_values(capsys):

@@ -69,6 +69,18 @@ class TestNonRootFamily:
         with pytest.raises(PreconditionNotMet):
             nonunit_vanishing_check(s, 4)
 
+    def test_vanishing_check_precondition_messages(self):
+        # the order of a step entry 1 or -1 below the bound, as root_of_unity_order gives it
+        negative = next(f.structure for f in fixtures_n3() if f.name == "negative_step")
+        for s, order in ((standard_structure(4, 1, [1, 1]), 1), (negative, 2)):
+            for bound in range(5):
+                if bound <= order:
+                    nonunit_vanishing_check(s, bound)
+                    continue
+                with pytest.raises(PreconditionNotMet) as info:
+                    nonunit_vanishing_check(s, bound)
+                assert str(info.value) == f"step entry has order {order} < {bound}"
+
     def test_vanishing_check_detects_perturbation(self):
         s = build_nonroot_family(NonRootFamilyInput(3, [2, 1], 3))
         bad = QCycleStructure(s.p, s.d.with_entry(2, 0, 1, s.d.entry(2, 0, 1) + 1))
@@ -155,6 +167,39 @@ class TestClassify:
         swapped = QCycleStructure(s.d, s.p)
         assert check_braid_reduced(swapped)
         assert classify(swapped).row is ClassificationRow.NONINV_D10_NOT_ROOT
+
+    def test_every_row_verdict_is_pinned(self):
+        # status and notes of each row, on the nine fixtures and one input per other row
+        nonroot = build_nonroot_family(NonRootFamilyInput(3, [2, 1], 1))
+        cases = [fixture.structure for fixture in fixtures_n3()] + [
+            standard_structure(4, 1, [2, 0]), standard_structure(5, 2, [1, 1]),
+            build_nonroot_family(NonRootFamilyInput(3, [2, 1], 2)),
+            build_nonroot_family(NonRootFamilyInput(3, [2, 1], 3)),
+            QCycleStructure(nonroot.d, nonroot.p)]
+        all_zero = ("involutive_delta_all_zero", "partial",
+                    "row parameters all vanish; first column forced to vanish as well")
+        negative = ("involutive_p10_root_of_unity", "partial",
+                    "step entry -1 is a root of unity of order 2 below n = 3")
+        mixed = ("noninv_both_roots", "partial",
+                 "both step entries are roots of unity (orders 1, 2)")
+        want = [all_zero,
+                ("involutive_p10_eq_1_nondelta", "examples",
+                 "column zero is not the identity action although the step entry is 1"),
+                all_zero, negative, negative, negative, mixed, mixed, mixed,
+                ("p11_nonzero", "complete",
+                 "equivalent to a unique degree-1 standard cycle by rescaling with t[1][1][1]"),
+                ("involutive_delta_with_higher_param", "complete",
+                 "first nonzero row parameter at degree 2; standard cycle after rescaling by "
+                 "a degree-th root of it (may not exist over Q)"),
+                ("involutive_p10_not_root", "complete",
+                 "step entry 2 is not a root of unity of order below n = 3"),
+                ("noninv_p10_not_root", "complete",
+                 "p step entry 2 is not a root of unity below n = 3"),
+                ("noninv_d10_not_root", "complete",
+                 "d step entry 2 is not a root of unity below n = 3")]
+        got = [classify(s) for s in cases]
+        assert [(v.row.value, v.status, v.notes) for v in got] == want
+        assert {v.row for v in got} == set(ClassificationRow)
 
     def test_classify_requires_verified(self):
         s = standard_structure(3, 1, [1])

@@ -448,9 +448,10 @@ PLANTS = {
 
 
 class TestImageComparisons:
-    """partial_x_commutation, xy_commutation and the global tilde pass compare
-    integer images (`OperatorContext._image`) and share tilde^1 images; each
-    must give the verdict and the first failure of its Series form above."""
+    """partial_x_commutation and xy_commutation compare integer images
+    (`OperatorContext._image`), and one walk of the tilde recursion decides
+    both global tilde checks; each must give the verdict and the first
+    failure of its Series form above."""
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_match_series_oracles(self, n):
