@@ -26,6 +26,10 @@ SeriesError.  The context also carries:
     S(y) = 1 - (1+y)^(-v0), V(y) = (1-y)^(-1/v0) - 1, U(y) = V(f(x)^{v0} y),
     satisfying fbar(F) = T(fbar(y)) for the flipped table F(x,y) = G(y,x).
 
+Powers are cached once each; a y-slice (B^k)_v is read off its cached power.
+The constructor proves only the inverse round trip of q and the transport
+checks (T_0 = 0, T_1 = f^{v0}, (T^j)_j = f^{j v0}); the suite proves the rest.
+
 `identity_suite` checks, exactly and up to the truncation order, every
 identity the construction is built on, ending with the slice symmetry
 (partial^j G)_i = (partial^i G)_j that encodes the braid equations.  Each
@@ -85,8 +89,6 @@ class OperatorContext:
         self.row_reduced = bundle.row.add_constant(-1)                   # f - 1
 
         self._pows: dict = {}
-        self._slices: dict = {}
-        self._fpow: dict = {}
         self._matrices: dict = {}
 
         self.p_slices = self._build_p_slices()
@@ -130,22 +132,21 @@ class OperatorContext:
         return self._pows[key]
 
     def power_slice(self, name: str, k: int, v: int) -> Series1:
-        """(series^k)_v: the y-slice of a cached power, as a series in x."""
-        key = (name, k, v)
-        if key not in self._slices:
-            self._slices[key] = self.power(name, k).slice_y(v)
-        return self._slices[key]
+        """(series^k)_v: the y-slice of a cached power, as a series in x, read off it."""
+        return self.power(name, k).slice_y(v)
 
     def f_power(self, m: int) -> Series1:
-        if m not in self._fpow:
-            self._fpow[m] = self.row ** m
-        return self._fpow[m]
+        """f^m, by square-and-multiply: m reaches v0 (N - 1), too far for a chain."""
+        key = ("f", m)
+        if key not in self._pows:
+            self._pows[key] = self.row ** m
+        return self._pows[key]
 
     def fbar_power(self, k: int) -> Series1:
         key = ("fbar", k)
-        if key not in self._fpow:
-            self._fpow[key] = self.row_reduced ** k
-        return self._fpow[key]
+        if key not in self._pows:
+            self._pows[key] = self.row_reduced ** k
+        return self._pows[key]
 
     def _build_p_slices(self) -> list[Series1]:
         """P_1 = g and (v+1) P_{v+1} = g P_v' - v P_v."""
@@ -186,26 +187,10 @@ class OperatorContext:
         return slices
 
     def _verify_construction(self) -> None:
-        N, v0 = self.order, self.degree
-        g, q = self.column, self.eigenfunction
-
-        if (g * q.derivative()) != q:
-            raise InvariantViolation("eigenfunction_ode")
+        N, v0, q = self.order, self.degree, self.eigenfunction
         x = Series1.x(N)
         if compose(q, self.eigenfunction_inv) != x or compose(self.eigenfunction_inv, q) != x:
             raise InvariantViolation("eigenfunction_inverse_roundtrip")
-
-        regraded = Series2._combination(
-            [(1, Series2.from_x_series(self.p_slices[v], N).mul_y_series(self.fbar_power(v)))
-             for v in range(1, N)], N)
-        if regraded != self.table_reduced:
-            raise InvariantViolation("table_regrading")
-
-        lhs = (q ** v0).scale(v0)
-        rhs = Series1.one(N) - self.f_power(v0).reciprocal()
-        if lhs != rhs:
-            raise InvariantViolation("eigen_power_vs_row")
-
         if not self.transport.slice_y(0).is_zero():
             raise InvariantViolation("transport_vanishes_at_0")
         if self.transport.slice_y(1) != self.f_power(v0):
@@ -440,11 +425,6 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                 den_uv, den_vu = den_uv * ph[v]._den, den_vu * ph[u]._den
                 if [x * den_vu for x in uv] != [y * den_uv for y in vu]:
                     fails.append((u, v))
-                    break
-            if fails:
-                break
-        if fails:
-            break
     checks.append(_check("partial_x_commutation", fails))
 
     # x and y operators commute.  Images along x act on the row index of H
@@ -452,22 +432,20 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # fail this check: it guards the index layout of the kernel `_image`.
     # Both orders of the integer images of H are over den(H) times the same
     # two matrix denominators, so rows compare as they are.  One input's
-    # images at a time; each input scans the pairs before the least failing
-    # one so far, which is the one reported.
+    # images at a time; the least failing pair over all inputs is reported.
     small = [H for H in x2_basis if not H.is_zero()][: 2 * N] + x2_random[:1]
     pairs = [(v, u) for v in range(1, min(N, 5)) for u in range(1, min(N, 5))]
     pairs += [(N - 1, N - 1)]
     degrees = sorted({v for pair in pairs for v in pair})
-    first = len(pairs)
+    fails = []
     for H in small:
         dx = {v: ctx._image("table_reduced", v, H._nums, False)[0] for v in degrees}
         dy = {u: ctx._image("table_reduced", u, H._nums, True)[0] for u in degrees}
-        for index, (v, u) in enumerate(pairs[:first]):
+        for index, (v, u) in enumerate(pairs):
             if (ctx._image("table_reduced", v, dy[u], False)[0]
                     != ctx._image("table_reduced", u, dx[v], True)[0]):
-                first = index
-                break
-    checks.append(_check("xy_commutation", pairs[first:first + 1]))
+                fails.append(index)
+    checks.append(_check("xy_commutation", [pairs[index] for index in sorted(fails)]))
 
     # partial_y annihilates pure-x series
     fails = []
@@ -537,7 +515,6 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     for h, ph, th in zip(x1_inputs, px, tx):
         if th[1] != ctx.column * h.derivative() or (v0 < N and th[1] != ph[v0]):
             fails.append("unit")
-            break
     checks.append(_check("tilde_x_unit", fails))
 
     # v tilde_x^v = tilde_x^1 tilde_x^{v-1} - (v-1) tilde_x^{v-1}
@@ -548,17 +525,14 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             if th[v].scale(v) != Series1._combination(
                     [(1, ctx.tilde_partial_x(1, prev)), (1 - v, prev)], N):
                 fails.append(v)
-                break
-        if fails:
-            break
     checks.append(_check("tilde_x_recursion", fails))
 
     # The three global tilde checks run in one pass over their inputs, so the
     # tables tilde^k H and partial^k H of an input are made once, from the
-    # defining sum, and dropped when its checks are done.  Each check keeps
+    # defining sum, and dropped when its checks are done.  Each check reports
     # the failure it would meet first: the recursion and the binomial check
     # scan inputs, then v; partial_global_from_tilde scans v, then inputs,
-    # so it keeps the least failing v over all inputs.
+    # so it reports the least failing v over all inputs.
     #
     # One walk of the recursion decides the binomial check too.  tilde^v =
     # C(tilde^1, v) walks w_v = tilde^1 w_{v-1} - (v-1) w_{v-1} from w_1 =
@@ -595,11 +569,10 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     recursion_fails, binomial_fails, from_tilde_fails = [], [], []
     for H, in_recursion, in_from_tilde in inputs:
         table = ctx.global_table("p", H, N if in_from_tilde else cap)
-        if not binomial_fails or (in_recursion and not recursion_fails):
-            fault = recursion_fault(table)
-            binomial_fails = binomial_fails or fault
-            if in_recursion:
-                recursion_fails = recursion_fails or fault
+        fault = recursion_fault(table)
+        binomial_fails += fault
+        if in_recursion:
+            recursion_fails += fault
         if in_from_tilde:
             from_tilde_fails += from_tilde_fault(table, H)
     # tilde_y^h F for every h, read again by the transport identities below
@@ -615,9 +588,6 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         for ph, th in zip(px, tx[: N + 1]):
             if Series1._combination(zip(fbar[v][1:], th[1:]), N) != ph[v]:
                 fails.append(v)
-                break
-        if fails:
-            break
     checks.append(_check("partial_x_from_tilde", fails))
 
     # partial^v = sum_u (fbar^u)_v tilde^u on two-variable inputs (run above)

@@ -187,11 +187,6 @@ def _power(base, exponent: int, one):
     return result
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical "a/b" string, denominator omitted when 1."""
-    return str(value)
-
-
 @lru_cache(maxsize=None)
 def general_binomial(alpha: Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient C(alpha, k) = alpha(alpha-1)...(alpha-k+1)/k!.
@@ -371,6 +366,8 @@ class Series1(_Series):
 
     @classmethod
     def monomial(cls, degree: int, order: int, coeff: Rational = 1) -> "Series1":
+        if degree < 0:
+            raise IndexOutOfTruncation(f"degree {degree} at order {order}")
         if degree >= order:
             return cls.zero(order)
         c = as_fraction(coeff)
@@ -450,7 +447,7 @@ class Series1(_Series):
     def to_payload(self) -> dict:
         return {
             "trunc_order": len(self._nums),
-            "coeffs": [format_rational(c) for c in self.coeffs],
+            "coeffs": [str(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -493,6 +490,8 @@ class Series2(_Series):
 
     @classmethod
     def monomial(cls, xdeg: int, ydeg: int, order: int, coeff: Rational = 1) -> "Series2":
+        if xdeg < 0 or ydeg < 0:
+            raise IndexOutOfTruncation(f"({xdeg},{ydeg}) at order {order}")
         if not (xdeg < order and ydeg < order):
             return cls.zero(order)
         c = as_fraction(coeff)
@@ -612,7 +611,7 @@ class Series2(_Series):
     def to_payload(self) -> dict:
         return {
             "trunc_order": len(self._nums),
-            "coeffs": [[format_rational(c) for c in row] for row in self.coeffs],
+            "coeffs": [[str(c) for c in row] for row in self.coeffs],
         }
 
     @classmethod

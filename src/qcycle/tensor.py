@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .errors import BadLinearTerm, NotComultiplicative, ParseError, ZeroLambda
 from .series import (ONE, ZERO, Series1, Series2, _chain_break, _Stored, as_fraction,
-                     format_rational, json_array, parse_rational)
+                     json_array, parse_rational)
 
 Grid = Sequence[Sequence[Fraction]]
 
@@ -82,6 +82,8 @@ class CoeffTensor(_Stored):
         return [[self.entries[i][j][k] for j in range(self.n)] for i in range(self.n)]
 
     def with_entry(self, i: int, j: int, k: int, value) -> "CoeffTensor":
+        if min(i, j, k) < 0:
+            raise IndexError(f"entry ({i}, {j}, {k}) of a tensor with n = {self.n}")
         grid = [[list(col) for col in row] for row in self.entries]
         grid[i][j][k] = as_fraction(value)
         return CoeffTensor(grid)
@@ -94,7 +96,7 @@ class CoeffTensor(_Stored):
     # -- serialization -----------------------------------------------------
 
     def to_payload(self) -> list:
-        return [[[format_rational(v) for v in col] for col in row] for row in self.entries]
+        return [[[str(v) for v in col] for col in row] for row in self.entries]
 
     @classmethod
     def from_payload(cls, payload) -> "CoeffTensor":

@@ -518,3 +518,131 @@ class TestImageComparisons:
                                   Fraction(1, 3), Fraction(-3, 4)])
         assert identity_suite(ctx, rng=random.Random(5)).ok
         assert counts == {"_image": 2064, "tilde_partial_global": 57}
+
+
+# -- whole suite reports on planted faults ------------------------------------------
+
+
+def plant_tensor_entry(ctx, rng):
+    t = ctx.tensor
+    ctx.tensor = t.with_entry(3, 1, 2, t.entry(3, 1, 2) + Fraction(1, 3))
+
+
+# PLANTS, and faults in the series the constructor once proved facts about
+SUITE_PLANTS = {
+    **PLANTS,
+    "eigenfunction": lambda ctx, rng: setattr(
+        ctx, "eigenfunction", ctx.eigenfunction + Series1.monomial(3, ctx.order, Fraction(1, 5))),
+    "column": lambda ctx, rng: setattr(
+        ctx, "column", ctx.column + Series1.monomial(3, ctx.order, Fraction(1, 7))),
+    "transport": lambda ctx, rng: setattr(
+        ctx, "transport", ctx.transport + Series2.monomial(1, 2, ctx.order, Fraction(1, 3))),
+    "tensor_entry": plant_tensor_entry,
+}
+
+# The (name, detail) pairs of report.failures(), per plant, at n = 5, v0 = 1,
+# pad 2, plant seed 11 and suite seed 5.
+PLANTED_FAILURES = {
+    "none": [],
+    "y_offset_kernel": [
+        ("partial_x_of_x_gives_slices", "first failure at 4"),
+        ("partial_x_commutation", "first failure at (1, 4)"),
+        ("xy_commutation", "first failure at (1, 4)"),
+        ("partial_y_kills_pure_x", "first failure at 4"),
+        ("column_slice_exchange", "first failure at 4"),
+        ("global_slice_symmetry", "first failure at (0, 4)"),
+        ("partial_x_from_tilde", "first failure at 4"),
+        ("partial_global_from_tilde", "first failure at 4"),
+        ("global_as_flip_convolution", "first failure at 4"),
+    ],
+    "y_mix_kernel": [
+        ("xy_commutation", "first failure at (1, 4)"),
+        ("partial_y_kills_pure_x", "first failure at 4"),
+        ("global_slice_symmetry", "first failure at (0, 4)"),
+        ("partial_global_from_tilde", "first failure at 4"),
+        ("global_as_flip_convolution", "first failure at 4"),
+    ],
+    "gbar_matrix": [
+        ("partial_x_commutation", "first failure at (1, 4)"),
+        ("x_slice_symmetry", "first failure at (1, 4)"),
+        ("column_slice_exchange", "first failure at 4"),
+        ("global_slice_symmetry", "first failure at (1, 4)"),
+        ("braid_sum_match", "first failure at (1, 4, 6)"),
+        ("partial_x_from_tilde", "first failure at 4"),
+        ("partial_global_from_tilde", "first failure at 4"),
+        ("row_action_is_partial", "first failure at (6, 4)"),
+        ("global_as_flip_convolution", "first failure at 4"),
+    ],
+    "p_unit_matrix": [
+        ("tilde_x_unit", "first failure at unit"),
+        ("tilde_x_recursion", "first failure at 2"),
+        ("tilde_global_recursion", "first failure at 2"),
+        ("tilde_global_binomial", "first failure at 2"),
+        ("partial_x_from_tilde", "first failure at 1"),
+        ("partial_global_from_tilde", "first failure at 1"),
+        ("transport_ode", "first failure at ode"),
+        ("tilde_flip_transport", "first failure at 1"),
+        ("main_series_identity", "first failure at 1"),
+    ],
+    "p_cube_matrix": [
+        ("tilde_x_recursion", "first failure at 3"),
+        ("tilde_global_recursion", "first failure at 3"),
+        ("tilde_global_binomial", "first failure at 3"),
+        ("partial_x_from_tilde", "first failure at 3"),
+        ("partial_global_from_tilde", "first failure at 3"),
+        ("tilde_flip_transport", "first failure at 3"),
+        ("main_series_identity", "first failure at 3"),
+    ],
+    "p_series": [
+        ("tilde_x_recursion", "first failure at 2"),
+        ("tilde_global_recursion", "first failure at 2"),
+        ("tilde_global_binomial", "first failure at 2"),
+        ("partial_x_from_tilde", "first failure at 2"),
+        ("partial_global_from_tilde", "first failure at 2"),
+        ("table_regrade_powers", "first failure at 1"),
+        ("tilde_flip_transport", "first failure at 2"),
+        ("main_series_identity", "first failure at 2"),
+    ],
+    "eigenfunction": [
+        ("eigen_odes", "first failure at ode"),
+        ("eigen_power_vs_row", "first failure at closed_form"),
+        ("table_from_eigen", "first failure at flip_composition"),
+        ("transport_chain", "first failure at to_eigen"),
+    ],
+    "column": [
+        ("partial_x_degree_slice_derivation", "first failure at derivation"),
+        ("column_slice_exchange", "first failure at 0"),
+        ("tilde_x_unit", "first failure at unit"),
+        ("eigen_odes", "first failure at ode"),
+    ],
+    "transport": [
+        ("transport_chain", "first failure at transport"),
+        ("transport_ode", "first failure at ode"),
+    ],
+    "tensor_entry": [
+        ("braid_sum_match", "first failure at (1, 1, 3)"),
+        ("degree_slot_symmetry", "first failure at (1, 3)"),
+        ("level_entry_binomial", "first failure at (1, 2, 1)"),
+        ("row_action_is_partial", "first failure at (3, 1)"),
+        ("flip_power_entries", "first failure at (3, 1, 2)"),
+    ],
+}
+
+
+class TestPlantedReports:
+    """Whole identity-suite reports under planted faults, pinned: each check
+    keeps its verdict and its first failure.  The suite is the only place
+    the eigenfunction ODE, the closed form of v0 q^{v0} and the regrading of
+    Gbar are proved, so each of those checks must meet a fault here."""
+
+    @pytest.mark.parametrize("plant", sorted(SUITE_PLANTS))
+    def test_failures_are_pinned(self, plant):
+        ctx = make_context(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
+        SUITE_PLANTS[plant](ctx, random.Random(11))
+        report = identity_suite(ctx, random.Random(5))
+        assert [(c.name, c.detail) for c in report.failures()] == PLANTED_FAILURES[plant]
+
+    def test_suite_only_checks_meet_a_fault(self):
+        failed = {name for pairs in PLANTED_FAILURES.values() for name, _ in pairs}
+        assert {"eigen_odes", "eigen_power_vs_row", "table_regrade_powers"} <= failed
+        assert set(PLANTED_FAILURES) == set(SUITE_PLANTS)

@@ -369,6 +369,17 @@ class TestSeries2:
         with pytest.raises(IndexOutOfTruncation):
             Series1.zero(3).coefficient(3)
 
+    def test_negative_monomial_degree_raises(self):
+        # a negative degree must not wrap around to the top of the truncation
+        with pytest.raises(IndexOutOfTruncation):
+            Series1.monomial(-1, 5)
+        for xdeg, ydeg in ((-1, 0), (0, -1), (-1, -1)):
+            with pytest.raises(IndexOutOfTruncation):
+                Series2.monomial(xdeg, ydeg, 3)
+        # a degree at or above the order is still the zero series
+        assert Series1.monomial(5, 5) == Series1.zero(5)
+        assert Series2.monomial(3, 0, 3) == Series2.zero(3)
+
     def test_transpose(self):
         s = Series2([[0, 1, 0], [2, 0, 0], [0, 0, 0]])
         assert s.transposed().coefficient(1, 0) == 1

@@ -489,6 +489,15 @@ class TestStoredForm:
                 assert t.entries == tuple(tuple(tuple(Fraction(x, t._den) for x in col)
                                                 for col in row) for row in t._nums)
 
+    def test_with_entry_rejects_negative_indices(self):
+        # entry(-1, 0, 0) reads 0, so with_entry must not write entry (n-1, 0, 0)
+        t = counit_action(3)
+        for index in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(IndexError):
+                t.with_entry(*index, 1)
+        with pytest.raises(IndexError):
+            t.with_entry(3, 0, 0, 1)
+
     def test_equal_by_different_routes(self, rng):
         for n in (2, 3, 5):
             level1 = random_level1(rng, n)
