@@ -32,6 +32,7 @@ from .solution import (
     check_braid_full,
     check_braid_on_map,
     check_braid_reduced,
+    is_bijective,
     is_coalgebra_endomorphism,
     is_involution,
 )
@@ -156,7 +157,7 @@ def _cmd_verify(args) -> int:
             smap = build_solution(structure)
             results["solution_braid"] = check_braid_on_map(smap)
             results["solution_coalgebra_endo"] = is_coalgebra_endomorphism(smap)
-            results["solution_bijective"] = smap.determinant() != 0
+            results["solution_bijective"] = is_bijective(smap)
             results["solution_involutive"] = is_involution(smap)
         except QcycleError as exc:
             print(f"solution construction failed: {exc}")

@@ -113,23 +113,30 @@ class OperatorContext:
 
     # -- cached building blocks --------------------------------------------
 
+    # the public attribute each cached chain of powers is built from
+    _BASES = {"table_reduced": "table_reduced", "p": "p_series", "flip": "flip",
+              "transport": "transport", "f": "row", "fbar": "row_reduced"}
+
+    def _chain(self, name: str) -> tuple:
+        """(base, powers): the series `name` names and its cached powers
+        {k: base^k}, emptied when that attribute has been rebound since."""
+        base = getattr(self, self._BASES[name])
+        held = self._pows.get(name)
+        if held is None or held[0] is not base:
+            held = self._pows[name] = (base, {})
+        return held
+
     def power(self, name: str, k: int) -> Series2:
         """k-th power of a cached two-variable series (k >= 0)."""
-        base = {
-            "table_reduced": self.table_reduced,
-            "p": self.p_series,
-            "flip": self.flip,
-            "transport": self.transport,
-        }[name]
-        key = (name, k)
-        if key not in self._pows:
+        base, pows = self._chain(name)
+        if k not in pows:
             if k == 0:
-                self._pows[key] = Series2.monomial(0, 0, self.order)
+                pows[k] = Series2.monomial(0, 0, self.order)
             elif k == 1:
-                self._pows[key] = base
+                pows[k] = base
             else:
-                self._pows[key] = self.power(name, k - 1) * base
-        return self._pows[key]
+                pows[k] = self.power(name, k - 1) * base
+        return pows[k]
 
     def power_slice(self, name: str, k: int, v: int) -> Series1:
         """(series^k)_v: the y-slice of a cached power, as a series in x, read off it."""
@@ -137,16 +144,16 @@ class OperatorContext:
 
     def f_power(self, m: int) -> Series1:
         """f^m, by square-and-multiply: m reaches v0 (N - 1), too far for a chain."""
-        key = ("f", m)
-        if key not in self._pows:
-            self._pows[key] = self.row ** m
-        return self._pows[key]
+        return self._square_power("f", m)
 
     def fbar_power(self, k: int) -> Series1:
-        key = ("fbar", k)
-        if key not in self._pows:
-            self._pows[key] = self.row_reduced ** k
-        return self._pows[key]
+        return self._square_power("fbar", k)
+
+    def _square_power(self, name: str, m: int) -> Series1:
+        base, pows = self._chain(name)
+        if m not in pows:
+            pows[m] = base ** m
+        return pows[m]
 
     def _build_p_slices(self) -> list[Series1]:
         """P_1 = g and (v+1) P_{v+1} = g P_v' - v P_v."""

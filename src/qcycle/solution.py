@@ -24,7 +24,11 @@ s[(k, l), (i, j)] (`LinearMap2.from_rows`, `LinearMap2.rows`).  The side maps
 and the solution map are built row by row with the product in A: row (k, b)
 of `gp_map(t)` is v^b times level k of t, and row (k, l) of the solution map
 is L_k E_l (see `build_solution`).  The braid and involution checks of s pull
-monomials of the dual of C (x) C (x) C back through its rows.
+monomials of the dual of C (x) C (x) C back through its sparse rows into a
+dense integer accumulator (`_transpose_kernel`).  When s is a coalgebra
+endomorphism they pull only the generators, and bijectivity is a 2 x 2 test
+on the linear part of the generator rows (`is_bijective`); any other map is
+pulled on every monomial and decided by `LinearMap2.determinant`.
 
 A map is stored as integer rows over one denominator, the one stored form of
 `qcycle.series` (`_Stored`), and the exact kernels read those integers: a
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd, isqrt, lcm, prod
 from typing import Optional
 
@@ -341,11 +345,13 @@ def _step_block(t: CoeffTensor) -> list[list[Fraction]]:
     return [[Fraction(x, den) for x in row[0]] for row in ints]
 
 
-def _superscript_blocks(p: CoeffTensor) -> tuple[list, list[int]]:
+def _superscript_blocks(p: CoeffTensor, step_inv=None) -> tuple[list, list[int]]:
     """(blocks, dens): the integer blocks N_j of `superscript_map` and their
-    denominators D^(j+1) P^j, so that E[i][j][k] = blocks[j][i][k] / dens[j]."""
+    denominators D^(j+1) P^j, so that E[i][j][k] = blocks[j][i][k] / dens[j].
+    step_inv, when given, is the inverse of p's step block, already made."""
     n = p.n
-    step_inv = _invert(_step_block(p))
+    if step_inv is None:
+        step_inv = _invert(_step_block(p))
     if step_inv is None:
         raise SingularGp("left side map is not invertible")
     S, D = integer_grid(step_inv)
@@ -396,7 +402,8 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     and L_k = sum_m E_m D_mk(v), D_mk = sum_j d[j][m][k] v^j (the u^i v^j
     coefficient of L_k is that of x_k in {x_i}x_j), row (k, l) is L_k E_l.
     Requires both side maps to be invertible; each is decided on its n x n
-    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted.  Raises
+    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted, and when
+    p = d the one step block is inverted once.  Raises
     SingularGd, then SingularGp, then NotComultiplicative when p or d is not a
     coalgebra morphism (read from the report kept on each tensor).  E is
     read off the integer blocks of `superscript_map` (`_superscript_blocks`)
@@ -406,9 +413,10 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     is decided here on the factors (`_factor_verdict`) and stored on it for
     `is_coalgebra_endomorphism`, unless L_0 or E_0 is not 1.
     """
-    if _invert(_step_block(s.d)) is None:
+    step_inv = _invert(_step_block(s.d))
+    if step_inv is None:
         raise SingularGd("right side map is not invertible")
-    blocks, dens = _superscript_blocks(s.p)
+    blocks, dens = _superscript_blocks(s.p, step_inv if s.p == s.d else None)
     _require_morphisms(s)
     return _solution_map(blocks, dens, s.d)
 
@@ -466,18 +474,36 @@ def _transpose_kernel(s: LinearMap2, factors: int):
     denominator den of s; s12^T sends y1^a y2^b y3^c to row (a, b) of s, read
     in (y1, y2), times y3^c.  Two words in s12^T and s23^T agree on the
     monomials in y1..y_factors iff they agree on starts: the generators when s
-    is a coalgebra endomorphism (each word is then an algebra map), else all."""
-    n, ints, den = s.n, s._nums, s._den
-    scaled = [[[(divmod(c, n), w) for c, w in enumerate(ints[a * n + b]) if w]
-               for b in range(n)] for a in range(n)]
+    is a coalgebra endomorphism (each word is then an algebra map), else all.
+
+    A step keeps one variable, y3 for s12^T and y1 for s23^T.  The terms of f
+    are grouped by it, and each group's image is summed in a dense list of
+    n^2 ints, indexed by the column i * n + j of s, from the nonzero
+    (column, weight) pairs of the rows; only its nonzero entries become terms.
+    """
+    n, den = s.n, s._den
+    cols = range(n * n)
+    rows = [[(c, row[c]) for c in compress(cols, row)] for row in s._nums]
+    pairs = [divmod(c, n) for c in cols]
 
     def pull(f: dict, first: bool) -> dict:
-        out: dict = {}
+        groups: dict = {}
         for (a, b, c), val in f.items():
-            for (i, j), w in scaled[a][b] if first else scaled[b][c]:
-                key = (i, j, c) if first else (a, i, j)
-                out[key] = out.get(key, 0) + val * w
-        return {k: v for k, v in out.items() if v}
+            if first:
+                groups.setdefault(c, []).append((rows[a * n + b], val))
+            else:
+                groups.setdefault(a, []).append((rows[b * n + c], val))
+        out: dict = {}
+        for kept, terms in groups.items():
+            acc = [0] * (n * n)
+            for row, val in terms:
+                for col, w in row:
+                    acc[col] += val * w
+            if first:
+                out.update((pairs[col] + (kept,), acc[col]) for col in compress(cols, acc))
+            else:
+                out.update(((kept,) + pairs[col], acc[col]) for col in compress(cols, acc))
+        return out
 
     generators = is_coalgebra_endomorphism(s)
     exps = product(*[range(s.n)] * factors + [range(1)] * (3 - factors))
@@ -500,6 +526,35 @@ def is_involution(s: LinearMap2) -> bool:
     endomorphism, on every u^a v^b otherwise (`_transpose_kernel`)."""
     pull, den, starts = _transpose_kernel(s, 2)
     return all(pull(pull({m: 1}, True), True) == {m: den * den} for m in starts)
+
+
+def is_bijective(s: LinearMap2) -> bool:
+    """Whether s is bijective: a 2 x 2 test on the generator rows if s is a
+    coalgebra endomorphism, `determinant` otherwise.
+
+    For an endomorphism the transpose phi of s is a unital algebra map of the
+    local algebra A = K[u, v]/<u^n, v^n> with phi(u) = X = row (1, 0) and
+    phi(v) = Y = row (0, 1), both in the maximal ideal m = <u, v> (they are
+    nilpotent: X^n = Y^n = 0).  s is bijective iff phi is, and phi is iff its
+    linear part J, the map of m/m^2 = K u + K v with u -> X_10 u + X_01 v and
+    v -> Y_10 u + Y_01 v, is:
+
+    * phi(m^k) lies in m^k, and the map phi induces on m^k/m^(k+1) sends the
+      class of z_1 ... z_k (z_i in m) to that of J(z_1) ... J(z_k).  Such
+      products span m^k/m^(k+1), so if J is onto, m^k = phi(m^k) + m^(k+1)
+      for every k >= 1.  Since m^(2n-1) = 0, descending induction on k gives
+      phi(m^k) = m^k; with phi(1) = 1, phi is onto, hence bijective.
+    * If phi is bijective, phi(m) lies in m and has the dimension of m, so
+      phi(m) = m, and J is onto m/m^2.
+
+    So s is bijective iff X_10 Y_01 != X_01 Y_10, compared on the stored
+    integers (both products carry den^2).
+    """
+    if not is_coalgebra_endomorphism(s):
+        return s.determinant() != 0
+    n, M = s.n, s._nums
+    x, y = M[n], M[1]   # rows (1, 0) and (0, 1); u is column n, v column 1
+    return x[n] * y[1] != x[1] * y[n]
 
 
 def is_coalgebra_endomorphism(s: LinearMap2) -> bool:

@@ -618,6 +618,7 @@ PLANTED_FAILURES = {
     "transport": [
         ("transport_chain", "first failure at transport"),
         ("transport_ode", "first failure at ode"),
+        ("tilde_flip_transport", "first failure at 2"),
     ],
     "tensor_entry": [
         ("braid_sum_match", "first failure at (1, 1, 3)"),
@@ -646,3 +647,26 @@ class TestPlantedReports:
         failed = {name for pairs in PLANTED_FAILURES.values() for name, _ in pairs}
         assert {"eigen_odes", "eigen_power_vs_row", "table_regrade_powers"} <= failed
         assert set(PLANTED_FAILURES) == set(SUITE_PLANTS)
+
+
+class TestPowerCache:
+    """Each cached chain of powers follows the public series it is built
+    from: rebinding that series after construction rebuilds the chain."""
+
+    @pytest.mark.parametrize("name, attr", [
+        ("table_reduced", "table_reduced"), ("p", "p_series"), ("flip", "flip"),
+        ("transport", "transport"), ("f", "row"), ("fbar", "row_reduced")])
+    def test_rebinding_rebuilds_powers(self, name, attr):
+        ctx = make_context(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
+        power = {"f": ctx.f_power, "fbar": ctx.fbar_power}.get(
+            name, lambda k: ctx.power(name, k))
+        before = [power(k) for k in range(4)]
+        bump = Fraction(1, 3)
+        rebound = getattr(ctx, attr) + (Series1.monomial(1, ctx.order, bump)
+                                        if name in ("f", "fbar")
+                                        else Series2.monomial(1, 2, ctx.order, bump))
+        setattr(ctx, attr, rebound)
+        after = [power(k) for k in range(4)]
+        assert after[2] != before[2]
+        assert after[1] == rebound and after[2] == rebound * rebound
+        assert after[3] == rebound * rebound * rebound

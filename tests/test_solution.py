@@ -13,12 +13,14 @@ from qcycle.solution import (
     _solution_map,
     _step_block,
     _superscript_blocks,
+    _transpose_kernel,
     build_solution,
     check_braid_full,
     check_braid_on_map,
     check_braid_reduced,
     gd_map,
     gp_map,
+    is_bijective,
     is_coalgebra_endomorphism,
     is_involution,
     structure_sanity,
@@ -136,6 +138,33 @@ class TestSideMaps:
         t = extend_from_level1(level1)
         with pytest.raises(SingularGp):
             superscript_map(t)
+
+    def test_one_step_inverse_when_p_equals_d(self, monkeypatch):
+        from qcycle import solution
+
+        calls = []
+        inner = solution._invert
+        monkeypatch.setattr(solution, "_invert", lambda m: calls.append(1) or inner(m))
+        s = standard_structure(4, 1, [Fraction(1, 2), Fraction(-2, 3)])
+        nonroot = _perturbed_nonroot()
+        for structure, inverses in ((s, 1), (nonroot, 2)):
+            want = solution_of_any_pair(structure)
+            calls.clear()
+            assert build_solution(structure) == want
+            assert len(calls) == inverses
+
+    def test_error_order(self):
+        n = 3
+        singular = extend_from_level1([[Fraction(0)] * n for _ in range(n)])
+        regular = standard_structure(n, 1, [Fraction(2)]).p
+        grid = [[[regular.entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+        grid[1][1][2] += 1
+        broken = CoeffTensor(grid)
+        assert not is_coalgebra_morphism(broken)
+        for p, d, error in ((singular, singular, SingularGd), (regular, singular, SingularGd),
+                            (singular, regular, SingularGp), (broken, broken, NotComultiplicative)):
+            with pytest.raises(error):
+                build_solution(QCycleStructure(p, d))
 
 
 # The three braid families by their (LHS, RHS) tensor triples.
@@ -751,6 +780,109 @@ class TestTransposeKernel:
     def test_maps_need_n_at_least_2(self):
         with pytest.raises(ValueError):
             LinearMap2(1, [[1]])
+
+
+def transpose_pull_by_dict(s):
+    """pull(f, first) of `_transpose_kernel`, made term by term: each product
+    of a term of f and a weight of s is summed into a dict under the tuple key
+    of its image monomial, and the zero sums are dropped at the end."""
+    n, ints = s.n, s._nums
+    scaled = [[[(divmod(c, n), w) for c, w in enumerate(ints[a * n + b]) if w]
+               for b in range(n)] for a in range(n)]
+
+    def pull(f, first):
+        out = {}
+        for (a, b, c), val in f.items():
+            for (i, j), w in scaled[a][b] if first else scaled[b][c]:
+                key = (i, j, c) if first else (a, i, j)
+                out[key] = out.get(key, 0) + val * w
+        return {k: v for k, v in out.items() if v}
+
+    return pull
+
+
+# The words of each check, as the `first` flag of each pull: the braid check
+# compares s12 s23 s12 with s23 s12 s23 (3 factors), the involution check
+# s12 s12 with den^2 times the start (2 factors).
+CHECK_WORDS = {3: ((True, False, True), (False, True, False)), 2: ((True, True),)}
+
+
+def _pull_cases(rng, n):
+    """Solution maps of standard cycles (v0 = 1 and n - 1), of a nonroot pair
+    and of perturbed standard cycles, whose braid check fails; and random
+    maps, which are no endomorphisms and take the every-monomial path."""
+    from qcycle.families import NonRootFamilyInput, build_nonroot_family
+
+    structures = [standard_structure(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
+                  for v0 in sorted({1, n - 1})]
+    lambdas = [Fraction(rng.choice((-2, 2)))] + [random_fraction(rng) for _ in range(n - 2)]
+    structures.append(build_nonroot_family(NonRootFamilyInput(n, lambdas, Fraction(3, 2))))
+    structures += [_perturbed_standard(n, entry) for entry in range(2, n)]
+    randoms = [LinearMap2(n, [[random_fraction(rng) if rng.random() < density else 0
+                               for _ in range(n * n)] for _ in range(n * n)])
+               for density in (0.2, 1)]
+    return [build_solution(s) for s in structures] + randoms
+
+
+class TestDenseAccumulatorPull:
+    """The pull of `_transpose_kernel` equals the dict pull after every step
+    of every word of both checks, and the checks give the oracle's verdicts."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_dict_pull(self, rng, n):
+        seen = set()
+        for m in _pull_cases(rng, n):
+            oracle = transpose_pull_by_dict(m)
+            verdicts = {}
+            for factors, words in CHECK_WORDS.items():
+                pull, den, starts = _transpose_kernel(m, factors)
+                ends = [[] for _ in words]
+                for word, found in zip(words, ends):
+                    for start in starts:
+                        f = g = {start: 1}
+                        for first in word:
+                            f, g = pull(f, first), oracle(g, first)
+                            assert f == g
+                        found.append(g)
+                want = ends[1] if factors == 3 else [{start: den * den} for start in starts]
+                verdicts[factors] = ends[0] == want
+            assert check_braid_on_map(m) == verdicts[3]
+            assert is_involution(m) == verdicts[2]
+            seen.add((is_coalgebra_endomorphism(m), verdicts[3], verdicts[2]))
+        assert {(True, True, True), (True, False, True), (False, False, False)} <= seen
+
+
+def _bijective_cases(rng, n):
+    """`_braid_map_cases` (solution maps, perturbations, shears, algebra
+    maps with a rank-1 linear part, the zero map); algebra maps with a
+    singular Jacobian (X = Y = u; X = uv, Y = u; X = 3uv, Y = v) and one
+    with a regular Jacobian and higher terms; and the identity with row
+    (1, 1) zeroed, whose generator rows are those of the identity but which
+    is no endomorphism and not bijective."""
+    u, v = Series2.monomial(1, 0, n), Series2.monomial(0, 1, n)
+    algebra = [(u, u), (u * v, u), ((u * v).scale(3), v), (u + u * v, v + u * u * v)]
+    return (_braid_map_cases(rng, n)
+            + [_algebra_map(n, x, y) for x, y in algebra]
+            + [_diagonal_variant(n, 0)])
+
+
+class TestBijective:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_determinant(self, rng, n):
+        seen = set()
+        for m in _bijective_cases(rng, n):
+            verdict = is_bijective(m)
+            assert verdict == (m.determinant() != 0)
+            seen.add((is_coalgebra_endomorphism(m), verdict))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_named_maps(self, n):
+        u, v = Series2.monomial(1, 0, n), Series2.monomial(0, 1, n)
+        for m, bijective in ((LinearMap2.identity(n), True), (LinearMap2.flip(n), True),
+                             (_algebra_map(n, u, u), False), (_algebra_map(n, u * v, u), False),
+                             (_diagonal_variant(n, 0), False)):
+            assert is_bijective(m) == bijective == (m.determinant() != 0)
 
 
 def gp_map_by_convolution(t):
