@@ -26,9 +26,12 @@ SeriesError.  The context also carries:
     S(y) = 1 - (1+y)^(-v0), V(y) = (1-y)^(-1/v0) - 1, U(y) = V(f(x)^{v0} y),
     satisfying fbar(F) = T(fbar(y)) for the flipped table F(x,y) = G(y,x).
 
-Powers are cached once each; a y-slice (B^k)_v is read off its cached power.
-The constructor proves only the inverse round trip of q and the transport
-checks (T_0 = 0, T_1 = f^{v0}, (T^j)_j = f^{j v0}); the suite proves the rest.
+The series are read-only once the context is built, and each cache is built
+from what the context holds: one chain of powers per attribute (a y-slice
+(B^k)_v is read off its power) and the operator matrices.  `_replaced` is the
+one way to change a series: a copy with empty caches.  The constructor proves
+only the inverse round trip of q and the transport checks (T_0 = 0,
+T_1 = f^{v0}, (T^j)_j = f^{j v0}); the suite proves the rest.
 
 `identity_suite` checks, exactly and up to the truncation order, every
 identity the construction is built on, ending with the slice symmetry
@@ -96,7 +99,9 @@ class OperatorContext:
 
         self.eigenfunction = self._build_eigenfunction()
         self.eigenfunction_inv = compositional_inverse(self.eigenfunction)
-        self.eigen_slices = self._build_eigen_slices()
+        a = self.eigenfunction_inv.coeffs   # q_i = a_i q^i, the order-i eigenfunctions of h -> g h'
+        self.eigen_slices = [Series1.zero(N)] + [
+            self.power("eigenfunction", i).scale(a[i]) for i in range(1, N)]
         self.q_series = Series2.from_y_slices(self.eigen_slices, N)
 
         v0 = self.degree
@@ -110,32 +115,37 @@ class OperatorContext:
         self.transport = substitute_y(self.from_eigen, self.to_eigen)    # T = U o S
 
         self._verify_construction()
+        self._built = True
 
-    # -- cached building blocks --------------------------------------------
+    # -- read-only series and the caches built from them ---------------------
 
-    # the public attribute each cached chain of powers is built from
-    _BASES = {"table_reduced": "table_reduced", "p": "p_series", "flip": "flip",
-              "transport": "transport", "f": "row", "fbar": "row_reduced"}
+    _built = False
 
-    def _chain(self, name: str) -> tuple:
-        """(base, powers): the series `name` names and its cached powers
-        {k: base^k}, emptied when that attribute has been rebound since."""
-        base = getattr(self, self._BASES[name])
-        held = self._pows.get(name)
-        if held is None or held[0] is not base:
-            held = self._pows[name] = (base, {})
-        return held
+    def __setattr__(self, name: str, value) -> None:
+        if self._built and not name.startswith("_"):
+            raise AttributeError(f"OperatorContext.{name} is read-only; use _replaced({name}=...)")
+        super().__setattr__(name, value)
 
-    def power(self, name: str, k: int) -> Series2:
-        """k-th power of a cached two-variable series (k >= 0)."""
-        base, pows = self._chain(name)
-        if k not in pows:
-            if k == 0:
-                pows[k] = Series2.monomial(0, 0, self.order)
-            elif k == 1:
-                pows[k] = base
-            else:
-                pows[k] = self.power(name, k - 1) * base
+    def _replaced(self, **series) -> "OperatorContext":
+        """A copy holding the named series instead, with empty caches.  The
+        constructor's checks do not run again, so a planted fault reaches
+        the identity suite."""
+        if any(name.startswith("_") or name not in vars(self) for name in series):
+            raise AttributeError(f"not all of {sorted(series)} are series of the context")
+        copy = object.__new__(OperatorContext)
+        copy.__dict__.update(vars(self), **series, _pows={}, _matrices={})
+        return copy
+
+    def power(self, name: str, k: int) -> SeriesLike:
+        """series^k (k >= 0) of the attribute `name`, from its one cached chain."""
+        if k < 0:
+            raise SeriesError(f"negative power {k} of {name}")
+        pows = self._pows.get(name)
+        if pows is None:
+            base = getattr(self, name)
+            pows = self._pows[name] = [base ** 0, base]
+        while len(pows) <= k:
+            pows.append(pows[-1] * pows[1])
         return pows[k]
 
     def power_slice(self, name: str, k: int, v: int) -> Series1:
@@ -143,17 +153,10 @@ class OperatorContext:
         return self.power(name, k).slice_y(v)
 
     def f_power(self, m: int) -> Series1:
-        """f^m, by square-and-multiply: m reaches v0 (N - 1), too far for a chain."""
-        return self._square_power("f", m)
+        return self.power("row", m)
 
     def fbar_power(self, k: int) -> Series1:
-        return self._square_power("fbar", k)
-
-    def _square_power(self, name: str, m: int) -> Series1:
-        base, pows = self._chain(name)
-        if m not in pows:
-            pows[m] = base ** m
-        return pows[m]
+        return self.power("row_reduced", k)
 
     def _build_p_slices(self) -> list[Series1]:
         """P_1 = g and (v+1) P_{v+1} = g P_v' - v P_v."""
@@ -182,17 +185,6 @@ class OperatorContext:
             b[k] = -acc / (k - 1)
         return Series1(b)
 
-    def _build_eigen_slices(self) -> list[Series1]:
-        """q_i = a_i q^i, the order-i eigenfunctions of h -> g h'."""
-        N = self.order
-        a = self.eigenfunction_inv.coeffs
-        slices = [Series1.zero(N)]
-        power = Series1.one(N)
-        for i in range(1, N):
-            power = power * self.eigenfunction
-            slices.append(power.scale(a[i]))
-        return slices
-
     def _verify_construction(self) -> None:
         N, v0, q = self.order, self.degree, self.eigenfunction
         x = Series1.x(N)
@@ -202,6 +194,8 @@ class OperatorContext:
             raise InvariantViolation("transport_vanishes_at_0")
         if self.transport.slice_y(1) != self.f_power(v0):
             raise InvariantViolation("transport_unit_slice")
+        # T_0 = 0 gives (T^j)_j = T_1^j, so with exact products this check
+        # follows from the two before it; only a faulty product can reach it.
         for j in range(1, N):
             if self.power_slice("transport", j, j) != self.f_power(j * v0):
                 raise InvariantViolation("transport_power_diagonal")
@@ -273,14 +267,14 @@ class OperatorContext:
         return self._apply("table_reduced", v, h)
 
     def tilde_partial_x(self, v: int, h: SeriesLike) -> SeriesLike:
-        return self._apply("p", v, h)
+        return self._apply("p_series", v, h)
 
     def partial_y(self, u: int, H: Series2) -> Series2:
         """partial_y^u = sum_i (1/i!) (Gbar^i)_u(y) d^i/dy^i."""
         return self._apply("table_reduced", u, H, along_y=True)
 
     def tilde_partial_y(self, u: int, H: Series2) -> Series2:
-        return self._apply("p", u, H, along_y=True)
+        return self._apply("p_series", u, H, along_y=True)
 
     def partial_global(self, k: int, H: Series2) -> Series2:
         """partial^k = sum_{a+b=k} partial_x^a partial_y^b."""
@@ -289,7 +283,7 @@ class OperatorContext:
 
     def tilde_partial_global(self, u: int, H: Series2) -> Series2:
         self._check_degree(u)
-        return self._global_sum("p", u, [self.tilde_partial_y(b, H) for b in range(u + 1)])
+        return self._global_sum("p_series", u, [self.tilde_partial_y(b, H) for b in range(u + 1)])
 
     def global_table(self, name: str, H: Series2, count: int) -> list[Series2]:
         """[B^k H for k < count], B^k = sum_{a+b=k} B_x^a B_y^b the global operator
@@ -575,7 +569,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     inputs.append((x2_random[0], True, True))
     recursion_fails, binomial_fails, from_tilde_fails = [], [], []
     for H, in_recursion, in_from_tilde in inputs:
-        table = ctx.global_table("p", H, N if in_from_tilde else cap)
+        table = ctx.global_table("p_series", H, N if in_from_tilde else cap)
         fault = recursion_fault(table)
         binomial_fails += fault
         if in_recursion:
@@ -584,7 +578,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             from_tilde_fails += from_tilde_fault(table, H)
     # tilde_y^h F for every h, read again by the transport identities below
     tilde_y_flip = [ctx.tilde_partial_y(h, ctx.flip) for h in range(N)]
-    tilde_flip = [ctx._global_sum("p", k, tilde_y_flip) for k in range(N)]
+    tilde_flip = [ctx._global_sum("p_series", k, tilde_y_flip) for k in range(N)]
     from_tilde_fails += from_tilde_fault(tilde_flip, ctx.flip)
     checks.append(_check("tilde_global_recursion", recursion_fails))
     checks.append(_check("tilde_global_binomial", binomial_fails))
@@ -604,7 +598,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fails = []
     for u in range(1, N):
         acc = Series2._combination(
-            [(1, Series2.from_x_series(ctx.power_slice("p", u, v), N).mul_y_series(
+            [(1, Series2.from_x_series(ctx.power_slice("p_series", u, v), N).mul_y_series(
                 ctx.fbar_power(v))) for v in range(u, N)], N)
         if acc != ctx.power("table_reduced", u):
             fails.append(u)

@@ -5,7 +5,8 @@ from math import factorial
 
 import pytest
 
-from qcycle.errors import DegreeOutOfRange, SeriesError
+from qcycle import operators
+from qcycle.errors import DegreeOutOfRange, InvariantViolation, SeriesError
 from qcycle.operators import (
     OperatorContext,
     _random_series1,
@@ -142,7 +143,7 @@ def assert_matches_defining_formula(ctx, h1, h2):
     for v in range(ctx.order):
         for name, px, py, pg in (
             ("table_reduced", ctx.partial_x, ctx.partial_y, ctx.partial_global),
-            ("p", ctx.tilde_partial_x, ctx.tilde_partial_y, ctx.tilde_partial_global),
+            ("p_series", ctx.tilde_partial_x, ctx.tilde_partial_y, ctx.tilde_partial_global),
         ):
             for one in h1:
                 assert px(v, one) == oracle_x(ctx, name, v, one), (v0, v, name)
@@ -186,7 +187,7 @@ class TestMatrixKernel:
             inputs = [random_series2(rng, N)] + edge_inputs(rng, N)[1] + [ctx.flip, ctx.table]
             for H in inputs:
                 for name, pg in (("table_reduced", ctx.partial_global),
-                                 ("p", ctx.tilde_partial_global)):
+                                 ("p_series", ctx.tilde_partial_global)):
                     table = ctx.global_table(name, H, N)
                     assert len(table) == N
                     for k in range(N):
@@ -317,7 +318,7 @@ class TestPlantedFaults:
 
     def test_perturbed_tensor_fails_braid_sum_match(self):
         ctx = make_context(4, 1, [Fraction(1, 2), -1])
-        ctx.tensor = perturbed(ctx.tensor, 2, 1, 1, Fraction(1, 3))
+        ctx = ctx._replaced(tensor=perturbed(ctx.tensor, 2, 1, 1, Fraction(1, 3)))
         failed = {c.name for c in identity_suite(ctx, rng=random.Random(5)).failures()}
         assert "braid_sum_match" in failed
 
@@ -325,7 +326,8 @@ class TestPlantedFaults:
     def test_perturbed_p_series_fails_a_tilde_check(self, n, v0):
         ctx = make_context(n, v0, [Fraction(1, 2)] * (n - v0 - 1))
         assert not ctx._matrices
-        ctx.p_series = ctx.p_series + Series2.monomial(2, 2, ctx.order, Fraction(1, 5))
+        bump = Series2.monomial(2, 2, ctx.order, Fraction(1, 5))
+        ctx = ctx._replaced(p_series=ctx.p_series + bump)
         failed = {c.name for c in identity_suite(ctx, rng=random.Random(5)).failures()}
         # P no longer solves its recursion, so both identities of the global
         # tilde operator fail: neither may be read back into its own table.
@@ -338,8 +340,8 @@ class TestPlantedFaults:
         ctx = make_context(4, 1, [Fraction(1, 2), Fraction(1, 2)])
         N = ctx.order
         assert not ctx._matrices
-        ctx.table_reduced = (ctx.table_reduced + Series2.monomial(0, 0, N, Fraction(1, 5))
-                             + Series2.monomial(0, 3, N, Fraction(1, 5)))
+        bump = Series2.monomial(0, 0, N, Fraction(1, 5)) + Series2.monomial(0, 3, N, Fraction(1, 5))
+        ctx = ctx._replaced(table_reduced=ctx.table_reduced + bump)
         report = identity_suite(ctx, rng=random.Random(5))
         details = {c.name: c.detail for c in report.failures()}
         assert details["partial_global_from_tilde"] == "first failure at 2"
@@ -390,7 +392,7 @@ def tilde_pass_by_series(ctx, basis, x2_random):
     inputs = [(H, index <= N) for index, H in enumerate(basis[: 2 * N])] + [(x2_random[0], True)]
     recursion, binomial = [], []
     for H, in_recursion in inputs:
-        table = ctx.global_table("p", H, cap)
+        table = ctx.global_table("p_series", H, cap)
         for v in range(2, cap if in_recursion and not recursion else 0):
             rhs = Series2._combination(
                 [(1, ctx.tilde_partial_global(1, table[v - 1])), (1 - v, table[v - 1])], N)
@@ -406,6 +408,11 @@ def tilde_pass_by_series(ctx, basis, x2_random):
     return [_check("tilde_global_recursion", recursion), _check("tilde_global_binomial", binomial)]
 
 
+# A plant takes a context and an rng and returns the context to run the suite
+# on: the same one with a private kernel or cache entry planted, or a copy
+# holding a changed series (`_replaced`).
+
+
 def plant_matrix_entry(ctx, key, rng):
     """Add 1 to one numerator of the cached operator matrix `key`."""
     rows, den = ctx._matrix(*key)
@@ -415,6 +422,7 @@ def plant_matrix_entry(ctx, key, rng):
     rows = list(rows)
     rows[u] = tuple(sorted((col, entry) for col, entry in row.items() if entry))
     ctx._matrices[key] = (tuple(rows), den)
+    return ctx
 
 
 def plant_y_kernel(ctx, rng, mix):
@@ -432,18 +440,19 @@ def plant_y_kernel(ctx, rng, mix):
         return rows, den
 
     ctx._image = faulty
+    return ctx
 
 
 PLANTS = {
-    "none": lambda ctx, rng: None,
+    "none": lambda ctx, rng: ctx,
     "y_offset_kernel": lambda ctx, rng: plant_y_kernel(ctx, rng, False),
     "y_mix_kernel": lambda ctx, rng: plant_y_kernel(ctx, rng, True),
     "gbar_matrix": lambda ctx, rng: plant_matrix_entry(
         ctx, ("table_reduced", rng.randrange(1, min(ctx.order, 5))), rng),
-    "p_unit_matrix": lambda ctx, rng: plant_matrix_entry(ctx, ("p", 1), rng),
-    "p_cube_matrix": lambda ctx, rng: plant_matrix_entry(ctx, ("p", 3), rng),
-    "p_series": lambda ctx, rng: setattr(
-        ctx, "p_series", ctx.p_series + Series2.monomial(2, 2, ctx.order, Fraction(1, 5))),
+    "p_unit_matrix": lambda ctx, rng: plant_matrix_entry(ctx, ("p_series", 1), rng),
+    "p_cube_matrix": lambda ctx, rng: plant_matrix_entry(ctx, ("p_series", 3), rng),
+    "p_series": lambda ctx, rng: ctx._replaced(
+        p_series=ctx.p_series + Series2.monomial(2, 2, ctx.order, Fraction(1, 5))),
 }
 
 
@@ -462,8 +471,7 @@ class TestImageComparisons:
             for plant in PLANTS:
                 # a planted matrix entry or kernel degree is drawn at random, so twice
                 for _ in range(1 if plant in ("none", "p_series") else 2):
-                    ctx = make_context(n, v0, tail)
-                    PLANTS[plant](ctx, rng)
+                    ctx = PLANTS[plant](make_context(n, v0, tail), rng)
                     seed = rng.randrange(1 << 20)
                     report = {c.name: c for c in identity_suite(ctx, random.Random(seed)).checks}
                     x1, basis, x2_random = suite_inputs(ctx, seed)
@@ -525,18 +533,18 @@ class TestImageComparisons:
 
 def plant_tensor_entry(ctx, rng):
     t = ctx.tensor
-    ctx.tensor = t.with_entry(3, 1, 2, t.entry(3, 1, 2) + Fraction(1, 3))
+    return ctx._replaced(tensor=t.with_entry(3, 1, 2, t.entry(3, 1, 2) + Fraction(1, 3)))
 
 
 # PLANTS, and faults in the series the constructor once proved facts about
 SUITE_PLANTS = {
     **PLANTS,
-    "eigenfunction": lambda ctx, rng: setattr(
-        ctx, "eigenfunction", ctx.eigenfunction + Series1.monomial(3, ctx.order, Fraction(1, 5))),
-    "column": lambda ctx, rng: setattr(
-        ctx, "column", ctx.column + Series1.monomial(3, ctx.order, Fraction(1, 7))),
-    "transport": lambda ctx, rng: setattr(
-        ctx, "transport", ctx.transport + Series2.monomial(1, 2, ctx.order, Fraction(1, 3))),
+    "eigenfunction": lambda ctx, rng: ctx._replaced(
+        eigenfunction=ctx.eigenfunction + Series1.monomial(3, ctx.order, Fraction(1, 5))),
+    "column": lambda ctx, rng: ctx._replaced(
+        column=ctx.column + Series1.monomial(3, ctx.order, Fraction(1, 7))),
+    "transport": lambda ctx, rng: ctx._replaced(
+        transport=ctx.transport + Series2.monomial(1, 2, ctx.order, Fraction(1, 3))),
     "tensor_entry": plant_tensor_entry,
 }
 
@@ -639,7 +647,7 @@ class TestPlantedReports:
     @pytest.mark.parametrize("plant", sorted(SUITE_PLANTS))
     def test_failures_are_pinned(self, plant):
         ctx = make_context(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
-        SUITE_PLANTS[plant](ctx, random.Random(11))
+        ctx = SUITE_PLANTS[plant](ctx, random.Random(11))
         report = identity_suite(ctx, random.Random(5))
         assert [(c.name, c.detail) for c in report.failures()] == PLANTED_FAILURES[plant]
 
@@ -649,24 +657,84 @@ class TestPlantedReports:
         assert set(PLANTED_FAILURES) == set(SUITE_PLANTS)
 
 
-class TestPowerCache:
-    """Each cached chain of powers follows the public series it is built
-    from: rebinding that series after construction rebuilds the chain."""
+class TestReplaced:
+    """A built context's series are read-only.  `_replaced` makes a copy whose
+    powers and operator matrices are built from the series it holds, and
+    leaves the original and its caches as they were."""
 
-    @pytest.mark.parametrize("name, attr", [
-        ("table_reduced", "table_reduced"), ("p", "p_series"), ("flip", "flip"),
-        ("transport", "transport"), ("f", "row"), ("fbar", "row_reduced")])
-    def test_rebinding_rebuilds_powers(self, name, attr):
+    @pytest.mark.parametrize(
+        "attr", ["table_reduced", "p_series", "flip", "transport", "row", "row_reduced"])
+    def test_copy_follows_the_new_series(self, attr):
         ctx = make_context(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
-        power = {"f": ctx.f_power, "fbar": ctx.fbar_power}.get(
-            name, lambda k: ctx.power(name, k))
-        before = [power(k) for k in range(4)]
+        N, old = ctx.order, getattr(ctx, attr)
+        # fill the original's caches first, so that a stale entry would show
+        keys = [(name, v) for name in ("table_reduced", "p_series") for v in range(N)]
+        powers = [ctx.power(attr, k) for k in range(N)]
+        matrices = [ctx._matrix(*key) for key in keys]
         bump = Fraction(1, 3)
-        rebound = getattr(ctx, attr) + (Series1.monomial(1, ctx.order, bump)
-                                        if name in ("f", "fbar")
-                                        else Series2.monomial(1, 2, ctx.order, bump))
-        setattr(ctx, attr, rebound)
-        after = [power(k) for k in range(4)]
-        assert after[2] != before[2]
-        assert after[1] == rebound and after[2] == rebound * rebound
-        assert after[3] == rebound * rebound * rebound
+        new = old + (Series1.monomial(1, N, bump) if attr in ("row", "row_reduced")
+                     else Series2.monomial(1, 2, N, bump))
+        copy = ctx._replaced(**{attr: new})
+        assert getattr(copy, attr) is new
+
+        want = [new ** k for k in range(N)]
+        assert [copy.power(attr, k) for k in range(N)] == want
+        if attr in ("row", "row_reduced"):
+            power = copy.f_power if attr == "row" else copy.fbar_power
+            assert [power(k) for k in range(N)] == want
+        if attr in ("table_reduced", "p_series"):
+            # the copy's powers are those of the new series, so the oracle is too
+            apply = copy.partial_x if attr == "table_reduced" else copy.tilde_partial_x
+            rng = random.Random(17)
+            h, H = random_series1(rng, N), random_series2(rng, N)
+            for v in range(N):
+                assert apply(v, h) == oracle_x(copy, attr, v, h), v
+                assert apply(v, H) == oracle_x(copy, attr, v, H), v
+            assert copy._matrix(attr, 2) != ctx._matrix(attr, 2)
+
+        assert getattr(ctx, attr) is old
+        assert all(ctx.power(attr, k) is p for k, p in enumerate(powers))
+        assert all(ctx._matrix(*key) is m for key, m in zip(keys, matrices))
+        for c in (ctx, copy):
+            for name in [name for name in vars(c) if not name.startswith("_")]:
+                with pytest.raises(AttributeError, match="_replaced"):
+                    setattr(c, name, new)
+        assert getattr(ctx, attr) is old and getattr(copy, attr) is new
+
+    def test_only_series_can_be_replaced(self, ctx_deg1):
+        for series in ({"no_such_series": 1}, {"_pows": {}}, {"row": ctx_deg1.row, "rows": 1}):
+            with pytest.raises(AttributeError, match="series of the context"):
+                ctx_deg1._replaced(**series)
+
+    def test_negative_powers_raise(self, ctx_deg2):
+        for power in (lambda k: ctx_deg2.power("table_reduced", k),
+                      ctx_deg2.f_power, ctx_deg2.fbar_power):
+            with pytest.raises(SeriesError, match="negative power"):
+                power(-1)
+
+
+class TestConstructionChecks:
+    """Each InvariantViolation exit of the constructor, met by a fault planted
+    in the value of a series function it calls."""
+
+    # check: (the function in `operators`, the monomial c x^a y^b added to its
+    # value; b is None for a series in x)
+    FAULTS = {
+        "eigenfunction_inverse_roundtrip": ("compositional_inverse", 3, None, Fraction(1, 5)),
+        "transport_vanishes_at_0": ("substitute_y", 2, 0, Fraction(1, 3)),
+        "transport_unit_slice": ("substitute_y", 2, 1, Fraction(1, 3)),
+    }
+
+    @pytest.mark.parametrize("check", sorted(FAULTS))
+    def test_planted_fault_raises(self, monkeypatch, check):
+        target, a, b, c = self.FAULTS[check]
+        made = getattr(operators, target)
+
+        def faulty(*args):
+            s = made(*args)
+            N = s.trunc_order
+            return s + (Series1.monomial(a, N, c) if b is None else Series2.monomial(a, b, N, c))
+
+        monkeypatch.setattr(operators, target, faulty)
+        with pytest.raises(InvariantViolation, match=f"^{check}$"):
+            make_context(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
