@@ -31,9 +31,9 @@ Three integer kernels do the arithmetic:
     solution map (`solution.build_solution`); its denominator is the product
     of the operands' (a one-variable series being a grid of one row);
   * `_add_matmul`, the dense integer matrix product: the powers of the inner
-    series in `substitute_y`, the blocks of `solution.superscript_map` and
-    the first contraction of each braid-scan side (`solution._braid_scan`,
-    `operators.braid_sums`);
+    series in `substitute_y`, the blocks of `solution.superscript_map`, the
+    first contraction of each braid-scan side (`solution._braid_scan`,
+    `operators.braid_sums`) and `solution.LinearMap2.compose`;
   * `_Series._combination`, the n-ary linear combination sum c * s over the
     lcm of the terms' denominators, normalised once: `+` and `-`, `compose`,
     the table slices (`standard.table_slices`) and every sum of series that

@@ -70,11 +70,12 @@ class LinearMap2(_Stored):
     Basis pairs are flattened as (i, j) -> i * n + j; matrix[row][col] is the
     coefficient of the row basis vector in the image of the column one.  The
     matrix is stored as integer rows over one denominator (`series._Stored`),
-    and `matrix` is its `Fraction` view.  `from_rows` and `rows` read the map
-    as its rows in A instead; they and `_grids` are the only code that turns
-    a row index k * n + l into (k, l) or back.  The slot `_endo` keeps the
-    verdict of `is_coalgebra_endomorphism` once it is known; like the view,
-    it is not part of equality or hash.
+    and `matrix` is its `Fraction` view.  `from_rows`, `rows` and `_grids`
+    read the map as its rows in A; they and the kernels on the stored rows
+    (`gp_map`, `_solution_map`, `_transpose_kernel`, `is_bijective`,
+    `is_coalgebra_endomorphism`) turn a row index k * n + l into (k, l) or
+    back.  The slot `_endo` keeps the verdict of `is_coalgebra_endomorphism`
+    once it is known; like the view, it is not part of equality or hash.
     """
 
     __slots__ = ("_endo",)
@@ -121,38 +122,20 @@ class LinearMap2(_Stored):
         return cls.from_rows(n, [[Series2.monomial(l, k, n) for l in range(n)] for k in range(n)])
 
     def compose(self, other: "LinearMap2") -> "LinearMap2":
-        """self after other (matrix product self * other), on the integers."""
-        bt = list(zip(*other._nums))
-        return LinearMap2._from_rows(
-            [[sum(x * y for x, y in zip(arow, bcol) if x) for bcol in bt] for arow in self._nums],
-            self._den * other._den)
+        """self after other (matrix product self * other), by `_add_matmul`."""
+        return LinearMap2._from_rows(_add_matmul(self._nums, other._nums), self._den * other._den)
 
     def is_identity(self) -> bool:
         return self == LinearMap2.identity(self.n)
 
     def inverse(self) -> Optional["LinearMap2"]:
-        """Exact inverse by Gauss-Jordan elimination, or None when singular."""
+        """Exact inverse (`_invert`), or None when singular."""
         inv = _invert(self.matrix)
         return None if inv is None else LinearMap2(self.n, inv)
 
     def determinant(self) -> Fraction:
-        dim = self.n * self.n
-        a = [list(row) for row in self.matrix]
-        det = ONE
-        for col in range(dim):
-            pivot = next((r for r in range(col, dim) if a[r][col]), None)
-            if pivot is None:
-                return ZERO
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            scale = ONE / a[col][col]
-            for r in range(col + 1, dim):
-                if a[r][col]:
-                    factor = a[r][col] * scale
-                    a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-        return det
+        """Exact determinant: the forward elimination alone (`_eliminate`)."""
+        return _eliminate(self.matrix, None)[0]
 
 
 @dataclass(frozen=True)
@@ -345,13 +328,11 @@ def _step_block(t: CoeffTensor) -> list[list[Fraction]]:
     return [[Fraction(x, den) for x in row[0]] for row in ints]
 
 
-def _superscript_blocks(p: CoeffTensor, step_inv=None) -> tuple[list, list[int]]:
+def _superscript_blocks(p: CoeffTensor) -> tuple[list, list[int]]:
     """(blocks, dens): the integer blocks N_j of `superscript_map` and their
-    denominators D^(j+1) P^j, so that E[i][j][k] = blocks[j][i][k] / dens[j].
-    step_inv, when given, is the inverse of p's step block, already made."""
+    denominators D^(j+1) P^j, so that E[i][j][k] = blocks[j][i][k] / dens[j]."""
     n = p.n
-    if step_inv is None:
-        step_inv = _invert(_step_block(p))
+    step_inv = _invert(_step_block(p))
     if step_inv is None:
         raise SingularGp("left side map is not invertible")
     S, D = integer_grid(step_inv)
@@ -370,27 +351,43 @@ def _superscript_blocks(p: CoeffTensor, step_inv=None) -> tuple[list, list[int]]
     return blocks, [D ** (j + 1) * P ** j for j in range(n)]
 
 
-def _invert(m) -> Optional[list[list[Fraction]]]:
-    """Exact inverse of a square matrix by Gauss-Jordan elimination, or None
-    when singular."""
+def _eliminate(m, rhs) -> tuple[Fraction, list]:
+    """(det, rows) of the square `Fraction` matrix m: its determinant and its
+    rows after the forward pass (upper triangular), each with its row of rhs
+    appended and carried along (rhs None: none); det 0 ends the pass early."""
     dim = len(m)
-    a = [list(row) for row in m]
-    inv = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
+    a = [list(row) for row in m] if rhs is None else [list(row) + list(r) for row, r in zip(m, rhs)]
+    det = ONE
     for col in range(dim):
         pivot = next((r for r in range(col, dim) if a[r][col]), None)
         if pivot is None:
-            return None
+            return ZERO, a
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = ONE / a[col][col]
-        a[col] = [v * scale for v in a[col]]
-        inv[col] = [v * scale for v in inv[col]]
-        for r in range(dim):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
+            det = -det
+        head = a[col]
+        det *= head[col]
+        for r in range(col + 1, dim):
+            if a[r][col]:
+                factor = a[r][col] / head[col]
+                a[r][col:] = [v - factor * w for v, w in zip(a[r][col:], head[col:])]
+    return det, a
+
+
+def _invert(m) -> Optional[list[list[Fraction]]]:
+    """Exact inverse of a square `Fraction` matrix, or None when singular:
+    `_eliminate` on the identity, then back substitution (zeros skipped)."""
+    dim = len(m)
+    det, rows = _eliminate(m, [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)])
+    if not det:
+        return None
+    inv = [None] * dim
+    for r in reversed(range(dim)):
+        row, acc = rows[r], rows[r][dim:]
+        for c in range(r + 1, dim):
+            if row[c]:
+                acc = [v - row[c] * w for v, w in zip(acc, inv[c])]
+        inv[r] = [v / row[r] for v in acc]
     return inv
 
 
@@ -402,8 +399,8 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     and L_k = sum_m E_m D_mk(v), D_mk = sum_j d[j][m][k] v^j (the u^i v^j
     coefficient of L_k is that of x_k in {x_i}x_j), row (k, l) is L_k E_l.
     Requires both side maps to be invertible; each is decided on its n x n
-    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted, and when
-    p = d the one step block is inverted once.  Raises
+    step block (see `gp_map`), so no n^2 x n^2 matrix is inverted: d's by its
+    determinant, p's by the inverse the superscript map solves with.  Raises
     SingularGd, then SingularGp, then NotComultiplicative when p or d is not a
     coalgebra morphism (read from the report kept on each tensor).  E is
     read off the integer blocks of `superscript_map` (`_superscript_blocks`)
@@ -413,10 +410,9 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     is decided here on the factors (`_factor_verdict`) and stored on it for
     `is_coalgebra_endomorphism`, unless L_0 or E_0 is not 1.
     """
-    step_inv = _invert(_step_block(s.d))
-    if step_inv is None:
+    if not _eliminate(_step_block(s.d), None)[0]:
         raise SingularGd("right side map is not invertible")
-    blocks, dens = _superscript_blocks(s.p, step_inv if s.p == s.d else None)
+    blocks, dens = _superscript_blocks(s.p)
     _require_morphisms(s)
     return _solution_map(blocks, dens, s.d)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import comb, lcm
+from itertools import permutations
+from math import comb, lcm, prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from qcycle.solution import (
     MAX_VIOLATIONS,
     BraidReport,
     LinearMap2,
+    _eliminate,
     _factor_verdict,
     _invert,
     _solution_map,
@@ -139,19 +141,20 @@ class TestSideMaps:
         with pytest.raises(SingularGp):
             superscript_map(t)
 
-    def test_one_step_inverse_when_p_equals_d(self, monkeypatch):
+    def test_one_step_inverse_per_build(self, monkeypatch):
+        """p's step block is inverted once for the superscript map; d's is
+        decided by its determinant, for p = d and for p != d alike."""
         from qcycle import solution
 
         calls = []
         inner = solution._invert
         monkeypatch.setattr(solution, "_invert", lambda m: calls.append(1) or inner(m))
         s = standard_structure(4, 1, [Fraction(1, 2), Fraction(-2, 3)])
-        nonroot = _perturbed_nonroot()
-        for structure, inverses in ((s, 1), (nonroot, 2)):
+        for structure in (s, _perturbed_nonroot()):
             want = solution_of_any_pair(structure)
             calls.clear()
             assert build_solution(structure) == want
-            assert len(calls) == inverses
+            assert len(calls) == 1
 
     def test_error_order(self):
         n = 3
@@ -883,6 +886,96 @@ class TestBijective:
                              (_algebra_map(n, u, u), False), (_algebra_map(n, u * v, u), False),
                              (_diagonal_variant(n, 0), False)):
             assert is_bijective(m) == bijective == (m.determinant() != 0)
+
+
+def determinant_by_leibniz(m):
+    """sum over permutations sigma of sign(sigma) prod_r m[r][sigma(r)]."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[a] > perm[b] for b in range(len(perm)) for a in range(b))
+        total += (-1) ** inversions * prod((m[r][c] for r, c in enumerate(perm)), start=Fraction(1))
+    return total
+
+
+def product_by_fractions(a, b):
+    """The row-by-column product of two square `Fraction` matrices."""
+    return [[sum((a[r][k] * b[k][c] for k in range(len(b))), Fraction(0))
+             for c in range(len(b[0]))] for r in range(len(a))]
+
+
+def _elimination_cases(rng, dim):
+    """Square `Fraction` matrices of size dim: dense, sparse, with a row
+    copied onto another (singular), and with a zero leading entry but a
+    nonzero one below it, so the pass must swap rows."""
+    cases = []
+    for _ in range(3):
+        dense = [[random_fraction(rng) for _ in range(dim)] for _ in range(dim)]
+        sparse = [[random_fraction(rng) if rng.random() < 0.3 else Fraction(0)
+                   for _ in range(dim)] for _ in range(dim)]
+        cases += [dense, sparse]
+        if dim > 1:
+            copied = [list(row) for row in dense]
+            src, dst = rng.sample(range(dim), 2)
+            copied[dst] = list(copied[src])
+            swapped = [list(row) for row in dense]
+            swapped[0][0] = Fraction(0)
+            swapped[rng.randrange(1, dim)][0] = Fraction(rng.choice((-2, 1, 3)))
+            cases += [copied, swapped]
+    return cases
+
+
+class TestElimination:
+    """`_eliminate`, `_invert`, `LinearMap2.determinant` and `compose`
+    against oracles that share no code with them: the Leibniz sum and the
+    `Fraction` row-by-column product."""
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_determinant_and_inverse_match_leibniz(self, rng, dim):
+        identity = [[Fraction(int(r == c)) for c in range(dim)] for r in range(dim)]
+        cases = _elimination_cases(rng, dim)
+        singular = 0
+        for m in cases:
+            det = determinant_by_leibniz(m)
+            assert _eliminate(m, None)[0] == det
+            inv = _invert(m)
+            assert (inv is None) == (det == 0)
+            if inv is None:
+                singular += 1
+            else:
+                assert product_by_fractions(m, inv) == identity
+                assert product_by_fractions(inv, m) == identity
+        assert dim == 1 or 0 < singular < len(cases)
+
+    def test_linear_map_determinant_matches_leibniz(self, rng):
+        n = 2
+        for m in _elimination_cases(rng, n * n):
+            assert LinearMap2(n, m).determinant() == determinant_by_leibniz(m)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_compose_matches_fraction_product(self, rng, n):
+        dim = n * n
+        for _ in range(4):
+            a, b = ([[random_fraction(rng) for _ in range(dim)] for _ in range(dim)]
+                    for _ in range(2))
+            for grid in (a, b):
+                for r in rng.sample(range(dim), 2):
+                    grid[r] = [Fraction(0)] * dim
+            want = LinearMap2(n, product_by_fractions(a, b))
+            assert LinearMap2(n, a).compose(LinearMap2(n, b)) == want
+
+    def test_determinant_never_inverts(self, monkeypatch):
+        """The determinant is the forward pass alone: a pass that also carried
+        an inverse made it hundreds of times slower on a solution map at n = 6."""
+        from qcycle import solution
+
+        m = build_solution(standard_structure(6, 1, [Fraction(1, 2), Fraction(-2, 3),
+                                                     Fraction(3, 2), Fraction(1, 3)]))
+
+        def refuse(_m):
+            raise AssertionError("determinant must not invert")
+
+        monkeypatch.setattr(solution, "_invert", refuse)
+        assert m.determinant() != 0
 
 
 def gp_map_by_convolution(t):
