@@ -55,7 +55,8 @@ MAX_OPS_ORDER = 24
 # `family`, `classify` and `verify` (a declared "n" for the last two).  The
 # bound is one, so every structure `scc` or `family` emits can be verified
 # with --full --solution, whose cost grows about as n^6: on a v0 = 1
-# standard cycle it takes about 13 s of CPU at n = 20 and 36 s at n = 24.
+# standard cycle it takes about 3.5 s of CPU at n = 20 and 10 s at n = 24
+# (2-core Xeon, CPython 3.11).
 MAX_VERIFY_N = 24
 
 SOLUTION_CHECKS = ("solution_braid", "solution_coalgebra_endo", "solution_bijective",

@@ -332,10 +332,13 @@ def braid_sums(t: CoeffTensor) -> tuple[list[list[int]], int]:
     i, j, k, as (sums, den): R(i, j, k) = sums[i][j * n + k] / den.
 
     Made on t scaled to integers with the braid scan's two contractions over
-    the output index m = 1: first over h, then over a + b = j and l.
+    the output index m = 1 (`solution._braid_operands`): first over h
+    (`_add_matmul`), then over a + b = j and l on the gathered-dot kernel,
+    each slice i in its row form when few of its first-contraction entries
+    are nonzero and in its column form when most are (`series._gathered_dot`).
     """
-    ints, den, c_rows, b_cols = _braid_operands(t, range(1, 2))
-    sums = [_second_contraction(_add_matmul(a_i, c_rows), b_cols, t.n, 1)[0] for a_i in ints]
+    ints, den, c_rows, contract = _braid_operands(t, range(1, 2))
+    sums = [_second_contraction(_add_matmul(a_i, c_rows), contract, t.n, 1)[0] for a_i in ints]
     return sums, den ** 3
 
 

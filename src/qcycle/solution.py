@@ -8,7 +8,12 @@ already imply all m, which `check_braid_full` confirms against
 d, made on integers as two contractions (first over h, then over a + b = j
 and l); a triple that several sides share, as all six do when p = d, is made
 once, and a failing scan stops once its report can no longer change
-(`_braid_scan`).
+(`_braid_scan`).  The second contraction runs on the gathered-dot kernel
+`series._gathered_dot`: a slot of the first contraction's output with few
+nonzeros adds its multiples of B's nonzero entries (the row form), and a
+nearly full one takes each entry as one dot product gathered over B's
+nonzeros (the column form).  A slice whose two sides agree is decided by one
+list equality per slot.
 
 A structure passing the checks and with invertible side maps yields a linear
 endomorphism s of C (x) C that satisfies the braid identity
@@ -23,12 +28,13 @@ its rows in A: row (k, l) is the series whose u^i v^j coefficient is
 s[(k, l), (i, j)] (`LinearMap2.from_rows`, `LinearMap2.rows`).  The side maps
 and the solution map are built row by row with the product in A: row (k, b)
 of `gp_map(t)` is v^b times level k of t, and row (k, l) of the solution map
-is L_k E_l (see `build_solution`).  The braid and involution checks of s pull
-monomials of the dual of C (x) C (x) C back through its sparse rows into a
-dense integer accumulator (`_transpose_kernel`).  When s is a coalgebra
-endomorphism they pull only the generators, and bijectivity is a 2 x 2 test
-on the linear part of the generator rows (`is_bijective`); any other map is
-pulled on every monomial and decided by `LinearMap2.determinant`.
+is L_k E_l (see `build_solution`), the L_k made by the gathered-dot kernel on
+d.  The braid and involution checks of s pull monomials of the dual of
+C (x) C (x) C back through its sparse rows into a dense integer accumulator
+(`_transpose_kernel`).  When s is a coalgebra endomorphism they pull only the
+generators, and bijectivity is a 2 x 2 test on the linear part of the
+generator rows (`is_bijective`); any other map is pulled on every monomial
+and decided by `LinearMap2.determinant`.
 
 A map is stored as integer rows over one denominator, the one stored form of
 `qcycle.series` (`_Stored`), and the exact kernels read those integers: a
@@ -45,13 +51,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, product
+from functools import lru_cache
+from itertools import chain, compress, product
 from math import gcd, isqrt, lcm, prod
+from operator import itemgetter
 from typing import Optional
 
 from .errors import NotComultiplicative, SingularGd, SingularGp
-from .series import (ONE, Series2, ZERO, _add_matmul, _chain_break, _mul_ints, _Stored,
-                     as_fraction, integer_grid)
+from .series import (ONE, Series2, ZERO, _add_matmul, _chain_break, _gathered_dot, _mul_ints,
+                     _Stored, as_fraction, integer_grid)
 from .tensor import (
     CheckResult,
     CoeffTensor,
@@ -180,14 +188,21 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
         S[i][j][k][m] = sum_{a+b=j} sum_l T[i][a][l][m] B[k][b][l],
 
     about n^5 + n^6/2 multiply-adds for all m, against n^7/2 for the sum taken
-    whole at each point.  Zero entries of A and T are skipped.  Each distinct
-    triple is computed once per scan, one i at a time (both sides of a family
-    have the same i).  When d = p all six sides are the one triple (p, p, p),
-    so the three families make the same comparison: it is made once, as
-    family 1, and its flag and violations are copied to families 2 and 3.
+    whole at each point.  The first skips zero entries of A (`_add_matmul`);
+    the second (`_second_contraction`) takes each slot m of T in the row or
+    the column form of `series._gathered_dot`, as its multiply-add counts
+    decide: rows on a nearly empty slot (nonroot pairs, v0 = n - 1), columns
+    on a nearly full one (v0 = 1).  Each distinct triple is computed once per scan, one i at a
+    time (both sides of a family have the same i).  When d = p all six sides
+    are the one triple (p, p, p), so the three families make the same
+    comparison: it is made once, as family 1, and its flag and violations
+    are copied to families 2 and 3.
     A side is an integer over the product of its three denominators, and the
-    two sides are cross-multiplied, so the comparison stays exact.
-    Violations are listed family by family, then in i, j, k, m order.
+    two sides are cross-multiplied, so the comparison stays exact.  A family
+    that holds on slice i is decided by one list equality per slot against
+    the transposed other side (`_slot_holds`); the j, k, m loop that lists
+    violations runs only on a slice where it fails.  Violations are listed
+    family by family, then in i, j, k, m order.
 
     The scan stops after slice i once every flag is False and family 1 lists
     MAX_VIOLATIONS violations: later slices can then change neither the flags
@@ -196,9 +211,9 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
     n, count = s.n, len(ms)
     same = s.d == s.p
     tensors = {"p": s.p} if same else {"p": s.p, "d": s.d}
-    ints, dens, c_rows, b_cols = {}, {}, {}, {}
+    ints, dens, c_rows, contracts = {}, {}, {}, {}
     for name, t in tensors.items():
-        ints[name], dens[name], c_rows[name], b_cols[name] = _braid_operands(t, ms)
+        ints[name], dens[name], c_rows[name], contracts[name] = _braid_operands(t, ms)
     families = (("ppp", "ppp"),) if same else _FAMILIES
     flags = [True] * len(families)
     violations: list[list] = [[] for _ in families]
@@ -208,10 +223,12 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
             if a_name + c_name not in firsts:
                 firsts[a_name + c_name] = _add_matmul(ints[a_name][i], c_rows[c_name])
             sides[a_name + b_name + c_name] = _second_contraction(
-                firsts[a_name + c_name], b_cols[b_name], n, count)
+                firsts[a_name + c_name], contracts[b_name], n, count)
         for index, (lhs_side, rhs_side) in enumerate(families):
             den_l, den_r = (prod(dens[name] for name in side) for side in (lhs_side, rhs_side))
             left, right = sides[lhs_side], sides[rhs_side]
+            if all(_slot_holds(lhs, rhs, den_l, den_r, n) for lhs, rhs in zip(left, right)):
+                continue
             found = violations[index]
             for j in range(n):
                 for k in range(n):
@@ -231,33 +248,51 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
     return BraidReport(flags[0], flags[1], flags[2], joined)
 
 
+def _slot_holds(lhs: list, rhs: list, den_l: int, den_r: int, n: int) -> bool:
+    """Whether lhs[j * n + k] / den_l = rhs[k * n + j] / den_r for all j, k:
+    one list equality against the transpose of rhs, cross-multiplied by the
+    denominators' cofactors when they differ."""
+    rhs = [x for k in range(n) for x in rhs[k::n]]
+    if den_l == den_r:
+        return lhs == rhs
+    g = gcd(den_l, den_r)
+    scale_l, scale_r = den_r // g, den_l // g
+    return [x * scale_l for x in lhs] == [x * scale_r for x in rhs]
+
+
 def _braid_operands(t: CoeffTensor, ms: range) -> tuple:
     """The layout both contractions of a braid side read, for t as A, B or C:
-    (ints, den, c_rows, b_cols), with ints / den the tensor t, c_rows[h] the
-    flattened C[h] over (l, m in ms), and b_cols[l] = B[.][.][l] transposed
-    and flattened to [b * n + k].  The first contraction
-    T[a][l * len(ms) + slot] is the matrix product A[i] . c_rows
+    (ints, den, c_rows, contract), with ints / den the tensor t, c_rows[h] the
+    flattened C[h] over (m in ms, l), slot-major, and contract the
+    `_gathered_dot` kernel on the operand B, built from B's nonzero entries
+    (its gather table waits for the first slot that takes the column form)
+    and kept on t, so the scans of one tensor share it.  The first
+    contraction T[a][slot * n + l] is the matrix product A[i] . c_rows
     (`_add_matmul`), the second `_second_contraction`."""
     ints, den = t.scaled_integers()
-    n = t.n
-    c_rows = [[col[m] for col in row for m in ms] for row in ints]
-    b_cols = [[ints[k][b][l] for b in range(n) for k in range(n)] for l in range(n)]
-    return ints, den, c_rows, b_cols
+    c_rows = [[col[m] for m in ms for col in row] for row in ints]
+    contract = getattr(t, "_contract", None)
+    if contract is None:
+        contract = _gathered_dot(ints, t.n)
+        object.__setattr__(t, "_contract", contract)
+    return ints, den, c_rows, contract
 
 
-def _second_contraction(first, b_cols, n: int, count: int) -> list[list[int]]:
-    """S[slot][j * n + k] = sum_{a+b=j} sum_l T[a][l][slot] B[k][b][l], with
-    b_cols[l] the flattened B[.][.][l]: each nonzero T[a][l][slot] adds its
-    multiple of b_cols[l] to S[slot] from j = a on."""
-    out = [[0] * (n * n) for _ in range(count)]
-    for a, row in enumerate(first):
-        start = a * n
-        for index, t in enumerate(row):
-            if t:
-                l, slot = divmod(index, count)
-                acc = out[slot]
-                acc[start:] = [v + t * y for v, y in zip(acc[start:], b_cols[l])]
-    return out
+def _second_contraction(first, contract, n: int, count: int) -> list[list[int]]:
+    """S[slot][j * n + k] = sum_{a+b=j} sum_l T[a][slot][l] B[k][b][l], one
+    call of the `_gathered_dot` kernel on B per slot, on T[.][slot][.]
+    flattened to [a * n + l]: the row form on a slot with few nonzeros, the
+    column form on a nearly full one."""
+    flat = [*chain.from_iterable(first)]
+    return [contract(get(flat)) for get in _slot_getters(n, count)]
+
+
+@lru_cache(maxsize=64)
+def _slot_getters(n: int, count: int) -> list:
+    """One `itemgetter` per slot, reading T[.][slot][.] as [a * n + l] off the
+    rows of T joined, where T[a][slot][l] sits at (a * count + slot) * n + l."""
+    return [itemgetter(*[(a * count + slot) * n + l for a in range(n) for l in range(n)])
+            for slot in range(count)]
 
 
 def check_braid_reduced(s: QCycleStructure) -> BraidReport:
@@ -404,10 +439,11 @@ def build_solution(s: QCycleStructure) -> LinearMap2:
     SingularGd, then SingularGp, then NotComultiplicative when p or d is not a
     coalgebra morphism (read from the report kept on each tensor).  E is
     read off the integer blocks of `superscript_map` (`_superscript_blocks`)
-    without a `Fraction` per entry, d is scaled to integers, the L_k and the
-    n^2 row products are made in `int`, and each nonzero entry of the map
-    becomes a `Fraction` once.  Whether the map is a coalgebra endomorphism
-    is decided here on the factors (`_factor_verdict`) and stored on it for
+    without a `Fraction` per entry, d is scaled to integers, the L_k (by
+    `series._gathered_dot` on d, a row of E per call) and the n^2 row
+    products are made in `int`, and each nonzero entry of the map becomes a
+    `Fraction` once.  Whether the map is a coalgebra endomorphism is decided
+    here on the factors (`_factor_verdict`) and stored on it for
     `is_coalgebra_endomorphism`, unless L_0 or E_0 is not 1.
     """
     if not _eliminate(_step_block(s.d), None)[0]:
@@ -429,17 +465,12 @@ def _solution_map(blocks: list, dens: list[int], tensor_d: CoeffTensor) -> Linea
     E = [[[blocks[j][i][l] * den_e // dens[j] for j in range(n)] for i in range(n)]
          for l in range(n)]
     d, den_d = tensor_d.scaled_integers()
-    L = []
-    for k in range(n):
-        # the u^i v^(j1+j2) coefficient of L_k gains E[i][j1][m] d[j2][m][k]
-        grid = [[0] * n for _ in range(n)]
-        for m in range(n):
-            for j2 in range(n):
-                c = d[j2][m][k]
-                if c:
-                    for row, out in zip(E[m], grid):
-                        out[j2:] = [o + x * c for o, x in zip(out[j2:], row)]
-        L.append(grid)
+    # the u^i v^j coefficient of L_k is sum_{j1+j2=j} sum_m E[i][j1][m] d[j2][m][k]:
+    # entry j * n + k of `_gathered_dot` on the vec E[i][.][.], flattened to
+    # [j1 * n + m], with the operand w[k][j2][m] = d[j2][m][k]
+    contract = _gathered_dot(list(zip(*(zip(*grid) for grid in d))), n)
+    sums = [contract([E[m][i][j] for j in range(n) for m in range(n)]) for i in range(n)]
+    L = [[row[k::n] for row in sums] for k in range(n)]
     smap = LinearMap2._from_rows([[v for line in _mul_ints(L[k], E[l], n) for v in line]
                                   for k in range(n) for l in range(n)], den_e * den_e * den_d)
     object.__setattr__(smap, "_endo", _factor_verdict(L, E, den_e * den_d, den_e, n))

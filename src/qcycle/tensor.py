@@ -44,10 +44,12 @@ class CoeffTensor(_Stored):
 
     Stored as `_nums[i][j][k]` over `_den` (see `series._Stored`); `entries`
     is the `Fraction` view.  The slot `_morph` keeps the report of
-    `is_coalgebra_morphism` once it is known; like the view, it is not part
-    of equality or hash."""
+    `is_coalgebra_morphism` once it is known, and `_contract` the braid
+    scans' second-contraction kernel on the tensor
+    (`solution._braid_operands`); like the view, neither is part of equality
+    or hash."""
 
-    __slots__ = ("_morph",)
+    __slots__ = ("_morph", "_contract")
 
     def __init__(self, entries):
         data = tuple(tuple(tuple(as_fraction(v) for v in col) for col in row) for row in entries)

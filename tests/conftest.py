@@ -37,3 +37,16 @@ def standard_structure(n: int, degree: int, tail) -> QCycleStructure:
 @pytest.fixture
 def rng():
     return random.Random(987654321)
+
+
+@pytest.fixture
+def forms(monkeypatch):
+    """The forms `series._gathered_dot` takes, "row" or "column", call by call."""
+    from qcycle import series
+
+    seen = []
+    for form in ("row", "column"):
+        inner = getattr(series, f"_{form}_form")
+        monkeypatch.setattr(series, f"_{form}_form",
+                            lambda *args, form=form, inner=inner: seen.append(form) or inner(*args))
+    return seen

@@ -455,6 +455,38 @@ class TestProductKernel:
         assert stopped_early or n < 4
 
 
+def gathered_dot_by_sums(w, vec, n):
+    """S[j * n + k] = sum_{a+b=j} sum_l vec[a * n + l] w[k][b][l], term by term."""
+    return [sum(vec[a * n + l] * w[k][j - a][l] for a in range(j + 1) for l in range(n))
+            for j in range(n) for k in range(n)]
+
+
+class TestGatheredDot:
+    """`_gathered_dot` in both its forms against the term-by-term sum."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_sums(self, rng, forms, n):
+        def grid(density):
+            return [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n * n)]
+
+        # a single nonzero entry leaves every gather with fewer than two terms
+        single = [[[0] * n for _ in range(n)] for _ in range(n)]
+        single[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = 7
+        operands = [single, [[[0] * n for _ in range(n)] for _ in range(n)]]
+        operands += [[[grid(density)[b * n:(b + 1) * n] for b in range(n)] for _ in range(n)]
+                     for density in (0.2, 0.6, 1.0)]
+        for w in operands:
+            contract = series_module._gathered_dot(w, n)
+            forms.clear()
+            for density in (0, 1 / (n * n), 0.3, 0.7, 1.0):
+                vec = grid(density)
+                assert contract(vec) == contract(tuple(vec)) == gathered_dot_by_sums(w, vec, n)
+            if any(x for plane in w for line in plane for x in line):
+                assert set(forms) == {"row", "column"}
+            else:
+                assert set(forms) == {"row"}
+
+
 # -- the stored integer form, against the `Fraction` loops it replaced -----------
 
 

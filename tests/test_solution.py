@@ -12,6 +12,7 @@ from qcycle.solution import (
     _eliminate,
     _factor_verdict,
     _invert,
+    _slot_holds,
     _solution_map,
     _step_block,
     _superscript_blocks,
@@ -46,7 +47,7 @@ def solution_of_any_pair(s):
     """`build_solution` without its morphism check: its SingularGd and
     SingularGp checks, then its rows, so that the row kernel runs on random
     pairs too."""
-    if _invert(_step_block(s.d)) is None:
+    if not _eliminate(_step_block(s.d), None)[0]:
         raise SingularGd("right side map is not invertible")
     return _solution_map(*_superscript_blocks(s.p), s.d)
 
@@ -306,12 +307,14 @@ class TestBraidChecks:
             assert verdicts["standard"] == verdicts["nonroot"] == {True}
             assert verdicts["candidate"] == verdicts["random"] == {False}
 
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_scan_matches_loop_oracle(self, rng, n):
-        verdicts = {}
-        capped = joined = False
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_scan_matches_loop_oracle(self, rng, n, forms):
+        verdicts, forms_by_label = {}, {}
+        capped = joined = crossed = False
         for label, s in _braid_scan_cases(rng, n):
             assert (s.p == s.d) == (label in ("standard", "candidate"))
+            crossed |= s.p.scaled_integers()[1] != s.d.scaled_integers()[1]
+            forms.clear()
             for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(n))):
                 report = check(s)
                 assert report == braid_scan_by_loops(s, ms)
@@ -321,6 +324,7 @@ class TestBraidChecks:
                 verdicts.setdefault(label, set()).add(flags)
                 capped |= len(report.violations) == MAX_VIOLATIONS
                 joined |= len({v[0] for v in report.violations}) > 1
+            forms_by_label.setdefault(label, set()).update(forms)
         assert verdicts["standard"] == verdicts["nonroot"] == {(True, True, True)}
         assert (False, False, False) in verdicts["random"]
         if n >= 3:
@@ -328,12 +332,31 @@ class TestBraidChecks:
         # reports cut at the cap, and reports listing more than one family
         assert capped == (n >= 3)
         assert joined or n > 4
+        # a p != d pair whose sides have different denominators
+        assert crossed
+        # the nearly empty slots of a nonroot pair take the row form, the
+        # nearly full ones of a v0 = 1 standard cycle the column form
+        assert forms_by_label["nonroot"] == {"row"}
+        assert "column" in forms_by_label["standard"]
 
     def test_violation_reports_cap(self, rng):
         p = extend_from_level1(random_level1(rng, 4))
         d = extend_from_level1(random_level1(rng, 4))
         report = check_braid_full(QCycleStructure(p, d))
         assert len(report.violations) <= 20
+
+    def test_slot_holds_cross_multiplies(self):
+        """A passing slot is one list equality against the transposed other
+        side; with different denominators each side takes the other's
+        cofactor."""
+        lhs = [1, 2, 3, 4]            # over 2: S[j * 2 + k] = lhs / 2
+        rhs = [3, 9, 6, 12]           # over 6: rhs[k * 2 + j] = 3 lhs[j * 2 + k]
+        assert _slot_holds(lhs, rhs, 2, 6, 2)
+        assert _slot_holds([2 * x for x in lhs], rhs, 4, 6, 2)
+        assert not _slot_holds(lhs, rhs, 6, 2, 2)
+        assert not _slot_holds(lhs, [3, 6, 9, 12], 2, 6, 2)
+        assert _slot_holds(lhs, [1, 3, 2, 4], 5, 5, 2)
+        assert not _slot_holds(lhs, lhs, 5, 5, 2)
 
     def test_violations_match_fraction_sums(self, rng):
         n = 3
@@ -427,6 +450,8 @@ class TestBraidScanEarlyExit:
     def test_holding_family_scans_every_slice(self, contractions):
         s = _perturbed_nonroot()
         assert s.p != s.d
+        # the sides of a family have different denominators: cross-multiplied
+        assert s.p.scaled_integers()[1] != s.d.scaled_integers()[1]
         for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(6))):
             contractions.clear()
             report = check(s)
@@ -897,6 +922,22 @@ def determinant_by_leibniz(m):
     return total
 
 
+def inverse_by_adjugate(m):
+    """The inverse of a square `Fraction` matrix as its adjugate over its
+    Leibniz determinant, entry (r, c) being (-1)^(r+c) det(m without row c
+    and column r) / det(m); None when det(m) = 0."""
+    dim = len(m)
+    det = determinant_by_leibniz(m)
+    if not det:
+        return None
+
+    def minor(row, col):
+        return [[m[r][c] for c in range(dim) if c != col] for r in range(dim) if r != row]
+
+    return [[(-1) ** (r + c) * determinant_by_leibniz(minor(c, r)) / det for c in range(dim)]
+            for r in range(dim)]
+
+
 def product_by_fractions(a, b):
     """The row-by-column product of two square `Fraction` matrices."""
     return [[sum((a[r][k] * b[k][c] for k in range(len(b))), Fraction(0))
@@ -939,6 +980,7 @@ class TestElimination:
             assert _eliminate(m, None)[0] == det
             inv = _invert(m)
             assert (inv is None) == (det == 0)
+            assert inverse_by_adjugate(m) == inv
             if inv is None:
                 singular += 1
             else:
@@ -1043,10 +1085,11 @@ def _row_builder_cases(rng, n):
 
 def superscript_by_fractions(p):
     """`superscript_map` as the `Fraction` loop it was before it went
-    fraction-free: each step solved with the step-block inverse."""
+    fraction-free: each step solved with the step-block inverse, made here by
+    `inverse_by_adjugate` (no elimination of `qcycle.solution`)."""
     n = p.n
     e = p.entries
-    step_inv = _invert([row[0] for row in e])
+    step_inv = inverse_by_adjugate([row[0] for row in e])
     if step_inv is None:
         raise SingularGp("left side map is not invertible")
     E = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -1063,9 +1106,10 @@ def superscript_by_fractions(p):
 
 def solution_by_fractions(s):
     """`build_solution` as the `Fraction` loops it was before it ran on
-    integers: L_k summed on Fractions, row (k, l) the product L_k E_l in A."""
+    integers: L_k summed on Fractions, row (k, l) the product L_k E_l in A;
+    d's step block is decided by its Leibniz determinant."""
     n = s.n
-    if _invert([row[0] for row in s.d.entries]) is None:
+    if not determinant_by_leibniz([row[0] for row in s.d.entries]):
         raise SingularGd("right side map is not invertible")
     e, d = superscript_by_fractions(s.p), s.d.entries
     E = [Series2([[e[i][j][l] for j in range(n)] for i in range(n)]) for l in range(n)]
@@ -1088,7 +1132,7 @@ class TestFractionFreeKernels:
     included, as p and as d), standard cycles, nonroot pairs and random pairs."""
 
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_match_fraction_loops(self, rng, n):
+    def test_match_fraction_loops(self, rng, n, forms):
         structures = _row_builder_cases(rng, n)
         for t in _step_block_cases(rng, n):
             structures += [QCycleStructure(t, counit_action(n)), QCycleStructure(counit_action(n), t)]
@@ -1108,6 +1152,8 @@ class TestFractionFreeKernels:
             assert results[0] == results[1] and results[2] == results[3]
             outcomes.add(results[2] if isinstance(results[2], type) else LinearMap2)
         assert outcomes == {LinearMap2, SingularGp, SingularGd}
+        # the L_k of the solution maps ran in both forms of `_gathered_dot`
+        assert set(forms) == {"row", "column"}
 
 
 class TestRowBuilders:
