@@ -363,6 +363,12 @@ class _Series(_Stored):
     def is_zero(self) -> bool:
         return not any(map(any, self._rows()))
 
+    def truncated(self, order: int):
+        """The series cut to order 1 <= order <= its own (no new data)."""
+        if not 0 < order <= len(self._nums):
+            raise SeriesError(f"truncation order {order} is not in 1..{len(self._nums)}")
+        return self._from_rows([row[:order] for row in self._rows()[:order]], self._den)
+
     # -- arithmetic ----------------------------------------------------------
 
     @classmethod
@@ -483,11 +489,6 @@ class Series1(_Series):
 
     def __repr__(self):
         return f"Series1({[str(c) for c in self.coeffs]})"
-
-    def truncated(self, order: int) -> "Series1":
-        if order > len(self._nums):
-            raise SeriesError("cannot extend truncation order without new data")
-        return Series1._from_rows([self._nums[:order]], self._den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -637,13 +638,10 @@ class Series2(_Series):
         n = len(self._nums)
         return f"Series2(order={n})"
 
-    def truncated(self, order: int) -> "Series2":
-        if order > len(self._nums):
-            raise SeriesError("cannot extend truncation order without new data")
-        return Series2._from_rows(self._grid(order), self._den)
-
     def agrees_with(self, other: "Series2", x_order: int, y_order: int) -> bool:
         """Coefficientwise equality restricted to x-degree < x_order, y-degree < y_order."""
+        if min(x_order, y_order) < 0:
+            raise SeriesError(f"negative order ({x_order}, {y_order})")
         da, db = self._den, other._den
         return all(x * db == y * da
                    for ra, rb in zip(self._nums[:x_order], other._nums[:x_order])

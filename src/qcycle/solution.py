@@ -12,8 +12,8 @@ once, and a failing scan stops once its report can no longer change
 `series._gathered_dot`: a slot of the first contraction's output with few
 nonzeros adds its multiples of B's nonzero entries (the row form), and a
 nearly full one takes each entry as one dot product gathered over B's
-nonzeros (the column form).  A slice whose two sides agree is decided by one
-list equality per slot.
+nonzeros (the column form).  A family is decided on a slice by one
+comparison of its two sides over one denominator.
 
 A structure passing the checks and with invertible side maps yields a linear
 endomorphism s of C (x) C that satisfies the braid identity
@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, product
+from itertools import chain, compress, islice, product
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
 from typing import Optional
@@ -197,12 +197,14 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
     are the one triple (p, p, p), so the three families make the same
     comparison: it is made once, as family 1, and its flag and violations
     are copied to families 2 and 3.
-    A side is an integer over the product of its three denominators, and the
-    two sides are cross-multiplied, so the comparison stays exact.  A family
-    that holds on slice i is decided by one list equality per slot against
-    the transposed other side (`_slot_holds`); the j, k, m loop that lists
-    violations runs only on a slice where it fails.  Violations are listed
-    family by family, then in i, j, k, m order.
+    A side is an integer over the product of its three denominators.  On
+    slice i a family brings both sides to the lcm of theirs (`_scaled`) and
+    transposes the right-hand side in j and k: it holds exactly when the two
+    lists of slot lists are equal, and that comparison alone sets its flag.
+    A failing slice's violations are read off the same lists in j, k, m
+    order while they can still reach the joined report: up to MAX_VIOLATIONS
+    less what this family and the families before it hold.  Violations are
+    listed family by family, then in i, j, k, m order.
 
     The scan stops after slice i once every flag is False and family 1 lists
     MAX_VIOLATIONS violations: later slices can then change neither the flags
@@ -226,19 +228,19 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
                 firsts[a_name + c_name], contracts[b_name], n, count)
         for index, (lhs_side, rhs_side) in enumerate(families):
             den_l, den_r = (prod(dens[name] for name in side) for side in (lhs_side, rhs_side))
-            left, right = sides[lhs_side], sides[rhs_side]
-            if all(_slot_holds(lhs, rhs, den_l, den_r, n) for lhs, rhs in zip(left, right)):
+            den = lcm(den_l, den_r)
+            lhs = _scaled(sides[lhs_side], den // den_l)
+            rhs = _scaled([[x for k in range(n) for x in slot[k::n]] for slot in sides[rhs_side]],
+                          den // den_r)
+            if lhs == rhs:
                 continue
-            found = violations[index]
-            for j in range(n):
-                for k in range(n):
-                    for slot, m in enumerate(ms):
-                        lhs, rhs = left[slot][j * n + k], right[slot][k * n + j]
-                        if lhs * den_r != rhs * den_l:
-                            flags[index] = False
-                            if len(found) < MAX_VIOLATIONS:
-                                found.append((index + 1, i, j, k, m,
-                                              Fraction(lhs, den_l), Fraction(rhs, den_r)))
+            flags[index] = False
+            space = MAX_VIOLATIONS - sum(map(len, violations[:index + 1]))
+            violations[index] += islice(
+                ((index + 1, i, *divmod(jk, n), ms[slot],
+                  Fraction(lhs[slot][jk], den), Fraction(rhs[slot][jk], den))
+                 for jk, slot in product(range(n * n), range(count))
+                 if lhs[slot][jk] != rhs[slot][jk]), max(space, 0))
         if not any(flags) and len(violations[0]) == MAX_VIOLATIONS:
             break
     if same:
@@ -248,16 +250,9 @@ def _braid_scan(s: QCycleStructure, ms: range) -> BraidReport:
     return BraidReport(flags[0], flags[1], flags[2], joined)
 
 
-def _slot_holds(lhs: list, rhs: list, den_l: int, den_r: int, n: int) -> bool:
-    """Whether lhs[j * n + k] / den_l = rhs[k * n + j] / den_r for all j, k:
-    one list equality against the transpose of rhs, cross-multiplied by the
-    denominators' cofactors when they differ."""
-    rhs = [x for k in range(n) for x in rhs[k::n]]
-    if den_l == den_r:
-        return lhs == rhs
-    g = gcd(den_l, den_r)
-    scale_l, scale_r = den_r // g, den_l // g
-    return [x * scale_l for x in lhs] == [x * scale_r for x in rhs]
+def _scaled(slots: list, cofactor: int) -> list:
+    """The slot lists times cofactor: the lists themselves when it is 1."""
+    return slots if cofactor == 1 else [[x * cofactor for x in slot] for slot in slots]
 
 
 def _braid_operands(t: CoeffTensor, ms: range) -> tuple:

@@ -81,6 +81,8 @@ class CoeffTensor(_Stored):
 
     def level(self, k: int) -> list[list[Fraction]]:
         """The n*n grid of entries with output index k."""
+        if k < 0:
+            raise IndexError(f"level {k} of a tensor with n = {self.n}")
         return [[self.entries[i][j][k] for j in range(self.n)] for i in range(self.n)]
 
     def with_entry(self, i: int, j: int, k: int, value) -> "CoeffTensor":

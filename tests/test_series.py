@@ -380,6 +380,25 @@ class TestSeries2:
         assert Series1.monomial(5, 5) == Series1.zero(5)
         assert Series2.monomial(3, 0, 3) == Series2.zero(3)
 
+    def test_negative_truncation_order_raises(self):
+        # a negative order must not slice off the top coefficients
+        a = Series1([1, 2, 3, 4])
+        g = Series2([[1, 2], [3, 4]])
+        for truncate in (a.truncated, g.truncated):
+            with pytest.raises(SeriesError):
+                truncate(-1)
+        assert a.truncated(4) == a and g.truncated(2) == g
+
+    def test_negative_agreement_order_raises(self):
+        # a negative order must not compare fewer coefficients than asked
+        g = Series2([[1, 2], [3, 4]])
+        h = Series2([[1, 2], [3, 5]])
+        for x_order, y_order in ((-1, 2), (2, -1), (-1, -1)):
+            with pytest.raises(SeriesError):
+                g.agrees_with(h, x_order, y_order)
+        assert g.agrees_with(h, 2, 1) and not g.agrees_with(h, 2, 2)
+        assert g.agrees_with(h, 0, 0)
+
     def test_transpose(self):
         s = Series2([[0, 1, 0], [2, 0, 0], [0, 0, 0]])
         assert s.transposed().coefficient(1, 0) == 1

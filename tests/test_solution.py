@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import comb, lcm, prod
@@ -12,7 +13,6 @@ from qcycle.solution import (
     _eliminate,
     _factor_verdict,
     _invert,
-    _slot_holds,
     _solution_map,
     _step_block,
     _superscript_blocks,
@@ -194,10 +194,10 @@ def family_sides_by_fractions(s, family, i, j, k, m):
     return side(lhs, j, k), side(rhs, k, j)
 
 
-def braid_scan_by_loops(s, ms):
+def braid_scan_by_loops(s, ms, cap=MAX_VIOLATIONS):
     """The three families at every (i, j, k) and every m in ms, each side summed
     whole at each point over the tensors scaled to integers, with violations
-    in family, i, j, k, m order and capped at MAX_VIOLATIONS."""
+    in family, i, j, k, m order and capped at `cap` (None: all of them)."""
     n = s.n
 
     def scaled(t):
@@ -239,7 +239,7 @@ def braid_scan_by_loops(s, ms):
                         rhs = side(A2, B2, C2, i, k, j, m)
                         if lhs * den_r != rhs * den_l:
                             flags[index] = False
-                            if len(violations) < MAX_VIOLATIONS:
+                            if cap is None or len(violations) < cap:
                                 violations.append((index + 1, i, j, k, m,
                                                    Fraction(lhs, den_l), Fraction(rhs, den_r)))
     return BraidReport(flags[0], flags[1], flags[2], tuple(violations))
@@ -345,19 +345,6 @@ class TestBraidChecks:
         report = check_braid_full(QCycleStructure(p, d))
         assert len(report.violations) <= 20
 
-    def test_slot_holds_cross_multiplies(self):
-        """A passing slot is one list equality against the transposed other
-        side; with different denominators each side takes the other's
-        cofactor."""
-        lhs = [1, 2, 3, 4]            # over 2: S[j * 2 + k] = lhs / 2
-        rhs = [3, 9, 6, 12]           # over 6: rhs[k * 2 + j] = 3 lhs[j * 2 + k]
-        assert _slot_holds(lhs, rhs, 2, 6, 2)
-        assert _slot_holds([2 * x for x in lhs], rhs, 4, 6, 2)
-        assert not _slot_holds(lhs, rhs, 6, 2, 2)
-        assert not _slot_holds(lhs, [3, 6, 9, 12], 2, 6, 2)
-        assert _slot_holds(lhs, [1, 3, 2, 4], 5, 5, 2)
-        assert not _slot_holds(lhs, lhs, 5, 5, 2)
-
     def test_violations_match_fraction_sums(self, rng):
         n = 3
         families_seen = set()
@@ -390,16 +377,28 @@ def _perturbed_standard(n, entry):
     return QCycleStructure.involutive(extend_from_level1(level1))
 
 
-def _perturbed_nonroot():
-    """A `family nonroot` pair (p != d) at n = 6 with level-1 entry (2, 2) of
+def _perturbed_nonroot(entry=(2, 2)):
+    """A `family nonroot` pair (p != d) at n = 6 with level-1 entry `entry` of
     p raised by 1 and re-extended: families 1 and 2 fail, family 3 holds."""
     from qcycle.families import NonRootFamilyInput, build_nonroot_family
 
     lambdas = [Fraction(2), Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(1, 3)]
     s = build_nonroot_family(NonRootFamilyInput(6, lambdas, Fraction(3, 2)))
     level1 = s.p.level(1)
-    level1[2][2] += 1
+    level1[entry[0]][entry[1]] += 1
     return QCycleStructure(extend_from_level1(level1), s.d)
+
+
+def entries_within_reach(s, ms):
+    """How many violation entries a scan with no early exit lists when, on
+    each slice and in family order, a family lists its violations only until
+    it and the families before it hold MAX_VIOLATIONS together."""
+    counts = Counter(v[:2] for v in braid_scan_by_loops(s, ms, cap=None).violations)
+    held = [0, 0, 0]
+    for i in range(s.n):
+        for f in range(3):
+            held[f] += max(0, min(counts[f + 1, i], MAX_VIOLATIONS - sum(held[:f + 1])))
+    return sum(held)
 
 
 class TestBraidScanEarlyExit:
@@ -447,19 +446,32 @@ class TestBraidScanEarlyExit:
             assert by_family[0] and by_family[0] == by_family[1] == by_family[2]
             assert len(contractions) == n
 
-    def test_holding_family_scans_every_slice(self, contractions):
-        s = _perturbed_nonroot()
-        assert s.p != s.d
-        # the sides of a family have different denominators: cross-multiplied
-        assert s.p.scaled_integers()[1] != s.d.scaled_integers()[1]
-        for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(6))):
-            contractions.clear()
-            report = check(s)
-            assert report == braid_scan_by_loops(s, ms)
-            assert (report.family1_ok, report.family2_ok, report.family3_ok) == (False, False, True)
-            assert len(report.violations) == MAX_VIOLATIONS
-            # six distinct triples (pdp, ppp, ppd, ddp, dpd, ddd) at each of the 6 slices
-            assert len(contractions) == 6 * 6
+    def test_holding_family_scans_every_slice(self, contractions, monkeypatch):
+        """Family 2 lists entries on slices before the one where family 1
+        reaches MAX_VIOLATIONS, and lists only those that can still reach the
+        report: with entry (2, 2) it has room for all of slice 2's and none
+        later; with entry (2, 4) the full scan cuts its slice 3 short."""
+        from qcycle import solution
+
+        made = []
+        monkeypatch.setattr(solution, "Fraction", lambda *a: made.append(1) or Fraction(*a))
+        for entry in ((2, 2), (2, 4)):
+            s = _perturbed_nonroot(entry)
+            assert s.p != s.d
+            # the sides of a family have different denominators: cross-multiplied
+            assert s.p.scaled_integers()[1] != s.d.scaled_integers()[1]
+            for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(6))):
+                contractions.clear()
+                made.clear()
+                report = check(s)
+                assert report == braid_scan_by_loops(s, ms)
+                assert (report.family1_ok, report.family2_ok, report.family3_ok) == (
+                    False, False, True)
+                assert len(report.violations) == MAX_VIOLATIONS
+                # six distinct triples (pdp, ppp, ppd, ddp, dpd, ddd) at each of the 6 slices
+                assert len(contractions) == 6 * 6
+                # two Fractions per listed entry
+                assert len(made) == 2 * entries_within_reach(s, ms) > 2 * MAX_VIOLATIONS
 
 
 class TestSolutionMap:

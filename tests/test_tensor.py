@@ -498,6 +498,14 @@ class TestStoredForm:
         with pytest.raises(IndexError):
             t.with_entry(3, 0, 0, 1)
 
+    def test_level_rejects_negative_index(self):
+        # level(-1) must not read level n - 1
+        t = extend_from_level1([[Fraction(i + 2 * j) for j in range(3)] for i in range(3)])
+        assert t.level(2) != t.level(1)
+        for k in (-1, 3):
+            with pytest.raises(IndexError):
+                t.level(k)
+
     def test_equal_by_different_routes(self, rng):
         for n in (2, 3, 5):
             level1 = random_level1(rng, n)
