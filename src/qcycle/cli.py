@@ -204,8 +204,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    if args.kind != "nonroot":
-        raise ValidationError(f"unknown family kind: {args.kind}")
     _bound_n(args.n)
     lambdas = _parse_rational_list(args.lambdas)
     inp = NonRootFamilyInput(args.n, lambdas, parse_rational(args.mu))

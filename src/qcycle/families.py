@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .errors import PreconditionNotMet, RootOfUnityLambda, UnverifiedStructure, ValidationError
 from .series import ONE, Series1, ZERO, as_fraction
 from .tensor import (
+    CoeffTensor,
     QCycleStructure,
     SuiteReport,
     _check,
@@ -167,11 +168,7 @@ def build_nonroot_family(inp: NonRootFamilyInput) -> QCycleStructure:
     """
     n = inp.n
     lam = inp.lambdas
-
-    p_level1 = [[ZERO] * n for _ in range(n)]
-    for i in range(1, n):
-        p_level1[i][0] = lam[i - 1]
-    p = extend_from_level1(p_level1)
+    p = _extension(n, {(i, 0): lam[i - 1] for i in range(1, n)})
 
     d_col = [ZERO] * n
     d_col[1] = inp.mu
@@ -189,11 +186,17 @@ def build_nonroot_family(inp: NonRootFamilyInput) -> QCycleStructure:
         denom = lam[0] - lam[0] ** i
         d_col[i] = acc / denom
 
-    d_level1 = [[ZERO] * n for _ in range(n)]
-    for i in range(1, n):
-        d_level1[i][0] = d_col[i]
-    d = extend_from_level1(d_level1)
+    d = _extension(n, {(i, 0): d_col[i] for i in range(1, n)})
     return QCycleStructure(p, d)
+
+
+def _extension(n: int, entries: dict) -> CoeffTensor:
+    """`extend_from_level1` of the n*n level-1 grid that holds `entries`,
+    {(i, j): t[i][j][1]}, and 0 elsewhere."""
+    level1 = [[ZERO] * n for _ in range(n)]
+    for (i, j), value in entries.items():
+        level1[i][j] = value
+    return extend_from_level1(level1)
 
 
 def nonunit_vanishing_check(s: QCycleStructure, order_bound: int) -> SuiteReport:
@@ -256,6 +259,19 @@ class Fixture:
     structure: QCycleStructure
 
 
+# The n = 3 families: name, parameter names, three parameter points, and the
+# level-1 entries {(i, j): t[i][j][1]} of p and of d (None: d is p) at a point.
+_N3_FAMILIES = (
+    ("unit_step", ("p22", "p20"), ((0, 0), (1, 2), (2, 0)),
+     lambda p22, p20: ({(1, 0): ONE, (2, 0): p20, (2, 2): p22}, None)),
+    ("negative_step", ("p12", "p20"), ((1, 2), (0, 1), (2, 1)),
+     lambda p12, p20: ({(1, 0): -ONE, (1, 2): p12, (2, 0): p20, (2, 1): 2 * p12,
+                        (2, 2): Fraction(-5) * p12 * p20 / 2}, None)),
+    ("mixed_step", ("p12",), ((1,), (0,), (2,)),
+     lambda p12: ({(1, 0): ONE, (1, 2): p12}, {(1, 0): -ONE, (1, 2): -p12})),
+)
+
+
 def fixtures_n3() -> list[Fixture]:
     """The three parameterized n = 3 families, at three rational points each.
 
@@ -268,49 +284,19 @@ def fixtures_n3() -> list[Fixture]:
     Every fixture is extended from its level-1 grid and verified against the
     reduced braid check at build time.
     """
-    n = 3
     fixtures = []
-
-    for p22, p20 in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(0))):
-        level1 = [[ZERO] * n for _ in range(n)]
-        level1[1][0] = ONE
-        level1[2][0] = p20
-        level1[2][2] = p22
-        p = extend_from_level1(level1)
-        fixtures.append(
-            Fixture("unit_step", {"p22": p22, "p20": p20}, QCycleStructure.involutive(p))
-        )
-
-    for p12, p20 in ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)), (Fraction(2), Fraction(1))):
-        level1 = [[ZERO] * n for _ in range(n)]
-        level1[1][0] = -ONE
-        level1[1][2] = p12
-        level1[2][0] = p20
-        level1[2][1] = 2 * p12
-        level1[2][2] = Fraction(-5) * p12 * p20 / 2
-        p = extend_from_level1(level1)
-        fixtures.append(
-            Fixture("negative_step", {"p12": p12, "p20": p20}, QCycleStructure.involutive(p))
-        )
-
-    for p12 in (Fraction(1), Fraction(0), Fraction(2)):
-        p_level1 = [[ZERO] * n for _ in range(n)]
-        p_level1[1][0] = ONE
-        p_level1[1][2] = p12
-        d_level1 = [[ZERO] * n for _ in range(n)]
-        d_level1[1][0] = -ONE
-        d_level1[1][2] = -p12
-        structure = QCycleStructure(
-            extend_from_level1(p_level1), extend_from_level1(d_level1)
-        )
-        fixtures.append(Fixture("mixed_step", {"p12": p12}, structure))
-
-    for fixture in fixtures:
-        report = check_braid_reduced(fixture.structure)
-        if not report:
-            raise AssertionError(
-                f"fixture {fixture.name}{fixture.parameters} fails the braid check: "
-                f"{report.violations[:1]}"
-            )
+    for name, names, points, entries in _N3_FAMILIES:
+        for point in points:
+            point = tuple(Fraction(v) for v in point)
+            p_entries, d_entries = entries(*point)
+            p = _extension(3, p_entries)
+            fixture = Fixture(name, dict(zip(names, point)), QCycleStructure(
+                p, p if d_entries is None else _extension(3, d_entries)))
+            report = check_braid_reduced(fixture.structure)
+            if not report:
+                raise AssertionError(
+                    f"fixture {fixture.name}{fixture.parameters} fails the braid check: "
+                    f"{report.violations[:1]}"
+                )
+            fixtures.append(fixture)
     return fixtures
-

@@ -639,9 +639,11 @@ class Series2(_Series):
         return f"Series2(order={n})"
 
     def agrees_with(self, other: "Series2", x_order: int, y_order: int) -> bool:
-        """Coefficientwise equality restricted to x-degree < x_order, y-degree < y_order."""
-        if min(x_order, y_order) < 0:
-            raise SeriesError(f"negative order ({x_order}, {y_order})")
+        """Coefficientwise equality restricted to x-degree < x_order, y-degree < y_order,
+        each order at most that of both series."""
+        top = min(len(self._nums), len(other._nums))
+        if not (0 <= x_order <= top and 0 <= y_order <= top):
+            raise SeriesError(f"agreement order ({x_order}, {y_order}) is not in 0..{top}")
         da, db = self._den, other._den
         return all(x * db == y * da
                    for ra, rb in zip(self._nums[:x_order], other._nums[:x_order])

@@ -167,8 +167,7 @@ def build_standard_cycle(
     column = column_series(params, order)
     slices = table_slices(params, column)
     table = Series2.from_y_slices(slices, order)
-    level1 = [[slices[v].coeffs[u] for v in range(order)] for u in range(order)]
-    tensor = extend_from_level1(level1)
+    tensor = extend_from_level1(table.coeffs)
     return StandardCycleBundle(
         params=params,
         order=order,

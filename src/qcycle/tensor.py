@@ -152,11 +152,10 @@ def _payload_ratio(value) -> tuple[int, int]:
 
 
 def counit_action(n: int) -> CoeffTensor:
-    """The tensor of x_i . x_j = e(x_j) x_i, i.e. t[i][j][k] = [i==k][j==0]."""
-    grid = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        grid[i][0][i] = ONE
-    return CoeffTensor(grid)
+    """The tensor of x_i . x_j = e(x_j) x_i, i.e. t[i][j][k] = [i==k][j==0]:
+    the extension of G = u."""
+    return extend_from_level1([[ONE if (i, j) == (1, 0) else ZERO for j in range(n)]
+                               for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -405,15 +404,13 @@ def reconstruct_f_from_g(g: Series1) -> Series1:
         raise BadLinearTerm("column series must be x + O(x^2)")
     n = len(g.coeffs)
     f = [ZERO] * n
-    f[0] = ONE
-    if n > 1:
-        f[1] = ONE
+    f[0] = f[1] = ONE
     for j in range(2, n):
         acc = ZERO
         for i in range(1, j):
             acc += f[i] * f[j - i]
         for h in range(1, j):
-            if j - h + 1 < n and g.coeffs[j - h + 1]:
+            if g.coeffs[j - h + 1]:
                 acc -= h * g.coeffs[j - h + 1] * f[h]
         f[j] = acc / (j - 1)
     return Series1(f)

@@ -90,8 +90,22 @@ class TestNonRootFamily:
 class TestFixtures:
     def test_nine_fixtures_all_verified(self):
         fixtures = fixtures_n3()
-        assert len(fixtures) == 9
+        F = Fraction
+        assert [(f.name, f.parameters) for f in fixtures] == [
+            ("unit_step", {"p22": F(0), "p20": F(0)}),
+            ("unit_step", {"p22": F(1), "p20": F(2)}),
+            ("unit_step", {"p22": F(2), "p20": F(0)}),
+            ("negative_step", {"p12": F(1), "p20": F(2)}),
+            ("negative_step", {"p12": F(0), "p20": F(1)}),
+            ("negative_step", {"p12": F(2), "p20": F(1)}),
+            ("mixed_step", {"p12": F(1)}),
+            ("mixed_step", {"p12": F(0)}),
+            ("mixed_step", {"p12": F(2)}),
+        ]
         for fixture in fixtures:
+            assert all(type(v) is Fraction for v in fixture.parameters.values())
+            # p = d families hold one tensor, so it is walked once
+            assert (fixture.structure.d is fixture.structure.p) == (fixture.name != "mixed_step")
             assert check_braid_reduced(fixture.structure)
             assert check_braid_full(fixture.structure)
 

@@ -702,7 +702,10 @@ class TestReplaced:
         assert getattr(ctx, attr) is old and getattr(copy, attr) is new
 
     def test_only_series_can_be_replaced(self, ctx_deg1):
-        for series in ({"no_such_series": 1}, {"_pows": {}}, {"row": ctx_deg1.row, "rows": 1}):
+        # order, degree and bundle fix v0 < n <= N, which the suite reads unguarded
+        for series in ({"no_such_series": 1}, {"_pows": {}}, {"row": ctx_deg1.row, "rows": 1},
+                       {"order": ctx_deg1.order + 1}, {"degree": ctx_deg1.order},
+                       {"bundle": ctx_deg1.bundle}):
             with pytest.raises(AttributeError, match="series of the context"):
                 ctx_deg1._replaced(**series)
 

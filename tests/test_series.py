@@ -399,6 +399,16 @@ class TestSeries2:
         assert g.agrees_with(h, 2, 1) and not g.agrees_with(h, 2, 2)
         assert g.agrees_with(h, 0, 0)
 
+    def test_agreement_order_above_truncation_raises(self):
+        # an order above either series' own must not narrow to the shorter one
+        g = Series2([[1, 2], [3, 4]])
+        h = Series2([[1, 2, 0], [3, 4, 0], [0, 0, 9]])
+        for x_order, y_order in ((3, 3), (3, 2), (2, 3)):
+            for a, b in ((g, h), (h, g)):
+                with pytest.raises(SeriesError):
+                    a.agrees_with(b, x_order, y_order)
+        assert g.agrees_with(h, 2, 2) and h.agrees_with(g, 2, 2) and h.agrees_with(h, 3, 3)
+
     def test_transpose(self):
         s = Series2([[0, 1, 0], [2, 0, 0], [0, 0, 0]])
         assert s.transposed().coefficient(1, 0) == 1

@@ -230,10 +230,12 @@ class TestMorphismMemo:
 
 class TestExtension:
     def test_delta_level1_gives_counit_action(self):
-        n = 4
-        level1 = [[Fraction(0)] * n for _ in range(n)]
-        level1[1][0] = Fraction(1)
-        assert extend_from_level1(level1) == counit_action(n)
+        for n in range(2, 7):
+            level1 = [[Fraction(0)] * n for _ in range(n)]
+            level1[1][0] = Fraction(1)
+            cube = [[[int(i == k and j == 0) for k in range(n)] for j in range(n)]
+                    for i in range(n)]
+            assert extend_from_level1(level1) == counit_action(n) == CoeffTensor(cube)
 
     def test_vanishing_params_closed_form(self):
         n = 5
