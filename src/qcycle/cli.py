@@ -54,9 +54,10 @@ MAX_OPS_ORDER = 24
 # Largest n that the subcommands running a braid scan accept: `scc`,
 # `family`, `classify` and `verify` (a declared "n" for the last two).  The
 # bound is one, so every structure `scc` or `family` emits can be verified
-# with --full --solution, whose cost grows about as n^6: on a v0 = 1
-# standard cycle it takes about 3.5 s of CPU at n = 20 and 10 s at n = 24
-# (2-core Xeon, CPython 3.11).
+# with --full --solution, whose cost grows about as n^6 and with the size of
+# the coefficients: on a v0 = 1 standard cycle at n = 24 it took 9.0 s of CPU
+# with parameters of at most one digit, and 602 s (167 MB peak) with
+# parameters of six-digit numerator and denominator (2-core Xeon, CPython 3.11).
 MAX_VERIFY_N = 24
 
 SOLUTION_CHECKS = ("solution_braid", "solution_coalgebra_endo", "solution_bijective",

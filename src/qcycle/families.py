@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import PreconditionNotMet, RootOfUnityLambda, UnverifiedStructure, ValidationError
-from .series import ONE, Series1, ZERO, as_fraction
+from .series import ONE, Series1, ZERO, _by_degree, as_fraction, compose
 from .tensor import (
     CoeffTensor,
     QCycleStructure,
@@ -158,35 +158,24 @@ def build_nonroot_family(inp: NonRootFamilyInput) -> QCycleStructure:
     """The unique structure with p[i][0][1] = lambda_i, d[1][0][1] = mu and no
     interaction: all entries with second index > 0 vanish.
 
-    The remaining d column is forced by
+    Column zero of level h is the h-th power of level 1's: lambda = sum
+    lambda_i x^i for p, delta = sum d[i][0][1] x^i for d.  The d column solves
+    delta(lambda) = lambda(delta), delta = mu x + ..., degree by degree
+    (`_by_degree`): d[i][0][1] enters degree i as (lambda_1^i - lambda_1)
+    d[i][0][1], nonzero as lambda_1 is no root of unity below n, and that
+    coefficient is the recursion
 
         d[i][0][1] (lambda_1 - lambda_1^i)
-            = sum_{h<i} p[i][0][h] d[h][0][1] - sum_{h>=2} d[i][0][h] p[h][0][1],
+            = sum_{h<i} p[i][0][h] d[h][0][1] - sum_{h>=2} d[i][0][h] p[h][0][1].
 
-    where levels >= 2 are composition products of the level-1 column; the
-    structure is involutive exactly when mu = lambda_1.
+    The structure is involutive exactly when mu = lambda_1.
     """
-    n = inp.n
-    lam = inp.lambdas
+    n, lam = inp.n, inp.lambdas
+    column = Series1((ZERO, *lam))
+    delta = _by_degree(n, [ZERO, inp.mu], lambda d: compose(d, column) - compose(column, d),
+                       lambda i: lam[0] ** i - lam[0])
     p = _extension(n, {(i, 0): lam[i - 1] for i in range(1, n)})
-
-    d_col = [ZERO] * n
-    d_col[1] = inp.mu
-    for i in range(2, n):
-        acc = ZERO
-        for h in range(1, i):
-            acc += p.entry(i, 0, h) * d_col[h]
-        # d[i][0][h] for h >= 2 is the x^i coefficient of the h-th power of
-        # the column series, which involves d_col[1..i-1] only.
-        column = Series1(d_col[: i + 1])
-        power = column
-        for h in range(2, i + 1):
-            power = power * column
-            acc -= power.coeffs[i] * lam[h - 1]
-        denom = lam[0] - lam[0] ** i
-        d_col[i] = acc / denom
-
-    d = _extension(n, {(i, 0): d_col[i] for i in range(1, n)})
+    d = _extension(n, {(i, 0): delta.coeffs[i] for i in range(1, n)})
     return QCycleStructure(p, d)
 
 

@@ -43,8 +43,13 @@ Four integer kernels do the arithmetic:
     lcm of the terms' denominators, normalised once: `+` and `-`, `compose`,
     the table slices (`standard.table_slices`) and every sum of series that
     an operator identity compares (`operators`).
-The `Fraction` loops these kernels replaced survive only in the tests, as
-oracles.
+One solver, `_by_degree`, makes each series that an identity fixes, degree
+by degree: q(a) = x (`compositional_inverse`), g q' = q (the eigenfunction
+in `operators`), g f' = f^2 - f (`tensor.reconstruct_f_from_g`) and
+delta(lambda) = lambda(delta) (`families.build_nonroot_family`).  The
+`Fraction` loops that the kernels and the solver replaced survive only in the
+tests, as oracles or identity checks; the one independent recursion kept in
+`src/` is `standard.reconstruct_from_row`.
 
 Values are immutable after construction (tuples all the way down), so they are
 safe to share freely, including across threads.
@@ -754,20 +759,32 @@ def substitute_y(series: Series2, inner: Series1) -> Series2:
     return Series2._from_rows(_add_matmul(series._grid(n), scaled), series._den * den)
 
 
+def _by_degree(order: int, head: Sequence[Rational], residual, weight) -> Series1:
+    """The series s = head + sum_{k >= len(head)} s_k x^k at `order` on which
+    residual(s) vanishes in every degree from len(head) up, solved one degree
+    at a time: s_k = -[x^k] residual(s with s_k = 0) / weight(k).
+
+    The contract on `residual`: s_k enters the x^k coefficient of
+    residual(s) as weight(k) * s_k, and no later coefficient reaches degree k.
+    So [x^k] residual(s) depends on s_0..s_k alone, and is read at order
+    k + 1, where each series operation truncates to the smaller order."""
+    coeffs = [as_fraction(c) for c in head] + [ZERO] * (order - len(head))
+    for k in range(len(head), order):
+        coeffs[k] = -residual(Series1(coeffs[:k + 1])).coeffs[k] / weight(k)
+    return Series1(coeffs)
+
+
 def compositional_inverse(q: Series1) -> Series1:
-    """The series A with A(q(x)) = x = q(A(x)) up to truncation."""
+    """The series a with a(q(x)) = x = q(a(x)) up to truncation: the
+    solution of q(a) = x with a = x / q_1 + ... (`_by_degree`).  a_k enters
+    the x^k coefficient of q(a) as q_1 a_k, and for k >= 2, where x has no
+    term, that coefficient is the recursion a_k = -[x^k] q(a with a_k = 0) / q_1."""
     if q.coeffs[0]:
         raise NotInvertible("series has nonzero constant term")
     if len(q.coeffs) < 2 or not q.coeffs[1]:
         raise NotInvertible("series has zero linear coefficient")
-    n = len(q.coeffs)
-    inv1 = ONE / q.coeffs[1]
-    data = [ZERO] * n
-    data[1] = inv1
-    for k in range(2, n):
-        residue = compose(q, Series1(data)).coeffs[k]
-        data[k] = -inv1 * residue
-    return Series1(data)
+    q1 = q.coeffs[1]
+    return _by_degree(len(q.coeffs), [ZERO, ONE / q1], lambda a: compose(q, a), lambda k: q1)
 
 
 def divide_exact(a: Series1, b: Series1) -> Series1:

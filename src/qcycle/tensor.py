@@ -30,8 +30,8 @@ from math import comb, isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import BadLinearTerm, NotComultiplicative, ParseError, ZeroLambda
-from .series import (ONE, ZERO, Series1, Series2, _chain_break, _Stored, as_fraction,
-                     json_array, parse_rational)
+from .series import (ONE, ZERO, Series1, Series2, _by_degree, _chain_break, _Stored,
+                     as_fraction, json_array, parse_rational)
 
 Grid = Sequence[Sequence[Fraction]]
 
@@ -266,10 +266,10 @@ def extend_from_level1(level1: Grid) -> CoeffTensor:
     G^n = 0 as well, e.g. when level1 has a zero top row (no pure v^j terms).
     The powers are made in `int` and stored over the lcm of their denominators.
     """
-    g = Series2(level1)
-    n = g.trunc_order
-    if n < 2:
+    n = len(level1)
+    if n < 2 or any(len(row) != n for row in level1):
         raise ValueError("entries must form an n*n*n grid with n >= 2")
+    g = Series2(level1)
     levels = [Series2.monomial(0, 0, n), g]
     while len(levels) < n:
         levels.append(levels[-1] * g)
@@ -394,23 +394,17 @@ def reconstruct_f_from_g(g: Series1) -> Series1:
     """Recover the generating series of the first row from the first column.
 
     For degree-1 structures the column series g(x) = sum t[i][1][1] x^i
-    determines the row series f(x) = sum t[1][j][1] x^j through
+    determines the row series f(x) = sum t[1][j][1] x^j as the solution of
 
-        (j - 1) f_j = sum_{i=1}^{j-1} f_i f_{j-i} - sum_{h=1}^{j-1} h g_{j-h+1} f_h
+        g f' = f^2 - f,        f = 1 + x + ...,
 
-    with f_0 = f_1 = 1.  Requires g = x + O(x^2).
+    solved degree by degree (`_by_degree`).  Requires g = x + O(x^2), so f_j
+    enters the x^j coefficient of g f' - f^2 + f as (j - 1) f_j, and that
+    coefficient is the recursion
+
+        (j - 1) f_j = sum_{i=1}^{j-1} f_i f_{j-i} - sum_{h=1}^{j-1} h g_{j-h+1} f_h.
     """
     if g.coeffs[0] or len(g.coeffs) < 2 or g.coeffs[1] != 1:
         raise BadLinearTerm("column series must be x + O(x^2)")
-    n = len(g.coeffs)
-    f = [ZERO] * n
-    f[0] = f[1] = ONE
-    for j in range(2, n):
-        acc = ZERO
-        for i in range(1, j):
-            acc += f[i] * f[j - i]
-        for h in range(1, j):
-            if g.coeffs[j - h + 1]:
-                acc -= h * g.coeffs[j - h + 1] * f[h]
-        f[j] = acc / (j - 1)
-    return Series1(f)
+    return _by_degree(g.trunc_order, [ONE, ONE], lambda f: g * f.derivative() - f * f + f,
+                      lambda j: j - 1)

@@ -18,11 +18,12 @@ from qcycle.families import (
     nonunit_vanishing_check,
     root_of_unity_order,
 )
+from qcycle.series import Series1, compose
 from qcycle.solution import check_braid_full, check_braid_reduced
 from qcycle.standard import StandardCycleParams, build_standard_cycle
 from qcycle.tensor import QCycleStructure, rescale
 
-from conftest import standard_structure
+from conftest import random_fraction, standard_structure
 
 
 class TestRootOrder:
@@ -41,6 +42,16 @@ class TestNonRootFamily:
         assert s.d.entry(2, 0, 1) == 3  # solves the forced recursion
         assert check_braid_reduced(s)
         assert check_braid_full(s)
+
+    def test_d_column_commutes_with_p_column(self, rng):
+        # delta(lambda) = lambda(delta) for the level-1 column series of p and d
+        for n in range(2, 11):
+            lambdas = [Fraction(rng.choice((-3, -2, 2, 3)), rng.choice((1, 5)))]
+            lambdas += [random_fraction(rng) for _ in range(n - 2)]
+            s = build_nonroot_family(NonRootFamilyInput(n, lambdas, random_fraction(rng) or 1))
+            lam, delta = (Series1([t.entry(i, 0, 1) for i in range(n)]) for t in (s.p, s.d))
+            assert lam == Series1([0, *lambdas])
+            assert compose(delta, lam) == compose(lam, delta)
 
     def test_involutive_iff_mu_equals_lambda1(self):
         base = NonRootFamilyInput(4, [2, 1, -1], 2)

@@ -313,6 +313,22 @@ class TestComposition:
         with pytest.raises(NotInvertible):
             compositional_inverse(Series1([0, 0, 1, 0]))
 
+    @given(series1(7))
+    @settings(max_examples=60)
+    def test_degree_solver_reproduces_reciprocal(self, a):
+        # a s = 1: s_k enters the x^k coefficient of a s - 1 as a_0 s_k
+        a = Series1([a.coeffs[0] or 1] + list(a.coeffs[1:]))
+        a0 = a.coeffs[0]
+        s = series_module._by_degree(7, [1 / a0], lambda t: (a * t).add_constant(-1),
+                                     lambda k: a0)
+        assert s == a.reciprocal()
+
+    def test_degree_solver_returns_a_full_head(self):
+        def unread(_):
+            raise AssertionError("no degree is left to solve")
+        head = [Fraction(1, 2), 0, -3]
+        assert series_module._by_degree(3, head, unread, unread) == Series1(head)
+
 
 class TestBinomialSeries:
     def test_square_root(self):
@@ -935,7 +951,7 @@ class TestAlgebraProperties:
     @given(series1(6))
     @settings(max_examples=60)
     def test_compositional_inverse_round_trip(self, q):
-        q = Series1([0, 1] + list(q.coeffs[2:]))
+        q = Series1([0, q.coeffs[1] or 1] + list(q.coeffs[2:]))
         a = compositional_inverse(q)
         assert compose(q, a) == Series1.x(6)
         assert compose(a, q) == Series1.x(6)

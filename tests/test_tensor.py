@@ -237,6 +237,15 @@ class TestExtension:
                     for i in range(n)]
             assert extend_from_level1(level1) == counit_action(n) == CoeffTensor(cube)
 
+    def test_invalid_shapes_raise_value_error(self):
+        # empty, ragged and 1 x 1 grids alike, so also counit_action(n < 2)
+        for level1 in ([], [[0, 0], [0]], [[0, 0, 0], [0, 0, 0]], [[1]]):
+            with pytest.raises(ValueError, match="n >= 2"):
+                extend_from_level1(level1)
+        for n in (-1, 0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                counit_action(n)
+
     def test_vanishing_params_closed_form(self):
         n = 5
         t = extend_from_level1(vanishing_params_level1(n))
@@ -364,6 +373,15 @@ class TestRowFromColumn:
     def test_rejects_bad_linear_term(self):
         with pytest.raises(BadLinearTerm):
             reconstruct_f_from_g(Series1([0, 2, 0]))
+
+    def test_solves_the_row_ode(self, rng):
+        # g f' = f^2 - f with f = 1 + x + ..., for random g = x + O(x^2)
+        for order in range(2, 10):
+            g = Series1([0, 1] + [random_fraction(rng) for _ in range(order - 2)])
+            f = reconstruct_f_from_g(g)
+            assert f.coeffs[:2] == (1, 1)
+            # g has no constant term, so the top coefficient f' drops is never read
+            assert g * f.derivative() == f * f - f
 
 
 class TestPayload:
