@@ -10,15 +10,19 @@ partial^k = sum_{a+b=k} partial_x^a partial_y^b.  The tilde variants replace
 Gbar by P, which regrades Gbar in powers of f(y) - 1.  Each operator is linear
 on series of the context's order N: an N x N matrix with entry
 [u][c] = sum_k C(c, k) (B^k)_v[u - c + k], B = Gbar or P, made on integers
-and stored once per (B, v) as sparse integer rows over one denominator.  It
-acts on the x-index of a series (partial_x) or on its y-index (partial_y).
+and stored once per (B, v) as sparse integer columns over one denominator.
+It acts on the x-index of a series (partial_x) or on its y-index (partial_y).
 One kernel, `OperatorContext._image`, multiplies an input as it is stored,
 integer numerators over one denominator (see `series`), and returns the
 image's integer rows over the input's denominator times the matrix's;
-`_apply` normalises them once into a series.  No input is rescaled, and no
-`Fraction` is made per coefficient.  A global operator sums its terms in int
-over the lcm of their denominators.  Inputs at any order other than N raise
-SeriesError.  The context also carries:
+`_apply` normalises them once into a series.  The columns make the work
+follow the input's nonzeros: each nonzero entry (along y) or nonzero row
+(along x) of the input adds its multiples of one column.  No input is
+rescaled, and no `Fraction` is made per coefficient.  A global operator sums
+its terms, the raw images along y taken along x, in int over the lcm of
+their denominators, skips the zero ones and normalises once.  Inputs at any
+order other than N raise SeriesError, and so does a `Series1` given to an
+operator along y or a global one.  The context also carries:
 
   * the eigenfunction q of the derivation h -> g h' (g q' = q, q = x + ...),
     its compositional inverse, and the scaled eigenfunctions q_i = a_i q^i;
@@ -47,8 +51,12 @@ tilde^k H per input, from the defining sum (`global_table`), and the
 recursion per input decides the binomial check too, whose steps it matches
 one for one.  The two commutation checks compare integer images, never
 series: directly where both sides are over one denominator, cross-multiplied
-where not.  The braid sums R(i, j, k) that partial^j G must reproduce are
-made once, with the braid scan's two integer contractions (`braid_sums`).
+where not.  The tilde tables tilde^k H are built only up to the highest
+degree a check reads, which the nonzero (fbar^u)_v decide.  Each sum of
+products by a one-variable series is summed over one denominator and
+normalised once (`Series2._product_sum`).  The braid sums R(i, j, k) that
+partial^j G must reproduce are made once, with the braid scan's two integer
+contractions (`braid_sums`).
 """
 
 from __future__ import annotations
@@ -201,19 +209,16 @@ class OperatorContext:
 
     # -- the operators -------------------------------------------------------
 
-    def _check_degree(self, v: int) -> None:
-        if not 0 <= v < self.order:
-            raise DegreeOutOfRange(f"degree {v} at truncation order {self.order}")
-
     def _matrix(self, name: str, v: int) -> tuple:
         """The N x N matrix of h -> sum_{k=0}^{v} (1/k!) (B^k)_v h^(k), B = `name`.
 
         Entry [u][c] = sum_k C(c, k) (B^k)_v[u - c + k] is the x^u coefficient of
-        the image of x^c.  B^0 = 1 adds nothing for v > 0 and makes the v = 0
-        matrix the identity.  The matrix is made on integers, over the lcm of
-        the slices' denominators, and stored once, as (rows, den) in lowest
-        terms: rows[u] keeps the nonzero entries of row u as (c, den * entry)
-        pairs of integers.
+        the image of x^c, so column c is sum_k C(c, k) x^{c-k} (B^k)_v: one
+        shifted multiple of each slice.  B^0 = 1 adds nothing for v > 0 and
+        makes the v = 0 matrix the identity.  The matrix is made on integers,
+        over the lcm of the slices' denominators, and stored once, as
+        (cols, den) in lowest terms: cols[c] keeps the nonzero entries of
+        column c as (u, den * entry) pairs of integers.
         """
         key = (name, v)
         if key not in self._matrices:
@@ -221,41 +226,57 @@ class OperatorContext:
             slices = [self.power_slice(name, k, v) for k in range(v + 1)]
             den = lcm(*(s._den for s in slices))
             scaled = [[x * (den // s._den) for x in s._nums] for s in slices]
-            entries = []
-            for u in range(N):
-                row = []
-                for c in range(N):
-                    entry = 0
-                    for k in range(max(0, c - u), min(v, c) + 1):
-                        entry += comb(c, k) * scaled[k][u - c + k]
-                    if entry:
-                        row.append((c, entry))
-                entries.append(row)
-            g = gcd(den, *(entry for row in entries for _, entry in row))
-            rows = tuple(tuple((c, entry // g) for c, entry in row) for row in entries)
-            self._matrices[key] = (rows, den // g)
+            columns = []
+            for c in range(N):
+                column = [0] * N
+                for k in range(min(v, c) + 1):
+                    b = comb(c, k)
+                    column[c - k:] = [a + b * x for a, x in zip(column[c - k:], scaled[k])]
+                columns.append([(u, entry) for u, entry in enumerate(column) if entry])
+            g = gcd(den, *(entry for column in columns for _, entry in column))
+            cols = tuple(tuple((u, entry // g) for u, entry in column) for column in columns)
+            self._matrices[key] = (cols, den // g)
         return self._matrices[key]
 
     def _image(self, name: str, v: int, nums, along_y: bool) -> tuple:
         """The (name, v) matrix times the integer grid `nums`, on its row index
         (the x-index of a `Series2`) or along each row (its y-index; a
         `Series1` is one row): (rows, den), the image's integer rows over the
-        input's denominator times den, the matrix's.  Not normalised."""
-        rows, den = self._matrix(name, v)
-        if along_y:
-            return [_times_vector(rows, line) for line in nums], den
-        zero = [[0] * self.order for _ in range(self.order)]
-        return _add_times_grid(zero, rows, nums), den
+        input's denominator times den, the matrix's.  Not normalised.  The
+        work follows the input's nonzeros: along y each nonzero entry x[c] of
+        a row adds x[c] times column c, and along x each nonzero row c adds
+        one multiple of itself per entry of column c (`_add_along_x`)."""
+        cols, den = self._matrix(name, v)
+        N = self.order
+        if not along_y:
+            return _add_along_x([[0] * N for _ in range(N)], cols, nums), den
+        images = []
+        for line in nums:
+            out = [0] * N
+            for x, column in zip(line, cols):
+                if x:
+                    for u, entry in column:
+                        out[u] += x * entry
+            images.append(out)
+        return images, den
+
+    def _check_input(self, v: int, h: SeriesLike, along_y: bool) -> None:
+        """Raise unless 0 <= v < N, h has the context's order and, for an
+        operator along y, h is a `Series2`."""
+        if not 0 <= v < self.order:
+            raise DegreeOutOfRange(f"degree {v} at truncation order {self.order}")
+        if along_y and not isinstance(h, Series2):
+            raise SeriesError(f"an operator along y acts on a Series2, not a {type(h).__name__}")
+        if h.trunc_order != self.order:
+            raise SeriesError(
+                f"operator input has order {h.trunc_order}, the context has order {self.order}"
+            )
 
     def _apply(self, name: str, v: int, h: SeriesLike, along_y: bool = False) -> SeriesLike:
         """Apply the (name, v) matrix to the x-coefficients of h, or to its
         y-coefficients: the image (`_image`) of h's stored integers, as a
         series over h's denominator times the matrix's, normalised once."""
-        self._check_degree(v)
-        if h.trunc_order != self.order:
-            raise SeriesError(
-                f"operator input has order {h.trunc_order}, the context has order {self.order}"
-            )
+        self._check_input(v, h, along_y)
         if v == 0:
             return h
         rows, den = self._image(name, v, h._rows(), along_y or isinstance(h, Series1))
@@ -277,52 +298,51 @@ class OperatorContext:
 
     def partial_global(self, k: int, H: Series2) -> Series2:
         """partial^k = sum_{a+b=k} partial_x^a partial_y^b."""
-        self._check_degree(k)
-        return self._global_sum("table_reduced", k, [self.partial_y(b, H) for b in range(k + 1)])
+        return self._global_sum("table_reduced", k, self._y_images("table_reduced", H, k + 1))
 
     def tilde_partial_global(self, u: int, H: Series2) -> Series2:
-        self._check_degree(u)
-        return self._global_sum("p_series", u, [self.tilde_partial_y(b, H) for b in range(u + 1)])
+        return self._global_sum("p_series", u, self._y_images("p_series", H, u + 1))
 
     def global_table(self, name: str, H: Series2, count: int) -> list[Series2]:
         """[B^k H for k < count], B^k = sum_{a+b=k} B_x^a B_y^b the global operator
         of B = `name`: the defining sum, with each B_y^b H made once for all k."""
-        self._check_degree(count - 1)
-        ys = [self._apply(name, b, H, along_y=True) for b in range(count)]
+        ys = self._y_images(name, H, count)
         return [self._global_sum(name, k, ys) for k in range(count)]
 
+    def _y_images(self, name: str, H: Series2, count: int) -> list:
+        """[B_y^b H for b < count] as raw images (rows, den), each the value
+        rows / den, not normalised (B_y^0 H is H as it is stored)."""
+        self._check_input(count - 1, H, True)
+        ys = [(H._nums, H._den)]
+        for b in range(1, count):
+            rows, den = self._image(name, b, H._nums, True)
+            ys.append((rows, H._den * den))
+        return ys
+
     def _global_sum(self, name: str, k: int, ys: list) -> Series2:
-        """sum_{a+b=k} B_x^a ys[b], summed in int over the lcm of the terms'
-        denominators (B_x^0 is the identity, so ys[k] is a term as it is)."""
-        terms = [(self._matrix(name, k - b), ys[b]) for b in range(k) if not ys[b].is_zero()]
-        den = lcm(ys[k]._den, *(row_den * y._den for (_, row_den), y in terms))
-        up = den // ys[k]._den
-        total = [[up * x for x in line] for line in ys[k]._nums]
-        for (rows, row_den), y in terms:
-            _add_times_grid(total, rows, y._nums, den // (row_den * y._den))
+        """sum_{a+b=k} B_x^a ys[b] for the raw images ys[b] = (rows, den),
+        summed in int over the lcm of the terms' denominators and normalised
+        once; a zero ys[b] is skipped (B_x^0 is the identity, so ys[k] is a
+        term as it is)."""
+        terms = [(self._matrix(name, k - b), ys[b]) for b in range(k) if any(map(any, ys[b][0]))]
+        rows, den_k = ys[k]
+        den = lcm(den_k, *(mat_den * y_den for (_, mat_den), (_, y_den) in terms))
+        up = den // den_k
+        total = [[up * x for x in line] for line in rows]
+        for (cols, mat_den), (y_rows, y_den) in terms:
+            _add_along_x(total, cols, y_rows, den // (mat_den * y_den))
         return Series2._from_rows(total, den)
 
 
-def _times_vector(rows: tuple, x) -> list:
-    """The matrix (integer `rows`, as `_matrix` stores them) times the integer
-    vector x; a zero x is skipped."""
-    if not any(x):
-        return [0] * len(rows)
-    return [sum([entry * x[c] for c, entry in row]) for row in rows]
-
-
-def _add_times_grid(out: list, rows: tuple, grid, up: int = 1) -> list:
+def _add_along_x(out: list, cols: tuple, grid, up: int = 1) -> list:
     """Add up * (the matrix times the integer grid) to `out` and return it:
-    row u gains up * M[u][c] grid[c] for each nonzero entry of row u of the
-    matrix and nonzero row c of the grid."""
-    nonzero = [any(line) for line in grid]
-    for u, row in enumerate(rows):
-        acc = out[u]
-        for c, entry in row:
-            if nonzero[c]:
+    each nonzero row c of the grid adds up * M[u][c] times itself to row u
+    of out, for each entry (u, M[u][c]) of column c of the matrix."""
+    for line, column in zip(grid, cols):
+        if any(line):
+            for u, entry in column:
                 entry *= up
-                acc = [a + entry * x for a, x in zip(acc, grid[c])]
-        out[u] = acc
+                out[u] = [a + entry * x for a, x in zip(out[u], line)]
     return out
 
 
@@ -542,9 +562,13 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # so on every input both checks first fail at the same v.  They differ
     # only in their inputs: the recursion reads the first N + 1 basis inputs
     # and the random one, the binomial check every input.
-    cap = min(N, 5)
+    cap, reach = min(N, 5), min(N, 6)
     # fbar[v][u] = (fbar^u)_v, read by three checks
     fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
+    # partial_global_from_tilde reads tilde^u for the u with (fbar^u)_v != 0,
+    # v < reach (none above reach - 1, as fbar(0) = 0), so the tilde tables
+    # it reads are built up to the highest such u and no further
+    top = max((u for v in range(1, reach) for u in range(1, N) if fbar[v][u]), default=0)
 
     def recursion_fault(table):
         """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}: [first v that fails]."""
@@ -556,8 +580,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
 
     def from_tilde_fault(tilde, H):
         """partial^v = sum_u (fbar^u)_v tilde^u: [first v that fails]."""
-        partial = ctx.global_table("table_reduced", H, min(N, 6))
-        for v in range(1, min(N, 6)):
+        partial = ctx.global_table("table_reduced", H, reach)
+        for v in range(1, reach):
             if Series2._combination(zip(fbar[v][1:], tilde[1:]), N) != partial[v]:
                 return [v]
         return []
@@ -568,7 +592,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     inputs.append((x2_random[0], True, True))
     recursion_fails, binomial_fails, from_tilde_fails = [], [], []
     for H, in_recursion, in_from_tilde in inputs:
-        table = ctx.global_table("p_series", H, N if in_from_tilde else cap)
+        table = ctx.global_table("p_series", H, max(cap, top + 1) if in_from_tilde else cap)
         fault = recursion_fault(table)
         binomial_fails += fault
         if in_recursion:
@@ -576,8 +600,9 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         if in_from_tilde:
             from_tilde_fails += from_tilde_fault(table, H)
     # tilde_y^h F for every h, read again by the transport identities below
-    tilde_y_flip = [ctx.tilde_partial_y(h, ctx.flip) for h in range(N)]
-    tilde_flip = [ctx._global_sum("p_series", k, tilde_y_flip) for k in range(N)]
+    flip_ys = ctx._y_images("p_series", ctx.flip, N)
+    tilde_y_flip = [Series2._from_rows(rows, den) for rows, den in flip_ys]
+    tilde_flip = [ctx._global_sum("p_series", k, flip_ys) for k in range(N)]
     from_tilde_fails += from_tilde_fault(tilde_flip, ctx.flip)
     checks.append(_check("tilde_global_recursion", recursion_fails))
     checks.append(_check("tilde_global_binomial", binomial_fails))
@@ -596,9 +621,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # Gbar^u = sum_{v >= u} (P^u)_v(x) fbar(y)^v
     fails = []
     for u in range(1, N):
-        acc = Series2._combination(
-            [(1, Series2.from_x_series(ctx.power_slice("p_series", u, v), N).mul_y_series(
-                ctx.fbar_power(v))) for v in range(u, N)], N)
+        acc = Series2._product_sum(
+            [(ctx.power_slice("p_series", u, v), ctx.fbar_power(v)) for v in range(u, N)], N)
         if acc != ctx.power("table_reduced", u):
             fails.append(u)
     checks.append(_check("table_regrade_powers", fails))
@@ -648,9 +672,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # partial^j G = sum_h (F^h)_j(y) partial_x^h G
     fails = []
     for j in range(1, N):
-        acc = Series2._combination(   # each (F^h)_j is a series, read in y
-            [(1, dx_table[h].mul_y_series(ctx.power_slice("flip", h, j)))
-             for h in range(1, j + 1)], N)
+        acc = Series2._product_sum(   # each (F^h)_j is a series, read in y
+            [(dx_table[h], ctx.power_slice("flip", h, j)) for h in range(1, j + 1)], N)
         if acc != d_table[j]:
             fails.append(j)
     checks.append(_check("global_as_flip_convolution", fails))
@@ -698,9 +721,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
 
     # G = sum a_i q(x)^i f(y)^i and F = A(q(y) f(x))
     fails = []
-    acc = Series2._combination(
-        [(1, Series2.from_x_series(ctx.eigen_slices[i], N).mul_y_series(ctx.f_power(i)))
-         for i in range(1, N)], N)
+    acc = Series2._product_sum([(ctx.eigen_slices[i], ctx.f_power(i)) for i in range(1, N)], N)
     if acc != ctx.table:
         fails.append("table_expansion")
     inner = Series2.from_y_series(q, N).mul_x_series(ctx.row)
@@ -746,9 +767,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # tilde^k F = sum_h (T^h)_k tilde_y^h F
     fails = []
     for k in range(1, N):
-        acc = Series2._combination(
-            [(1, tilde_y_flip[h].mul_x_series(ctx.power_slice("transport", h, k)))
-             for h in range(1, k + 1)], N)
+        acc = Series2._product_sum(
+            [(ctx.power_slice("transport", h, k), tilde_y_flip[h]) for h in range(1, k + 1)], N)
         if acc != tilde_flip[k]:
             fails.append(k)
     checks.append(_check("tilde_flip_transport", fails))
@@ -760,9 +780,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         fbar_flip_pows.append(fbar_flip_pows[-1] * fbar_flip)
     for j in range(1, N):
         lhs3 = Series2._combination(zip(fbar[j][1:], tilde_flip[1:]), N)
-        rhs3 = Series2._combination(
-            [(1, tilde_y_flip[i].mul_x_series(fbar_flip_pows[i].slice_y(j)))
-             for i in range(1, N)], N)
+        rhs3 = Series2._product_sum(
+            [(fbar_flip_pows[i].slice_y(j), tilde_y_flip[i]) for i in range(1, N)], N)
         if lhs3 != rhs3:
             fails.append(j)
     checks.append(_check("main_series_identity", fails))

@@ -29,7 +29,11 @@ Four integer kernels do the arithmetic:
     `_chain_break` that checks a tensor (`tensor.is_coalgebra_morphism`) and
     a map on C (x) C (`solution`) as algebra maps on A, and the rows of the
     solution map (`solution.build_solution`); its denominator is the product
-    of the operands' (a one-variable series being a grid of one row);
+    of the operands' (a one-variable series being a grid of one row).  It
+    adds into an accumulator `out` when given one: `Series2._product_sum`
+    sums products by one-variable series that way, over the lcm of their
+    denominators and normalised once, for `mul_x_series`, `mul_y_series` and
+    the five such sums an operator identity compares (`operators`);
   * `_add_matmul`, the dense integer matrix product: the powers of the inner
     series in `substitute_y`, the blocks of `solution.superscript_map`, the
     first contraction of each braid-scan side (`solution._braid_scan`,
@@ -41,8 +45,8 @@ Four integer kernels do the arithmetic:
     the solution map (`solution._solution_map`);
   * `_Series._combination`, the n-ary linear combination sum c * s over the
     lcm of the terms' denominators, normalised once: `+` and `-`, `compose`,
-    the table slices (`standard.table_slices`) and every sum of series that
-    an operator identity compares (`operators`).
+    the table slices (`standard.table_slices`) and every other sum of series
+    that an operator identity compares (`operators`).
 One solver, `_by_degree`, makes each series that an identity fixes, degree
 by degree: q(a) = x (`compositional_inverse`), g q' = q (the eigenfunction
 in `operators`), g f' = f^2 - f (`tensor.reconstruct_f_from_g`) and
@@ -128,14 +132,16 @@ def integer_grid(grid) -> tuple[list[list[int]], int]:
     return [[c.numerator * (den // c.denominator) for c in row] for row in grid], den
 
 
-def _mul_ints(a, b, n: int) -> list[list[int]]:
-    """The product of the integer grids a and b in K[u, v]/<u^n, v^n>, each
-    of at most n rows of n entries (a series in one variable is one row):
-    out[u][v] = sum a[ua][va] b[u - ua][v - va], with min(n, rows(a) +
-    rows(b) - 1) rows.  Each nonzero entry of a adds its multiple of a row of
+def _mul_ints(a, b, n: int, out=None) -> list[list[int]]:
+    """out + the product of the integer grids a and b in K[u, v]/<u^n, v^n>,
+    each of at most n rows of n entries (a series in one variable is one
+    row): out[u][v] += sum a[ua][va] b[u - ua][v - va], truncated to the rows
+    of out (a new zero grid of min(n, rows(a) + rows(b) - 1) rows when None),
+    which is returned.  Each nonzero entry of a adds its multiple of a row of
     b; zero entries of a and zero rows of b are skipped."""
-    rows = min(n, len(a) + len(b) - 1)
-    out = [[0] * n for _ in range(rows)]
+    if out is None:
+        out = [[0] * n for _ in range(min(n, len(a) + len(b) - 1))]
+    rows = len(out)
     rows_b = [(ub, row) for ub, row in enumerate(b) if any(row)]
     for ua, row_a in enumerate(a):
         for va, c in enumerate(row_a):
@@ -667,19 +673,36 @@ class Series2(_Series):
         return _power(self, exponent, Series2.monomial(0, 0, len(self._nums)))
 
     def mul_x_series(self, s: Series1) -> "Series2":
-        """Multiply by a series in x alone.  The kernel skips zero entries of
-        its first operand and zero rows of its second: the x-series, a grid
-        of one column, goes first."""
-        n = min(len(self._nums), len(s._nums))
-        column = [(x,) for x in s._nums[:n]]
-        return Series2._from_rows(_mul_ints(column, self._grid(n), n), self._den * s._den)
+        """Multiply by a series in x alone."""
+        return Series2._product_sum([(s, self)], min(len(self._nums), len(s._nums)))
 
     def mul_y_series(self, s: Series1) -> "Series2":
-        """Multiply by a series in y alone (s read with its variable as y); the
-        y-series, one row, goes second (see `mul_x_series`)."""
-        n = min(len(self._nums), len(s._nums))
-        return Series2._from_rows(_mul_ints(self._grid(n), [s._nums[:n]], n),
-                                  self._den * s._den)
+        """Multiply by a series in y alone (s read with its variable as y)."""
+        return Series2._product_sum([(self, s)], min(len(self._nums), len(s._nums)))
+
+    @classmethod
+    def _product_sum(cls, terms, order: int) -> "Series2":
+        """sum a * b over the pairs (a, b) of `terms` at `order` (at most the
+        order of each operand).  A `Series1` on the left is read in x, a grid
+        of one column, and on the right in y, a grid of one row: the kernel
+        skips zero entries of its first operand and zero rows of its second.
+        `_mul_ints` adds each product into one accumulator over the lcm of
+        the products' denominators, scaling the one-variable operand (b if it
+        is one row, else a), and the sum is normalised once."""
+        grids = [([(x,) for x in a._nums[:order]] if type(a) is Series1 else a._grid(order),
+                  [b._nums[:order]] if type(b) is Series1 else b._grid(order),
+                  a._den * b._den) for a, b in terms]
+        den = lcm(*(d for _, _, d in grids))
+        out = [[0] * order for _ in range(order)]
+        for a, b, d in grids:
+            up = den // d
+            if up != 1:
+                if len(b) == 1:
+                    b = [[up * x for x in b[0]]]
+                else:
+                    a = [[up * x for x in row] for row in a]
+            _mul_ints(a, b, order, out)
+        return cls._from_rows(out, den)
 
     def partial_x(self) -> "Series2":
         a = self._nums

@@ -1,12 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from qcycle import operators
-from qcycle.errors import DegreeOutOfRange, InvariantViolation, SeriesError
+from qcycle.errors import DegreeOutOfRange, InvariantViolation, NonzeroConstantTerm, SeriesError
 from qcycle.operators import (
     OperatorContext,
     _random_series1,
@@ -72,6 +72,23 @@ class TestBasics:
         lhs = ctx_deg2.partial_y(v0, ctx_deg2.table)
         twist = ctx_deg2.f_power(v0).add_constant(-1)
         assert lhs == ctx_deg2.partial_x(v0, ctx_deg2.table).mul_y_series(twist)
+
+    def test_y_operators_reject_a_series1(self, ctx_deg1):
+        # a Series1 has no y-index, so no operator along y or global one
+        # may read its x-coefficients as if they were y-coefficients
+        ctx, N = ctx_deg1, ctx_deg1.order
+        assert (N, ctx.degree) == (6, 1)
+        h = Series1.monomial(2, N)
+        cases = [lambda v: ctx.partial_y(v, h), lambda v: ctx.tilde_partial_y(v, h),
+                 lambda v: ctx.partial_global(v, h), lambda v: ctx.tilde_partial_global(v, h),
+                 lambda v: ctx.global_table("table_reduced", h, v + 1),
+                 lambda v: ctx.global_table("p_series", h, v + 1)]
+        for op in cases:
+            for v in (0, 1, N - 1):
+                with pytest.raises(SeriesError, match="acts on a Series2, not a Series1"):
+                    op(v)
+        # the same series in x, as a Series2, is killed by partial_y
+        assert ctx.partial_y(1, Series2.from_x_series(h, N)).is_zero()
 
 
 # -- the defining formula, as the oracle of the matrix kernel --------------------
@@ -210,6 +227,65 @@ class TestMatrixKernel:
                         op(v, h)
 
 
+# -- the column-form kernel against the entry definition ---------------------------
+
+
+def matrix_by_fractions(ctx, name, v):
+    """Entry [u][c] = sum_k C(c, k) (B^k)_v[u - c + k] of the (name, v)
+    operator matrix, as `Fraction`s, B^k read off the context's powers."""
+    N = ctx.order
+    slices = [ctx.power(name, k).coeffs for k in range(v + 1)]
+    return [[sum((comb(c, k) * slices[k][u - c + k][v]
+                  for k in range(v + 1) if 0 <= u - c + k < N), Fraction(0))
+              for c in range(N)] for u in range(N)]
+
+
+def image_by_fractions(matrix, grid, along_y):
+    """The matrix times the `Fraction` grid on its row index, or along each row."""
+    n = len(matrix)
+    if along_y:
+        return [[sum((matrix[u][c] * line[c] for c in range(n)), Fraction(0)) for u in range(n)]
+                for line in grid]
+    return [[sum((matrix[u][c] * grid[c][w] for c in range(n)), Fraction(0)) for w in range(n)]
+            for u in range(n)]
+
+
+def kernel_inputs(rng, N):
+    """(Series1 inputs, Series2 inputs) of the integer kernel: zero, one
+    nonzero entry per line, basis monomials x^a and x^a y^b, and dense
+    random series."""
+    twos = [Series2.zero(N), random_series2(rng, N)]
+    twos.append(Series2([[random_fraction(rng) or 1 if c == (u * 3) % N else 0 for c in range(N)]
+                         for u in range(N)]))
+    twos += [Series2.monomial(a, b, N, Fraction(-5, 7)) for a in range(N) for b in range(N)
+             if (a + b) % 3 == 0]
+    ones = [Series1.zero(N), random_series1(rng, N)] + [Series1.monomial(a, N) for a in range(N)]
+    return ones, twos
+
+
+class TestColumnKernel:
+    """`OperatorContext._image` on the matrices stored by columns, on both
+    axes, for both series and every degree, against the entry definition
+    applied by `Fraction` loops."""
+
+    @pytest.mark.parametrize("n,v0,pad", [(2, 1, 0), (4, 1, 2), (4, 3, 2), (5, 2, 1)])
+    def test_images_match_entry_definition(self, n, v0, pad):
+        rng = random.Random(900 + 10 * n + v0)
+        ctx = make_context(n, v0, [random_fraction(rng) or 1 for _ in range(n - v0 - 1)], pad)
+        N = ctx.order
+        ones, twos = kernel_inputs(rng, N)
+        for name in ("table_reduced", "p_series"):
+            for v in range(N):
+                matrix = matrix_by_fractions(ctx, name, v)
+                cases = [(h, True) for h in ones] + [(H, y) for H in twos for y in (False, True)]
+                for h, along_y in cases:
+                    rows, den = ctx._image(name, v, h._rows(), along_y)
+                    grid = h.coeffs if isinstance(h, Series2) else [h.coeffs]
+                    want = image_by_fractions(matrix, grid, along_y)
+                    got = [[Fraction(x, h._den * den) for x in row] for row in rows]
+                    assert got == want, (name, v, along_y)
+
+
 class TestEigenSeries:
     def test_alternating_eigenfunction(self, ctx_deg1):
         # for the column x(1+x) the eigenfunction is x - x^2 + x^3 - ...
@@ -300,6 +376,19 @@ def perturbed(t, i, j, k, delta):
     return CoeffTensor(entries)
 
 
+@pytest.fixture
+def table_counts(monkeypatch):
+    """The (name, count) of each `global_table` call, counted."""
+    counts, table = Counter(), OperatorContext.global_table
+
+    def counted(self, name, H, count):
+        counts[name, count] += 1
+        return table(self, name, H, count)
+
+    monkeypatch.setattr(OperatorContext, "global_table", counted)
+    return counts
+
+
 class TestPlantedFaults:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_braid_sums_match_oracle(self, n):
@@ -345,6 +434,54 @@ class TestPlantedFaults:
         report = identity_suite(ctx, rng=random.Random(5))
         details = {c.name: c.detail for c in report.failures()}
         assert details["partial_global_from_tilde"] == "first failure at 2"
+
+    def test_tilde_tables_reach_every_degree_read(self, monkeypatch, table_counts):
+        """partial_global_from_tilde reads tilde^u H wherever (fbar^u)_v != 0
+        for some v < 6, so the tilde tables are built up to the largest such
+        u.  A constant term planted in fbar makes that every u < N: the check
+        must then report what full tables give, and the tables must reach
+        degree N - 1.  (The transport chain then composes with fbar, which
+        raises, so the suite's checks are read as they are made.)"""
+        ctx = make_context(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)], pad=3)
+        N = ctx.order
+        planted = ctx._replaced(row_reduced=ctx.row_reduced.add_constant(-1))
+        assert all(planted.fbar_power(u).coeffs[1] for u in range(1, N))
+        made = []
+        monkeypatch.setattr(operators, "_check",
+                            lambda name, fails: made.append(_check(name, fails)) or made[-1])
+        with pytest.raises(NonzeroConstantTerm):
+            identity_suite(planted, random.Random(5))
+        # the first N basis inputs and the random one are read to degree
+        # N - 1, the other N basis inputs only to the recursion's cap 5
+        assert {key: k for key, k in table_counts.items() if key[0] == "p_series"} == {
+            ("p_series", N): N + 1, ("p_series", 5): N}
+        got = next(c for c in made if c.name == "partial_global_from_tilde")
+        assert not got.ok and got == from_tilde_by_full_tables(planted, 5)
+
+    @pytest.mark.parametrize("n,v0,count", [(5, 1, 6), (5, 4, 5), (7, 6, 5)])
+    def test_unplanted_tables_stop_at_the_degrees_read(self, table_counts, n, v0, count):
+        # as fbar(0) = 0, (fbar^u)_v = 0 for u > v: no table goes past degree
+        # 5, and at v0 = 4, where only u = 1 is read, none past the
+        # recursion's cap (count 5)
+        ctx = make_context(n, v0, [Fraction(1, 2)] * (n - v0 - 1))
+        assert identity_suite(ctx, random.Random(5)).ok
+        assert {k for name, k in table_counts if name == "p_series"} == {5, count}
+
+
+def from_tilde_by_full_tables(ctx, seed):
+    """partial_global_from_tilde with every tilde table built to degree N - 1,
+    on the inputs identity_suite(ctx, random.Random(seed)) draws: the oracle."""
+    N = ctx.order
+    _, basis, x2_random = suite_inputs(ctx, seed)
+    inputs = [H for H in basis if not H.is_zero()][:N] + x2_random[:1] + [ctx.flip]
+    fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
+    fails = []
+    for H in inputs:
+        tilde = ctx.global_table("p_series", H, N)
+        partial = ctx.global_table("table_reduced", H, min(N, 6))
+        fails += [v for v in range(1, min(N, 6))
+                  if Series2._combination(zip(fbar[v][1:], tilde[1:]), N) != partial[v]][:1]
+    return _check("partial_global_from_tilde", sorted(fails))
 
 
 # -- the checks that compare integer images, against their Series forms ----------
@@ -414,14 +551,15 @@ def tilde_pass_by_series(ctx, basis, x2_random):
 
 
 def plant_matrix_entry(ctx, key, rng):
-    """Add 1 to one numerator of the cached operator matrix `key`."""
-    rows, den = ctx._matrix(*key)
+    """Add 1 to the numerator of entry [u][c] of the cached operator matrix
+    `key`, which is stored by columns."""
+    cols, den = ctx._matrix(*key)
     u, c = rng.randrange(ctx.order), rng.randrange(ctx.order)
-    row = dict(rows[u])
-    row[c] = row.get(c, 0) + 1
-    rows = list(rows)
-    rows[u] = tuple(sorted((col, entry) for col, entry in row.items() if entry))
-    ctx._matrices[key] = (tuple(rows), den)
+    column = dict(cols[c])
+    column[u] = column.get(u, 0) + 1
+    cols = list(cols)
+    cols[c] = tuple(sorted((row, entry) for row, entry in column.items() if entry))
+    ctx._matrices[key] = (tuple(cols), den)
     return ctx
 
 
@@ -525,7 +663,7 @@ class TestImageComparisons:
         ctx = make_context(7, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2),
                                   Fraction(1, 3), Fraction(-3, 4)])
         assert identity_suite(ctx, rng=random.Random(5)).ok
-        assert counts == {"_image": 2064, "tilde_partial_global": 57}
+        assert counts == {"_image": 2034, "tilde_partial_global": 57}
 
 
 # -- whole suite reports on planted faults ------------------------------------------

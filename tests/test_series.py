@@ -471,6 +471,30 @@ class TestProductKernel:
                     assert product == oracle
                     assert product.trunc_order == min(order_a, order_b)
 
+    @pytest.mark.parametrize("order", [1, 2, 5, 7])
+    def test_product_sum_matches_sum_of_products(self, rng, order):
+        # sums over one denominator of products by x- and y-series and of
+        # x-series times y-series, against `_combination` of the products
+        # made one at a time, over the coprime denominators 97, 101, 103
+        grids = _product_operands(rng, order)
+        ones = _series1_operands(rng, order)
+        kinds = [
+            (lambda h, s: (h, s), lambda h, s: h.mul_y_series(s)),
+            (lambda h, s: (s, h), lambda h, s: h.mul_x_series(s)),
+            (lambda h, s: (h.slice_y(0), s),
+             lambda h, s: Series2.from_x_series(h.slice_y(0), order).mul_y_series(s)),
+        ]
+        mixed = 0
+        for start in range(4):
+            picks = [(grids[(start + 3 * i) % len(grids)], ones[(start + 5 * i) % len(ones)],
+                      kinds[(start + i) % 3]) for i in range(4)]
+            terms = [operands(h, s) for h, s, (operands, _) in picks]
+            products = [product(h, s) for h, s, (_, product) in picks]
+            assert Series2._product_sum(terms, order) == Series2._combination(
+                [(1, p) for p in products], order)
+            mixed += len({p._den for p in products if not p.is_zero()}) > 1
+        assert mixed or order == 1
+
     @pytest.mark.parametrize("order_a, order_b", ORDERS)
     def test_substitute_y_matches_fraction_loop(self, rng, monkeypatch, order_a, order_b):
         # substitute_y makes the powers of inner with Series1 products; count
