@@ -562,7 +562,9 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     # so on every input both checks first fail at the same v.  They differ
     # only in their inputs: the recursion reads the first N + 1 basis inputs
     # and the random one, the binomial check every input.
-    cap, reach = min(N, 5), min(N, 6)
+    # partial_global_from_tilde compares degrees v < reach; both of its sides
+    # vanish below v0, so reach passes v0 when v0 >= 6
+    cap, reach = min(N, 5), min(N, max(6, v0 + 1))
     # fbar[v][u] = (fbar^u)_v, read by three checks
     fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
     # partial_global_from_tilde reads tilde^u for the u with (fbar^u)_v != 0,

@@ -50,10 +50,11 @@ Four integer kernels do the arithmetic:
 One solver, `_by_degree`, makes each series that an identity fixes, degree
 by degree: q(a) = x (`compositional_inverse`), g q' = q (the eigenfunction
 in `operators`), g f' = f^2 - f (`tensor.reconstruct_f_from_g`) and
-delta(lambda) = lambda(delta) (`families.build_nonroot_family`).  The
-`Fraction` loops that the kernels and the solver replaced survive only in the
-tests, as oracles or identity checks; the one independent recursion kept in
-`src/` is `standard.reconstruct_from_row`.
+delta(lambda) = lambda(delta) (`families.build_nonroot_family`).  Each job
+of a kernel has one slow oracle, in the tests: its definition in `Fraction`
+loops (see the job table in the `tests/oracles.py` docstring).  The solver's
+series are checked by the identities they solve.  The one independent
+recursion kept in `src/` is `standard.reconstruct_from_row`.
 
 Values are immutable after construction (tuples all the way down), so they are
 safe to share freely, including across threads.

@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
 
 import pytest
 
@@ -20,6 +19,16 @@ from qcycle.standard import StandardCycleParams, build_standard_cycle
 from qcycle.tensor import CoeffTensor, _check
 
 from conftest import random_fraction, random_series1
+from oracles import (
+    braid_sum,
+    from_tilde_by_full_tables,
+    oracle_global,
+    oracle_x,
+    oracle_y,
+    tilde_pass_by_series,
+    x_commutation_by_series,
+    xy_commutation_by_series,
+)
 
 
 def make_context(n, v0, tail, pad=2):
@@ -91,64 +100,33 @@ class TestBasics:
         assert ctx.partial_y(1, Series2.from_x_series(h, N)).is_zero()
 
 
-# -- the defining formula, as the oracle of the matrix kernel --------------------
-
-
-def oracle_x(ctx, name, v, h):
-    """sum_{k=1}^{v} (1/k!) (B^k)_v h^(k) on each y-slice, B the cached series `name`."""
-    N = ctx.order
-    if v == 0:
-        return h
-    if isinstance(h, Series2):
-        return Series2.from_y_slices([oracle_x(ctx, name, v, h.slice_y(w)) for w in range(N)], N)
-    acc = Series1.zero(N)
-    deriv = h
-    for k in range(1, v + 1):
-        deriv = deriv.derivative()
-        acc = acc + (ctx.power_slice(name, k, v) * deriv).scale(Fraction(1, factorial(k)))
-    return acc
-
-
-def oracle_y(ctx, name, u, H):
-    """sum_{i=1}^{u} (1/i!) (B^i)_u(y) d^i/dy^i H."""
-    if u == 0:
-        return H
-    acc = Series2.zero(ctx.order)
-    deriv = H
-    for i in range(1, u + 1):
-        deriv = deriv.partial_y()
-        acc = acc + deriv.mul_y_series(ctx.power_slice(name, i, u)).scale(Fraction(1, factorial(i)))
-    return acc
-
-
-def oracle_global(ctx, name, k, H):
-    acc = Series2.zero(ctx.order)
-    for b in range(k + 1):
-        acc = acc + oracle_x(ctx, name, k - b, oracle_y(ctx, name, b, H))
-    return acc
-
-
 def random_series2(rng, order):
     return Series2([[random_fraction(rng) for _ in range(order)] for _ in range(order)])
 
 
 def edge_inputs(rng, N):
-    """Inputs for the integer kernel's zero skips and common denominators: the
-    zero series, monomials, a grid whose even x- and y-fibres are all zero,
-    and large coprime denominators."""
+    """Inputs for the integer kernel's zero skips, sparse columns and common
+    denominators: the zero series; monomials, a random one and each basis
+    monomial x^a, and x^a y^(N - 1 - a) for each a (so each row and column
+    index of an operator matrix once); a grid with a single nonzero in each
+    line; a grid whose even x- and y-fibres are all zero; and large coprime
+    denominators."""
     big = [Fraction(1, 97), Fraction(5, 101), Fraction(-3, 103)]
     h1 = [
         Series1.zero(N),
         Series1.monomial(rng.randrange(N), N, Fraction(5, 101)),
         Series1([big[u % 3] * (u % 2) for u in range(N)]),
-    ]
+    ] + [Series1.monomial(a, N) for a in range(N)]
     sparse = [[random_fraction(rng) if u % 2 and w % 2 else 0 for w in range(N)] for u in range(N)]
+    single = [[random_fraction(rng) or 1 if w == (u * 3) % N else 0 for w in range(N)]
+              for u in range(N)]
     h2 = [
         Series2.zero(N),
         Series2.monomial(rng.randrange(N), rng.randrange(N), N, Fraction(1, 97)),
         Series2(sparse),
         Series2([[big[(u + w) % 3] for w in range(N)] for u in range(N)]),
-    ]
+        Series2(single),
+    ] + [Series2.monomial(a, N - 1 - a, N, Fraction(-5, 7)) for a in range(N)]
     return h1, h2
 
 
@@ -179,21 +157,23 @@ class TestMatrixKernel:
             ctx = make_context(n, v0, tail)
             N = ctx.order
             h, H = random_series1(rng, N), random_series2(rng, N)
-            # one edge input of each kind per v0, in turn (all of them by n = 5)
+            # the edge inputs spread over the v0, so that each runs once per n
             edge1, edge2 = edge_inputs(rng, N)
             assert_matches_defining_formula(
-                ctx, [h, edge1[v0 % len(edge1)]], [H, edge2[v0 % len(edge2)]])
+                ctx, [h] + edge1[v0 - 1::n - 1], [H] + edge2[v0 - 1::n - 1])
 
-    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("n", [2, 7, 8, 9])
     def test_matches_defining_formula_at_high_order(self, n):
-        # v0 = n - 1, the sparse structure, at orders 7-9 with no padding;
-        # the one-variable edge inputs all run, the two-variable ones in turn
+        # v0 = n - 1, the sparse structure, with no padding: at orders 7-9,
+        # and at the least order 2; the one-variable edge inputs all run,
+        # the two-variable ones in turn over the first four kinds (zero, a
+        # monomial, the sparse grid and the large denominators)
         rng = random.Random(400 + n)
         ctx = make_context(n, n - 1, [], pad=0)
         N = ctx.order
         edge1, edge2 = edge_inputs(rng, N)
         assert_matches_defining_formula(
-            ctx, [random_series1(rng, N)] + edge1, [random_series2(rng, N), edge2[n % len(edge2)]])
+            ctx, [random_series1(rng, N)] + edge1, [random_series2(rng, N), edge2[n % 4]])
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_global_table_matches_per_degree(self, n):
@@ -225,65 +205,6 @@ class TestMatrixKernel:
                 for v in (0, 1, ctx.degree):
                     with pytest.raises(SeriesError, match=f"order {order}, .* order {N}"):
                         op(v, h)
-
-
-# -- the column-form kernel against the entry definition ---------------------------
-
-
-def matrix_by_fractions(ctx, name, v):
-    """Entry [u][c] = sum_k C(c, k) (B^k)_v[u - c + k] of the (name, v)
-    operator matrix, as `Fraction`s, B^k read off the context's powers."""
-    N = ctx.order
-    slices = [ctx.power(name, k).coeffs for k in range(v + 1)]
-    return [[sum((comb(c, k) * slices[k][u - c + k][v]
-                  for k in range(v + 1) if 0 <= u - c + k < N), Fraction(0))
-              for c in range(N)] for u in range(N)]
-
-
-def image_by_fractions(matrix, grid, along_y):
-    """The matrix times the `Fraction` grid on its row index, or along each row."""
-    n = len(matrix)
-    if along_y:
-        return [[sum((matrix[u][c] * line[c] for c in range(n)), Fraction(0)) for u in range(n)]
-                for line in grid]
-    return [[sum((matrix[u][c] * grid[c][w] for c in range(n)), Fraction(0)) for w in range(n)]
-            for u in range(n)]
-
-
-def kernel_inputs(rng, N):
-    """(Series1 inputs, Series2 inputs) of the integer kernel: zero, one
-    nonzero entry per line, basis monomials x^a and x^a y^b, and dense
-    random series."""
-    twos = [Series2.zero(N), random_series2(rng, N)]
-    twos.append(Series2([[random_fraction(rng) or 1 if c == (u * 3) % N else 0 for c in range(N)]
-                         for u in range(N)]))
-    twos += [Series2.monomial(a, b, N, Fraction(-5, 7)) for a in range(N) for b in range(N)
-             if (a + b) % 3 == 0]
-    ones = [Series1.zero(N), random_series1(rng, N)] + [Series1.monomial(a, N) for a in range(N)]
-    return ones, twos
-
-
-class TestColumnKernel:
-    """`OperatorContext._image` on the matrices stored by columns, on both
-    axes, for both series and every degree, against the entry definition
-    applied by `Fraction` loops."""
-
-    @pytest.mark.parametrize("n,v0,pad", [(2, 1, 0), (4, 1, 2), (4, 3, 2), (5, 2, 1)])
-    def test_images_match_entry_definition(self, n, v0, pad):
-        rng = random.Random(900 + 10 * n + v0)
-        ctx = make_context(n, v0, [random_fraction(rng) or 1 for _ in range(n - v0 - 1)], pad)
-        N = ctx.order
-        ones, twos = kernel_inputs(rng, N)
-        for name in ("table_reduced", "p_series"):
-            for v in range(N):
-                matrix = matrix_by_fractions(ctx, name, v)
-                cases = [(h, True) for h in ones] + [(H, y) for H in twos for y in (False, True)]
-                for h, along_y in cases:
-                    rows, den = ctx._image(name, v, h._rows(), along_y)
-                    grid = h.coeffs if isinstance(h, Series2) else [h.coeffs]
-                    want = image_by_fractions(matrix, grid, along_y)
-                    got = [[Fraction(x, h._den * den) for x in row] for row in rows]
-                    assert got == want, (name, v, along_y)
 
 
 class TestEigenSeries:
@@ -348,26 +269,6 @@ class TestSuite:
 
 
 # -- the braid-sum table and planted faults ---------------------------------------
-
-
-def braid_sum(t, i, j, k):
-    """R(i, j, k) = sum_{a+b=j} sum_{h,l} t[i][a][h] t[k][b][l] t[h][l][1], summed
-    point by point over h <= i and l <= k (t[i][a][h] = 0 for h > i on every
-    tensor built here); the oracle of `braid_sums`."""
-    acc = Fraction(0)
-    for a in range(j + 1):
-        b = j - a
-        for h in range(i + 1):
-            c1 = t.entry(i, a, h)
-            if not c1:
-                continue
-            for l in range(k + 1):
-                c2 = t.entry(k, b, l)
-                if c2:
-                    c3 = t.entry(h, l, 1)
-                    if c3:
-                        acc += c1 * c2 * c3
-    return acc
 
 
 def perturbed(t, i, j, k, delta):
@@ -437,8 +338,8 @@ class TestPlantedFaults:
 
     def test_tilde_tables_reach_every_degree_read(self, monkeypatch, table_counts):
         """partial_global_from_tilde reads tilde^u H wherever (fbar^u)_v != 0
-        for some v < 6, so the tilde tables are built up to the largest such
-        u.  A constant term planted in fbar makes that every u < N: the check
+        for some v < max(6, v0 + 1), so the tilde tables are built up to the
+        largest such u.  A constant term planted in fbar makes that every u < N: the check
         must then report what full tables give, and the tables must reach
         degree N - 1.  (The transport chain then composes with fbar, which
         raises, so the suite's checks are read as they are made.)"""
@@ -456,7 +357,21 @@ class TestPlantedFaults:
         assert {key: k for key, k in table_counts.items() if key[0] == "p_series"} == {
             ("p_series", N): N + 1, ("p_series", 5): N}
         got = next(c for c in made if c.name == "partial_global_from_tilde")
-        assert not got.ok and got == from_tilde_by_full_tables(planted, 5)
+        _, basis, x2_random = suite_inputs(planted, 5)
+        assert not got.ok and got == from_tilde_by_full_tables(planted, basis, x2_random)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_from_tilde_reads_a_degree_at_high_v0(self, n):
+        # at v0 = n - 1 >= 6 both sides of partial^v = sum_u (fbar^u)_v
+        # tilde^u vanish for v < v0, so the check must read a degree v >= v0:
+        # a P planted at x^v0 y fails it there, as with full tables
+        ctx = make_context(n, n - 1, [])
+        bump = Series2.monomial(n - 1, 1, ctx.order, Fraction(1, 5))
+        planted = ctx._replaced(p_series=ctx.p_series + bump)
+        report = {c.name: c for c in identity_suite(planted, random.Random(5)).checks}
+        _, basis, x2_random = suite_inputs(planted, 5)
+        want = from_tilde_by_full_tables(planted, basis, x2_random)
+        assert not want.ok and report["partial_global_from_tilde"] == want
 
     @pytest.mark.parametrize("n,v0,count", [(5, 1, 6), (5, 4, 5), (7, 6, 5)])
     def test_unplanted_tables_stop_at_the_degrees_read(self, table_counts, n, v0, count):
@@ -468,22 +383,6 @@ class TestPlantedFaults:
         assert {k for name, k in table_counts if name == "p_series"} == {5, count}
 
 
-def from_tilde_by_full_tables(ctx, seed):
-    """partial_global_from_tilde with every tilde table built to degree N - 1,
-    on the inputs identity_suite(ctx, random.Random(seed)) draws: the oracle."""
-    N = ctx.order
-    _, basis, x2_random = suite_inputs(ctx, seed)
-    inputs = [H for H in basis if not H.is_zero()][:N] + x2_random[:1] + [ctx.flip]
-    fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
-    fails = []
-    for H in inputs:
-        tilde = ctx.global_table("p_series", H, N)
-        partial = ctx.global_table("table_reduced", H, min(N, 6))
-        fails += [v for v in range(1, min(N, 6))
-                  if Series2._combination(zip(fbar[v][1:], tilde[1:]), N) != partial[v]][:1]
-    return _check("partial_global_from_tilde", sorted(fails))
-
-
 # -- the checks that compare integer images, against their Series forms ----------
 
 
@@ -492,57 +391,9 @@ def suite_inputs(ctx, seed):
     identity_suite(ctx, random.Random(seed)) draws, made in its order."""
     rng, N = random.Random(seed), ctx.order
     x1 = [Series1.monomial(a, N) for a in range(N)] + [_random_series1(rng, N) for _ in range(3)]
-    basis = [Series2.monomial(a, b, N) for a in range(N) for b in range(N) if 0 < a + b <= N]
+    basis = [Series2.monomial(0, b, N) for b in range(1, N)] + [
+        Series2.monomial(1, b, N) for b in range(N)] + [Series2.monomial(2, 0, N)] * (N > 2)
     return x1, basis, [_random_series2(rng, N) for _ in range(2)]
-
-
-def x_commutation_by_series(ctx, x1):
-    """partial_x_commutation on normalised series, the oracle."""
-    N = ctx.order
-    px = [[ctx.partial_x(v, h) for v in range(N)] for h in x1]
-    for u in range(1, N):
-        for v in range(u + 1, N):
-            for ph in px:
-                if ctx.partial_x(u, ph[v]) != ctx.partial_x(v, ph[u]):
-                    return _check("partial_x_commutation", [(u, v)])
-    return _check("partial_x_commutation", [])
-
-
-def xy_commutation_by_series(ctx, basis, x2_random):
-    """xy_commutation on normalised series, scanning pairs first: the oracle."""
-    N = ctx.order
-    small = [H for H in basis if not H.is_zero()][: 2 * N] + x2_random[:1]
-    pairs = [(v, u) for v in range(1, min(N, 5)) for u in range(1, min(N, 5))] + [(N - 1, N - 1)]
-    for v, u in pairs:
-        for H in small:
-            if ctx.partial_x(v, ctx.partial_y(u, H)) != ctx.partial_y(u, ctx.partial_x(v, H)):
-                return _check("xy_commutation", [(v, u)])
-    return _check("xy_commutation", [])
-
-
-def tilde_pass_by_series(ctx, basis, x2_random):
-    """The recursion and binomial checks of the global tilde pass, the
-    oracle: tilde^1 applied afresh at every step, and the binomial walk
-    from w = H."""
-    N = ctx.order
-    cap = min(N, 5)
-    inputs = [(H, index <= N) for index, H in enumerate(basis[: 2 * N])] + [(x2_random[0], True)]
-    recursion, binomial = [], []
-    for H, in_recursion in inputs:
-        table = ctx.global_table("p_series", H, cap)
-        for v in range(2, cap if in_recursion and not recursion else 0):
-            rhs = Series2._combination(
-                [(1, ctx.tilde_partial_global(1, table[v - 1])), (1 - v, table[v - 1])], N)
-            if table[v].scale(v) != rhs:
-                recursion = [v]
-                break
-        w = table[0]
-        for v in range(1, cap if not binomial else 0):
-            w = Series2._combination([(1, ctx.tilde_partial_global(1, w)), (1 - v, w)], N)
-            if table[v] != w.scale(Fraction(1, factorial(v))):
-                binomial = [v]
-                break
-    return [_check("tilde_global_recursion", recursion), _check("tilde_global_binomial", binomial)]
 
 
 # A plant takes a context and an rng and returns the context to run the suite
@@ -644,8 +495,7 @@ class TestImageComparisons:
 
         ctx._image = faulty
         x1, basis, x2_random = suite_inputs(ctx, 5)
-        small = [H for H in basis if not H.is_zero()][: 2 * N]
-        assert [small.index(Series2._from_ints(faults[v], 1)) for v in (3, 1, 4)] == [5, 6, 11]
+        assert [basis.index(Series2._from_ints(faults[v], 1)) for v in (3, 1, 4)] == [5, 6, 11]
         want = xy_commutation_by_series(ctx, basis, x2_random)
         assert want.detail == "first failure at (1, 1)"
         report = {c.name: c for c in identity_suite(ctx, random.Random(5)).checks}

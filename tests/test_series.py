@@ -30,6 +30,24 @@ from qcycle.series import (
     substitute_y,
 )
 
+from conftest import random_fraction, random_series1
+from oracles import (
+    add_constant_by_fractions,
+    binomial_by_fractions,
+    compose_by_fractions,
+    derivative_by_fractions,
+    entrywise_by_fractions,
+    gathered_dot_by_sums,
+    mul_x_series_by_fractions,
+    mul_y_series_by_fractions,
+    partial_x_by_fractions,
+    partial_y_by_fractions,
+    reciprocal_by_fractions,
+    series1_product_by_fractions,
+    series2_product_by_fractions,
+    substitute_y_by_fractions,
+)
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -42,151 +60,8 @@ def series2(order):
     return st.lists(row, min_size=order, max_size=order).map(Series2)
 
 
-def compose_by_type(outer, inner):
-    """The per-type loops `compose` had before its single loop; the oracle for it."""
-    if isinstance(inner, Series1):
-        if inner.coeffs[0]:
-            raise NonzeroConstantTerm("inner series has nonzero constant term")
-        n = min(len(outer.coeffs), len(inner.coeffs))
-        acc = Series1.constant(outer.coeffs[0], n)
-        power = Series1.one(n)
-        for k in range(1, n):
-            power = power * inner
-            ck = outer.coeffs[k]
-            if ck:
-                acc = acc + power.scale(ck)
-            if power.is_zero():
-                break
-        return acc
-    if inner.coefficient(0, 0):
-        raise NonzeroConstantTerm("inner series has nonzero constant term")
-    n = min(len(outer.coeffs), inner.trunc_order)
-    inner = inner.truncated(n)
-    acc = Series2.monomial(0, 0, n, outer.coeffs[0])
-    power = Series2.monomial(0, 0, n)
-    for k in range(1, len(outer.coeffs)):
-        power = power * inner
-        if power.is_zero():
-            break
-        ck = outer.coeffs[k]
-        if ck:
-            acc = acc + power.scale(ck)
-    return acc
-
-
-def binomial_by_loop(exponent, base):
-    """`binomial_series` as its own power loop, before it called `compose`; its oracle."""
-    if base.coeffs[0] != 1:
-        raise ConstantTermNotOne("base must have constant term 1")
-    alpha = as_fraction(exponent)
-    n = len(base.coeffs)
-    t = base.add_constant(-1)
-    acc = Series1.one(n)
-    power = Series1.one(n)
-    for k in range(1, n):
-        power = power * t
-        if power.is_zero():
-            break
-        ck = general_binomial(alpha, k)
-        if ck:
-            acc = acc + power.scale(ck)
-    return acc
-
-
 def constant_term(s):
     return s.coeffs[0] if isinstance(s, Series1) else s.coeffs[0][0]
-
-
-def series2_product_by_fractions(a, b):
-    """`Series2.__mul__` as the `Fraction` loop it was before it ran on
-    integers; the oracle for the integer product."""
-    n = min(a.trunc_order, b.trunc_order)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for ua in range(n):
-        for va in range(n):
-            c = a.coeffs[ua][va]
-            if not c:
-                continue
-            for ub in range(n - ua):
-                for vb in range(n - va):
-                    d = b.coeffs[ub][vb]
-                    if d:
-                        out[ua + ub][va + vb] += c * d
-    return Series2(out)
-
-
-def series1_product_by_fractions(a, b):
-    """`Series1.__mul__` as its `Fraction` loop, before it ran on the integer
-    kernel; the oracle for one-variable products."""
-    n = min(len(a.coeffs), len(b.coeffs))
-    out = [Fraction(0)] * n
-    for u in range(n):
-        cu = a.coeffs[u]
-        if not cu:
-            continue
-        for v in range(n - u):
-            cv = b.coeffs[v]
-            if cv:
-                out[u + v] += cu * cv
-    return Series1(out)
-
-
-def mul_x_series_by_fractions(h, s):
-    """`Series2.mul_x_series` as its `Fraction` loop; its oracle."""
-    n = min(h.trunc_order, len(s.coeffs))
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for w, c in enumerate(s.coeffs[:n]):
-        if not c:
-            continue
-        for u in range(n - w):
-            row = h.coeffs[u]
-            orow = out[u + w]
-            for v in range(n):
-                d = row[v]
-                if d:
-                    orow[v] += c * d
-    return Series2(out)
-
-
-def mul_y_series_by_fractions(h, s):
-    """`Series2.mul_y_series` as its `Fraction` loop; its oracle."""
-    n = min(h.trunc_order, len(s.coeffs))
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for w, c in enumerate(s.coeffs[:n]):
-        if not c:
-            continue
-        for u in range(n):
-            row = h.coeffs[u]
-            orow = out[u]
-            for v in range(n - w):
-                d = row[v]
-                if d:
-                    orow[v + w] += c * d
-    return Series2(out)
-
-
-def substitute_y_by_fractions(series, inner):
-    """`substitute_y` as its `Fraction` loop, each power of inner made by the
-    one-variable oracle; its oracle."""
-    if inner.coeffs[0]:
-        raise NonzeroConstantTerm("inner series has nonzero constant term")
-    n = min(series.trunc_order, len(inner.coeffs))
-    out = [[Fraction(0)] * n for _ in range(n)]
-    power = Series1.one(n)
-    for v in range(n):
-        if v:
-            power = series1_product_by_fractions(power, inner)
-            if power.is_zero():
-                break
-        for u in range(n):
-            c = series.coeffs[u][v]
-            if not c:
-                continue
-            orow = out[u]
-            for w, pw in enumerate(power.coeffs):
-                if pw:
-                    orow[w] += c * pw
-    return Series2(out)
 
 
 def _product_operands(rng, n):
@@ -439,37 +314,32 @@ class TestSeries2:
 
 
 class TestProductKernel:
-    """Every series product, on the one integer kernel, against the `Fraction`
-    loop it replaced."""
+    """Every series product, by a series or by a one-variable one, and the
+    substitution in y, on the integer kernels, against its oracle with the
+    canonical form asserted (`assert_cases`), on every pair of operands."""
 
     # (order of a, order of b): equal, and unequal either way round, where
-    # the product takes the smaller order
-    ORDERS = [(1, 1), (2, 2), (3, 5), (5, 3), (6, 6), (4, 7)]
+    # the product takes the smaller order; order nine
+    ORDERS = [(1, 1), (2, 2), (3, 5), (5, 3), (6, 6), (4, 7), (9, 9), (9, 7), (7, 9)]
 
     @pytest.mark.parametrize("order_a, order_b", ORDERS)
     def test_matches_fraction_loop(self, rng, order_a, order_b):
-        for a in _product_operands(rng, order_a):
-            for b in _product_operands(rng, order_b):
-                product = a * b
-                assert product == series2_product_by_fractions(a, b)
-                assert product.trunc_order == min(order_a, order_b)
+        assert_cases([(a * b, series2_product_by_fractions(a, b))
+                      for a in _product_operands(rng, order_a)
+                      for b in _product_operands(rng, order_b)])
 
     @pytest.mark.parametrize("order_a, order_b", ORDERS)
     def test_series1_matches_fraction_loop(self, rng, order_a, order_b):
-        for a in _series1_operands(rng, order_a):
-            for b in _series1_operands(rng, order_b):
-                product = a * b
-                assert product == series1_product_by_fractions(a, b)
-                assert product.trunc_order == min(order_a, order_b)
+        assert_cases([(a * b, series1_product_by_fractions(a, b))
+                      for a in _series1_operands(rng, order_a)
+                      for b in _series1_operands(rng, order_b)])
 
     @pytest.mark.parametrize("order_a, order_b", ORDERS)
     def test_one_variable_factor_matches_fraction_loops(self, rng, order_a, order_b):
-        for h in _product_operands(rng, order_a):
-            for s in _series1_operands(rng, order_b):
-                for product, oracle in ((h.mul_x_series(s), mul_x_series_by_fractions(h, s)),
-                                        (h.mul_y_series(s), mul_y_series_by_fractions(h, s))):
-                    assert product == oracle
-                    assert product.trunc_order == min(order_a, order_b)
+        assert_cases([case for h in _product_operands(rng, order_a)
+                      for s in _series1_operands(rng, order_b)
+                      for case in ((h.mul_x_series(s), mul_x_series_by_fractions(h, s)),
+                                   (h.mul_y_series(s), mul_y_series_by_fractions(h, s)))])
 
     @pytest.mark.parametrize("order", [1, 2, 5, 7])
     def test_product_sum_matches_sum_of_products(self, rng, order):
@@ -516,18 +386,11 @@ class TestProductKernel:
                     powers.append(series1_product_by_fractions(powers[-1], inner))
                 made.clear()
                 result = substitute_y(series, inner)
-                assert result == substitute_y_by_fractions(series, inner)
-                assert result.trunc_order == n
+                assert_cases([(result, substitute_y_by_fractions(series, inner))])
                 assert len(made) == len(powers) - 1
                 stopped_early |= not inner.is_zero() and len(powers) < n
         # a nonzero inner, the top monomial, has inner^2 = 0
         assert stopped_early or n < 4
-
-
-def gathered_dot_by_sums(w, vec, n):
-    """S[j * n + k] = sum_{a+b=j} sum_l vec[a * n + l] w[k][b][l], term by term."""
-    return [sum(vec[a * n + l] * w[k][j - a][l] for a in range(j + 1) for l in range(n))
-            for j in range(n) for k in range(n)]
 
 
 class TestGatheredDot:
@@ -556,7 +419,7 @@ class TestGatheredDot:
                 assert set(forms) == {"row"}
 
 
-# -- the stored integer form, against the `Fraction` loops it replaced -----------
+# -- the stored integer form, against the oracles -----------------------------------
 
 
 def assert_canonical(s):
@@ -574,71 +437,9 @@ def assert_canonical(s):
                for row, line in zip(rows, view) for x, c in zip(row, line))
 
 
-def entrywise_by_fractions(op, *operands):
-    """op applied coefficient by coefficient, at the least order of the operands."""
-    n = min(s.trunc_order for s in operands)
-    if isinstance(operands[0], Series1):
-        return Series1([op(*(s.coeffs[u] for s in operands)) for u in range(n)])
-    return Series2([[op(*(s.coeffs[u][v] for s in operands)) for v in range(n)]
-                    for u in range(n)])
-
-
-def add_constant_by_fractions(s, c):
-    if isinstance(s, Series1):
-        return Series1([s.coeffs[0] + c] + list(s.coeffs[1:]))
-    grid = [list(row) for row in s.coeffs]
-    grid[0][0] += c
-    return Series2(grid)
-
-
-def derivative_by_fractions(s):
-    n = s.trunc_order
-    return Series1([u * s.coeffs[u] for u in range(1, n)] + [0])
-
-
-def partial_x_by_fractions(s):
-    n = s.trunc_order
-    return Series2([[u * c for c in s.coeffs[u]] for u in range(1, n)] + [[0] * n])
-
-
-def partial_y_by_fractions(s):
-    n = s.trunc_order
-    return Series2([[v * row[v] for v in range(1, n)] + [0] for row in s.coeffs])
-
-
-def reciprocal_by_fractions(s):
-    """`Series1.reciprocal` as the `Fraction` recurrence it was; its oracle."""
-    a = s.coeffs
-    n = len(a)
-    inv0 = 1 / a[0]
-    out = [Fraction(0)] * n
-    out[0] = inv0
-    for k in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if a[j]:
-                acc += a[j] * out[k - j]
-        out[k] = -inv0 * acc
-    return Series1(out)
-
-
-def compose_by_fractions(outer, inner):
-    """outer(inner) with every power and sum made by the `Fraction` loops."""
-    n = min(len(outer.coeffs), inner.trunc_order)
-    inner = inner.truncated(n)
-    if isinstance(inner, Series1):
-        multiply, power = series1_product_by_fractions, Series1.one(n)
-    else:
-        multiply, power = series2_product_by_fractions, Series2.monomial(0, 0, n)
-    acc = entrywise_by_fractions(lambda c: outer.coeffs[0] * c, power)
-    for ck in outer.coeffs[1:]:
-        power = multiply(power, inner)
-        acc = entrywise_by_fractions(lambda x, y: x + ck * y, acc, power)
-    return acc
-
-
 def one_variable_cases(a, b, f):
-    """(result, oracle) for every operation of `Series1` on the operands."""
+    """(result, oracle) for every operation of `Series1` on the operands but
+    the product, which `TestProductKernel` checks on every pair."""
     inner = b.add_constant(-b.coeffs[0])
     cases = [
         (a + b, entrywise_by_fractions(lambda x, y: x + y, a, b)),
@@ -649,7 +450,6 @@ def one_variable_cases(a, b, f):
         (a.scale(f), entrywise_by_fractions(lambda x: f * x, a)),
         (a.scale(0), Series1.zero(a.trunc_order)),
         (a.add_constant(f), add_constant_by_fractions(a, f)),
-        (a * b, series1_product_by_fractions(a, b)),
         (a.derivative(), derivative_by_fractions(a)),
         (a.truncated(1), Series1(a.coeffs[:1])),
         (compose(a, inner), compose_by_fractions(a, inner)),
@@ -660,9 +460,10 @@ def one_variable_cases(a, b, f):
 
 
 def two_variable_cases(g, h, s, f):
-    """(result, oracle) for every operation of `Series2` on the operands."""
+    """(result, oracle) for every operation of `Series2` on the operands but
+    the products and `substitute_y`, which `TestProductKernel` checks on
+    every pair."""
     n = g.trunc_order
-    inner = s.add_constant(-s.coeffs[0])
     cases = [
         (g + h, entrywise_by_fractions(lambda x, y: x + y, g, h)),
         (g - h, entrywise_by_fractions(lambda x, y: x - y, g, h)),
@@ -672,10 +473,6 @@ def two_variable_cases(g, h, s, f):
         (g.scale(f), entrywise_by_fractions(lambda x: f * x, g)),
         (g.scale(0), Series2.zero(n)),
         (g.add_constant(f), add_constant_by_fractions(g, f)),
-        (g * h, series2_product_by_fractions(g, h)),
-        (g.mul_x_series(s), mul_x_series_by_fractions(g, s)),
-        (g.mul_y_series(s), mul_y_series_by_fractions(g, s)),
-        (substitute_y(g, inner), substitute_y_by_fractions(g, inner)),
         (g.partial_x(), partial_x_by_fractions(g)),
         (g.partial_y(), partial_y_by_fractions(g)),
         (g.transposed(), Series2(zip(*g.coeffs))),
@@ -705,8 +502,8 @@ def mixed_orders(draw, kind):
 
 
 class TestIntegerForm:
-    """Each operation on the stored (nums, den) form against the `Fraction`
-    loop it replaced, with the canonical form asserted after each one."""
+    """Each operation on the stored (nums, den) form against its oracle
+    (`oracles`), with the canonical form asserted after each one."""
 
     @given(operands=mixed_orders(series1))
     @settings(max_examples=50, deadline=None)
@@ -741,6 +538,28 @@ class TestIntegerForm:
         for g in _product_operands(rng, order_a):
             for h, s in zip(twos[::2], ones[::3]):
                 assert_cases(two_variable_cases(g, h, s, f))
+
+    # (outer order, inner order) of `compose`: outer shorter than, equal to
+    # and longer than inner; a Series2 power survives up to k = 2N - 2, so
+    # the longest outer reaches past the inner order
+    @pytest.mark.parametrize("outer_order, inner_order", [(2, 5), (4, 4), (9, 4), (1, 3)])
+    def test_compose_orders(self, rng, outer_order, inner_order):
+        top = inner_order - 1
+        for _ in range(25):
+            outer = random_series1(rng, outer_order)
+            inners = [
+                random_series1(rng, inner_order),
+                Series2([[random_fraction(rng) for _ in range(inner_order)]
+                         for _ in range(inner_order)]),
+                # powers that vanish early, before the order does
+                Series1.monomial(top, inner_order),
+                Series2.monomial(top, top, inner_order),
+            ]
+            for inner in inners:
+                inner = inner.add_constant(-constant_term(inner))
+                assert_cases([(compose(outer, inner), compose_by_fractions(outer, inner))])
+                with pytest.raises(NonzeroConstantTerm):
+                    compose(outer, inner.add_constant(random_fraction(rng) or 1))
 
     def test_zero_and_top_monomial(self):
         for n in (1, 2, 9):
@@ -859,19 +678,9 @@ def combinations(draw, cls):
     return draw(st.permutations(terms)), order
 
 
-def combination_by_fractions(cls, terms, order):
-    """sum c * s as the loop `acc = zero; acc = acc + c * s` of `Fraction`s
-    that `_combination` replaced."""
-    acc = cls.zero(order)
-    for c, s in terms:
-        if c:
-            acc = entrywise_by_fractions(lambda x, y: x + c * y, acc, s)
-    return acc
-
-
 class TestCombinationKernel:
-    """`_Series._combination`, the one n-ary sum, against the `Fraction` loop
-    it replaced, on `Series1` and `Series2`."""
+    """`_Series._combination`, the one n-ary sum, against the sum made
+    coefficient by coefficient, on `Series1` and `Series2`."""
 
     @pytest.mark.parametrize("cls", [Series1, Series2])
     @given(data=st.data())
@@ -880,7 +689,12 @@ class TestCombinationKernel:
     def test_matches_fraction_loop(self, cls, data):
         terms, order = data.draw(combinations(cls))
         result = cls._combination(terms, order)
-        oracle = combination_by_fractions(cls, terms, order)
+        # the zero series of the order fixes the oracle's type and order; a
+        # term with a zero coefficient may be shorter, and is left out
+        live = [(c, s) for c, s in terms if c]
+        oracle = entrywise_by_fractions(
+            lambda zero, *xs: sum((c * x for (c, _), x in zip(live, xs)), zero),
+            cls.zero(order), *(s for _, s in live))
         assert type(result) is cls and result.trunc_order == order
         assert result == oracle and result.coeffs == oracle.coeffs
         assert_canonical(result)
@@ -1000,45 +814,19 @@ class TestAlgebraProperties:
 
 
 class TestSingleLoopMatchesOracles:
-    """`compose`, `binomial_series` and `**` against the loops they replaced."""
-
-    # (outer order, inner order): outer shorter than, equal to and longer
-    # than inner; a Series2 power survives up to k = 2N - 2, so the longest
-    # outer reaches past the inner order.
-    ORDERS = [(2, 5), (4, 4), (9, 4), (1, 3)]
-
-    @pytest.mark.parametrize("outer_order, inner_order", ORDERS)
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_compose_matches_per_type_loops(self, outer_order, inner_order, data):
-        outer = data.draw(series1(outer_order))
-        top = inner_order - 1
-        inners = [
-            data.draw(series1(inner_order)),
-            data.draw(series2(inner_order)),
-            # powers that vanish early, before the order does
-            Series1.monomial(top, inner_order),
-            Series2.monomial(top, top, inner_order),
-        ]
-        for inner in inners:
-            inner = inner.add_constant(-constant_term(inner))
-            assert compose(outer, inner) == compose_by_type(outer, inner)
-            shifted = inner.add_constant(data.draw(rationals.filter(bool)))
-            with pytest.raises(NonzeroConstantTerm):
-                compose(outer, shifted)
-            with pytest.raises(NonzeroConstantTerm):
-                compose_by_type(outer, shifted)
+    """`binomial_series` against its definition, and `**` against repeated
+    products."""
 
     @given(rationals, series1(6))
     @settings(max_examples=40, deadline=None)
     def test_binomial_matches_loop(self, alpha, b):
         base = b.add_constant(1 - b.coeffs[0])
-        assert binomial_series(alpha, base) == binomial_by_loop(alpha, base)
+        assert binomial_series(alpha, base) == binomial_by_fractions(alpha, base)
         if b.coeffs[0] != 1:
             with pytest.raises(ConstantTermNotOne):
                 binomial_series(alpha, b)
             with pytest.raises(ConstantTermNotOne):
-                binomial_by_loop(alpha, b)
+                binomial_by_fractions(alpha, b)
 
     @given(series1(5), series2(3))
     @settings(max_examples=30, deadline=None)

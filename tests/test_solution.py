@@ -1,14 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import comb, lcm, prod
+from math import comb
 
 import pytest
 
 from qcycle.errors import NotComultiplicative, SingularGd, SingularGp
 from qcycle.solution import (
     MAX_VIOLATIONS,
-    BraidReport,
     LinearMap2,
     _eliminate,
     _factor_verdict,
@@ -16,7 +14,6 @@ from qcycle.solution import (
     _solution_map,
     _step_block,
     _superscript_blocks,
-    _transpose_kernel,
     build_solution,
     check_braid_full,
     check_braid_on_map,
@@ -39,7 +36,17 @@ from qcycle.tensor import (
 )
 
 from conftest import random_fraction, random_level1, standard_structure
-from test_series import series2_product_by_fractions
+from oracles import (
+    braid_by_sweep,
+    braid_scan_by_loops,
+    determinant_by_leibniz,
+    gp_map_by_convolution,
+    inverse_by_adjugate,
+    is_endomorphism_by_scan,
+    product_by_fractions,
+    solution_by_convolution,
+    superscript_by_fractions,
+)
 from test_tensor import assert_stored_form
 
 
@@ -171,80 +178,6 @@ class TestSideMaps:
                 build_solution(QCycleStructure(p, d))
 
 
-# The three braid families by their (LHS, RHS) tensor triples.
-FAMILIES = (("pdp", "ppp"), ("ppd", "ddp"), ("dpd", "ddd"))
-
-
-def family_sides_by_fractions(s, family, i, j, k, m):
-    """Both sides of a family at (i, j, k, m), summed on Fractions.  A side is
-    sum over a+b=j, h, l of A[i][a][h] B[k][b][l] C[h][l][m] for its triple
-    (A, B, C); the right-hand side has j and k swapped."""
-    n = s.n
-    tensors = {"p": s.p.entries, "d": s.d.entries}
-
-    def side(names, j, k):
-        A, B, C = (tensors[name] for name in names)
-        return sum(
-            (A[i][a][h] * B[k][j - a][l] * C[h][l][m]
-             for a in range(j + 1) for h in range(n) for l in range(n)),
-            Fraction(0),
-        )
-
-    lhs, rhs = FAMILIES[family - 1]
-    return side(lhs, j, k), side(rhs, k, j)
-
-
-def braid_scan_by_loops(s, ms, cap=MAX_VIOLATIONS):
-    """The three families at every (i, j, k) and every m in ms, each side summed
-    whole at each point over the tensors scaled to integers, with violations
-    in family, i, j, k, m order and capped at `cap` (None: all of them)."""
-    n = s.n
-
-    def scaled(t):
-        den = lcm(*(v.denominator for row in t.entries for col in row for v in col))
-        return [[[int(v * den) for v in col] for col in row] for row in t.entries], den
-
-    tensors = {"p": scaled(s.p), "d": scaled(s.d)}
-
-    def side(A, B, C, i, j, k, m):
-        acc = 0
-        for a in range(j + 1):
-            row_a, row_b = A[i][a], B[k][j - a]
-            for h in range(n):
-                x = row_a[h]
-                if not x:
-                    continue
-                inner = 0
-                for l in range(n):
-                    y = row_b[l]
-                    if y:
-                        z = C[h][l][m]
-                        if z:
-                            inner += y * z
-                if inner:
-                    acc += x * inner
-        return acc
-
-    flags = [True, True, True]
-    violations = []
-    for index, names in enumerate(FAMILIES):
-        (A, da), (B, db), (C, dc) = (tensors[name] for name in names[0])
-        (A2, da2), (B2, db2), (C2, dc2) = (tensors[name] for name in names[1])
-        den_l, den_r = da * db * dc, da2 * db2 * dc2
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for m in ms:
-                        lhs = side(A, B, C, i, j, k, m)
-                        rhs = side(A2, B2, C2, i, k, j, m)
-                        if lhs * den_r != rhs * den_l:
-                            flags[index] = False
-                            if cap is None or len(violations) < cap:
-                                violations.append((index + 1, i, j, k, m,
-                                                   Fraction(lhs, den_l), Fraction(rhs, den_r)))
-    return BraidReport(flags[0], flags[1], flags[2], tuple(violations))
-
-
 def _braid_scan_cases(rng, n):
     """(class, structure) pairs: standard cycles at v0 = 1 and v0 = n - 1;
     candidates made from a v0 = 1 standard cycle by perturbing one level-1
@@ -354,17 +287,15 @@ class TestBraidChecks:
             s = QCycleStructure(p, d)
             for report, ms in ((check_braid_reduced(s), [1]), (check_braid_full(s), range(n))):
                 assert not report
+                # the sides of every violation, from the oracle's uncapped list
+                sides = {v[:5]: v[5:] for v in braid_scan_by_loops(s, ms, cap=None).violations}
                 for family, i, j, k, m, lhs, rhs in report.violations:
-                    assert (lhs, rhs) == family_sides_by_fractions(s, family, i, j, k, m)
+                    assert sides[family, i, j, k, m] == (lhs, rhs)
                     assert lhs != rhs
                     families_seen.add(family)
                 flags = (report.family1_ok, report.family2_ok, report.family3_ok)
                 for family, ok in enumerate(flags, 1):
-                    sides = [
-                        family_sides_by_fractions(s, family, i, j, k, m)
-                        for i in range(n) for j in range(n) for k in range(n) for m in ms
-                    ]
-                    assert ok == all(lhs == rhs for lhs, rhs in sides)
+                    assert ok == all(key[0] != family for key in sides)
         assert families_seen == {1, 2, 3}
 
 
@@ -504,46 +435,6 @@ class TestSolutionMap:
         assert not is_coalgebra_endomorphism(LinearMap2(n, grid))
 
 
-def is_endomorphism_by_scan(s):
-    """e . s = e and D . s = (s (x) s) . D, compared on every basis vector.
-
-    D(x_i (x) x_j) is the sum over i1+i2=i, j1+j2=j of
-    (x_i1 (x) x_j1) (x) (x_i2 (x) x_j2), and the x_a(x)x_b (x) x_c(x)x_d
-    component of D(s(x_i (x) x_j)) is s[(a+c, b+d), (i, j)], 0 off the grid.
-    """
-    n = s.n
-    dim = n * n
-    M = s.matrix
-    for col in range(dim):
-        if M[0][col] != (1 if col == 0 else 0):
-            return False
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            rhs = {}
-            for i1 in range(i + 1):
-                for j1 in range(j + 1):
-                    ca = i1 * n + j1
-                    cb = (i - i1) * n + (j - j1)
-                    for ra in range(dim):
-                        if M[ra][ca]:
-                            for rb in range(dim):
-                                if M[rb][cb]:
-                                    key = (ra, rb)
-                                    rhs[key] = rhs.get(key, 0) + M[ra][ca] * M[rb][cb]
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        for d in range(n):
-                            if a + c < n and b + d < n:
-                                lhs = M[(a + c) * n + (b + d)][col]
-                            else:
-                                lhs = 0
-                            if lhs != rhs.get((a * n + b, c * n + d), 0):
-                                return False
-    return True
-
-
 def _endomorphism_cases(rng, n):
     """Solution maps of standard cycles (v0 = 1 and v0 = n - 1), of the
     nonroot family and, at n = 3, of the fixtures; flip and identity; a
@@ -586,22 +477,6 @@ def _shear(n, mirrored):
     return LinearMap2(n, grid)
 
 
-def endomorphism_by_fractions(s):
-    """`is_coalgebra_endomorphism` as the `Fraction` loop it was before it ran
-    on integers: the rows in A against products of the generator rows."""
-    n = s.n
-    rows = s.rows()
-    x, y = rows[1][0], rows[0][1]
-    return (
-        rows[0][0] == Series2.monomial(0, 0, n)
-        and all(rows[0][l] == series2_product_by_fractions(y, rows[0][l - 1]) for l in range(1, n))
-        and all(rows[k][l] == series2_product_by_fractions(x, rows[k - 1][l])
-                for k in range(1, n) for l in range(n))
-        and series2_product_by_fractions(x, rows[n - 1][0]).is_zero()
-        and series2_product_by_fractions(y, rows[0][n - 1]).is_zero()
-    )
-
-
 class TestEndomorphismCheck:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_scan(self, rng, n):
@@ -609,7 +484,6 @@ class TestEndomorphismCheck:
         for m in _endomorphism_cases(rng, n):
             ok = is_endomorphism_by_scan(m)
             assert is_coalgebra_endomorphism(m) == ok
-            assert endomorphism_by_fractions(m) == ok
             verdicts.add(ok)
         assert verdicts == {True, False}
 
@@ -687,7 +561,7 @@ class TestFactorVerdict:
             walked = LinearMap2._from_ints(m._nums, m._den)
             assert getattr(walked, "_endo", None) is None
             assert is_coalgebra_endomorphism(m) == is_coalgebra_endomorphism(walked)
-            assert is_coalgebra_endomorphism(m) == endomorphism_by_fractions(walked)
+            assert is_coalgebra_endomorphism(m) == is_endomorphism_by_scan(walked)
         # a stored True, a stored False and the row walk all ran
         assert stored == {True, False, None}
 
@@ -727,39 +601,6 @@ class TestFactorVerdict:
                 assert _factor_verdict(L, E, 1, 1, n) is None
 
 
-def braid_by_sweep(s):
-    """s12 s23 s12 = s23 s12 s23, compared on each of the n^3 basis vectors of
-    C (x) C (x) C, with s as sparse integer columns over a common denominator."""
-    n = s.n
-    den = lcm(*(v.denominator for row in s.matrix for v in row))
-    cols = [[] for _ in range(n * n)]
-    for r, row in enumerate(s.matrix):
-        for c, v in enumerate(row):
-            if v:
-                cols[c].append((r, int(v * den)))
-
-    def apply12(vec):
-        out = {}
-        for idx, val in vec.items():
-            ij, c = divmod(idx, n)
-            for row, w in cols[ij]:
-                out[row * n + c] = out.get(row * n + c, 0) + val * w
-        return {k: v for k, v in out.items() if v}
-
-    def apply23(vec):
-        out = {}
-        for idx, val in vec.items():
-            a, jk = divmod(idx, n * n)
-            for row, w in cols[jk]:
-                out[a * n * n + row] = out.get(a * n * n + row, 0) + val * w
-        return {k: v for k, v in out.items() if v}
-
-    return all(
-        apply12(apply23(apply12({basis: 1}))) == apply23(apply12(apply23({basis: 1})))
-        for basis in range(n ** 3)
-    )
-
-
 def _algebra_map(n, x, y):
     """The coalgebra endomorphism whose transpose sends u to x and v to y:
     row (k, l) is x^k y^l (x^n = y^n = 0 for every caller)."""
@@ -776,19 +617,27 @@ def _diagonal_variant(n, factor):
 
 
 def _braid_map_cases(rng, n):
-    """`_endomorphism_cases`; algebra maps from generator rows (u h1, v h2),
-    (v, u), (u h1, u h2) with a rank-1 linear part, and (-u, v); and the
-    identity with row (1, 1) negated, an involution that is no endomorphism."""
+    """`_endomorphism_cases`; solution maps of perturbed standard cycles,
+    whose braid check fails; algebra maps from generator rows (u h1, v h2),
+    (v, u), (u h1, u h2) with a rank-1 linear part, and (-u, v); the
+    identity with row (1, 1) negated, an involution that is no endomorphism;
+    and random maps, sparse and dense, which are no endomorphisms and take
+    the every-monomial path."""
     u, v = Series2.monomial(1, 0, n), Series2.monomial(0, 1, n)
 
     def h():
         return Series2([[random_fraction(rng) for _ in range(n)] for _ in range(n)])
 
     algebra = [(u * h(), v * h()), (v, u), (u * h(), u * h()), (-u, v)]
+    randoms = [LinearMap2(n, [[random_fraction(rng) if rng.random() < density else 0
+                               for _ in range(n * n)] for _ in range(n * n)])
+               for density in (0.2, 1)]
     return (
         _endomorphism_cases(rng, n)
+        + [build_solution(_perturbed_standard(n, entry)) for entry in range(2, n)]
         + [_algebra_map(n, x, y) for x, y in algebra]
         + [_diagonal_variant(n, -1)]
+        + randoms
     )
 
 
@@ -796,15 +645,22 @@ class TestTransposeKernel:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_sweep_and_compose(self, rng, n):
         verdicts = {"endo": set(), "braid": set(), "involution": set()}
+        classes = set()
         for m in _braid_map_cases(rng, n):
             braid = braid_by_sweep(m)
             involution = m.compose(m).is_identity()
             assert check_braid_on_map(m) == braid
             assert is_involution(m) == involution
-            verdicts["endo"].add(is_coalgebra_endomorphism(m))
+            endo = is_coalgebra_endomorphism(m)
+            verdicts["endo"].add(endo)
             verdicts["braid"].add(braid)
             verdicts["involution"].add(involution)
+            classes.add((endo, braid, involution))
         assert all(seen == {True, False} for seen in verdicts.values())
+        # endomorphisms that pass and that fail the braid check (from n = 3,
+        # a perturbed standard cycle), and maps that fail all three
+        assert {(True, True, True), (False, False, False)} <= classes
+        assert (True, False, True) in classes or n == 2
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_non_endomorphism_uses_every_monomial(self, n):
@@ -820,76 +676,6 @@ class TestTransposeKernel:
     def test_maps_need_n_at_least_2(self):
         with pytest.raises(ValueError):
             LinearMap2(1, [[1]])
-
-
-def transpose_pull_by_dict(s):
-    """pull(f, first) of `_transpose_kernel`, made term by term: each product
-    of a term of f and a weight of s is summed into a dict under the tuple key
-    of its image monomial, and the zero sums are dropped at the end."""
-    n, ints = s.n, s._nums
-    scaled = [[[(divmod(c, n), w) for c, w in enumerate(ints[a * n + b]) if w]
-               for b in range(n)] for a in range(n)]
-
-    def pull(f, first):
-        out = {}
-        for (a, b, c), val in f.items():
-            for (i, j), w in scaled[a][b] if first else scaled[b][c]:
-                key = (i, j, c) if first else (a, i, j)
-                out[key] = out.get(key, 0) + val * w
-        return {k: v for k, v in out.items() if v}
-
-    return pull
-
-
-# The words of each check, as the `first` flag of each pull: the braid check
-# compares s12 s23 s12 with s23 s12 s23 (3 factors), the involution check
-# s12 s12 with den^2 times the start (2 factors).
-CHECK_WORDS = {3: ((True, False, True), (False, True, False)), 2: ((True, True),)}
-
-
-def _pull_cases(rng, n):
-    """Solution maps of standard cycles (v0 = 1 and n - 1), of a nonroot pair
-    and of perturbed standard cycles, whose braid check fails; and random
-    maps, which are no endomorphisms and take the every-monomial path."""
-    from qcycle.families import NonRootFamilyInput, build_nonroot_family
-
-    structures = [standard_structure(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
-                  for v0 in sorted({1, n - 1})]
-    lambdas = [Fraction(rng.choice((-2, 2)))] + [random_fraction(rng) for _ in range(n - 2)]
-    structures.append(build_nonroot_family(NonRootFamilyInput(n, lambdas, Fraction(3, 2))))
-    structures += [_perturbed_standard(n, entry) for entry in range(2, n)]
-    randoms = [LinearMap2(n, [[random_fraction(rng) if rng.random() < density else 0
-                               for _ in range(n * n)] for _ in range(n * n)])
-               for density in (0.2, 1)]
-    return [build_solution(s) for s in structures] + randoms
-
-
-class TestDenseAccumulatorPull:
-    """The pull of `_transpose_kernel` equals the dict pull after every step
-    of every word of both checks, and the checks give the oracle's verdicts."""
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_matches_dict_pull(self, rng, n):
-        seen = set()
-        for m in _pull_cases(rng, n):
-            oracle = transpose_pull_by_dict(m)
-            verdicts = {}
-            for factors, words in CHECK_WORDS.items():
-                pull, den, starts = _transpose_kernel(m, factors)
-                ends = [[] for _ in words]
-                for word, found in zip(words, ends):
-                    for start in starts:
-                        f = g = {start: 1}
-                        for first in word:
-                            f, g = pull(f, first), oracle(g, first)
-                            assert f == g
-                        found.append(g)
-                want = ends[1] if factors == 3 else [{start: den * den} for start in starts]
-                verdicts[factors] = ends[0] == want
-            assert check_braid_on_map(m) == verdicts[3]
-            assert is_involution(m) == verdicts[2]
-            seen.add((is_coalgebra_endomorphism(m), verdicts[3], verdicts[2]))
-        assert {(True, True, True), (True, False, True), (False, False, False)} <= seen
 
 
 def _bijective_cases(rng, n):
@@ -923,37 +709,6 @@ class TestBijective:
                              (_algebra_map(n, u, u), False), (_algebra_map(n, u * v, u), False),
                              (_diagonal_variant(n, 0), False)):
             assert is_bijective(m) == bijective == (m.determinant() != 0)
-
-
-def determinant_by_leibniz(m):
-    """sum over permutations sigma of sign(sigma) prod_r m[r][sigma(r)]."""
-    total = Fraction(0)
-    for perm in permutations(range(len(m))):
-        inversions = sum(perm[a] > perm[b] for b in range(len(perm)) for a in range(b))
-        total += (-1) ** inversions * prod((m[r][c] for r, c in enumerate(perm)), start=Fraction(1))
-    return total
-
-
-def inverse_by_adjugate(m):
-    """The inverse of a square `Fraction` matrix as its adjugate over its
-    Leibniz determinant, entry (r, c) being (-1)^(r+c) det(m without row c
-    and column r) / det(m); None when det(m) = 0."""
-    dim = len(m)
-    det = determinant_by_leibniz(m)
-    if not det:
-        return None
-
-    def minor(row, col):
-        return [[m[r][c] for c in range(dim) if c != col] for r in range(dim) if r != row]
-
-    return [[(-1) ** (r + c) * determinant_by_leibniz(minor(c, r)) / det for c in range(dim)]
-            for r in range(dim)]
-
-
-def product_by_fractions(a, b):
-    """The row-by-column product of two square `Fraction` matrices."""
-    return [[sum((a[r][k] * b[k][c] for k in range(len(b))), Fraction(0))
-             for c in range(len(b[0]))] for r in range(len(a))]
 
 
 def _elimination_cases(rng, dim):
@@ -1032,45 +787,6 @@ class TestElimination:
         assert m.determinant() != 0
 
 
-def gp_map_by_convolution(t):
-    """x_i (x) x_j -> sum_{a+b=j} t(x_i (x) x_a) (x) x_b, entry by entry."""
-    n = t.n
-    dim = n * n
-    grid = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for b in range(j + 1):
-                for k in range(n):
-                    grid[k * n + b][i * n + j] += t.entries[i][j - b][k]
-    return grid
-
-
-def solution_by_convolution(s):
-    """s(x_i (x) x_j) = sum {x_i1}x_j2 (x) x_i2^{x_j1} over i1+i2=i, j1+j2=j,
-    with {x_i}x_j = sum_{j1+j2=j} sum_m E[i][j1][m] d[j2][m][.] and E the
-    superscript map; both sums are written out coefficient by coefficient."""
-    n = s.n
-    E = superscript_map(s.p)
-    d = s.d.entries
-    L = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for j1 in range(j + 1):
-                for m in range(n):
-                    for k in range(n):
-                        L[i][j][k] += E[i][j1][m] * d[j - j1][m][k]
-    dim = n * n
-    grid = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for i1 in range(i + 1):
-                for j1 in range(j + 1):
-                    for k in range(n):
-                        for l in range(n):
-                            grid[k * n + l][i * n + j] += L[i1][j - j1][k] * E[i - i1][j1][l]
-    return grid
-
-
 def _row_builder_cases(rng, n):
     """Standard cycles (v0 = 1 and v0 = n - 1, p = d), nonroot family pairs
     (p != d), the n = 3 fixtures, and random non-comultiplicative pairs."""
@@ -1095,100 +811,49 @@ def _row_builder_cases(rng, n):
     return cases + [QCycleStructure(random_tensor(), random_tensor()) for _ in range(3)]
 
 
-def superscript_by_fractions(p):
-    """`superscript_map` as the `Fraction` loop it was before it went
-    fraction-free: each step solved with the step-block inverse, made here by
-    `inverse_by_adjugate` (no elimination of `qcycle.solution`)."""
-    n = p.n
-    e = p.entries
-    step_inv = inverse_by_adjugate([row[0] for row in e])
-    if step_inv is None:
-        raise SingularGp("left side map is not invertible")
-    E = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            rhs = [Fraction(int(j == 0 and i == k)) for i in range(n)]
-            for j1 in range(1, j + 1):
-                for i in range(n):
-                    rhs[i] -= sum((e[i][j1][h] * E[h][j - j1][k] for h in range(n)), Fraction(0))
-            for h in range(n):
-                E[h][j][k] = sum((step_inv[h][r] * rhs[r] for r in range(n)), Fraction(0))
-    return E
-
-
-def solution_by_fractions(s):
-    """`build_solution` as the `Fraction` loops it was before it ran on
-    integers: L_k summed on Fractions, row (k, l) the product L_k E_l in A;
-    d's step block is decided by its Leibniz determinant."""
-    n = s.n
-    if not determinant_by_leibniz([row[0] for row in s.d.entries]):
-        raise SingularGd("right side map is not invertible")
-    e, d = superscript_by_fractions(s.p), s.d.entries
-    E = [Series2([[e[i][j][l] for j in range(n)] for i in range(n)]) for l in range(n)]
-    L = []
-    for k in range(n):
-        grid = [[Fraction(0)] * n for _ in range(n)]
-        for m in range(n):
-            for j2 in range(n):
-                for i in range(n):
-                    for j1 in range(n - j2):
-                        grid[i][j1 + j2] += e[i][j1][m] * d[j2][m][k]
-        L.append(Series2(grid))
-    return LinearMap2.from_rows(
-        n, [[series2_product_by_fractions(L[k], E[l]) for l in range(n)] for k in range(n)])
-
-
-class TestFractionFreeKernels:
-    """`superscript_map` and the rows of `build_solution` (`_solution_map`)
-    against their `Fraction` loops, on the step-block cases (singular ones
-    included, as p and as d), standard cycles, nonroot pairs and random pairs."""
-
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_match_fraction_loops(self, rng, n, forms):
-        structures = _row_builder_cases(rng, n)
-        for t in _step_block_cases(rng, n):
-            structures += [QCycleStructure(t, counit_action(n)), QCycleStructure(counit_action(n), t)]
-        outcomes = set()
-        for s in structures:
-            results = []
-            for build in (superscript_map, superscript_by_fractions):
-                try:
-                    results.append(build(s.p))
-                except SingularGp as exc:
-                    results.append(type(exc))
-            for build in (solution_of_any_pair, solution_by_fractions):
-                try:
-                    results.append(build(s))
-                except (SingularGp, SingularGd) as exc:
-                    results.append(type(exc))
-            assert results[0] == results[1] and results[2] == results[3]
-            outcomes.add(results[2] if isinstance(results[2], type) else LinearMap2)
-        assert outcomes == {LinearMap2, SingularGp, SingularGd}
-        # the L_k of the solution maps ran in both forms of `_gathered_dot`
-        assert set(forms) == {"row", "column"}
-
-
 class TestRowBuilders:
+    """`gp_map`, `superscript_map` and the rows of `build_solution` against
+    their definitions, on the row-builder cases and on the step-block cases
+    (singular ones among them) as p and as d beside the counit action."""
+
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_match_convolution(self, rng, n):
-        cases = _row_builder_cases(rng, n)
-        built = 0
+    def test_match_convolution(self, rng, n, forms):
+        rows = _row_builder_cases(rng, n)
+        cases = list(rows)
+        for t in _step_block_cases(rng, n):
+            cases += [QCycleStructure(t, counit_action(n)), QCycleStructure(counit_action(n), t)]
+        outcomes = []
         for s in cases:
             for t in (s.p, s.d):
                 assert gp_map(t).matrix == tuple(map(tuple, gp_map_by_convolution(t)))
+            supers = []
+            for build in (superscript_map, superscript_by_fractions):
+                try:
+                    supers.append(build(s.p))
+                except SingularGp as exc:
+                    supers.append(type(exc))
+            assert supers[0] == supers[1]
             try:
                 m = solution_of_any_pair(s)
-            except (SingularGp, SingularGd):
+            except (SingularGp, SingularGd) as exc:
+                with pytest.raises(type(exc)):
+                    solution_by_convolution(s)
+                outcomes.append(type(exc))
                 continue
             assert m.matrix == tuple(map(tuple, solution_by_convolution(s)))
-            built += 1
+            outcomes.append(LinearMap2)
             if is_coalgebra_morphism(s.p) and is_coalgebra_morphism(s.d):
                 assert build_solution(s) == m
             else:
                 with pytest.raises(NotComultiplicative):
                     build_solution(s)
-        # only a random pair can have a singular step block, and not all three do
-        assert built >= len(cases) - 2
+        # only a random pair of the row-builder cases can have a singular
+        # step block, and not all three do; the step-block cases are
+        # singular as p and as d
+        assert outcomes[:len(rows)].count(LinearMap2) >= len(rows) - 2
+        assert set(outcomes) == {LinearMap2, SingularGp, SingularGd}
+        # the L_k of the solution maps ran in both forms of `_gathered_dot`
+        assert set(forms) == {"row", "column"}
         dim = n * n
         # identity fixes x_i (x) x_j (column i * n + j); flip sends it to x_j (x) x_i
         assert LinearMap2.identity(n).matrix == tuple(
@@ -1238,7 +903,7 @@ class TestStoredForm:
                 LinearMap2(n, [[Fraction(3 * v.numerator, 3 * v.denominator) for v in row]
                                for row in m.matrix]),
                 LinearMap2.from_rows(n, m.rows()),
-                solution_by_fractions(s),
+                LinearMap2(n, solution_by_convolution(s)),
                 m.compose(LinearMap2.identity(n)),
             ]
             for other in routes:

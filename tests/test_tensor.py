@@ -6,11 +6,10 @@ from math import comb, gcd
 import pytest
 
 from qcycle.errors import BadLinearTerm, NotComultiplicative, ParseError, ZeroLambda
-from qcycle.series import Series1, Series2, json_array, parse_rational
+from qcycle.series import Series1, Series2
 from qcycle.solution import check_braid_reduced
 from qcycle.tensor import (
     CoeffTensor,
-    MorphismReport,
     QCycleStructure,
     counit_action,
     extend_from_level1,
@@ -22,7 +21,11 @@ from qcycle.tensor import (
 )
 
 from conftest import random_fraction, random_level1, standard_structure
-from test_series import series2_product_by_fractions
+from oracles import (
+    is_morphism_by_definition,
+    series2_product_by_fractions,
+    tensor_from_payload_by_fractions,
+)
 
 
 def vanishing_params_level1(n):
@@ -41,51 +44,6 @@ def all_ones_level1(n):
     for j in range(n):
         grid[1][j] = Fraction(1)
     return grid
-
-
-def is_morphism_by_definition(t):
-    """e . t = e (x) e and D . t = (t (x) t) . D on every basis vector.
-
-    The x_l (x) x_h component of D(t(x_i (x) x_j)) is t[i][j][l+h], which is 0
-    when l + h >= n; that of (t (x) t)(D(x_i (x) x_j)) is the sum over
-    a+b=i, c+d=j of t[a][c][l] t[b][d][h].
-    """
-    n = t.n
-    for i in range(n):
-        for j in range(n):
-            if t.entry(i, j, 0) != (1 if i + j == 0 else 0):
-                return False
-            for l in range(n):
-                for h in range(n):
-                    rhs = sum(
-                        t.entry(a, c, l) * t.entry(i - a, j - c, h)
-                        for a in range(i + 1)
-                        for c in range(j + 1)
-                    )
-                    if t.entry(i, j, l + h) != rhs:
-                        return False
-    return True
-
-
-def morphism_report_by_fractions(t):
-    """`is_coalgebra_morphism` as the `Fraction` loop it was before it ran on
-    integers, report and violation tuple included; its oracle."""
-    n = t.n
-    e = t.entries
-    for i in range(n):
-        for j in range(n):
-            expect = Fraction(1 if i + j == 0 else 0)
-            if e[i][j][0] != expect:
-                return MorphismReport(False, (i, j, 0, 0, e[i][j][0], expect))
-    g = Series2(t.level(1))
-    for k in range(2, n + 1):
-        product = series2_product_by_fractions(Series2(t.level(k - 1)), g).coeffs
-        for i in range(n):
-            for j in range(n):
-                entry = e[i][j][k] if k < n else Fraction(0)
-                if product[i][j] != entry:
-                    return MorphismReport(False, (i, j, 1, k - 1, entry, product[i][j]))
-    return MorphismReport(True)
 
 
 def _morphism_cases(rng, n):
@@ -135,10 +93,9 @@ class TestMorphismCheck:
         verdicts = {True: 0, False: 0}
         kinds = set()
         for t in _morphism_cases(rng, n):
-            ok = is_morphism_by_definition(t)
             report = is_coalgebra_morphism(t)
-            assert bool(report) == ok
-            assert report == morphism_report_by_fractions(t)
+            assert report == is_morphism_by_definition(t)
+            ok = bool(report)
             verdicts[ok] += 1
             if not ok:
                 _i, _j, l, h = report.violation[:4]
@@ -189,7 +146,7 @@ class TestMorphismMemo:
         base = extend_from_level1(random_level1(rng, 5))
         t = base.with_entry(3, 1, 2, base.entry(3, 1, 2) + 1)
         first = is_coalgebra_morphism(t)
-        assert not first and first == morphism_report_by_fractions(t)
+        assert not first and first == is_morphism_by_definition(t)
         assert is_coalgebra_morphism(t).violation == first.violation
         assert len(walks) == 1
 
@@ -409,18 +366,6 @@ class TestPayload:
         payload = involutive.to_payload()
         assert "d" not in payload
         assert QCycleStructure.from_payload(payload) == involutive
-
-
-def tensor_from_payload_by_fractions(payload):
-    """`CoeffTensor.from_payload` on `Fraction`s: the shape first, by the
-    constructor's check on a grid of zeros, then every value through
-    `parse_rational` and the constructor."""
-    try:
-        rows = [[json_array(col) for col in json_array(row)] for row in json_array(payload)]
-        CoeffTensor([[[0] * len(col) for col in row] for row in rows])
-        return CoeffTensor([[[parse_rational(v) for v in col] for col in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed tensor payload: {exc}") from exc
 
 
 def _payload_outcome(read, payload):
