@@ -162,12 +162,12 @@ class TestMatrixKernel:
             assert_matches_defining_formula(
                 ctx, [h] + edge1[v0 - 1::n - 1], [H] + edge2[v0 - 1::n - 1])
 
-    @pytest.mark.parametrize("n", [2, 7, 8, 9])
+    @pytest.mark.parametrize("n", [7, 8, 9])
     def test_matches_defining_formula_at_high_order(self, n):
-        # v0 = n - 1, the sparse structure, with no padding: at orders 7-9,
-        # and at the least order 2; the one-variable edge inputs all run,
-        # the two-variable ones in turn over the first four kinds (zero, a
-        # monomial, the sparse grid and the large denominators)
+        # v0 = n - 1, the sparse structure, at orders 7-9 with no padding;
+        # the one-variable edge inputs all run, the two-variable ones in
+        # turn over the first four kinds (zero, a monomial, the sparse grid
+        # and the large denominators)
         rng = random.Random(400 + n)
         ctx = make_context(n, n - 1, [], pad=0)
         N = ctx.order
@@ -205,6 +205,22 @@ class TestMatrixKernel:
                 for v in (0, 1, ctx.degree):
                     with pytest.raises(SeriesError, match=f"order {order}, .* order {N}"):
                         op(v, h)
+
+
+class TestColumnKernel:
+    """`OperatorContext._image` on the matrices stored by columns, through
+    every operator at every degree, on every edge input, against the
+    defining formula: at the least order (N = 2, no padding), with padding
+    1, and at v0 = 1 and n - 1."""
+
+    @pytest.mark.parametrize("n,v0,pad", [(2, 1, 0), (4, 1, 2), (4, 3, 2), (5, 2, 1)])
+    def test_images_match_entry_definition(self, n, v0, pad):
+        rng = random.Random(900 + 10 * n + v0)
+        ctx = make_context(n, v0, [random_fraction(rng) or 1 for _ in range(n - v0 - 1)], pad)
+        N = ctx.order
+        edge1, edge2 = edge_inputs(rng, N)
+        assert_matches_defining_formula(
+            ctx, [random_series1(rng, N)] + edge1, [random_series2(rng, N)] + edge2)
 
 
 class TestEigenSeries:

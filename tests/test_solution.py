@@ -617,27 +617,19 @@ def _diagonal_variant(n, factor):
 
 
 def _braid_map_cases(rng, n):
-    """`_endomorphism_cases`; solution maps of perturbed standard cycles,
-    whose braid check fails; algebra maps from generator rows (u h1, v h2),
-    (v, u), (u h1, u h2) with a rank-1 linear part, and (-u, v); the
-    identity with row (1, 1) negated, an involution that is no endomorphism;
-    and random maps, sparse and dense, which are no endomorphisms and take
-    the every-monomial path."""
+    """`_endomorphism_cases`; algebra maps from generator rows (u h1, v h2),
+    (v, u), (u h1, u h2) with a rank-1 linear part, and (-u, v); and the
+    identity with row (1, 1) negated, an involution that is no endomorphism."""
     u, v = Series2.monomial(1, 0, n), Series2.monomial(0, 1, n)
 
     def h():
         return Series2([[random_fraction(rng) for _ in range(n)] for _ in range(n)])
 
     algebra = [(u * h(), v * h()), (v, u), (u * h(), u * h()), (-u, v)]
-    randoms = [LinearMap2(n, [[random_fraction(rng) if rng.random() < density else 0
-                               for _ in range(n * n)] for _ in range(n * n)])
-               for density in (0.2, 1)]
     return (
         _endomorphism_cases(rng, n)
-        + [build_solution(_perturbed_standard(n, entry)) for entry in range(2, n)]
         + [_algebra_map(n, x, y) for x, y in algebra]
         + [_diagonal_variant(n, -1)]
-        + randoms
     )
 
 
@@ -645,22 +637,15 @@ class TestTransposeKernel:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_sweep_and_compose(self, rng, n):
         verdicts = {"endo": set(), "braid": set(), "involution": set()}
-        classes = set()
         for m in _braid_map_cases(rng, n):
             braid = braid_by_sweep(m)
             involution = m.compose(m).is_identity()
             assert check_braid_on_map(m) == braid
             assert is_involution(m) == involution
-            endo = is_coalgebra_endomorphism(m)
-            verdicts["endo"].add(endo)
+            verdicts["endo"].add(is_coalgebra_endomorphism(m))
             verdicts["braid"].add(braid)
             verdicts["involution"].add(involution)
-            classes.add((endo, braid, involution))
         assert all(seen == {True, False} for seen in verdicts.values())
-        # endomorphisms that pass and that fail the braid check (from n = 3,
-        # a perturbed standard cycle), and maps that fail all three
-        assert {(True, True, True), (False, False, False)} <= classes
-        assert (True, False, True) in classes or n == 2
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_non_endomorphism_uses_every_monomial(self, n):
@@ -678,16 +663,55 @@ class TestTransposeKernel:
             LinearMap2(1, [[1]])
 
 
+def _pull_cases(rng, n):
+    """Solution maps of standard cycles (v0 = 1 and n - 1), of a nonroot pair
+    and of perturbed standard cycles, whose braid check fails; and random
+    maps, sparse and dense, which are no endomorphisms and take the
+    every-monomial path."""
+    from qcycle.families import NonRootFamilyInput, build_nonroot_family
+
+    structures = [standard_structure(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
+                  for v0 in sorted({1, n - 1})]
+    lambdas = [Fraction(rng.choice((-2, 2)))] + [random_fraction(rng) for _ in range(n - 2)]
+    structures.append(build_nonroot_family(NonRootFamilyInput(n, lambdas, Fraction(3, 2))))
+    structures += [_perturbed_standard(n, entry) for entry in range(2, n)]
+    randoms = [LinearMap2(n, [[random_fraction(rng) if rng.random() < density else 0
+                               for _ in range(n * n)] for _ in range(n * n)])
+               for density in (0.2, 1)]
+    return [build_solution(s) for s in structures] + randoms
+
+
+class TestDenseAccumulatorPull:
+    """The braid and involution checks, which run on the dense-accumulator
+    pull of `_transpose_kernel`, give the verdicts of `braid_by_sweep` and of
+    `compose` on solution maps that pass and fail the braid check and on
+    random maps."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_dict_pull(self, rng, n):
+        seen = set()
+        for m in _pull_cases(rng, n):
+            braid = braid_by_sweep(m)
+            involution = m.compose(m).is_identity()
+            assert check_braid_on_map(m) == braid
+            assert is_involution(m) == involution
+            seen.add((is_coalgebra_endomorphism(m), braid, involution))
+        # endomorphisms that pass and that fail the braid check (from n = 3,
+        # a perturbed standard cycle), and maps that fail all three
+        assert {(True, True, True), (False, False, False)} <= seen
+        assert (True, False, True) in seen or n == 2
+
+
 def _bijective_cases(rng, n):
-    """`_braid_map_cases` (solution maps, perturbations, shears, algebra
-    maps with a rank-1 linear part, the zero map); algebra maps with a
-    singular Jacobian (X = Y = u; X = uv, Y = u; X = 3uv, Y = v) and one
-    with a regular Jacobian and higher terms; and the identity with row
-    (1, 1) zeroed, whose generator rows are those of the identity but which
-    is no endomorphism and not bijective."""
+    """`_braid_map_cases` and `_pull_cases` (solution maps, perturbations,
+    shears, algebra maps with a rank-1 linear part, random maps, the zero
+    map); algebra maps with a singular Jacobian (X = Y = u; X = uv, Y = u;
+    X = 3uv, Y = v) and one with a regular Jacobian and higher terms; and
+    the identity with row (1, 1) zeroed, whose generator rows are those of
+    the identity but which is no endomorphism and not bijective."""
     u, v = Series2.monomial(1, 0, n), Series2.monomial(0, 1, n)
     algebra = [(u, u), (u * v, u), ((u * v).scale(3), v), (u + u * v, v + u * u * v)]
-    return (_braid_map_cases(rng, n)
+    return (_braid_map_cases(rng, n) + _pull_cases(rng, n)
             + [_algebra_map(n, x, y) for x, y in algebra]
             + [_diagonal_variant(n, 0)])
 
@@ -811,49 +835,62 @@ def _row_builder_cases(rng, n):
     return cases + [QCycleStructure(random_tensor(), random_tensor()) for _ in range(3)]
 
 
-class TestRowBuilders:
-    """`gp_map`, `superscript_map` and the rows of `build_solution` against
-    their definitions, on the row-builder cases and on the step-block cases
-    (singular ones among them) as p and as d beside the counit action."""
+def _matches_convolution(s):
+    """The checks of `s` against the definitions: `gp_map` of both sides,
+    `superscript_map` of p and the rows of `build_solution`, or the same
+    SingularGp/SingularGd as `solution_by_convolution`; the outcome class."""
+    for t in (s.p, s.d):
+        assert gp_map(t).matrix == tuple(map(tuple, gp_map_by_convolution(t)))
+    supers = []
+    for build in (superscript_map, superscript_by_fractions):
+        try:
+            supers.append(build(s.p))
+        except SingularGp as exc:
+            supers.append(type(exc))
+    assert supers[0] == supers[1]
+    try:
+        m = solution_of_any_pair(s)
+    except (SingularGp, SingularGd) as exc:
+        with pytest.raises(type(exc)):
+            solution_by_convolution(s)
+        return type(exc)
+    assert m.matrix == tuple(map(tuple, solution_by_convolution(s)))
+    if is_coalgebra_morphism(s.p) and is_coalgebra_morphism(s.d):
+        assert build_solution(s) == m
+    else:
+        with pytest.raises(NotComultiplicative):
+            build_solution(s)
+    return LinearMap2
+
+
+class TestFractionFreeKernels:
+    """`superscript_map` and the rows of `build_solution` (`_solution_map`),
+    which run on integers, against the `Fraction` step solve of
+    `superscript_by_fractions` and `solution_by_convolution`, on the
+    step-block cases (singular ones among them) as p and as d beside the
+    counit action."""
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_match_convolution(self, rng, n, forms):
-        rows = _row_builder_cases(rng, n)
-        cases = list(rows)
+    def test_match_fraction_loops(self, rng, n, forms):
+        outcomes = set()
         for t in _step_block_cases(rng, n):
-            cases += [QCycleStructure(t, counit_action(n)), QCycleStructure(counit_action(n), t)]
-        outcomes = []
-        for s in cases:
-            for t in (s.p, s.d):
-                assert gp_map(t).matrix == tuple(map(tuple, gp_map_by_convolution(t)))
-            supers = []
-            for build in (superscript_map, superscript_by_fractions):
-                try:
-                    supers.append(build(s.p))
-                except SingularGp as exc:
-                    supers.append(type(exc))
-            assert supers[0] == supers[1]
-            try:
-                m = solution_of_any_pair(s)
-            except (SingularGp, SingularGd) as exc:
-                with pytest.raises(type(exc)):
-                    solution_by_convolution(s)
-                outcomes.append(type(exc))
-                continue
-            assert m.matrix == tuple(map(tuple, solution_by_convolution(s)))
-            outcomes.append(LinearMap2)
-            if is_coalgebra_morphism(s.p) and is_coalgebra_morphism(s.d):
-                assert build_solution(s) == m
-            else:
-                with pytest.raises(NotComultiplicative):
-                    build_solution(s)
-        # only a random pair of the row-builder cases can have a singular
-        # step block, and not all three do; the step-block cases are
-        # singular as p and as d
-        assert outcomes[:len(rows)].count(LinearMap2) >= len(rows) - 2
-        assert set(outcomes) == {LinearMap2, SingularGp, SingularGd}
+            for s in (QCycleStructure(t, counit_action(n)), QCycleStructure(counit_action(n), t)):
+                outcomes.add(_matches_convolution(s))
+        assert outcomes == {LinearMap2, SingularGp, SingularGd}
         # the L_k of the solution maps ran in both forms of `_gathered_dot`
         assert set(forms) == {"row", "column"}
+
+
+class TestRowBuilders:
+    """`gp_map`, `superscript_map` and the rows of `build_solution` against
+    their definitions, on standard cycles, nonroot pairs and random pairs."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_match_convolution(self, rng, n):
+        cases = _row_builder_cases(rng, n)
+        outcomes = [_matches_convolution(s) for s in cases]
+        # only a random pair can have a singular step block, and not all three do
+        assert outcomes.count(LinearMap2) >= len(cases) - 2
         dim = n * n
         # identity fixes x_i (x) x_j (column i * n + j); flip sends it to x_j (x) x_i
         assert LinearMap2.identity(n).matrix == tuple(
