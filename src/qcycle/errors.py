@@ -58,11 +58,9 @@ class BadLinearTerm(TensorError):
 
 
 class ReconstructionError(TensorError):
-    """A reconstruction denominator vanished; input row violates its contract.
+    """A reconstruction failed on its input.
 
-    Kept as public API; nothing raises it any more.  The denominators of
-    `standard.reconstruct_from_row` that it guarded are at least 3 for every
-    entry the recursion fills."""
+    Kept as public API; nothing raises it."""
 
 
 # -- solutions -----------------------------------------------------------

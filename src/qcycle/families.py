@@ -191,7 +191,10 @@ def _extension(n: int, entries: dict) -> CoeffTensor:
 def nonunit_vanishing_check(s: QCycleStructure, order_bound: int) -> SuiteReport:
     """For structures whose p step entry has no power equal to 1 below
     order_bound: entries with both lower indices positive vanish up to total
-    degree order_bound, and the d column satisfies its forced recursion."""
+    degree order_bound, and the d column satisfies its forced recursion
+    [x^i] delta(lambda) = [x^i] lambda(delta), lambda and delta being the
+    column series of p and d, with their h-th powers read off level h as
+    stored."""
     p, d = s.p, s.d
     n = s.n
     p10 = p.entry(1, 0, 1)
@@ -209,16 +212,9 @@ def nonunit_vanishing_check(s: QCycleStructure, order_bound: int) -> SuiteReport
     ]
     checks.append(_check("interaction_vanishes", fails))
 
-    fails = []
-    for i in range(2, min(order_bound, n - 1) + 1):
-        lhs = d.entry(i, 0, 1) * (p10 - p.entry(i, 0, i))
-        rhs = ZERO
-        for h in range(1, i):
-            rhs += p.entry(i, 0, h) * d.entry(h, 0, 1)
-        for h in range(2, i + 1):
-            rhs -= d.entry(i, 0, h) * p.entry(h, 0, 1)
-        if lhs != rhs:
-            fails.append(i)
+    fails = [i for i in range(2, min(order_bound, n - 1) + 1)
+             if sum(d.entry(h, 0, 1) * p.entry(i, 0, h) for h in range(1, i + 1))
+             != sum(p.entry(h, 0, 1) * d.entry(i, 0, h) for h in range(1, i + 1))]
     checks.append(_check("d_column_recursion", fails))
 
     return SuiteReport(tuple(checks))

@@ -73,7 +73,6 @@ from .series import (
     Series2,
     ZERO,
     _add_matmul,
-    _by_degree,
     binomial_series,
     compose,
     compositional_inverse,
@@ -81,7 +80,7 @@ from .series import (
     substitute_y,
 )
 from .solution import _braid_operands, _second_contraction
-from .standard import StandardCycleBundle, build_standard_cycle
+from .standard import StandardCycleBundle, _eigenfunction, build_standard_cycle
 from .tensor import CheckResult, CoeffTensor, SuiteReport, _check
 
 SeriesLike = Union[Series1, Series2]
@@ -109,7 +108,7 @@ class OperatorContext:
         self.p_slices = self._build_p_slices()
         self.p_series = Series2.from_y_slices(self.p_slices, N)
 
-        self.eigenfunction = self._build_eigenfunction()
+        self.eigenfunction = _eigenfunction(self.column)
         self.eigenfunction_inv = compositional_inverse(self.eigenfunction)
         a = self.eigenfunction_inv.coeffs   # q_i = a_i q^i, the order-i eigenfunctions of h -> g h'
         self.eigen_slices = [Series1.zero(N)] + [
@@ -182,15 +181,6 @@ class OperatorContext:
                 [(Fraction(1, v + 1), self.column * slices[v].derivative()),
                  (Fraction(-v, v + 1), slices[v])], N))
         return slices
-
-    def _build_eigenfunction(self) -> Series1:
-        """The unique q = x + ... with g q' = q, solved degree by degree
-        (`_by_degree`).  As g = x + O(x^2), q_k enters the x^k coefficient
-        of g q' - q as (k - 1) q_k, so that coefficient is the recursion
-        (k-1) q_k = - sum_{j<k} g_{k-j+1} j q_j."""
-        g = self.column
-        return _by_degree(self.order, [ZERO, ONE], lambda q: g * q.derivative() - q,
-                          lambda k: k - 1)
 
     def _verify_construction(self) -> None:
         N, v0, q = self.order, self.degree, self.eigenfunction

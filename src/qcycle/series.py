@@ -48,13 +48,15 @@ Four integer kernels do the arithmetic:
     the table slices (`standard.table_slices`) and every other sum of series
     that an operator identity compares (`operators`).
 One solver, `_by_degree`, makes each series that an identity fixes, degree
-by degree: q(a) = x (`compositional_inverse`), g q' = q (the eigenfunction
-in `operators`), g f' = f^2 - f (`tensor.reconstruct_f_from_g`) and
-delta(lambda) = lambda(delta) (`families.build_nonroot_family`).  Each job
-of a kernel has one slow oracle, in the tests: its definition in `Fraction`
-loops (see the job table in the `tests/oracles.py` docstring).  The solver's
-series are checked by the identities they solve.  The one independent
-recursion kept in `src/` is `standard.reconstruct_from_row`.
+by degree: q(a) = x (`compositional_inverse`), g q' = q (the one
+eigenfunction solver, `standard._eigenfunction`, for `operators` and
+`standard.reconstruct_from_row`), g f' = f (f^{v0} - 1) (the column in
+`standard.reconstruct_from_row`), g f' = f^2 - f
+(`tensor.reconstruct_f_from_g`) and delta(lambda) = lambda(delta)
+(`families.build_nonroot_family`).  Each job of a kernel has one slow
+oracle, in the tests: its definition in `Fraction` loops (see the job table
+in the `tests/oracles.py` docstring).  The solver's series are checked by
+the identities they solve.
 
 Values are immutable after construction (tuples all the way down), so they are
 safe to share freely, including across threads.

@@ -16,6 +16,11 @@ steps:
 The resulting pair (t, t) satisfies all braid-equation families exactly; the
 identity suite in `operators` re-derives this through the differential
 calculus on K[[x, y]].
+
+`reconstruct_from_row` is a second route to the same tensor, from its first
+row alone: the closed form G(x, y) = a(q(x) f(y)), where q = x + ... is the
+eigenfunction g q' = q (`_eigenfunction`, which `operators` shares) and a is
+its compositional inverse.  It shares step 3 alone with the construction.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ from .series import (
     Series1,
     Series2,
     ZERO,
+    _by_degree,
     as_fraction,
+    compose,
+    compositional_inverse,
     divide_exact,
 )
 from .tensor import CheckResult, CoeffTensor, SuiteReport, _check, extend_from_level1
@@ -288,27 +296,30 @@ def invariant_suite(bundle: StandardCycleBundle) -> SuiteReport:
     return SuiteReport(tuple(checks))
 
 
+def _eigenfunction(g: Series1) -> Series1:
+    """The unique q = x + ... with g q' = q, for a column g = x + O(x^2),
+    solved degree by degree (`_by_degree`).  q_k enters the x^k coefficient
+    of g q' - q as (k - 1) q_k, so that coefficient is the recursion
+    (k-1) q_k = - sum_{j<k} g_{k-j+1} j q_j."""
+    return _by_degree(g.trunc_order, [ZERO, ONE], lambda q: g * q.derivative() - q,
+                      lambda k: k - 1)
+
+
 def reconstruct_from_row(n: int, degree: int, row: Sequence[object]) -> CoeffTensor:
-    """Rebuild the full tensor from its normalized first row, independently.
+    """Rebuild the full tensor from its normalized first row, by a second route.
 
     `row` lists t[1][v][1] for v = 0..n-1 and must satisfy row[0] = 1,
-    row[v] = 0 for 0 < v < degree, row[degree] = 1.  The tensor is filled
-    degree by degree from the coefficient recursions that the braid equations
-    force, never touching the series construction, so it serves as a second
-    route to the same object.
-
-    One recursion serves every degree v0, with f = sum row[v] x^v:
-      * the column col[i] = t[i][v0][1] comes from f^{v0+1} by the
-        convolution recursion v0 col[i] = (f^{v0+1} - f)_{i+v0-1}
-        - sum_{m<i} col[m] (i+v0-m) f_{i+v0-m};
-      * level w >= 2 at u^i v^j is the (i, j) coefficient of level w-1 times
-        level 1, from strictly lower total degree;
-      * each interior entry t[i][j][1], i >= 2 and v0 < j, solves a linear
-        equation with denominator i + j - 1 >= 3, whose terms use the
-        diagonal constants (f^{v0})_b and t[j][v0][l] = l col[j-l+1].
-    v0 = 1 needs no case of its own: there f^{v0} = f, the column is
-    t[i][1][1], and the derivation identity t[j][1][l] = l t[j-l+1][1][1]
-    holds for level l of any level-1 grid whose v^0 part is u.
+    row[v] = 0 for 0 < v < degree, row[degree] = 1.  With f = sum row[v] x^v
+    the table is the closed form G(x, y) = a(q(x) f(y)), which the identity
+    suite checks as `table_from_eigen`:
+      * the column g = x + ... solves g f' = f (f^{v0} - 1) degree by degree
+        (`_by_degree`); both sides vanish below x^{v0}, so the identity is
+        read shifted down by v0 - 1, where g_k enters degree k as v0 g_k;
+      * q = x + ... solves g q' = q (`_eigenfunction`), a is its
+        compositional inverse, and G = a(q(x) f(y)) by `compose`;
+      * level k is the k-th power of G (`tensor.extend_from_level1`).
+    None of `build_standard_cycle`, `column_series`, `table_slices` or
+    `divide_exact` is called, so the result checks the construction.
     """
     v0 = degree
     frow = [as_fraction(c) for c in row]
@@ -318,82 +329,11 @@ def reconstruct_from_row(n: int, degree: int, row: Sequence[object]) -> CoeffTen
     if frow[0] != 1 or any(frow[v] for v in range(1, v0)) or frow[v0] != 1:
         raise ValidationError("row is not in normalized form")
 
-    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    t[0][0][0] = ONE
-    for v in range(n):
-        t[1][v][1] = frow[v]
-
-    top = n + v0 - 1
-    f = frow + [ZERO] * (v0 - 1)
-
-    def times_f(a: list) -> list:
-        return [
-            sum((a[b] * f[j - b] for b in range(j + 1) if a[b] and f[j - b]), ZERO)
-            for j in range(top)
-        ]
-
-    fp0 = [ONE] + [ZERO] * (top - 1)
-    for _ in range(v0):
-        fp0 = times_f(fp0)  # f^{v0}: the diagonal constants
-    fpow = times_f(fp0)  # f^{v0+1}: drives the column
-
-    col = [ZERO] * n
-    col[1] = ONE
-    for i in range(2, n):
-        j = i + v0 - 1
-        acc = fpow[j] - f[j]
-        for m in range(1, i):
-            idx = i + v0 - m
-            if f[idx]:
-                acc -= col[m] * (i + v0 - m) * f[idx]
-        col[i] = acc / v0
-        t[i][v0][1] = col[i]
-
-    for s in range(2, 2 * n - 1):
-        # Higher levels at this total degree, from strictly lower degrees.
-        for i in range(max(0, s - n + 1), min(s, n - 1) + 1):
-            j = s - i
-            for w in range(2, n):
-                acc = ZERO
-                for i1 in range(i + 1):
-                    for j1 in range(j + 1):
-                        c = t[i1][j1][1]
-                        if c:
-                            d = t[i - i1][j - j1][w - 1]
-                            if d:
-                                acc += c * d
-                t[i][j][w] = acc
-
-        # Interior level-1 entries for j > v0; lower columns are zero and
-        # the v0 column was computed above.
-        for i in range(2, n):
-            j = s - i
-            if not (v0 < j < n):
-                continue
-            first = ZERO
-            for a in range(j + 1):
-                fb = fp0[j - a]
-                if not fb:
-                    continue
-                for h in range(1, i + 1):
-                    if (h, a) == (1, j):
-                        continue
-                    c = t[i][a][h]
-                    if c and col[h]:
-                        first += c * fb * col[h]
-            second = ZERO
-            # c = 0, h = i branch: sum_l t[j][v0][l] t[i][l][1], l < j,
-            # with t[j][v0][l] = l * col[j-l+1].
-            for l in range(v0, j):
-                cl = t[i][l][1]
-                if cl and col[j - l + 1]:
-                    second += l * col[j - l + 1] * cl
-            # d = 0, l = j branch: sum_{h<i} t[i][v0][h] t[h][j][1],
-            # with t[i][v0][h] = h * col[i-h+1].
-            for h in range(1, i):
-                ch = t[h][j][1]
-                if ch and col[i - h + 1]:
-                    second += h * col[i - h + 1] * ch
-            t[i][j][1] = (first - second) / (i + j - 1)
-
-    return CoeffTensor(t)
+    f = Series1(frow + [ZERO] * v0)          # exact at order n + v0: a polynomial
+    fprime = Series1(f.derivative().coeffs[v0 - 1:])
+    rhs = Series1((f * (f ** v0).add_constant(-1)).coeffs[v0 - 1:])
+    g = _by_degree(n, [ZERO, ONE], lambda g: g * fprime - rhs, lambda k: v0)
+    q = _eigenfunction(g)
+    table = compose(compositional_inverse(q),
+                    Series2.from_x_series(q, n).mul_y_series(f))
+    return extend_from_level1(table.coeffs)

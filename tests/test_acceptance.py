@@ -129,8 +129,8 @@ def test_criterion_3_dual_construction_oracle(standard_bundles):
         row = [bundle.tensor.entry(1, v, 1) for v in range(n)]
         assert reconstruct_from_row(n, v0, row) == bundle.tensor, (n, v0)
     print(
-        f"criterion 3 (dual-construction oracle): PASS — coefficient recursions "
-        f"reproduce all {len(standard_bundles)} tensors entrywise"
+        f"criterion 3 (dual-construction oracle): PASS — the closed form "
+        f"G(x, y) = a(q(x) f(y)) reproduces all {len(standard_bundles)} tensors entrywise"
     )
 
 

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from qcycle import standard
 from qcycle.errors import ValidationError
 from qcycle.series import Series1
 from qcycle.solution import check_braid_full, check_braid_reduced
@@ -134,9 +135,27 @@ class TestReconstruction:
         assert reconstruct_from_row(5, 2, row) == bundle.tensor
 
     def test_random_inputs_agree(self, rng):
-        for n, v0 in [(n, v0) for n in range(2, 8) for v0 in range(1, n)]:
-            tail = random_standard_tail(rng, n, v0)
+        shapes = [(n, v0, random_standard_tail(rng, n, v0))
+                  for n in range(2, 8) for v0 in range(1, n)]
+        # large coefficients above those sizes: p_{v0+1+k} = (-1)^k (k+2)/(k+3)
+        shapes += [(10, v0, [Fraction((-1) ** k * (k + 2), k + 3) for k in range(9 - v0)])
+                   for v0 in (1, 4, 9)]
+        for n, v0, tail in shapes:
             bundle = build_standard_cycle(StandardCycleParams.from_tail(n, v0, tail))
+            row = [bundle.tensor.entry(1, v, 1) for v in range(n)]
+            assert reconstruct_from_row(n, v0, row) == bundle.tensor
+
+    def test_calls_no_construction_step(self, monkeypatch):
+        bundles = [build_standard_cycle(StandardCycleParams.from_tail(n, v0, tail))
+                   for n, v0, tail in [(6, 1, [1, -2, Fraction(1, 3), 3]), (7, 3, [2, -1, 5])]]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reconstruct_from_row called a construction step")
+
+        for name in ("build_standard_cycle", "column_series", "table_slices", "divide_exact"):
+            monkeypatch.setattr(standard, name, forbidden)
+        for bundle in bundles:
+            n, v0 = bundle.params.n, bundle.degree
             row = [bundle.tensor.entry(1, v, 1) for v in range(n)]
             assert reconstruct_from_row(n, v0, row) == bundle.tensor
 
