@@ -9,7 +9,6 @@ p[1][0][1] and d[1][0][1].  Over the rationals the only roots of unity are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,6 +19,7 @@ from .tensor import (
     CoeffTensor,
     QCycleStructure,
     SuiteReport,
+    _Record,
     _check,
     extend_from_level1,
 )
@@ -53,8 +53,7 @@ ROW_STATUS = {
 }
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(_Record):
     row: ClassificationRow
     status: str
     notes: str
@@ -126,8 +125,7 @@ def classify(s: QCycleStructure) -> ClassificationVerdict:
                     f"d step entry {d10} is not a root of unity below n = {n}")
 
 
-@dataclass(frozen=True)
-class NonRootFamilyInput:
+class NonRootFamilyInput(_Record):
     """Data for the family with vanishing interaction: column-zero steps
     lambda_1..lambda_{n-1} for p (lambda_1 not a root of unity below n) and
     the d step entry mu."""
@@ -237,8 +235,7 @@ def first_column_vanishing_check(s: QCycleStructure) -> SuiteReport:
     return SuiteReport((_check("first_column_vanishes", fails),))
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(_Record):
     name: str
     parameters: dict
     structure: QCycleStructure

@@ -49,7 +49,6 @@ it on the factors L_k and E_l and stores the verdict on the map, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, islice, product
@@ -65,6 +64,7 @@ from .tensor import (
     CoeffTensor,
     QCycleStructure,
     SuiteReport,
+    _Record,
     _check,
     is_coalgebra_morphism,
 )
@@ -146,13 +146,12 @@ class LinearMap2(_Stored):
         return _eliminate(self.matrix, None)[0]
 
 
-@dataclass(frozen=True)
-class BraidReport:
+class BraidReport(_Record):
     family1_ok: bool
     family2_ok: bool
     family3_ok: bool
     # entries (family, i, j, k, m, lhs, rhs), capped at MAX_VIOLATIONS
-    violations: tuple = field(default_factory=tuple)
+    violations: tuple = ()
 
     @property
     def ok(self) -> bool:

@@ -25,7 +25,6 @@ its compositional inverse.  It shares step 3 alone with the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -41,7 +40,7 @@ from .series import (
     compositional_inverse,
     divide_exact,
 )
-from .tensor import CheckResult, CoeffTensor, SuiteReport, _check, extend_from_level1
+from .tensor import CheckResult, CoeffTensor, SuiteReport, _check, _Record, extend_from_level1
 
 
 def _require_degree(n: int, degree: int) -> None:
@@ -50,8 +49,7 @@ def _require_degree(n: int, degree: int) -> None:
         raise ValidationError("degree must satisfy 1 <= v0 < n")
 
 
-@dataclass(frozen=True)
-class StandardCycleParams:
+class StandardCycleParams(_Record):
     """Normalized defining data: dimension n, degree v0, parameters p_v.
 
     coeffs maps v -> p_v for v0 <= v < n and must have p_{v0} = 1; the
@@ -107,8 +105,7 @@ class StandardCycleParams:
         return Series1(data)
 
 
-@dataclass(frozen=True)
-class StandardCycleBundle:
+class StandardCycleBundle(_Record):
     """Everything `build_standard_cycle` produces, at one truncation order."""
 
     params: StandardCycleParams

@@ -24,7 +24,6 @@ product L_(k-1) G, so no `Fraction` is made unless a violation is reported.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import Optional, Sequence
@@ -158,8 +157,68 @@ def counit_action(n: int) -> CoeffTensor:
                                for i in range(n)])
 
 
-@dataclass(frozen=True)
-class QCycleStructure:
+class _Record:
+    """Base of the package's immutable records, in place of a frozen
+    dataclass, which would put `dataclasses` and `inspect` on the import path
+    of every CLI call.
+
+    A subclass declares its fields once, as annotated class attributes in
+    constructor order; a class attribute of the same name is the field's
+    default.  The base gives what a frozen dataclass gives: a constructor
+    taking the fields by position or keyword, then `__post_init__`;
+    `__eq__` and `__hash__` over the field tuple, for the same class only; the
+    dataclass `repr` and `__match_args__`; and `AttributeError` on assignment
+    or deletion.  Instances keep a `__dict__`, so `pickle`, `copy.copy` and
+    `copy.deepcopy` restore them without calling the frozen `__setattr__`."""
+
+    __match_args__: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls.__match_args__ += tuple(own)    # after the fields of the base record
+        cls._defaults = {**cls._defaults, **{key: cls.__dict__[key] for key in own
+                                             if key in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__match_args__
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {fields}, got "
+                            f"{len(args)} by position and {sorted(kwargs)} by keyword")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{type(self).__qualname__}() missing the fields {missing}")
+        self.__dict__.update((key, values[key]) for key in fields)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QCycleStructure(_Record):
     """A pair (p, d) of coefficient tensors with the same n."""
 
     p: CoeffTensor
@@ -205,8 +264,7 @@ class QCycleStructure:
         return cls(tensors[0], tensors[-1])
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(_Record):
     """Outcome of the coalgebra-morphism check; carries the first violation."""
 
     ok: bool
@@ -298,16 +356,14 @@ def rescale(s: QCycleStructure, lam) -> QCycleStructure:
     return QCycleStructure(rescale_tensor(s.p, lam), rescale_tensor(s.d, lam))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     name: str
     ok: bool
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+class SuiteReport(_Record):
+    checks: tuple[CheckResult, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -446,3 +446,15 @@ def test_fixtures_into_a_regular_file_is_a_usage_error(tmp_path, capsys):
 
 def test_fixture_wrong_n():
     assert main(["fixtures", "--n", "4", "--emit", "/tmp/unused"]) == EXIT_USAGE
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # every CLI call is a fresh process that pays for its imports, and these
+    # two modules, with the dataclasses built on them, were more than half of
+    # `import qcycle.cli`; checked in a fresh interpreter, as pytest imports both
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import qcycle.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcycle.errors import (
@@ -90,6 +90,37 @@ def _series1_operands(rng, n):
     """Series of order n: the first and last rows of the `_product_operands`,
     among them zero, the top monomial, sparse and dense series."""
     return [g.slice_x(u) for g in _product_operands(rng, n) for u in (0, n - 1)]
+
+
+def _rational(rng, max_den=6):
+    """A rational in [-4, 4] over a denominator up to max_den, as
+    `rationals` draws them for max_den = 6."""
+    den = rng.randint(1, max_den)
+    return Fraction(rng.randint(-4 * den, 4 * den), den)
+
+
+def _large(rng):
+    """A rational of about 100 bits over one of the coprime 97, 101 and 103."""
+    return Fraction(rng.randint(-2 ** 100, 2 ** 100), rng.choice((97, 101, 103)))
+
+
+def _drawn(count, seed, *orders):
+    """`count` tuples of operands from a seeded `Random`, one per entry of
+    orders: a `Series1` of that order, or a rational for None.  The first
+    three tuples are drawn explicitly: all zero, all large (`_large`), and
+    large and zero alternating; the rest are random, as `rationals` and
+    `series1` draw them."""
+    rng = random.Random(seed)
+
+    def operands(coefficient):
+        return tuple(coefficient() if k is None else Series1([coefficient() for _ in range(k)])
+                     for k in orders)
+
+    zeros, larges = operands(lambda: Fraction(0)), operands(lambda: _large(rng))
+    cases = [zeros, larges, tuple(z if i % 2 else x for i, (z, x) in enumerate(zip(zeros, larges)))]
+    while len(cases) < count:
+        cases.append(operands(lambda: _rational(rng)))
+    return cases
 
 
 class TestArithmetic:
@@ -654,28 +685,52 @@ class TestIntegerForm:
                     build()
 
 
-coefficients = st.one_of(st.integers(-6, 6), st.just(0), st.just(Fraction(0)),
-                         st.fractions(min_value=-4, max_value=4, max_denominator=12))
+def _coefficient(rng):
+    """An int in [-6, 6], an int or `Fraction` zero, or a rational in [-4, 4]
+    over a denominator up to 12."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-6, 6)
+    if kind == 1:
+        return rng.choice((0, Fraction(0)))
+    return _rational(rng, 12)
 
 
-@st.composite
-def combinations(draw, cls):
-    """(terms, order) for `cls._combination`: int, `Fraction` and zero
-    coefficients over mixed denominators, on series of orders `order` to 6
-    (a zero coefficient's series may be shorter, being skipped), zero series
-    among them, and, half the time, every term again with its coefficient
-    negated, so that the sum cancels to zero."""
-    order = draw(st.integers(1, 6))
-    kind = series1 if cls is Series1 else series2
-    terms = []
-    for _ in range(draw(st.integers(0, 5))):
-        c = draw(coefficients)
-        s_order = draw(st.integers(1 if c == 0 else order, 6))
-        s = cls.zero(s_order) if draw(st.integers(0, 4)) == 0 else draw(kind(s_order))
-        terms.append((c, s))
-    if draw(st.booleans()):
-        terms += [(-c, s) for c, s in terms]
-    return draw(st.permutations(terms)), order
+def _combination_operands(cls, count, seed):
+    """`count` pairs (terms, order) for `cls._combination`: int, `Fraction`
+    and zero coefficients over mixed denominators, on series of orders
+    `order` to 6 (a zero coefficient's series may be shorter, being skipped),
+    zero series among them, and, half the time, every term again with its
+    coefficient negated, so that the sum cancels to zero.  Drawn from a
+    seeded `Random` after four pairs made explicitly: no terms, zero series
+    only, and large coefficients (`_large`) on large series, alone and
+    cancelling."""
+    rng = random.Random(seed)
+
+    def series(order, coefficient):
+        if cls is Series1:
+            return Series1([coefficient() for _ in range(order)])
+        return Series2([[coefficient() for _ in range(order)] for _ in range(order)])
+
+    big = [(_large(rng), series(order, lambda: _large(rng))) for order in (5, 6)]
+    cases = [([], 3),
+             ([(2, cls.zero(4)), (Fraction(-1, 3), cls.zero(3)), (0, cls.zero(1))], 3),
+             (big + [(10 ** 30 + 1, big[0][1]), (0, series(2, lambda: _large(rng)))], 5),
+             (big + [(-c, s) for c, s in big], 5)]
+    while len(cases) < count:
+        order = rng.randint(1, 6)
+        terms = []
+        for _ in range(rng.randint(0, 5)):
+            c = _coefficient(rng)
+            s_order = rng.randint(1 if c == 0 else order, 6)
+            s = (cls.zero(s_order) if rng.randrange(5) == 0
+                 else series(s_order, lambda: _rational(rng)))
+            terms.append((c, s))
+        if rng.random() < 0.5:
+            terms += [(-c, s) for c, s in terms]
+        rng.shuffle(terms)
+        cases.append((terms, order))
+    return cases
 
 
 class TestCombinationKernel:
@@ -683,24 +738,21 @@ class TestCombinationKernel:
     coefficient by coefficient, on `Series1` and `Series2`."""
 
     @pytest.mark.parametrize("cls", [Series1, Series2])
-    @given(data=st.data())
-    @seed(20261018)
-    @settings(max_examples=80, deadline=None)
-    def test_matches_fraction_loop(self, cls, data):
-        terms, order = data.draw(combinations(cls))
-        result = cls._combination(terms, order)
-        # the zero series of the order fixes the oracle's type and order; a
-        # term with a zero coefficient may be shorter, and is left out
-        live = [(c, s) for c, s in terms if c]
-        oracle = entrywise_by_fractions(
-            lambda zero, *xs: sum((c * x for (c, _), x in zip(live, xs)), zero),
-            cls.zero(order), *(s for _, s in live))
-        assert type(result) is cls and result.trunc_order == order
-        assert result == oracle and result.coeffs == oracle.coeffs
-        assert_canonical(result)
-        if result.is_zero():
-            assert result._den == 1
-        assert cls._combination(terms + [(0, cls.zero(1))], order) == result
+    def test_matches_fraction_loop(self, cls):
+        for terms, order in _combination_operands(cls, 80, 20261018):
+            result = cls._combination(terms, order)
+            # the zero series of the order fixes the oracle's type and order; a
+            # term with a zero coefficient may be shorter, and is left out
+            live = [(c, s) for c, s in terms if c]
+            oracle = entrywise_by_fractions(
+                lambda zero, *xs: sum((c * x for (c, _), x in zip(live, xs)), zero),
+                cls.zero(order), *(s for _, s in live))
+            assert type(result) is cls and result.trunc_order == order
+            assert result == oracle and result.coeffs == oracle.coeffs
+            assert_canonical(result)
+            if result.is_zero():
+                assert result._den == 1
+            assert cls._combination(terms + [(0, cls.zero(1))], order) == result
 
     @pytest.mark.parametrize("cls", [Series1, Series2])
     def test_terms_below_the_order(self, cls):
@@ -758,59 +810,57 @@ class TestParsing:
 
 
 class TestAlgebraProperties:
-    @given(series1(6), series1(6))
-    def test_mul_commutative(self, a, b):
-        assert a * b == b * a
+    """Laws of the series operations on operands from `_drawn`, at the
+    example counts these tests ran with under hypothesis."""
 
-    @given(series1(5), series1(5), series1(5))
-    @settings(max_examples=60)
-    def test_mul_associative(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
+    def test_mul_commutative(self):
+        for a, b in _drawn(100, 1, 6, 6):
+            assert a * b == b * a
 
-    @given(series1(5), series1(5), series1(5))
-    @settings(max_examples=60)
-    def test_distributive(self, a, b, c):
-        assert a * (b + c) == a * b + a * c
+    def test_mul_associative(self):
+        for a, b, c in _drawn(60, 2, 5, 5, 5):
+            assert (a * b) * c == a * (b * c)
 
-    @given(series1(6), series1(6))
-    def test_derivative_is_derivation(self, a, b):
-        lhs = (a * b).derivative()
-        rhs = a.derivative() * b + a * b.derivative()
-        # the top coefficient of a derivative is truncation-dependent
-        assert lhs.coeffs[:5] == rhs.coeffs[:5]
+    def test_distributive(self):
+        for a, b, c in _drawn(60, 3, 5, 5, 5):
+            assert a * (b + c) == a * b + a * c
 
-    @given(series1(6), series1(6), series1(6))
-    @settings(max_examples=40)
-    def test_compose_associative(self, h, k, s):
-        k = Series1([0] + list(k.coeffs[1:]))
-        s = Series1([0] + list(s.coeffs[1:]))
-        assert compose(h, compose(k, s)) == compose(compose(h, k), s)
+    def test_derivative_is_derivation(self):
+        for a, b in _drawn(100, 4, 6, 6):
+            lhs = (a * b).derivative()
+            rhs = a.derivative() * b + a * b.derivative()
+            # the top coefficient of a derivative is truncation-dependent
+            assert lhs.coeffs[:5] == rhs.coeffs[:5]
 
-    @given(series1(6))
-    @settings(max_examples=60)
-    def test_compositional_inverse_round_trip(self, q):
-        q = Series1([0, q.coeffs[1] or 1] + list(q.coeffs[2:]))
-        a = compositional_inverse(q)
-        assert compose(q, a) == Series1.x(6)
-        assert compose(a, q) == Series1.x(6)
+    def test_compose_associative(self):
+        for h, k, s in _drawn(40, 5, 6, 6, 6):
+            k = Series1([0] + list(k.coeffs[1:]))
+            s = Series1([0] + list(s.coeffs[1:]))
+            assert compose(h, compose(k, s)) == compose(compose(h, k), s)
 
-    @given(rationals, series1(6))
-    @settings(max_examples=60)
-    def test_binomial_inverse_pair(self, alpha, b):
-        b = Series1([1] + list(b.coeffs[1:]))
-        product = binomial_series(alpha, b) * binomial_series(-alpha, b)
-        assert product == Series1.one(6)
+    def test_compositional_inverse_round_trip(self):
+        for q, in _drawn(60, 6, 6):
+            q = Series1([0, q.coeffs[1] or 1] + list(q.coeffs[2:]))
+            a = compositional_inverse(q)
+            assert compose(q, a) == Series1.x(6)
+            assert compose(a, q) == Series1.x(6)
 
-    @given(series1(6))
-    def test_reciprocal_round_trip(self, a):
-        a = Series1([1] + list(a.coeffs[1:]))
-        assert a * a.reciprocal() == Series1.one(6)
+    def test_binomial_inverse_pair(self):
+        for alpha, b in _drawn(60, 7, None, 6):
+            b = Series1([1] + list(b.coeffs[1:]))
+            product = binomial_series(alpha, b) * binomial_series(-alpha, b)
+            assert product == Series1.one(6)
 
-    @given(st.integers(2, 12))
-    def test_mul_commutative_at_larger_orders(self, order):
-        a = Series1([Fraction(i % 5 - 2, 1 + (i % 3)) for i in range(order)])
-        b = Series1([Fraction((i * 7) % 4 - 1) for i in range(order)])
-        assert a * b == b * a
+    def test_reciprocal_round_trip(self):
+        for a, in _drawn(100, 8, 6):
+            a = Series1([1] + list(a.coeffs[1:]))
+            assert a * a.reciprocal() == Series1.one(6)
+
+    def test_mul_commutative_at_larger_orders(self):
+        for order in range(2, 13):    # every order the hypothesis range held
+            a = Series1([Fraction(i % 5 - 2, 1 + (i % 3)) for i in range(order)])
+            b = Series1([Fraction((i * 7) % 4 - 1) for i in range(order)])
+            assert a * b == b * a
 
 
 class TestSingleLoopMatchesOracles:

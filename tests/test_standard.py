@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +8,7 @@ from qcycle.errors import ValidationError
 from qcycle.series import Series1
 from qcycle.solution import check_braid_full, check_braid_reduced
 from qcycle.standard import (
+    StandardCycleBundle,
     StandardCycleParams,
     build_standard_cycle,
     column_series,
@@ -118,7 +118,9 @@ class TestBuild:
     def test_mutated_tensor_fails_suite(self, rng):
         bundle = build_standard_cycle(StandardCycleParams.from_tail(5, 2, [1, 0]))
         bad = bundle.tensor.with_entry(3, 2, 1, bundle.tensor.entry(3, 2, 1) + 1)
-        corrupted = dataclasses.replace(bundle, tensor=bad)
+        corrupted = StandardCycleBundle(
+            params=bundle.params, order=bundle.order, row=bundle.row, column=bundle.column,
+            table=bundle.table, table_flip=bundle.table_flip, tensor=bad)
         assert not invariant_suite(corrupted).ok
 
 
