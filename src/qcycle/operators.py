@@ -47,22 +47,26 @@ application that several checks read is made once: the tables of partial_x^v
 and tilde_x^v on the one-variable inputs, of the inner partial_x^v H and
 partial_y^u H of the commutation check, each global table partial^k H and
 tilde^k H per input, from the defining sum (`global_table`), and the
-(fbar^u)_v coefficients.  Each fact is proved once: one walk of the tilde
-recursion per input decides the binomial check too, whose steps it matches
-one for one.  The two commutation checks compare integer images, never
-series: directly where both sides are over one denominator, cross-multiplied
-where not.  The tilde tables tilde^k H are built only up to the highest
-degree a check reads, which the nonzero (fbar^u)_v decide.  Each sum of
-products by a one-variable series is summed over one denominator and
-normalised once (`Series2._product_sum`).  The braid sums R(i, j, k) that
-partial^j G must reproduce are made once, with the braid scan's two integer
-contractions (`braid_sums`).
+(fbar^u)_v coefficients; fbar(F) is summed over the cached powers of F.
+Each fact is proved once: one walk of the tilde recursion per input
+decides the binomial check too, whose steps it matches one for one.  No
+image, slice or sum is normalised only to be compared: such a side stays
+raw integers (`_image`, `_global_rows`), cross-multiplied by denominators;
+a sum of terms c * s is tested against a value over one denominator
+(`_is_combination`), and two slices on their columns (`_same_slice`).  The
+tilde tables tilde^k H are built only up to the highest degree a check
+reads, which the nonzero (fbar^u)_v decide.  Each sum of products by a
+one-variable series is made as a series, over one denominator
+(`Series2._product_sum`).  The braid sums R(i, j, k) that partial^j G must
+reproduce are made once, with the braid scan's two integer contractions
+(`braid_sums`).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm
 from typing import Optional, Union
 
@@ -243,10 +247,11 @@ class OperatorContext:
         images = []
         for line in nums:
             out = [0] * N
-            for x, column in zip(line, cols):
-                if x:
-                    for u, entry in column:
-                        out[u] += x * entry
+            if any(line):
+                for x, column in zip(line, cols):
+                    if x:
+                        for u, entry in column:
+                            out[u] += x * entry
             images.append(out)
         return images, den
 
@@ -310,10 +315,14 @@ class OperatorContext:
         return ys
 
     def _global_sum(self, name: str, k: int, ys: list) -> Series2:
+        """sum_{a+b=k} B_x^a ys[b] (`_global_rows`), normalised once."""
+        return Series2._from_rows(*self._global_rows(name, k, ys))
+
+    def _global_rows(self, name: str, k: int, ys: list) -> tuple:
         """sum_{a+b=k} B_x^a ys[b] for the raw images ys[b] = (rows, den),
-        summed in int over the lcm of the terms' denominators and normalised
-        once; a zero ys[b] is skipped (B_x^0 is the identity, so ys[k] is a
-        term as it is)."""
+        summed in int over the lcm of the terms' denominators, as (rows, den),
+        not normalised; a zero ys[b] is skipped (B_x^0 is the identity, so
+        ys[k] is a term as it is)."""
         terms = [(self._matrix(name, k - b), ys[b]) for b in range(k) if any(map(any, ys[b][0]))]
         rows, den_k = ys[k]
         den = lcm(den_k, *(mat_den * y_den for (_, mat_den), (_, y_den) in terms))
@@ -321,7 +330,7 @@ class OperatorContext:
         total = [[up * x for x in line] for line in rows]
         for (cols, mat_den), (y_rows, y_den) in terms:
             _add_along_x(total, cols, y_rows, den // (mat_den * y_den))
-        return Series2._from_rows(total, den)
+        return total, den
 
 
 def _add_along_x(out: list, cols: tuple, grid, up: int = 1) -> list:
@@ -334,6 +343,28 @@ def _add_along_x(out: list, cols: tuple, grid, up: int = 1) -> list:
                 entry *= up
                 out[u] = [a + entry * x for a, x in zip(out[u], line)]
     return out
+
+
+def _is_combination(rows, den: int, terms) -> bool:
+    """Whether the integer rows over den equal sum c * s over the pairs
+    (c, s) of `terms`, c an int or a `Fraction` and s a stored series with
+    rows of the same shape.  Decided on the stored integers, read as one
+    flat list, over the lcm of den and the terms' c.denominator * s._den, so
+    no series is built; a term with c = 0 is skipped."""
+    scaled = [(c.numerator, c.denominator * s._den, s._rows()) for c, s in terms if c]
+    common = lcm(den, *(d for _, d, _ in scaled))
+    up = common // den
+    acc = [up * x for line in rows for x in line]
+    for num, d, grid in scaled:
+        c = num * (common // d)
+        acc = [a - c * x for a, x in zip(acc, chain.from_iterable(grid))]
+    return not any(acc)
+
+
+def _same_slice(a: Series2, i: int, b: Series2, j: int) -> bool:
+    """Whether the y^i slice of a equals the y^j slice of b, decided on
+    their stored columns, cross-multiplied by the denominators."""
+    return [row[i] * b._den for row in a._nums] == [row[j] * a._den for row in b._nums]
 
 
 def braid_sums(t: CoeffTensor) -> tuple[list[list[int]], int]:
@@ -478,7 +509,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fails = []
     for u in range(N):
         for v in range(u + 1, N):
-            if dx_table[u].slice_y(v) != dx_table[v].slice_y(u):
+            if not _same_slice(dx_table[u], v, dx_table[v], u):
                 fails.append((u, v))
     checks.append(_check("x_slice_symmetry", fails))
 
@@ -495,7 +526,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fails = []
     for i in range(N):
         for j in range(i + 1, N):
-            if d_table[j].slice_y(i) != d_table[i].slice_y(j):
+            if not _same_slice(d_table[j], i, d_table[i], j):
                 fails.append((i, j))
     checks.append(_check("global_slice_symmetry", fails))
 
@@ -504,11 +535,10 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     sums, den = braid_sums(t)
     fails = []
     for j in range(N):
-        dj = d_table[j]
+        nums, den_j = d_table[j]._nums, d_table[j]._den
         for i in range(1, N):
             for k in range(1, N):
-                c = dj.coeffs[i][k]
-                if c.numerator * den != sums[i][j * N + k] * c.denominator:
+                if nums[i][k] * den != sums[i][j * N + k] * den_j:
                     fails.append((i, j, k))
     checks.append(_check("braid_sum_match", fails))
 
@@ -527,13 +557,14 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             fails.append("unit")
     checks.append(_check("tilde_x_unit", fails))
 
-    # v tilde_x^v = tilde_x^1 tilde_x^{v-1} - (v-1) tilde_x^{v-1}
+    # v tilde_x^v = tilde_x^1 tilde_x^{v-1} - (v-1) tilde_x^{v-1}, on the
+    # integer image tilde_x^1 tilde_x^{v-1}
     fails = []
     for th in tx:
         for v in range(2, N):
             prev = th[v - 1]
-            if th[v].scale(v) != Series1._combination(
-                    [(1, ctx.tilde_partial_x(1, prev)), (1 - v, prev)], N):
+            unit, den = ctx._image("p_series", 1, prev._rows(), True)
+            if not _is_combination(unit, prev._den * den, [(v, th[v]), (v - 1, prev)]):
                 fails.append(v)
     checks.append(_check("tilde_x_recursion", fails))
 
@@ -563,10 +594,12 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     top = max((u for v in range(1, reach) for u in range(1, N) if fbar[v][u]), default=0)
 
     def recursion_fault(table):
-        """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}: [first v that fails]."""
+        """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}, on the raw
+        image tilde^1 tilde^{v-1}: [first v that fails]."""
         for v in range(2, cap):
-            unit = ctx.tilde_partial_global(1, table[v - 1])
-            if table[v].scale(v) != Series2._combination([(1, unit), (1 - v, table[v - 1])], N):
+            prev = table[v - 1]
+            unit, den = ctx._global_rows("p_series", 1, ctx._y_images("p_series", prev, 2))
+            if not _is_combination(unit, den, [(v, table[v]), (v - 1, prev)]):
                 return [v]
         return []
 
@@ -574,7 +607,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         """partial^v = sum_u (fbar^u)_v tilde^u: [first v that fails]."""
         partial = ctx.global_table("table_reduced", H, reach)
         for v in range(1, reach):
-            if Series2._combination(zip(fbar[v][1:], tilde[1:]), N) != partial[v]:
+            if not _is_combination(partial[v]._nums, partial[v]._den, zip(fbar[v][1:], tilde[1:])):
                 return [v]
         return []
 
@@ -603,7 +636,7 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fails = []
     for v in range(1, N):
         for ph, th in zip(px, tx[: N + 1]):
-            if Series1._combination(zip(fbar[v][1:], th[1:]), N) != ph[v]:
+            if not _is_combination(ph[v]._rows(), ph[v]._den, zip(fbar[v][1:], th[1:])):
                 fails.append(v)
     checks.append(_check("partial_x_from_tilde", fails))
 
@@ -739,7 +772,10 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     fbar_y = ctx.row_reduced
     if compose(ctx.to_eigen, fbar_y) != q_v0:
         fails.append("to_eigen")
-    fbar_flip = compose(ctx.row_reduced, ctx.flip)    # read again by main_series_identity
+    # fbar(F) = sum_k (fbar)_k F^k on the cached powers of F, read again by
+    # main_series_identity
+    fbar_flip = Series2._combination(
+        [(c, ctx.power("flip", k)) for k, c in enumerate(ctx.row_reduced.coeffs)], N)
     if substitute_y(ctx.from_eigen, q_v0) != fbar_flip:
         fails.append("from_eigen")
     if substitute_y(ctx.transport, fbar_y) != fbar_flip:
@@ -771,10 +807,9 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     for i in range(1, N):
         fbar_flip_pows.append(fbar_flip_pows[-1] * fbar_flip)
     for j in range(1, N):
-        lhs3 = Series2._combination(zip(fbar[j][1:], tilde_flip[1:]), N)
         rhs3 = Series2._product_sum(
             [(fbar_flip_pows[i].slice_y(j), tilde_y_flip[i]) for i in range(1, N)], N)
-        if lhs3 != rhs3:
+        if not _is_combination(rhs3._nums, rhs3._den, zip(fbar[j][1:], tilde_flip[1:])):
             fails.append(j)
     checks.append(_check("main_series_identity", fails))
 

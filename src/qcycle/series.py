@@ -59,7 +59,8 @@ in the `tests/oracles.py` docstring).  The solver's series are checked by
 the identities they solve.
 
 Values are immutable after construction (tuples all the way down), so they are
-safe to share freely, including across threads.
+safe to share freely, including across threads: a copy is the value itself,
+and a pickle holds only the stored integers.
 """
 
 from __future__ import annotations
@@ -354,6 +355,17 @@ class _Stored:
                                       for row in self._rows()))
             object.__setattr__(self, "_view", view)
         return view
+
+    def __reduce__(self):
+        """Pickle the stored integers alone: the value is rebuilt by
+        `_from_ints`, without the view or any verdict a subclass caches."""
+        return type(self)._from_ints, (self._nums, self._den)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self._den == other._den

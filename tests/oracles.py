@@ -8,8 +8,9 @@ where it can be in `Fraction` (or scaled integer) loops over `.coeffs`,
 series constructors only hold its results.  Two groups are built on other
 jobs instead: the operator oracles are the paper's defining formulas, made of
 series operations that the `series` oracles check in turn, and the oracles of
-the identity-suite checks that compare integer images make the same
-comparisons on normalised series, through the context's operators.
+the identity-suite checks that compare stored integers make the same
+comparisons on normalised series (or on the `Fraction` view), through the
+context's operators.
 
     job                         fast path                          oracle
     --------------------------  ---------------------------------  --------------------------------
@@ -39,9 +40,11 @@ comparisons on normalised series, through the context's operators.
                                                                    oracle_global
     braid sums R(i, j, k)       `operators.braid_sums`             braid_sum
     identity-suite checks       `operators.identity_suite`         x_commutation_by_series,
-      that compare images                                          xy_commutation_by_series,
-                                                                   tilde_pass_by_series,
-                                                                   from_tilde_by_full_tables
+      that compare stored                                          xy_commutation_by_series,
+      integers                                                     tilde_pass_by_series,
+                                                                   from_tilde_by_full_tables,
+                                                                   tilde_x_pass_by_series,
+                                                                   braid_match_by_fractions
 """
 
 from fractions import Fraction
@@ -646,6 +649,31 @@ def tilde_pass_by_series(ctx, basis, x2_random):
                 binomial = [v]
                 break
     return [_check("tilde_global_recursion", recursion), _check("tilde_global_binomial", binomial)]
+
+
+def tilde_x_pass_by_series(ctx, x1):
+    """tilde_x_recursion and partial_x_from_tilde on normalised series: each
+    side of v tilde_x^v = tilde_x^1 tilde_x^{v-1} - (v-1) tilde_x^{v-1} and
+    of partial_x^v = sum_u (fbar^u)_v tilde_x^u made as a series, on the
+    suite's one-variable inputs x1."""
+    N = ctx.order
+    fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
+    tx = [[h] + [ctx.tilde_partial_x(v, h) for v in range(1, N)] for h in x1[:N + 2]]
+    recursion = [v for th in tx for v in range(2, N) if th[v].scale(v) != Series1._combination(
+        [(1, ctx.tilde_partial_x(1, th[v - 1])), (1 - v, th[v - 1])], N)]
+    from_tilde = [v for v in range(1, N) for h, th in zip(x1, tx[:N + 1])
+                  if Series1._combination(zip(fbar[v][1:], th[1:]), N) != ctx.partial_x(v, h)]
+    return [_check("tilde_x_recursion", recursion), _check("partial_x_from_tilde", from_tilde)]
+
+
+def braid_match_by_fractions(ctx, sums, den):
+    """braid_sum_match on the `Fraction` view of each partial^j G, against
+    the braid sums R(i, j, k) = sums[i][j * N + k] / den."""
+    N = ctx.order
+    d_table = ctx.global_table("table_reduced", ctx.table, N)
+    return _check("braid_sum_match", [
+        (i, j, k) for j in range(N) for i in range(1, N) for k in range(1, N)
+        if d_table[j].coeffs[i][k] != Fraction(sums[i][j * N + k], den)])
 
 
 def from_tilde_by_full_tables(ctx, basis, x2_random):

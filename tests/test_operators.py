@@ -20,12 +20,14 @@ from qcycle.tensor import CoeffTensor, _check
 
 from conftest import random_fraction, random_series1
 from oracles import (
+    braid_match_by_fractions,
     braid_sum,
     from_tilde_by_full_tables,
     oracle_global,
     oracle_x,
     oracle_y,
     tilde_pass_by_series,
+    tilde_x_pass_by_series,
     x_commutation_by_series,
     xy_commutation_by_series,
 )
@@ -461,11 +463,115 @@ PLANTS = {
 }
 
 
+def plant_global_rows(ctx, rng, hit, add):
+    """A fault in the raw global sums (`OperatorContext._global_rows`): each
+    sum that hit(name, k, ys) selects gains add(H's numerators), for its
+    input H = ys[0], at one x^r y^c drawn from rng."""
+    rows_of, N = ctx._global_rows, ctx.order
+    r, c = rng.randrange(N), rng.randrange(N)
+
+    def faulty(name, k, ys):
+        rows, den = rows_of(name, k, ys)
+        if hit(name, k, ys):
+            rows[r][c] += add(ys[0][0])
+        return rows, den
+
+    ctx._global_rows = faulty
+    return ctx
+
+
+def plant_x_image(ctx, key, hit, add):
+    """A fault in the images (`OperatorContext._image`) of one-variable
+    inputs under the matrix `key`: each whose numerators hit(row) selects
+    gains add(row) at x^0."""
+    image = ctx._image
+
+    def faulty(name, v, nums, along_y):
+        rows, den = image(name, v, nums, along_y)
+        if (name, v) == key and len(nums) == 1 and hit(nums[0]):
+            rows[0][0] += add(nums[0])
+        return rows, den
+
+    ctx._image = faulty
+    return ctx
+
+
+def plant_tilde_unit_step(ctx, rng, inputs):
+    """tilde^1 as the global tilde recursion applies it to tilde^{v-1} H,
+    v >= 2 (a global sum over two y-images; every table holds more), on
+    inputs other than the suite's own H.  Each gains H's numerator at x^a
+    y^b, which over the sum's denominator, den(H) times the matrix's, is
+    H's x^a y^b coefficient over a fixed integer.  So the fault is linear,
+    and the binomial walk, which starts from tilde^1 H = table[1], meets it
+    where the recursion does."""
+    N, (_, basis, x2_random) = ctx.order, inputs
+    own = {H._nums for H in basis + x2_random[:1]}
+    a, b = rng.randrange(N), rng.randrange(N)
+    return plant_global_rows(
+        ctx, rng, lambda name, k, ys: name == "p_series" and len(ys) == 2 and ys[0][0] not in own,
+        lambda nums: nums[a][b])
+
+
+def plant_from_tilde_tables(ctx, rng, inputs):
+    """The global tables that only partial_global_from_tilde reads: partial^k H
+    (k >= 1) or tilde^k H (k >= 5, past the recursion's cap), for H neither
+    G nor F, at one degree k: each gains 1."""
+    N = ctx.order
+    name = rng.choice(("table_reduced", "p_series"))
+    degree = rng.randrange(1, N) if name == "table_reduced" else rng.randrange(min(N, 5), N)
+    kept = (ctx.table._nums, ctx.flip._nums)
+
+    def hit(key, k, ys):
+        return (key, k) == (name, degree) and all(ys[0][0] is not g for g in kept)
+
+    return plant_global_rows(ctx, rng, hit, lambda nums: 1)
+
+
+def plant_tilde_x_step(ctx, rng, inputs):
+    """tilde_x^1 on one-variable inputs other than the suite's own, that is
+    on the tilde_x^{v-1} h of the recursion: each gains its x^a numerator."""
+    a, own = rng.randrange(ctx.order), {h._nums for h in inputs[0]}
+    return plant_x_image(ctx, ("p_series", 1), lambda row: row not in own, lambda row: row[a])
+
+
+def plant_partial_x_table(ctx, rng, inputs):
+    """partial_x^d x^a gains a constant, for one a != 1 and one d > v0:
+    partial_x^d x^a is read by partial_x_from_tilde alone, and as an input
+    of partial_x_commutation, whose operators of degree >= 1 kill a
+    constant."""
+    N, v0 = ctx.order, ctx.degree
+    a, d = rng.choice([0] + list(range(2, N))), rng.randrange(v0 + 1, N)
+    row = Series1.monomial(a, N)._nums
+    return plant_x_image(ctx, ("table_reduced", d), lambda nums: nums == row, lambda nums: 1)
+
+
+# check(s) -> the plant whose fault no other check of the suite meets
+ONE_CHECK_PLANTS = {
+    ("tilde_global_recursion", "tilde_global_binomial"): plant_tilde_unit_step,
+    ("partial_global_from_tilde",): plant_from_tilde_tables,
+    ("tilde_x_recursion",): plant_tilde_x_step,
+    ("partial_x_from_tilde",): plant_partial_x_table,
+}
+
+
+def one_check_oracles(ctx, names, x1, basis, x2_random):
+    """The Series forms of the checks `names`, on the suite's inputs."""
+    if names[0].startswith("tilde_global"):
+        return tilde_pass_by_series(ctx, basis, x2_random)
+    if names[0] == "partial_global_from_tilde":
+        return [from_tilde_by_full_tables(ctx, basis, x2_random)]
+    return [want for want in tilde_x_pass_by_series(ctx, x1) if want.name in names]
+
+
 class TestImageComparisons:
-    """partial_x_commutation and xy_commutation compare integer images
-    (`OperatorContext._image`), and one walk of the tilde recursion decides
-    both global tilde checks; each must give the verdict and the first
-    failure of its Series form above."""
+    """Each check that compares stored integers in place of series gives
+    the verdict and the first failure of its Series form (`oracles`):
+    partial_x_commutation and xy_commutation on integer images
+    (`OperatorContext._image`), the two global tilde checks on one walk of
+    the recursion over the raw image tilde^1 tilde^{v-1} H, the tilde_x
+    recursion on the integer image tilde_x^1 tilde_x^{v-1} h, the two
+    checks of partial^v = sum_u (fbar^u)_v tilde^u on `_is_combination`,
+    and braid_sum_match on the numerators of partial^j G."""
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_match_series_oracles(self, n):
@@ -517,11 +623,63 @@ class TestImageComparisons:
         report = {c.name: c for c in identity_suite(ctx, random.Random(5)).checks}
         assert report["xy_commutation"] == want
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_planted_fault_meets_one_check(self, n):
+        """A fault that only the named checks meet: they report what their
+        Series forms report under it, and every other check passes."""
+        rng = random.Random(800 + n)
+        failed = Counter()
+        for v0 in (1, n - 1):
+            tail = [random_fraction(rng) for _ in range(n - v0 - 1)]
+            for names, plant in ONE_CHECK_PLANTS.items():
+                for _ in range(3):
+                    seed = rng.randrange(1 << 20)
+                    ctx = make_context(n, v0, tail)
+                    x1, basis, x2_random = inputs = suite_inputs(ctx, seed)
+                    ctx = plant(ctx, rng, inputs)
+                    report = identity_suite(ctx, random.Random(seed))
+                    checks = {c.name: c for c in report.checks}
+                    for want in one_check_oracles(ctx, names, x1, basis, x2_random):
+                        assert checks[want.name] == want, (v0, names)
+                        failed[want.name] += not want.ok
+                    assert {c.name for c in report.failures()} <= set(names), (v0, names)
+        # every plant met its checks
+        assert set(failed) == {name for names in ONE_CHECK_PLANTS for name in names}
+        assert all(failed.values()), failed
+
+    @pytest.mark.parametrize("n,v0", [(4, 1), (5, 4)])
+    def test_braid_sum_match_on_a_planted_sum(self, monkeypatch, n, v0):
+        """braid_sum_match against its `Fraction` form, with one braid sum
+        R(i, j, k) off by 1 / den for j, k != v0, which no other check
+        reads, and with none."""
+        rng = random.Random(850 + n)
+        ctx = make_context(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
+        N = ctx.order
+        plants = [None] + [(rng.randrange(1, N), rng.choice([j for j in range(N) if j != v0]),
+                            rng.choice([k for k in range(1, N) if k != v0])) for _ in range(4)]
+        for plant in plants:
+            def planted(t, at=plant):
+                sums, den = braid_sums(t)
+                if at:
+                    i, j, k = at
+                    sums[i][j * N + k] += 1
+                return sums, den
+
+            monkeypatch.setattr(operators, "braid_sums", planted)
+            report = identity_suite(ctx, random.Random(5))
+            want = braid_match_by_fractions(ctx, *planted(ctx.tensor))
+            assert want.ok == (plant is None)
+            assert [c for c in report.checks if not c.ok] == ([] if want.ok else [want])
+            assert {c.name: c for c in report.checks}["braid_sum_match"] == want
+
     def test_work_per_suite_run(self, monkeypatch):
-        """The kernel images and tilde^1 applications of one suite run at
-        n = 7, v0 = 1, pad 2, so that a duplicated image shows here."""
+        """The kernel images and global sums of one suite run at n = 7,
+        v0 = 1, pad 2, so that a duplicated image shows here.  The raw
+        global sums (`_global_rows`) are the normalised ones
+        (`_global_sum`: the tables partial^k H and tilde^k H) and the 57
+        tilde^1 steps of the global tilde recursion, compared unnormalised."""
         counts = Counter()
-        for name in ("_image", "tilde_partial_global"):
+        for name in ("_image", "_global_rows", "_global_sum"):
             def counted(self, *args, _name=name, _method=getattr(OperatorContext, name)):
                 counts[_name] += 1
                 return _method(self, *args)
@@ -529,7 +687,7 @@ class TestImageComparisons:
         ctx = make_context(7, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2),
                                   Fraction(1, 3), Fraction(-3, 4)])
         assert identity_suite(ctx, rng=random.Random(5)).ok
-        assert counts == {"_image": 2034, "tilde_partial_global": 57}
+        assert counts == {"_image": 2034, "_global_rows": 189 + 57, "_global_sum": 189}
 
 
 # -- whole suite reports on planted faults ------------------------------------------

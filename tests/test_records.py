@@ -60,10 +60,6 @@ FIELDS = {
     Fixture: ("name", "parameters", "structure"),
 }
 
-# Records with a tensor or series field: such a value (`series._Stored`)
-# neither pickles nor deep-copies, on its own or in a record.
-HOLDS_STORED = {QCycleStructure, StandardCycleBundle, Fixture}
-
 
 EACH_RECORD = pytest.mark.parametrize("cls, values, text", RECORDS,
                                      ids=[cls.__name__ for cls, _, _ in RECORDS])
@@ -134,10 +130,9 @@ def test_copies_give_back_an_equal_record(cls, values, text):
     record = cls(*values)
     shallow = copy.copy(record)
     assert shallow == record and shallow is not record
-    if cls not in HOLDS_STORED:
-        assert pickle.loads(pickle.dumps(record)) == record
-        assert copy.deepcopy(record) == record
-        assert repr(pickle.loads(pickle.dumps(record))) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    assert repr(pickle.loads(pickle.dumps(record))) == text
 
 
 def test_match_statement_reads_fields_in_order():

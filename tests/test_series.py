@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -29,6 +31,9 @@ from qcycle.series import (
     parse_rational,
     substitute_y,
 )
+from qcycle.solution import build_solution, check_braid_full
+from qcycle.standard import StandardCycleParams, build_standard_cycle
+from qcycle.tensor import QCycleStructure
 
 from conftest import random_fraction, random_series1
 from oracles import (
@@ -888,3 +893,49 @@ class TestSingleLoopMatchesOracles:
                 product = product * s
             with pytest.raises(SeriesError):
                 s ** -1
+
+
+class TestStoredCopies:
+    """The four stored types are immutable, so `copy.copy` and
+    `copy.deepcopy` give the value itself, and a pickle holds the stored
+    integers alone: it gives back an equal, immutable value of the same
+    type, without the `Fraction` view or the verdicts a tensor or a map
+    caches (the braid kernel `CoeffTensor._contract` is a closure, which
+    could not be pickled)."""
+
+    CACHES = ("_view", "_morph", "_contract", "_endo")
+
+    @staticmethod
+    def stored_values():
+        params = StandardCycleParams.from_tail(4, 1, ["1/2", "-2/3"])
+        structure = QCycleStructure.involutive(build_standard_cycle(params).tensor)
+        assert check_braid_full(structure).ok           # caches _morph and _contract on p
+        smap = build_solution(structure)                # caches _endo
+        values = [Series1([Fraction(1, 3), 0, Fraction(-5, 2)]),
+                  Series2([[0, Fraction(2, 7)], [Fraction(-1, 2), 3]]), structure.p, smap]
+        for value in values[:2]:
+            value.coeffs
+        structure.p.entries, smap.matrix
+        assert all(getattr(structure.p, slot) is not None for slot in ("_morph", "_contract"))
+        assert smap._endo is not None
+        return values
+
+    def test_copies_are_the_value_itself(self):
+        for value in self.stored_values():
+            assert copy.copy(value) is value
+            assert copy.deepcopy(value) is value
+            assert copy.deepcopy([value, value])[1] is value
+
+    def test_pickle_keeps_the_stored_integers_alone(self):
+        for value in self.stored_values():
+            restored = pickle.loads(pickle.dumps(value))
+            assert type(restored) is type(value) and restored is not value
+            assert (restored._nums, restored._den) == (value._nums, value._den)
+            assert restored == value and hash(restored) == hash(value)
+            assert all(getattr(restored, slot, None) is None for slot in self.CACHES)
+            with pytest.raises(AttributeError, match="is immutable"):
+                restored._den = 2
+        series, _, tensor, smap = [pickle.loads(pickle.dumps(v)) for v in self.stored_values()]
+        assert series.coeffs == (Fraction(1, 3), 0, Fraction(-5, 2))
+        assert check_braid_full(QCycleStructure.involutive(tensor)).ok
+        assert smap.matrix == self.stored_values()[3].matrix
