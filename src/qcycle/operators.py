@@ -20,9 +20,15 @@ follow the input's nonzeros: each nonzero entry (along y) or nonzero row
 (along x) of the input adds its multiples of one column.  No input is
 rescaled, and no `Fraction` is made per coefficient.  A global operator sums
 its terms, the raw images along y taken along x, in int over the lcm of
-their denominators, skips the zero ones and normalises once.  Inputs at any
-order other than N raise SeriesError, and so does a `Series1` given to an
-operator along y or a global one.  The context also carries:
+their denominators, skips the zero ones and normalises once.  A table of
+global images B^k H, k < count (`global_table`), takes one of two forms by
+H's nonzero count: a sparse H (at most OUTER_CUT * N nonzeros, as the basis
+monomials) sums outer products col_c(B_a) (x) col_d(B_b) of the cached
+columns, one per nonzero H[c][d] and term a + b = k, in int and normalised
+once per degree; any other H takes the defining sum above, which is faster
+on dense inputs.  Inputs at any order other than N raise SeriesError, and so
+does a `Series1` given to an operator along y or a global one.  The context
+also carries:
 
   * the eigenfunction q of the derivation h -> g h' (g q' = q, q = x + ...),
     its compositional inverse, and the scaled eigenfunctions q_i = a_i q^i;
@@ -46,8 +52,9 @@ identity the construction is built on, ending with the slice symmetry
 application that several checks read is made once: the tables of partial_x^v
 and tilde_x^v on the one-variable inputs, of the inner partial_x^v H and
 partial_y^u H of the commutation check, each global table partial^k H and
-tilde^k H per input, from the defining sum (`global_table`), and the
-(fbar^u)_v coefficients; fbar(F) is summed over the cached powers of F.
+tilde^k H per input (`global_table`, in its outer form on the basis
+monomials), and the (fbar^u)_v coefficients; fbar(F) and its powers
+fbar(F)^i = sum_k (fbar^i)_k F^k are summed over the cached powers of F.
 Each fact is proved once: one walk of the tilde recursion per input
 decides the binomial check too, whose steps it matches one for one.  No
 image, slice or sum is normalised only to be compared: such a side stays
@@ -88,6 +95,10 @@ from .standard import StandardCycleBundle, _eigenfunction, build_standard_cycle
 from .tensor import CheckResult, CoeffTensor, SuiteReport, _check
 
 SeriesLike = Union[Series1, Series2]
+
+# `global_table` takes its outer form on inputs with at most OUTER_CUT * N
+# nonzeros and the defining sum on the others (see there).
+OUTER_CUT = 2
 
 
 class OperatorContext:
@@ -300,9 +311,51 @@ class OperatorContext:
 
     def global_table(self, name: str, H: Series2, count: int) -> list[Series2]:
         """[B^k H for k < count], B^k = sum_{a+b=k} B_x^a B_y^b the global operator
-        of B = `name`: the defining sum, with each B_y^b H made once for all k."""
+        of B = `name`, in one of two forms chosen by H's nonzero count:
+
+          * the outer form (`_outer_table`), for H with at most OUTER_CUT * N
+            nonzeros: B_x^a B_y^b (x^c y^d) = col_c(B_a) (x) col_d(B_b), so
+            each nonzero of H adds one outer product of two cached columns
+            per term, and no N x N image is made;
+          * the defining sum, for every other H: each B_y^b H is made once
+            for all k (`_y_images`) and the terms of B^k H are summed along
+            x (`_global_sum`).
+
+        Both give the same normalised series and raise the same errors.  At
+        N = 7-12 (CPython 3.11) the outer form took 0.53 times the defining
+        sum's time on the basis monomials, 0.49-0.78 times on random inputs
+        with 2N nonzeros, 1.1-1.2 times with 4N at v0 = 1, and 1.2-4.0 times
+        on the dense G and F of v0 = 1."""
+        self._check_input(count - 1, H, True)
+        if sum(map(bool, chain.from_iterable(H._nums))) <= OUTER_CUT * self.order:
+            return self._outer_table(name, H, count)
         ys = self._y_images(name, H, count)
         return [self._global_sum(name, k, ys) for k in range(count)]
+
+    def _outer_table(self, name: str, H: Series2, count: int) -> list[Series2]:
+        """[B^k H for k < count] as sums of outer products of the cached
+        integer columns: B^k H = sum_{(c,d) in nz(H)} H[c][d] sum_{a+b=k}
+        col_c(B_a) (x) col_d(B_b) (B_0 is the identity), summed in int over
+        den(H) times the lcm of the terms' den(B_a) den(B_b) and normalised
+        once per degree."""
+        N = self.order
+        mats = [self._matrix(name, v) for v in range(count)]
+        entries = [(c, d, h) for c, line in enumerate(H._nums) for d, h in enumerate(line) if h]
+        table = []
+        for k in range(count):
+            terms = [(mats[a], mats[k - a]) for a in range(k + 1)]
+            den = lcm(*(den_x * den_y for (_, den_x), (_, den_y) in terms))
+            rows = [[0] * N for _ in range(N)]
+            for (x_cols, den_x), (y_cols, den_y) in terms:
+                up = den // (den_x * den_y)
+                for c, d, h in entries:
+                    y_col = y_cols[d]
+                    for u, entry in x_cols[c]:
+                        row, entry = rows[u], up * h * entry
+                        for w, y_entry in y_col:
+                            row[w] += entry * y_entry
+            table.append(Series2._from_rows(rows, H._den * den))
+        return table
 
     def _y_images(self, name: str, H: Series2, count: int) -> list:
         """[B_y^b H for b < count] as raw images (rows, den), each the value
@@ -569,8 +622,8 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
     checks.append(_check("tilde_x_recursion", fails))
 
     # The three global tilde checks run in one pass over their inputs, so the
-    # tables tilde^k H and partial^k H of an input are made once, from the
-    # defining sum, and dropped when its checks are done.  Each check reports
+    # tables tilde^k H and partial^k H of an input are made once
+    # (`global_table`) and dropped when its checks are done.  Each check reports
     # the failure it would meet first: the recursion and the binomial check
     # scan inputs, then v; partial_global_from_tilde scans v, then inputs,
     # so it reports the least failing v over all inputs.
@@ -803,9 +856,10 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
 
     # sum_i (fbar(y)^i)_j tilde^i F = sum_i (fbar(F)^i)_j tilde_y^i F
     fails = []
-    fbar_flip_pows = [Series2.monomial(0, 0, N)]
-    for i in range(1, N):
-        fbar_flip_pows.append(fbar_flip_pows[-1] * fbar_flip)
+    # fbar(F)^i = sum_k (fbar^i)_k F^k, as fbar(F) above (F has no constant term)
+    fbar_flip_pows = [None, fbar_flip] + [Series2._combination(
+        [(c, ctx.power("flip", k)) for k, c in enumerate(ctx.fbar_power(i).coeffs)], N)
+        for i in range(2, N)]
     for j in range(1, N):
         rhs3 = Series2._product_sum(
             [(fbar_flip_pows[i].slice_y(j), tilde_y_flip[i]) for i in range(1, N)], N)

@@ -83,10 +83,11 @@ class LinearMap2(_Stored):
     (`gp_map`, `_solution_map`, `_transpose_kernel`, `is_bijective`,
     `is_coalgebra_endomorphism`) turn a row index k * n + l into (k, l) or
     back.  The slot `_endo` keeps the verdict of `is_coalgebra_endomorphism`
-    once it is known; like the view, it is not part of equality or hash.
+    once it is known, and `_sparse` the sparse rows of `_transpose_kernel`
+    once they are made; like the view, neither is part of equality or hash.
     """
 
-    __slots__ = ("_endo",)
+    __slots__ = ("_endo", "_sparse")
 
     def __init__(self, n: int, matrix):
         dim = n * n
@@ -489,6 +490,15 @@ def _factor_verdict(L, E, den_l: int, den_e: int, n: int) -> Optional[bool]:
     return all(_chain_break(chain[1:] + [zero], chain[1], den, n) is None for chain, den in chains)
 
 
+def _sparse_rows(s: LinearMap2) -> tuple:
+    """(rows, pairs): rows[r] the nonzero (column, weight) pairs of row r of
+    s, pairs[c] the (i, j) of column c = i * n + j; a scan of all n^4
+    stored entries."""
+    n, cols = s.n, range(s.n * s.n)
+    rows = tuple(tuple((c, row[c]) for c in compress(cols, row)) for row in s._nums)
+    return rows, tuple(divmod(c, n) for c in cols)
+
+
 def _transpose_kernel(s: LinearMap2, factors: int):
     """(pull, den, starts).  pull(f, first) applies den * s12^T (first) or
     den * s23^T to f = {(a, b, c): int} in K[y1, y2, y3]/<y_i^n>, for a common
@@ -500,12 +510,16 @@ def _transpose_kernel(s: LinearMap2, factors: int):
     A step keeps one variable, y3 for s12^T and y1 for s23^T.  The terms of f
     are grouped by it, and each group's image is summed in a dense list of
     n^2 ints, indexed by the column i * n + j of s, from the nonzero
-    (column, weight) pairs of the rows; only its nonzero entries become terms.
+    (column, weight) pairs of the rows (`_sparse_rows`, made once per map
+    and kept on it); only its nonzero entries become terms.
     """
     n, den = s.n, s._den
     cols = range(n * n)
-    rows = [[(c, row[c]) for c in compress(cols, row)] for row in s._nums]
-    pairs = [divmod(c, n) for c in cols]
+    sparse = getattr(s, "_sparse", None)
+    if sparse is None:
+        sparse = _sparse_rows(s)
+        object.__setattr__(s, "_sparse", sparse)
+    rows, pairs = sparse
 
     def pull(f: dict, first: bool) -> dict:
         groups: dict = {}

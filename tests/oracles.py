@@ -36,8 +36,8 @@ context's operators.
     solution map                `build_solution`                   solution_by_convolution
     endomorphism of C (x) C     `is_coalgebra_endomorphism`        is_endomorphism_by_scan
     braid identity on the map   `check_braid_on_map`               braid_by_sweep
-    operator images             `OperatorContext.partial_*`        oracle_x, oracle_y,
-                                                                   oracle_global
+    operator images             `OperatorContext.partial_*`,       oracle_x, oracle_y,
+                                `global_table` (both forms)        oracle_global
     braid sums R(i, j, k)       `operators.braid_sums`             braid_sum
     identity-suite checks       `operators.identity_suite`         x_commutation_by_series,
       that compare stored                                          xy_commutation_by_series,

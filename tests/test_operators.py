@@ -225,6 +225,91 @@ class TestColumnKernel:
             ctx, [random_series1(rng, N)] + edge1, [random_series2(rng, N)] + edge2)
 
 
+def table_by_defining_sum(ctx, name, H, count):
+    """[B^k H for k < count] from the raw y-images, summed along x."""
+    ys = ctx._y_images(name, H, count)
+    return [ctx._global_sum(name, k, ys) for k in range(count)]
+
+
+def raised(call):
+    """(type, message) of the exception call() raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestOuterForm:
+    """`global_table` in its outer form (`_outer_table`), on inputs with few
+    nonzeros, against its defining sum and the oracle `oracle_global`; the
+    errors and the suite verdicts under a planted operator column are those
+    of the defining sum.  OUTER_CUT = 0 sends every nonzero input to the
+    defining sum, OUTER_CUT = N every input to the outer form."""
+
+    SHAPES = [(4, 1), (5, 4), (7, 1), (7, 6)]
+
+    @pytest.mark.parametrize("n,v0", SHAPES)
+    def test_matches_defining_sum_and_oracle(self, monkeypatch, n, v0):
+        rng = random.Random(960 + 10 * n + v0)
+        ctx = make_context(n, v0, [random_fraction(rng) or 1 for _ in range(n - v0 - 1)])
+        N = ctx.order
+
+        def sparse(terms, unit=False):
+            cells = rng.sample([(c, d) for c in range(N) for d in range(N)], terms)
+            return Series2([[(1 if unit else random_fraction(rng) or Fraction(-5, 7))
+                             if (c, d) in cells else 0 for d in range(N)] for c in range(N)])
+
+        inputs = [Series2.monomial(0, 1, N), Series2.monomial(N - 1, N - 1, N), sparse(1, True),
+                  Series2.monomial(1, 2, N, Fraction(-5, 7)), sparse(1), sparse(2), sparse(3)]
+        dense = random_series2(rng, N)
+        forms, calls, outer_table = Counter(), [], OperatorContext._outer_table
+        monkeypatch.setattr(OperatorContext, "_outer_table",
+                            lambda self, *args: calls.append(1) or outer_table(self, *args))
+        for name in ("table_reduced", "p_series"):
+            for H in inputs + [dense]:
+                outer = outer_table(ctx, name, H, N)
+                assert outer == table_by_defining_sum(ctx, name, H, N), (name, H)
+                # the oracle is slow: every degree on three inputs, else the first and last
+                degrees = range(N) if H in (inputs[0], inputs[3], dense) else (0, N - 1)
+                for k in degrees:
+                    assert outer[k] == oracle_global(ctx, name, k, H), (name, k, H)
+                calls.clear()
+                assert ctx.global_table(name, H, N) == outer
+                assert ctx.global_table(name, H, 3) == outer[:3]
+                forms["outer" if calls else "defining sum"] += 1
+        # every sparse input takes the outer form and the dense one the defining sum
+        assert forms == {"outer": 2 * len(inputs), "defining sum": 2}
+
+    def test_errors_match(self, monkeypatch, ctx_deg2):
+        ctx, N = ctx_deg2, ctx_deg2.order
+        bad = [(Series1.monomial(1, N), 2), (Series2.monomial(0, 1, N + 1), 2),
+               (Series2.monomial(0, 1, N - 1), 2), (Series2.monomial(0, 1, N), N + 1),
+               (Series2.monomial(0, 1, N), 0)]
+        errors = []
+        for cut in (0, N):
+            monkeypatch.setattr(operators, "OUTER_CUT", cut)
+            errors.append([raised(lambda: ctx.global_table(name, H, count))
+                           for name in ("table_reduced", "p_series") for H, count in bad])
+        assert errors[0] == errors[1]
+        assert all(errors[0]) and {kind for kind, _ in errors[0]} == {SeriesError, DegreeOutOfRange}
+
+    @pytest.mark.parametrize("n,v0", SHAPES[:2])
+    def test_planted_column_fails_the_same_checks(self, monkeypatch, n, v0):
+        rng = random.Random(980 + n)
+        tail = [random_fraction(rng) for _ in range(n - v0 - 1)]
+        keys = [("table_reduced", d) for d in range(1, 5)] + [("p_series", d) for d in (1, 3)]
+        for key in keys:
+            seed, reports = rng.randrange(1 << 20), []
+            for cut in (0, n + 2):
+                monkeypatch.setattr(operators, "OUTER_CUT", cut)
+                ctx = plant_matrix_entry(make_context(n, v0, tail), key, random.Random(seed))
+                report = identity_suite(ctx, random.Random(5))
+                reports.append([(c.name, c.ok, c.detail) for c in report.checks])
+            assert reports[0] == reports[1], key
+            assert not all(ok for _, ok, _ in reports[0]), key
+
+
 class TestEigenSeries:
     def test_alternating_eigenfunction(self, ctx_deg1):
         # for the column x(1+x) the eigenfunction is x - x^2 + x^3 - ...
@@ -674,12 +759,14 @@ class TestImageComparisons:
 
     def test_work_per_suite_run(self, monkeypatch):
         """The kernel images and global sums of one suite run at n = 7,
-        v0 = 1, pad 2, so that a duplicated image shows here.  The raw
-        global sums (`_global_rows`) are the normalised ones
-        (`_global_sum`: the tables partial^k H and tilde^k H) and the 57
-        tilde^1 steps of the global tilde recursion, compared unnormalised."""
+        v0 = 1, pad 2, so that a duplicated image shows here.  The 18 basis
+        monomials take the outer form (`_outer_table`): their 18 tilde
+        tables and the 9 partial tables of the first N.  The normalised sums
+        (`_global_sum`) are the tables of G, F and the random input, and the
+        raw ones (`_global_rows`) are those and the 57 tilde^1 steps of the
+        global tilde recursion, compared unnormalised."""
         counts = Counter()
-        for name in ("_image", "_global_rows", "_global_sum"):
+        for name in ("_image", "_global_rows", "_global_sum", "_outer_table"):
             def counted(self, *args, _name=name, _method=getattr(OperatorContext, name)):
                 counts[_name] += 1
                 return _method(self, *args)
@@ -687,7 +774,8 @@ class TestImageComparisons:
         ctx = make_context(7, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2),
                                   Fraction(1, 3), Fraction(-3, 4)])
         assert identity_suite(ctx, rng=random.Random(5)).ok
-        assert counts == {"_image": 2034, "_global_rows": 189 + 57, "_global_sum": 189}
+        assert counts == {"_image": 1908, "_global_rows": 36 + 57, "_global_sum": 36,
+                          "_outer_table": 18 + 9}
 
 
 # -- whole suite reports on planted faults ------------------------------------------

@@ -31,7 +31,7 @@ from qcycle.series import (
     parse_rational,
     substitute_y,
 )
-from qcycle.solution import build_solution, check_braid_full
+from qcycle.solution import build_solution, check_braid_full, check_braid_on_map
 from qcycle.standard import StandardCycleParams, build_standard_cycle
 from qcycle.tensor import QCycleStructure
 
@@ -903,7 +903,7 @@ class TestStoredCopies:
     caches (the braid kernel `CoeffTensor._contract` is a closure, which
     could not be pickled)."""
 
-    CACHES = ("_view", "_morph", "_contract", "_endo")
+    CACHES = ("_view", "_morph", "_contract", "_endo", "_sparse")
 
     @staticmethod
     def stored_values():
@@ -911,13 +911,14 @@ class TestStoredCopies:
         structure = QCycleStructure.involutive(build_standard_cycle(params).tensor)
         assert check_braid_full(structure).ok           # caches _morph and _contract on p
         smap = build_solution(structure)                # caches _endo
+        assert check_braid_on_map(smap)                 # caches _sparse
         values = [Series1([Fraction(1, 3), 0, Fraction(-5, 2)]),
                   Series2([[0, Fraction(2, 7)], [Fraction(-1, 2), 3]]), structure.p, smap]
         for value in values[:2]:
             value.coeffs
         structure.p.entries, smap.matrix
         assert all(getattr(structure.p, slot) is not None for slot in ("_morph", "_contract"))
-        assert smap._endo is not None
+        assert smap._endo is not None and smap._sparse is not None
         return values
 
     def test_copies_are_the_value_itself(self):

@@ -1,9 +1,11 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from qcycle import solution
 from qcycle.errors import NotComultiplicative, SingularGd, SingularGp
 from qcycle.solution import (
     MAX_VIOLATIONS,
@@ -661,6 +663,24 @@ class TestTransposeKernel:
     def test_maps_need_n_at_least_2(self):
         with pytest.raises(ValueError):
             LinearMap2(1, [[1]])
+
+    def test_sparse_rows_made_once_per_map(self, monkeypatch):
+        """The braid and involution checks of a map share one scan of its
+        entries (`_sparse_rows`), kept on the map; a pickled copy, which
+        holds the stored integers alone, scans again."""
+        builds = Counter()
+        made = solution._sparse_rows
+        monkeypatch.setattr(solution, "_sparse_rows", lambda s: builds.update([s.n]) or made(s))
+        smap = build_solution(standard_structure(4, 1, [Fraction(1, 2), Fraction(-2, 3)]))
+        negated = _diagonal_variant(3, -1)      # no endomorphism: pulled on every monomial
+        for m, braid in ((smap, True), (negated, False)):
+            for _ in range(2):
+                assert check_braid_on_map(m) is braid and is_involution(m)
+        assert builds == {4: 1, 3: 1}
+        restored = pickle.loads(pickle.dumps(smap))
+        assert getattr(restored, "_sparse", None) is None
+        assert check_braid_on_map(restored) and is_involution(restored)
+        assert builds == {4: 2, 3: 1}
 
 
 def _pull_cases(rng, n):
