@@ -49,8 +49,8 @@ RATIONAL_OPTIONS = ("--params", "--lambdas", "--mu")
 
 # Largest truncation order n + pad that `ops-check` accepts.  The suite's cost
 # grows about as the fourth power of the order, and nothing bounds --pad.  At
-# the cap, `--n 12 --v0 1 --pad 12` (ten one-digit parameters) took 2.6 s of
-# CPU and 27 MB peak, `--n 24 --v0 23 --pad 0` 0.24 s (2-core Xeon, CPython 3.11).
+# the cap, `--n 12 --v0 1 --pad 12` (ten one-digit parameters) took 2.2 s of
+# CPU and 27 MB peak, `--n 24 --v0 23 --pad 0` 0.22 s (2-core Xeon, CPython 3.11).
 MAX_OPS_ORDER = 24
 
 # Largest n that the subcommands running a braid scan accept: `scc`,

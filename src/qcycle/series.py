@@ -28,10 +28,12 @@ Four integer kernels do the arithmetic:
     (in one or two variables, by an x- or a y-series), the power-chain kernel
     `_chain_break` that checks a tensor (`tensor.is_coalgebra_morphism`) and
     a map on C (x) C (`solution`) as algebra maps on A, and the rows of the
-    solution map (`solution.build_solution`); its denominator is the product
-    of the operands' (a one-variable series being a grid of one row).  It
-    adds into an accumulator `out` when given one: `Series2._product_sum`
-    sums products by one-variable series that way, over the lcm of their
+    solution map (`solution.build_solution`).  It multiplies over pairs of
+    nonzero entries, one from each operand, and skips each pair that the
+    truncation drops; its denominator is the product of the operands' (a
+    one-variable series being a grid of one row or one column).  It adds
+    into an accumulator `out` when given one: `Series2._product_sum` sums
+    products by one-variable series that way, over the lcm of their
     denominators and normalised once, for `mul_x_series`, `mul_y_series` and
     the five such sums an operator identity compares (`operators`);
   * `_add_matmul`, the dense integer matrix product: the powers of the inner
@@ -139,22 +141,30 @@ def integer_grid(grid) -> tuple[list[list[int]], int]:
 def _mul_ints(a, b, n: int, out=None) -> list[list[int]]:
     """out + the product of the integer grids a and b in K[u, v]/<u^n, v^n>,
     each of at most n rows of n entries (a series in one variable is one
-    row): out[u][v] += sum a[ua][va] b[u - ua][v - va], truncated to the rows
-    of out (a new zero grid of min(n, rows(a) + rows(b) - 1) rows when None),
-    which is returned.  Each nonzero entry of a adds its multiple of a row of
-    b; zero entries of a and zero rows of b are skipped."""
+    row or one column): out[u][v] += sum a[ua][va] b[u - ua][v - va],
+    truncated to the rows of out (a new zero grid of min(n, rows(a) +
+    rows(b) - 1) rows when None), which is returned.  It runs over pairs of
+    nonzero entries: each nonzero row of b is gathered once as its (vb, x)
+    pairs, and each nonzero c = a[ua][va] adds c * x to out[ua + ub][va + vb]
+    until the rows ub run past out or the pairs past column n - 1, so no
+    multiply-add is spent on a zero or on a pair that the truncation drops."""
     if out is None:
         out = [[0] * n for _ in range(min(n, len(a) + len(b) - 1))]
     rows = len(out)
-    rows_b = [(ub, row) for ub, row in enumerate(b) if any(row)]
+    pairs_b = [(ub, list(compress(enumerate(row), row))) for ub, row in enumerate(b) if any(row)]
     for ua, row_a in enumerate(a):
-        for va, c in enumerate(row_a):
-            if c:
-                for ub, row in rows_b:
-                    if ua + ub >= rows:
+        if any(row_a):
+            room = rows - ua
+            for va, c in compress(enumerate(row_a), row_a):
+                lim = n - va
+                for ub, pairs in pairs_b:
+                    if ub >= room:
                         break
                     orow = out[ua + ub]
-                    orow[va:] = [o + c * x for o, x in zip(orow[va:], row)]
+                    for vb, x in pairs:
+                        if vb >= lim:
+                            break
+                        orow[va + vb] += c * x
     return out
 
 
@@ -699,11 +709,11 @@ class Series2(_Series):
     def _product_sum(cls, terms, order: int) -> "Series2":
         """sum a * b over the pairs (a, b) of `terms` at `order` (at most the
         order of each operand).  A `Series1` on the left is read in x, a grid
-        of one column, and on the right in y, a grid of one row: the kernel
-        skips zero entries of its first operand and zero rows of its second.
-        `_mul_ints` adds each product into one accumulator over the lcm of
-        the products' denominators, scaling the one-variable operand (b if it
-        is one row, else a), and the sum is normalised once."""
+        of one column, and on the right in y, a grid of one row; the kernel
+        visits only their nonzero entries in either layout.  `_mul_ints` adds
+        each product into one accumulator over the lcm of the products'
+        denominators, scaling the one-variable operand (b if it is one row,
+        else a), and the sum is normalised once."""
         grids = [([(x,) for x in a._nums[:order]] if type(a) is Series1 else a._grid(order),
                   [b._nums[:order]] if type(b) is Series1 else b._grid(order),
                   a._den * b._den) for a, b in terms]

@@ -19,6 +19,7 @@ context's operators.
     derivatives                 `derivative`, `partial_x`,         derivative_by_fractions,
                                 `partial_y`                        partial_x/y_by_fractions
     series products             `Series1/2.__mul__`                series1/2_product_by_fractions
+    integer product kernel      `series._mul_ints`                 mul_ints_by_fractions
     products by x- or y-series  `mul_x_series`, `mul_y_series`     mul_x/y_series_by_fractions
     substitution in y           `substitute_y`                     substitute_y_by_fractions
     composition                 `compose`                          compose_by_fractions
@@ -130,6 +131,24 @@ def series2_product_by_fractions(a, b):
                     if d:
                         out[ua + ub][va + vb] += c * d
     return Series2(out)
+
+
+def mul_ints_by_fractions(a, b, n, out=None):
+    """out + a * b for grids of integers in K[u, v]/<u^n, v^n>, as `Fraction`s:
+    out[u][v] + sum a[ua][va] b[u - ua][v - va] over every entry of a whose
+    partner lies in b, for the rows of out (min(n, rows(a) + rows(b) - 1)
+    zero rows of n entries when None) and the columns v < n."""
+    rows = len(out) if out is not None else min(n, len(a) + len(b) - 1)
+    result = [[Fraction(out[u][v]) if out is not None else Fraction(0) for v in range(n)]
+              for u in range(rows)]
+    for u in range(rows):
+        for v in range(n):
+            for ua, row_a in enumerate(a):
+                for va, c in enumerate(row_a):
+                    ub, vb = u - ua, v - va
+                    if 0 <= ub < len(b) and 0 <= vb < len(b[ub]):
+                        result[u][v] += Fraction(c) * b[ub][vb]
+    return result
 
 
 def mul_x_series_by_fractions(h, s):

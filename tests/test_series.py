@@ -43,6 +43,7 @@ from oracles import (
     derivative_by_fractions,
     entrywise_by_fractions,
     gathered_dot_by_sums,
+    mul_ints_by_fractions,
     mul_x_series_by_fractions,
     mul_y_series_by_fractions,
     partial_x_by_fractions,
@@ -400,6 +401,78 @@ class TestProductKernel:
                 [(1, p) for p in products], order)
             mixed += len({p._den for p in products if not p.is_zero()}) > 1
         assert mixed or order == 1
+
+    @staticmethod
+    def _check_kernel(a, b, n, out=None):
+        """`_mul_ints` against its oracle: the returned grid, `out` itself when
+        given, and the operands left as they were."""
+        want = mul_ints_by_fractions(a, b, n, out)
+        before = copy.deepcopy((a, b))
+        got = series_module._mul_ints(a, b, n, out)
+        assert got == want
+        assert out is None or got is out
+        assert (a, b) == before
+
+    @staticmethod
+    def _ints(rng, rows, cols, density=1.0, bits=8):
+        return [[rng.randint(-2 ** bits, 2 ** bits) if rng.random() < density else 0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_kernel_one_variable_layouts(self, rng, n):
+        # one column times one row (an x-series times a y-series in
+        # `_product_sum`), a column times a grid (`mul_x_series`), a grid
+        # times a row (`mul_y_series`) and a row times a row (`Series1`)
+        for density in (0.3, 1.0):
+            column = [tuple(row) for row in self._ints(rng, n, 1, density)]
+            row = self._ints(rng, 1, n, density)
+            grid = self._ints(rng, n, n, density)
+            for a, b in ((column, row), (column, grid), (grid, row), (row, row)):
+                self._check_kernel(a, b, n)
+                self._check_kernel(a, b, n, self._ints(rng, n, n))
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_kernel_adds_into_out(self, rng, n):
+        # an out that holds values, of n rows and of fewer: the product is
+        # truncated to out's rows and added to what it holds
+        a, b = self._ints(rng, n, n), self._ints(rng, n, n)
+        for rows in (n, n - 1, 1):
+            self._check_kernel(a, b, n, self._ints(rng, rows, n))
+        column = [tuple(row) for row in self._ints(rng, n, 1)]
+        self._check_kernel(column, self._ints(rng, 1, n), n, self._ints(rng, 2, n))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_kernel_leading_zero_rows(self, rng, n):
+        # operands whose first rows, and first entries of a row, are zero
+        for lead_a in range(n):
+            for lead_b in (0, 1, n - 1):
+                a = [[0] * n] * lead_a + self._ints(rng, n - lead_a, n, 0.5)
+                b = [[0] * n] * lead_b + self._ints(rng, n - lead_b, n, 0.5)
+                a[-1][:n // 2] = [0] * (n // 2)
+                self._check_kernel(a, b, n)
+                self._check_kernel(a, b, n, self._ints(rng, n, n))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_kernel_high_degree_grids(self, rng, n):
+        # nonzeros only at total degree >= k, like the rows X^k Y^l of the
+        # solution map, so most pairs fall past row or column n - 1
+        def high(k):
+            return [[rng.randint(-9, 9) or 1 if u + v >= k else 0 for v in range(n)]
+                    for u in range(n)]
+        for ka in range(n, 2 * n - 1):
+            for kb in (n - 1, n, 2 * n - 2):
+                self._check_kernel(high(ka), high(kb), n)
+        for k in range(2 * n - 1):
+            self._check_kernel(high(k), high(2 * n - 2 - k), n)
+            self._check_kernel(high(k), high(k), n, self._ints(rng, n, n))
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_kernel_large_entries(self, rng, n):
+        # 400-bit entries, dense and sparse
+        for density in (0.4, 1.0):
+            a, b = self._ints(rng, n, n, density, 400), self._ints(rng, n, n, density, 400)
+            self._check_kernel(a, b, n)
+            self._check_kernel(a, b, n, self._ints(rng, n, n, 1.0, 400))
 
     @pytest.mark.parametrize("order_a, order_b", ORDERS)
     def test_substitute_y_matches_fraction_loop(self, rng, monkeypatch, order_a, order_b):
