@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import QcycleError, ParseError, ValidationError
+from .errors import QcycleError, ParseError, RootOfUnityLambda, ValidationError
 from .series import parse_rational
 from .standard import StandardCycleParams, build_standard_cycle
 from .tensor import QCycleStructure, is_coalgebra_morphism
@@ -302,7 +302,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.handler(args)
-    except (ParseError, ValidationError) as exc:
+    # a root-of-unity lambda_1 is an invalid `family` input, as mu = 0 is
+    except (ParseError, ValidationError, RootOfUnityLambda) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QcycleError as exc:

@@ -677,10 +677,10 @@ def tilde_x_pass_by_series(ctx, x1):
     suite's one-variable inputs x1."""
     N = ctx.order
     fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
-    tx = [[h] + [ctx.tilde_partial_x(v, h) for v in range(1, N)] for h in x1[:N + 2]]
+    tx = [[h] + [ctx.tilde_partial_x(v, h) for v in range(1, N)] for h in x1]
     recursion = [v for th in tx for v in range(2, N) if th[v].scale(v) != Series1._combination(
         [(1, ctx.tilde_partial_x(1, th[v - 1])), (1 - v, th[v - 1])], N)]
-    from_tilde = [v for v in range(1, N) for h, th in zip(x1, tx[:N + 1])
+    from_tilde = [v for v in range(1, N) for h, th in zip(x1, tx)
                   if Series1._combination(zip(fbar[v][1:], th[1:]), N) != ctx.partial_x(v, h)]
     return [_check("tilde_x_recursion", recursion), _check("partial_x_from_tilde", from_tilde)]
 

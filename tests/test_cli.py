@@ -424,8 +424,10 @@ def test_family_nonroot(tmp_path, capsys):
     assert "solution_involutive: False" in capsys.readouterr().out
 
 
-def test_family_rejects_root_of_unity():
-    assert main(["family", "nonroot", "--n", "3", "--lambdas=-1,1", "--mu", "2"]) == EXIT_CHECK_FAILED
+def test_family_rejects_root_of_unity(capsys):
+    # an invalid input, like mu = 0: a usage error, not a failed check
+    assert main(["family", "nonroot", "--n", "3", "--lambdas=-1,1", "--mu", "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: lambda_1 = -1 has a power equal to 1 below n\n"
 
 
 def test_fixture_emission(tmp_path):

@@ -21,7 +21,7 @@ from qcycle.families import (
 from qcycle.series import Series1, compose
 from qcycle.solution import check_braid_full, check_braid_reduced
 from qcycle.standard import StandardCycleParams, build_standard_cycle
-from qcycle.tensor import QCycleStructure, rescale
+from qcycle.tensor import QCycleStructure, extend_from_level1, rescale
 
 from conftest import random_fraction, standard_structure
 
@@ -70,6 +70,13 @@ class TestNonRootFamily:
             NonRootFamilyInput(3, [0, 1], 2)
         with pytest.raises(ValidationError):
             NonRootFamilyInput(3, [2, 1], 0)
+
+    def test_shape_rejected(self):
+        with pytest.raises(ValidationError, match="^n must be at least 2$"):
+            NonRootFamilyInput(1, [], 2)
+        for lambdas in ([2], [2, 1, 1]):
+            with pytest.raises(ValidationError, match=r"^need lambda_1 \.\. lambda_\{n-1\}$"):
+                NonRootFamilyInput(3, lambdas, 2)
 
     def test_vanishing_check(self):
         s = build_nonroot_family(NonRootFamilyInput(4, [3, 1, 1], 4))
@@ -144,9 +151,20 @@ class TestFixtures:
             assert first_column_vanishing_check(f.structure).ok
 
     def test_first_column_check_preconditions(self):
-        s = standard_structure(3, 1, [1])
-        with pytest.raises(PreconditionNotMet):
-            first_column_vanishing_check(s)
+        # each input passes the preconditions before the one it fails
+        row_one = [[Fraction(0)] * 3 for _ in range(3)]
+        row_one[1][0] = row_one[1][2] = Fraction(1)
+        for s, message in (
+                (standard_structure(3, 1, [1]), "t[1][1][1] must vanish"),
+                (build_nonroot_family(NonRootFamilyInput(3, [2, 1], 3)),
+                 "structure must be involutive"),
+                (build_nonroot_family(NonRootFamilyInput(3, [2, 1], 2)),
+                 "column zero must be the identity action"),
+                (QCycleStructure.involutive(extend_from_level1(row_one)),
+                 "first row must vanish")):
+            with pytest.raises(PreconditionNotMet) as info:
+                first_column_vanishing_check(s)
+            assert str(info.value) == message
 
 
 class TestClassify:
@@ -224,6 +242,8 @@ class TestClassify:
                  "d step entry 2 is not a root of unity below n = 3")]
         got = [classify(s) for s in cases]
         assert [(v.row.value, v.status, v.notes) for v in got] == want
+        assert [v.complete for v in got] == [v.status == "complete" for v in got]
+        assert {v.complete for v in got} == {True, False}
         assert {v.row for v in got} == set(ClassificationRow)
 
     def test_classify_requires_verified(self):

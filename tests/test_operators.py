@@ -8,7 +8,6 @@ from qcycle import operators
 from qcycle.errors import DegreeOutOfRange, InvariantViolation, NonzeroConstantTerm, SeriesError
 from qcycle.operators import (
     OperatorContext,
-    _random_series1,
     _random_series2,
     braid_sums,
     build_context,
@@ -490,13 +489,14 @@ class TestPlantedFaults:
 
 
 def suite_inputs(ctx, seed):
-    """(x1_inputs, x2_basis, x2_random): the inputs that
-    identity_suite(ctx, random.Random(seed)) draws, made in its order."""
+    """(x1_inputs, x2_basis, x2_random): the inputs of
+    identity_suite(ctx, random.Random(seed)), made in its order; x2_random
+    holds its one random series."""
     rng, N = random.Random(seed), ctx.order
-    x1 = [Series1.monomial(a, N) for a in range(N)] + [_random_series1(rng, N) for _ in range(3)]
+    x1 = [Series1.monomial(a, N) for a in range(N)]
     basis = [Series2.monomial(0, b, N) for b in range(1, N)] + [
         Series2.monomial(1, b, N) for b in range(N)] + [Series2.monomial(2, 0, N)] * (N > 2)
-    return x1, basis, [_random_series2(rng, N) for _ in range(2)]
+    return x1, basis, [_random_series2(rng, N)]
 
 
 # A plant takes a context and an rng and returns the context to run the suite
@@ -504,11 +504,11 @@ def suite_inputs(ctx, seed):
 # holding a changed series (`_replaced`).
 
 
-def plant_matrix_entry(ctx, key, rng):
+def plant_matrix_entry(ctx, key, rng, at=None):
     """Add 1 to the numerator of entry [u][c] of the cached operator matrix
-    `key`, which is stored by columns."""
+    `key`, which is stored by columns: at (u, c) = at, or drawn from rng."""
     cols, den = ctx._matrix(*key)
-    u, c = rng.randrange(ctx.order), rng.randrange(ctx.order)
+    u, c = at or (rng.randrange(ctx.order), rng.randrange(ctx.order))
     column = dict(cols[c])
     column[u] = column.get(u, 0) + 1
     cols = list(cols)
@@ -774,7 +774,7 @@ class TestImageComparisons:
         ctx = make_context(7, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2),
                                   Fraction(1, 3), Fraction(-3, 4)])
         assert identity_suite(ctx, rng=random.Random(5)).ok
-        assert counts == {"_image": 1908, "_global_rows": 36 + 57, "_global_sum": 36,
+        assert counts == {"_image": 1662, "_global_rows": 36 + 57, "_global_sum": 36,
                           "_outer_table": 18 + 9}
 
 
@@ -905,6 +905,54 @@ class TestPlantedReports:
         failed = {name for pairs in PLANTED_FAILURES.values() for name, _ in pairs}
         assert {"eigen_odes", "eigen_power_vs_row", "table_regrade_powers"} <= failed
         assert set(PLANTED_FAILURES) == set(SUITE_PLANTS)
+
+
+# The checks whose inputs are one-variable: the monomials x^a, and the
+# pure-x series 1 + x + ... + x^{N-1} of partial_y_kills_pure_x
+ONE_VARIABLE_CHECKS = {
+    "partial_x_identity_and_gap", "partial_x_degree_slice_derivation",
+    "partial_x_of_x_gives_slices", "partial_x_commutation", "partial_y_kills_pure_x",
+    "tilde_x_unit", "tilde_x_recursion", "partial_x_from_tilde", "row_action_is_partial"}
+
+
+class TestOneVariableInputs:
+    """The one-variable checks read each operator on the basis x^a, a < N,
+    so their PASS is a proof at order N, and no random input is left."""
+
+    @pytest.mark.parametrize("key", [("table_reduced", 3), ("p_series", 2)])
+    def test_every_matrix_entry_is_read(self, key):
+        """A wrong entry at any (u, c) fails a one-variable check.  A wrong
+        partial_x entry in a row u >= 1 fails row_action_is_partial itself,
+        above the diagonal (c > u) too, where it compares with 0."""
+        ctx = make_context(4, 1, [Fraction(1, 2), Fraction(-2, 3)], pad=1)
+        N = ctx.order
+        for u in range(N):
+            for c in range(N):
+                planted = plant_matrix_entry(ctx._replaced(), key, None, at=(u, c))
+                failed = {check.name for check in identity_suite(planted).failures()}
+                assert failed & ONE_VARIABLE_CHECKS, (u, c)
+                if key[0] == "table_reduced" and u:
+                    assert "row_action_is_partial" in failed, (u, c)
+
+    @pytest.mark.parametrize("n,v0", [(5, 1), (5, 4), (7, 1), (7, 6)])
+    def test_dropped_input_denominator_fails(self, monkeypatch, n, v0):
+        """Each x^a is stored over denominator 1, so an `_apply` that drops
+        its input's denominator leaves their images right; the checks on
+        the table G, whose denominator is not 1, meet the fault."""
+        def apply(self, name, v, h, along_y=False):
+            self._check_input(v, h, along_y)
+            if v == 0:
+                return h
+            rows, den = self._image(name, v, h._rows(), along_y or isinstance(h, Series1))
+            return h._from_rows(rows, den)
+
+        tail = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(1, 3), Fraction(-3, 4)]
+        ctx = make_context(n, v0, tail[:n - v0 - 1])
+        assert ctx.table._den != 1
+        monkeypatch.setattr(OperatorContext, "_apply", apply)
+        failed = {c.name for c in identity_suite(ctx, random.Random(5)).failures()}
+        assert {"x_slice_symmetry", "column_slice_exchange",
+                "global_as_flip_convolution"} <= failed, failed
 
 
 class TestReplaced:

@@ -88,6 +88,13 @@ def test_defaults():
         CheckResult("a")
 
 
+def test_suite_report_truth_is_its_verdict():
+    passing, failing = CheckResult("a", True), CheckResult("b", False, "x")
+    assert bool(SuiteReport()) and bool(SuiteReport((passing,)))
+    assert not SuiteReport((passing, failing))
+    assert SuiteReport((passing, failing)).failures() == [failing]
+
+
 @EACH_RECORD
 def test_equality_and_hash(cls, values, text):
     record, again = cls(*values), cls(*values)

@@ -225,6 +225,12 @@ class TestComposition:
         with pytest.raises(NotInvertible):
             compositional_inverse(Series1([0, 0, 1, 0]))
 
+    def test_nonzero_inner_constant_rejected(self):
+        with pytest.raises(NonzeroConstantTerm, match="^inner series has nonzero constant term$"):
+            substitute_y(Series2([[1, 2], [3, 4]]), Series1([1, 1]))
+        with pytest.raises(NotInvertible, match="^series has nonzero constant term$"):
+            compositional_inverse(Series1([1, 1, 0]))
+
     @given(series1(7))
     @settings(max_examples=60)
     def test_degree_solver_reproduces_reciprocal(self, a):
@@ -264,6 +270,10 @@ class TestBinomialSeries:
         assert general_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
         assert general_binomial(Fraction(-3), 2) == 6
 
+    def test_negative_index_raises(self):
+        with pytest.raises(SeriesError, match="^binomial index must be non-negative$"):
+            general_binomial(Fraction(1, 2), -1)
+
 
 class TestDivideExact:
     def test_shifted_division(self):
@@ -296,6 +306,26 @@ class TestSeries2:
             s.slice_y(5)
         with pytest.raises(IndexOutOfTruncation):
             Series1.zero(3).coefficient(3)
+
+    def test_series1_indexing(self):
+        s = Series1([1, Fraction(1, 2), 3])
+        assert [s.coefficient(u) for u in range(3)] == [s[u] for u in range(3)] == [
+            1, Fraction(1, 2), 3]
+        for degree in (3, -1):
+            with pytest.raises(IndexOutOfTruncation, match=f"^degree {degree} at order 3$"):
+                s[degree]
+
+    def test_slice_x_out_of_truncation(self):
+        for xdeg in (2, -1):
+            with pytest.raises(IndexOutOfTruncation, match=f"^x-degree {xdeg} at order 2$"):
+                Series2([[1, 2], [3, 4]]).slice_x(xdeg)
+
+    def test_empty_and_ragged_grids_raise(self):
+        for make in (lambda: Series1([]), lambda: Series2([]), lambda: Series1.zero(0)):
+            with pytest.raises(SeriesError, match="^truncation order must be positive$"):
+                make()
+        with pytest.raises(SeriesError, match="^coefficient grid must be square$"):
+            Series2([[1, 2]])
 
     def test_negative_monomial_degree_raises(self):
         # a negative degree must not wrap around to the top of the truncation
@@ -881,6 +911,14 @@ class TestParsing:
         for coeffs in ("000", ["00", "00"], [["0", "0"], "00"]):
             with pytest.raises(ParseError):
                 Series2.from_payload({"trunc_order": 2, "coeffs": coeffs})
+        # a missing "coeffs" and a length other than the order
+        for cls, short in ((Series1, ["1"]), (Series2, [["1", "2"]])):
+            with pytest.raises(ParseError, match="^malformed series payload: 'coeffs'$"):
+                cls.from_payload({"trunc_order": 2})
+            with pytest.raises(ParseError, match="^coeffs (length|grid) does not match trunc_order$"):
+                cls.from_payload({"trunc_order": 2, "coeffs": short})
+        with pytest.raises(ParseError, match="^coeffs grid does not match trunc_order$"):
+            Series2.from_payload({"trunc_order": 2, "coeffs": [["1", "2"], ["1"]]})
         # an empty series is malformed input, like every other bad payload
         for cls in (Series1, Series2):
             with pytest.raises(ParseError, match="positive"):

@@ -24,6 +24,7 @@ from conftest import random_standard_tail
 class TestParams:
     def test_tail_construction(self):
         p = StandardCycleParams.from_tail(5, 2, [3, Fraction(1, 2)])
+        assert p.coeff(0) == 1
         assert p.coeff(2) == 1
         assert p.coeff(3) == 3
         assert p.coeff(4) == Fraction(1, 2)
@@ -39,6 +40,12 @@ class TestParams:
             StandardCycleParams.from_tail(4, 1, [1])  # wrong arity
         with pytest.raises(ValidationError):
             StandardCycleParams(4, 1, {1: 2, 2: 0, 3: 0})  # p_{v0} != 1
+        with pytest.raises(ValidationError, match="^n must be at least 2$"):
+            StandardCycleParams(1, 1, {})
+        for coeffs in ({1: 1}, {1: 1, 2: 0, 3: 0, 4: 0}, {0: 1, 1: 1, 2: 0, 3: 0}):
+            with pytest.raises(ValidationError,
+                               match="^parameters must cover exactly v0 <= v < n$"):
+                StandardCycleParams(4, 1, coeffs)
 
 
 class TestColumnSeries:
@@ -169,3 +176,6 @@ class TestReconstruction:
         for degree in (0, 4):
             with pytest.raises(ValidationError):
                 reconstruct_from_row(4, degree, [1, 0, 0, 0])
+        for row in ([1, 1, 0], [1, 1, 0, 0, 0]):
+            with pytest.raises(ValidationError, match="^row must have length n$"):
+                reconstruct_from_row(4, 1, row)

@@ -267,6 +267,19 @@ class TestStructuralSuite:
         with pytest.raises(NotComultiplicative):
             structural_lemma_suite(t)
 
+    def test_no_regular_candidate(self):
+        # G = uv is a coalgebra morphism with t10 = t01 = 0: the two regular
+        # checks are reported failed, with what they require
+        level1 = [[Fraction(0)] * 3 for _ in range(3)]
+        level1[1][1] = Fraction(1)
+        report = structural_lemma_suite(extend_from_level1(level1))
+        detail = "requires t[1][0][1] != 0 and t[0][1][1] = 0"
+        assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+            ("vanishing_above_total_degree", True, None), ("top_level_binomial", True, None),
+            ("vanishing_above_first_index", False, detail),
+            ("column_one_derivation", False, detail)]
+        assert not report and not report.ok
+
     def test_regular_column_powers(self, rng):
         s = standard_structure(5, 2, [1, Fraction(1, 2)])
         t = s.p
@@ -366,6 +379,10 @@ class TestPayload:
         payload = involutive.to_payload()
         assert "d" not in payload
         assert QCycleStructure.from_payload(payload) == involutive
+
+    def test_structure_without_p(self):
+        with pytest.raises(ParseError, match="^malformed structure payload: 'p'$"):
+            QCycleStructure.from_payload({"schema": 1, "n": 2})
 
 
 def _payload_outcome(read, payload):
