@@ -20,15 +20,13 @@ follow the input's nonzeros: each nonzero entry (along y) or nonzero row
 (along x) of the input adds its multiples of one column.  No input is
 rescaled, and no `Fraction` is made per coefficient.  A global operator sums
 its terms, the raw images along y taken along x, in int over the lcm of
-their denominators, skips the zero ones and normalises once.  A table of
-global images B^k H, k < count (`global_table`), takes one of two forms by
-H's nonzero count: a sparse H (at most OUTER_CUT * N nonzeros, as the basis
-monomials) sums outer products col_c(B_a) (x) col_d(B_b) of the cached
-columns, one per nonzero H[c][d] and term a + b = k, in int and normalised
-once per degree; any other H takes the defining sum above, which is faster
-on dense inputs.  Inputs at any order other than N raise SeriesError, and so
-does a `Series1` given to an operator along y or a global one.  The context
-also carries:
+their denominators, skips the zero ones and normalises once; a table of
+global images B^k H, k < count (`global_table`), makes each image along y
+once for all its degrees.  Degree 0 is the identity wherever an operator is
+applied (`_apply`, `_y_images`, `_global_rows`), so no degree-0 matrix is
+read.  Inputs at any order other than N raise SeriesError, and so does a
+`Series1` given to an operator along y or a global one.  The context also
+carries:
 
   * the eigenfunction q of the derivation h -> g h' (g q' = q, q = x + ...),
     its compositional inverse, and the scaled eigenfunctions q_i = a_i q^i;
@@ -49,36 +47,53 @@ proves the rest.
 `identity_suite` checks, exactly and up to the truncation order, every
 identity the construction is built on, ending with the slice symmetry
 (partial^j G)_i = (partial^i G)_j that encodes the braid equations.  A PASS
-is a proof at order N for each check on a fixed series and for the nine
-one-variable checks, linear in their input and read on the basis x^a, a < N.
-Four sample inputs or degrees: xy_commutation, tilde_global_recursion,
-tilde_global_binomial and partial_global_from_tilde.  Each application that
-several checks read is made once: the tables of partial_x^v and tilde_x^v on
-the x^a, of the inner partial_x^v H and partial_y^u H of the commutation
-check, each global table partial^k H and tilde^k H per input
-(`global_table`, in its outer form on the basis monomials), and the
-(fbar^u)_v coefficients; fbar(F) and its powers fbar(F)^i = sum_k (fbar^i)_k
-F^k are summed over the cached powers of F.  Each fact is proved once: one walk of the tilde recursion per input
-decides the binomial check too, whose steps it matches one for one.  No
-image, slice or sum is normalised only to be compared: such a side stays
-raw integers (`_image`, `_global_rows`), cross-multiplied by denominators;
-a sum of terms c * s is tested against a value over one denominator
-(`_is_combination`), and two slices on their columns (`_same_slice`).  The
-tilde tables tilde^k H are built only up to the highest degree a check
-reads, which the nonzero (fbar^u)_v decide.  Each sum of products by a
-one-variable series is made as a series, over one denominator
-(`Series2._product_sum`).  The braid sums R(i, j, k) that partial^j G must
-reproduce are made once, with the braid scan's two integer contractions
-(`braid_sums`).
+of every check is a proof at order N.  A check on a fixed series reads it
+whole, and the nine one-variable checks are linear in their input and read
+it on the basis x^a, a < N.  The global checks on any two-variable input
+follow from the one-variable ones.  Let d_a and t_a be the N x N matrices
+of partial_x^a and tilde_x^a (d_0 = t_0 = I).  The global operators are
+D_k = sum_{a+b=k} d_a (x) d_b and T_k = sum_{a+b=k} t_a (x) t_b on the
+N x N grid, and every index stays below N, so two matrix identities carry
+over exactly:
+
+  * if t_1 t_a = (a+1) t_{a+1} + a t_a for a + 1 < w (`tilde_x_recursion`
+    below w), then T_1 T_{v-1} = v T_v + (v-1) T_{v-1} for v < w: the
+    global tilde recursion, and with it the binomial form
+    tilde^v = C(tilde^1, v);
+  * if d_v = sum_u (fbar^u)_v t_u for v < w (`partial_x_from_tilde` below
+    w; v = 0 holds as fbar(0) = 0), then by the Cauchy product
+    D_k = sum_m (fbar^m)_k T_m for k < w.
+
+At the least failing w the one-variable defect E != 0 leaves the defect
+E (x) I + I (x) E != 0 in the global identity, so both fail first at the
+same degree.  tilde_global_recursion and tilde_global_binomial report the
+least failing degree of tilde_x_recursion, and partial_global_from_tilde
+that of partial_x_from_tilde.  Their PASS rests on the proved one-variable
+identities and on `_image` and `_global_rows` computing D_k and T_k, which
+the tests check against the defining formulas (`oracle_x`, `oracle_y`,
+`oracle_global`).  x- and y-operators commute for any matrices, so
+xy_commutation, on G, guards the index layout of `_image`.
+
+Each application that several checks read is made once: the tables of
+partial_x^v and tilde_x^v on the x^a, the global tables partial^k G and
+tilde^k F, the images tilde_y^h F, and the (fbar^u)_v coefficients; fbar(F)
+and its powers fbar(F)^i = sum_k (fbar^i)_k F^k are summed over the cached
+powers of F.  No image, slice or sum is normalised only to be compared:
+such a side stays raw integers (`_image`, `_global_rows`), cross-multiplied
+by denominators; a sum of terms c * s is tested against a value over one
+denominator (`_is_combination`), and two slices on their columns
+(`_same_slice`).  Each sum of products by a one-variable series is made as
+a series, over one denominator (`Series2._product_sum`).  The braid sums
+R(i, j, k) that partial^j G must reproduce are made once, with the braid
+scan's two integer contractions (`braid_sums`).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import DegreeOutOfRange, InvariantViolation, SeriesError
 from .series import (
@@ -97,11 +112,10 @@ from .solution import _braid_operands, _second_contraction
 from .standard import StandardCycleBundle, _eigenfunction, build_standard_cycle
 from .tensor import CheckResult, CoeffTensor, SuiteReport, _check
 
-SeriesLike = Union[Series1, Series2]
+if TYPE_CHECKING:
+    import random
 
-# `global_table` takes its outer form on inputs with at most OUTER_CUT * N
-# nonzeros and the defining sum on the others (see there).
-OUTER_CUT = 2
+SeriesLike = Union[Series1, Series2]
 
 
 class OperatorContext:
@@ -314,51 +328,10 @@ class OperatorContext:
 
     def global_table(self, name: str, H: Series2, count: int) -> list[Series2]:
         """[B^k H for k < count], B^k = sum_{a+b=k} B_x^a B_y^b the global operator
-        of B = `name`, in one of two forms chosen by H's nonzero count:
-
-          * the outer form (`_outer_table`), for H with at most OUTER_CUT * N
-            nonzeros: B_x^a B_y^b (x^c y^d) = col_c(B_a) (x) col_d(B_b), so
-            each nonzero of H adds one outer product of two cached columns
-            per term, and no N x N image is made;
-          * the defining sum, for every other H: each B_y^b H is made once
-            for all k (`_y_images`) and the terms of B^k H are summed along
-            x (`_global_sum`).
-
-        Both give the same normalised series and raise the same errors.  At
-        N = 7-12 (CPython 3.11) the outer form took 0.53 times the defining
-        sum's time on the basis monomials, 0.49-0.78 times on random inputs
-        with 2N nonzeros, 1.1-1.2 times with 4N at v0 = 1, and 1.2-4.0 times
-        on the dense G and F of v0 = 1."""
-        self._check_input(count - 1, H, True)
-        if sum(map(bool, chain.from_iterable(H._nums))) <= OUTER_CUT * self.order:
-            return self._outer_table(name, H, count)
+        of B = `name`: each B_y^b H is made once for all k (`_y_images`) and
+        the terms of B^k H are summed along x (`_global_sum`)."""
         ys = self._y_images(name, H, count)
         return [self._global_sum(name, k, ys) for k in range(count)]
-
-    def _outer_table(self, name: str, H: Series2, count: int) -> list[Series2]:
-        """[B^k H for k < count] as sums of outer products of the cached
-        integer columns: B^k H = sum_{(c,d) in nz(H)} H[c][d] sum_{a+b=k}
-        col_c(B_a) (x) col_d(B_b) (B_0 is the identity), summed in int over
-        den(H) times the lcm of the terms' den(B_a) den(B_b) and normalised
-        once per degree."""
-        N = self.order
-        mats = [self._matrix(name, v) for v in range(count)]
-        entries = [(c, d, h) for c, line in enumerate(H._nums) for d, h in enumerate(line) if h]
-        table = []
-        for k in range(count):
-            terms = [(mats[a], mats[k - a]) for a in range(k + 1)]
-            den = lcm(*(den_x * den_y for (_, den_x), (_, den_y) in terms))
-            rows = [[0] * N for _ in range(N)]
-            for (x_cols, den_x), (y_cols, den_y) in terms:
-                up = den // (den_x * den_y)
-                for c, d, h in entries:
-                    y_col = y_cols[d]
-                    for u, entry in x_cols[c]:
-                        row, entry = rows[u], up * h * entry
-                        for w, y_entry in y_col:
-                            row[w] += entry * y_entry
-            table.append(Series2._from_rows(rows, H._den * den))
-        return table
 
     def _y_images(self, name: str, H: Series2, count: int) -> list:
         """[B_y^b H for b < count] as raw images (rows, den), each the value
@@ -448,41 +421,28 @@ def build_context(bundle: StandardCycleBundle, order: Optional[int] = None) -> O
 # -- the identity suite -------------------------------------------------------
 
 
-def _random_series2(rng: random.Random, order: int) -> Series2:
-    return Series2(
-        [
-            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(order)]
-            for _ in range(order)
-        ]
-    )
-
-
 def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) -> SuiteReport:
-    """Run every identity check, exactly, at the context's truncation order."""
-    rng = rng or random.Random(20240)
+    """Run every identity check, exactly, at the context's truncation order.
+
+    `rng` is accepted and not read: every check reads a basis or a fixed
+    series, so the report does not depend on it."""
     N, v0 = ctx.order, ctx.degree
     checks: list[CheckResult] = []
 
     # the only one-variable inputs: a basis, as each such identity is linear
     x1_inputs = [Series1.monomial(a, N) for a in range(N)]
-    # the first 2N monomials x^a y^b, 0 < a + b <= N, in (a, b) order:
-    # y..y^{N-1}, x..x y^{N-1}, then x^2 (which order N = 2 does not hold)
-    x2_basis = ([Series2.monomial(0, b, N) for b in range(1, N)]
-                + [Series2.monomial(1, b, N) for b in range(N)])
-    if N > 2:
-        x2_basis.append(Series2.monomial(2, 0, N))
-    x2_random = _random_series2(rng, N)
 
     # Each application to an input that several checks read is made once:
     # px[a][v] = partial_x^v x^a, tx[a][v] = tilde_x^v x^a.
     px = [[ctx.partial_x(v, h) for v in range(N)] for h in x1_inputs]
     tx = [[h] + [ctx.tilde_partial_x(v, h) for v in range(1, N)] for h in x1_inputs]
 
-    # identity and vanishing range of partial_x
+    # vanishing range of partial_x.  partial_x^0 is the identity by
+    # construction: `_apply`, `_y_images` and `_global_rows` take degree 0
+    # as the input itself and read no degree-0 matrix, so there is no
+    # identity part to test.
     fails = []
-    for h, ph in zip(x1_inputs, px):
-        if ph[0] != h:
-            fails.append(("identity", 0))
+    for ph in px:
         for v in range(1, v0):
             if not ph[v].is_zero():
                 fails.append(("low_degree", v))
@@ -517,25 +477,20 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
                     fails.append((u, v))
     checks.append(_check("partial_x_commutation", fails))
 
-    # x and y operators commute.  Images along x act on the row index of H
-    # and images along y on its column index, so no operator matrices can
+    # x and y operators commute, on G.  Images along x act on the row index
+    # and images along y on the column index, so no operator matrices can
     # fail this check: it guards the index layout of the kernel `_image`.
-    # Both orders of the integer images of H are over den(H) times the same
-    # two matrix denominators, so rows compare as they are.  One input's
-    # images at a time; the least failing pair over all inputs is reported.
-    small = x2_basis + [x2_random]
+    # Both orders of the integer images of G are over den(G) times the same
+    # two matrix denominators, so rows compare as they are.
     pairs = [(v, u) for v in range(1, min(N, 5)) for u in range(1, min(N, 5))]
     pairs += [(N - 1, N - 1)]
     degrees = sorted({v for pair in pairs for v in pair})
-    fails = []
-    for H in small:
-        dx = {v: ctx._image("table_reduced", v, H._nums, False)[0] for v in degrees}
-        dy = {u: ctx._image("table_reduced", u, H._nums, True)[0] for u in degrees}
-        for index, (v, u) in enumerate(pairs):
-            if (ctx._image("table_reduced", v, dy[u], False)[0]
-                    != ctx._image("table_reduced", u, dx[v], True)[0]):
-                fails.append(index)
-    checks.append(_check("xy_commutation", [pairs[index] for index in sorted(fails)]))
+    G = ctx.table._nums
+    dx = {v: ctx._image("table_reduced", v, G, False)[0] for v in degrees}
+    dy = {u: ctx._image("table_reduced", u, G, True)[0] for u in degrees}
+    fails = [(v, u) for v, u in pairs if ctx._image("table_reduced", v, dy[u], False)[0]
+             != ctx._image("table_reduced", u, dx[v], True)[0]]
+    checks.append(_check("xy_commutation", fails))
 
     # partial_y annihilates pure-x series: each row of the image is column 0
     fails = []
@@ -615,81 +570,25 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
             if not _is_combination(unit, prev._den * den, [(v, th[v]), (v - 1, prev)]):
                 fails.append(v)
     checks.append(_check("tilde_x_recursion", fails))
+    # The global tilde recursion, and its binomial form, hold up to the
+    # least degree at which tilde_x_recursion fails, and fail there (module
+    # docstring); its fails are input-major, so the least is sorted out.
+    checks.append(_check("tilde_global_recursion", sorted(fails)))
+    checks.append(_check("tilde_global_binomial", sorted(fails)))
 
-    # The three global tilde checks run in one pass over their inputs, so the
-    # tables tilde^k H and partial^k H of an input are made once
-    # (`global_table`) and dropped when its checks are done.  Each check reports
-    # the failure it would meet first: the recursion and the binomial check
-    # scan inputs, then v; partial_global_from_tilde scans v, then inputs,
-    # so it reports the least failing v over all inputs.
-    #
-    # One walk of the recursion decides the binomial check too.  tilde^v =
-    # C(tilde^1, v) walks w_v = tilde^1 w_{v-1} - (v-1) w_{v-1} from w_1 =
-    # tilde^1 H = table[1] and tests table[v] = w_v / v!.  Once the step
-    # before has proved w_{v-1} = (v-1)! table[v-1], that test reads
-    # v table[v] = tilde^1 table[v-1] - (v-1) table[v-1], the recursion at v,
-    # so on every input both checks first fail at the same v.  They differ
-    # only in their inputs: the recursion reads the first N + 1 basis inputs
-    # and the random one, the binomial check every input.
-    # partial_global_from_tilde compares degrees v < reach; both of its sides
-    # vanish below v0, so reach passes v0 when v0 >= 6
-    cap, reach = min(N, 5), min(N, max(6, v0 + 1))
-    # fbar[v][u] = (fbar^u)_v, read by three checks
+    # partial_x^v = sum_u (fbar^u)_v tilde_x^u, on the coefficients
+    # fbar[v][u] = (fbar^u)_v, read again by main_series_identity
     fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
-    # partial_global_from_tilde reads tilde^u for the u with (fbar^u)_v != 0,
-    # v < reach (none above reach - 1, as fbar(0) = 0), so the tilde tables
-    # it reads are built up to the highest such u and no further
-    top = max((u for v in range(1, reach) for u in range(1, N) if fbar[v][u]), default=0)
-
-    def recursion_fault(table):
-        """v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}, on the raw
-        image tilde^1 tilde^{v-1}: [first v that fails]."""
-        for v in range(2, cap):
-            prev = table[v - 1]
-            unit, den = ctx._global_rows("p_series", 1, ctx._y_images("p_series", prev, 2))
-            if not _is_combination(unit, den, [(v, table[v]), (v - 1, prev)]):
-                return [v]
-        return []
-
-    def from_tilde_fault(tilde, H):
-        """partial^v = sum_u (fbar^u)_v tilde^u: [first v that fails]."""
-        partial = ctx.global_table("table_reduced", H, reach)
-        for v in range(1, reach):
-            if not _is_combination(partial[v]._nums, partial[v]._den, zip(fbar[v][1:], tilde[1:])):
-                return [v]
-        return []
-
-    # (input, read by the recursion check, read by partial_global_from_tilde);
-    # the binomial check reads every input, the flip comes after them
-    inputs = [(H, index <= N, index < N) for index, H in enumerate(x2_basis)]
-    inputs.append((x2_random, True, True))
-    recursion_fails, binomial_fails, from_tilde_fails = [], [], []
-    for H, in_recursion, in_from_tilde in inputs:
-        table = ctx.global_table("p_series", H, max(cap, top + 1) if in_from_tilde else cap)
-        fault = recursion_fault(table)
-        binomial_fails += fault
-        if in_recursion:
-            recursion_fails += fault
-        if in_from_tilde:
-            from_tilde_fails += from_tilde_fault(table, H)
-    # tilde_y^h F for every h, read again by the transport identities below
-    flip_ys = ctx._y_images("p_series", ctx.flip, N)
-    tilde_y_flip = [Series2._from_rows(rows, den) for rows, den in flip_ys]
-    tilde_flip = [ctx._global_sum("p_series", k, flip_ys) for k in range(N)]
-    from_tilde_fails += from_tilde_fault(tilde_flip, ctx.flip)
-    checks.append(_check("tilde_global_recursion", recursion_fails))
-    checks.append(_check("tilde_global_binomial", binomial_fails))
-
-    # partial_x^v = sum_u (fbar^u)_v tilde_x^u
     fails = []
     for v in range(1, N):
         for ph, th in zip(px, tx):
             if not _is_combination(ph[v]._rows(), ph[v]._den, zip(fbar[v][1:], th[1:])):
                 fails.append(v)
     checks.append(_check("partial_x_from_tilde", fails))
-
-    # partial^v = sum_u (fbar^u)_v tilde^u on two-variable inputs (run above)
-    checks.append(_check("partial_global_from_tilde", sorted(from_tilde_fails)))
+    # partial^v = sum_u (fbar^u)_v tilde^u on every two-variable input holds
+    # up to the least failing degree of the check above, and fails there;
+    # its fails are v-major, so the first is the least
+    checks.append(_check("partial_global_from_tilde", fails))
 
     # Gbar^u = sum_{v >= u} (P^u)_v(x) fbar(y)^v
     fails = []
@@ -837,7 +736,11 @@ def identity_suite(ctx: OperatorContext, rng: Optional[random.Random] = None) ->
         fails.append("ode")
     checks.append(_check("transport_ode", fails))
 
-    # tilde^k F = sum_h (T^h)_k tilde_y^h F
+    # tilde^k F = sum_h (T^h)_k tilde_y^h F, on tilde_y^h F for every h,
+    # read again by main_series_identity
+    flip_ys = ctx._y_images("p_series", ctx.flip, N)
+    tilde_y_flip = [Series2._from_rows(rows, den) for rows, den in flip_ys]
+    tilde_flip = [ctx._global_sum("p_series", k, flip_ys) for k in range(N)]
     fails = []
     for k in range(1, N):
         acc = Series2._product_sum(

@@ -7,10 +7,11 @@ where it can be in `Fraction` (or scaled integer) loops over `.coeffs`,
 (`_mul_ints`, `_add_matmul`, `_gathered_dot`, `_Series._combination`); the
 series constructors only hold its results.  Two groups are built on other
 jobs instead: the operator oracles are the paper's defining formulas, made of
-series operations that the `series` oracles check in turn, and the oracles of
+series operations that the `series` oracles check in turn; the oracles of
 the identity-suite checks that compare stored integers make the same
 comparisons on normalised series (or on the `Fraction` view), through the
-context's operators.
+context's operators; and the global identities that the suite decides from
+one-variable ones are made on every monomial x^c y^d at every degree.
 
     job                         fast path                          oracle
     --------------------------  ---------------------------------  --------------------------------
@@ -38,14 +39,14 @@ context's operators.
     endomorphism of C (x) C     `is_coalgebra_endomorphism`        is_endomorphism_by_scan
     braid identity on the map   `check_braid_on_map`               braid_by_sweep
     operator images             `OperatorContext.partial_*`,       oracle_x, oracle_y,
-                                `global_table` (both forms)        oracle_global
+                                `global_table`                     oracle_global
     braid sums R(i, j, k)       `operators.braid_sums`             braid_sum
     identity-suite checks       `operators.identity_suite`         x_commutation_by_series,
       that compare stored                                          xy_commutation_by_series,
-      integers                                                     tilde_pass_by_series,
-                                                                   from_tilde_by_full_tables,
-                                                                   tilde_x_pass_by_series,
+      integers                                                     tilde_x_pass_by_series,
                                                                    braid_match_by_fractions
+    global identities decided   `operators.identity_suite`         global_checks_on_basis
+      from one-variable ones
 """
 
 from fractions import Fraction
@@ -634,47 +635,21 @@ def x_commutation_by_series(ctx, x1):
     return _check("partial_x_commutation", [])
 
 
-def xy_commutation_by_series(ctx, basis, x2_random):
-    """xy_commutation on normalised series, scanning pairs first."""
-    N = ctx.order
-    small = basis + x2_random[:1]
+def xy_commutation_by_series(ctx):
+    """xy_commutation on normalised series, on G."""
+    N, G = ctx.order, ctx.table
     pairs = [(v, u) for v in range(1, min(N, 5)) for u in range(1, min(N, 5))] + [(N - 1, N - 1)]
-    for v, u in pairs:
-        for H in small:
-            if ctx.partial_x(v, ctx.partial_y(u, H)) != ctx.partial_y(u, ctx.partial_x(v, H)):
-                return _check("xy_commutation", [(v, u)])
-    return _check("xy_commutation", [])
-
-
-def tilde_pass_by_series(ctx, basis, x2_random):
-    """The recursion and binomial checks of the global tilde pass: tilde^1
-    applied afresh at every step, and the binomial walk from w = H."""
-    N = ctx.order
-    cap = min(N, 5)
-    inputs = [(H, index <= N) for index, H in enumerate(basis)] + [(x2_random[0], True)]
-    recursion, binomial = [], []
-    for H, in_recursion in inputs:
-        table = ctx.global_table("p_series", H, cap)
-        for v in range(2, cap if in_recursion and not recursion else 0):
-            rhs = Series2._combination(
-                [(1, ctx.tilde_partial_global(1, table[v - 1])), (1 - v, table[v - 1])], N)
-            if table[v].scale(v) != rhs:
-                recursion = [v]
-                break
-        w = table[0]
-        for v in range(1, cap if not binomial else 0):
-            w = Series2._combination([(1, ctx.tilde_partial_global(1, w)), (1 - v, w)], N)
-            if table[v] != w.scale(Fraction(1, factorial(v))):
-                binomial = [v]
-                break
-    return [_check("tilde_global_recursion", recursion), _check("tilde_global_binomial", binomial)]
+    return _check("xy_commutation", [
+        (v, u) for v, u in pairs
+        if ctx.partial_x(v, ctx.partial_y(u, G)) != ctx.partial_y(u, ctx.partial_x(v, G))])
 
 
 def tilde_x_pass_by_series(ctx, x1):
     """tilde_x_recursion and partial_x_from_tilde on normalised series: each
     side of v tilde_x^v = tilde_x^1 tilde_x^{v-1} - (v-1) tilde_x^{v-1} and
     of partial_x^v = sum_u (fbar^u)_v tilde_x^u made as a series, on the
-    suite's one-variable inputs x1."""
+    suite's one-variable inputs x1; and the global checks that the suite
+    decides from each, at its least failing degree."""
     N = ctx.order
     fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
     tx = [[h] + [ctx.tilde_partial_x(v, h) for v in range(1, N)] for h in x1]
@@ -682,7 +657,49 @@ def tilde_x_pass_by_series(ctx, x1):
         [(1, ctx.tilde_partial_x(1, th[v - 1])), (1 - v, th[v - 1])], N)]
     from_tilde = [v for v in range(1, N) for h, th in zip(x1, tx)
                   if Series1._combination(zip(fbar[v][1:], th[1:]), N) != ctx.partial_x(v, h)]
-    return [_check("tilde_x_recursion", recursion), _check("partial_x_from_tilde", from_tilde)]
+    return [_check("tilde_x_recursion", recursion),
+            _check("tilde_global_recursion", sorted(recursion)),
+            _check("tilde_global_binomial", sorted(recursion)),
+            _check("partial_x_from_tilde", from_tilde),
+            _check("partial_global_from_tilde", sorted(from_tilde))]
+
+
+def global_checks_on_basis(ctx):
+    """xy_commutation, tilde_global_recursion, tilde_global_binomial and
+    partial_global_from_tilde made on every monomial x^c y^d, c, d < N, at
+    every degree (pair), each reporting its least failing degree: x- and
+    y-operators commuted; v tilde^v = tilde^1 tilde^{v-1} - (v-1) tilde^{v-1}
+    with tilde^1 applied afresh; the binomial walk w_v = tilde^1 w_{v-1} -
+    (v-1) w_{v-1} from w_0 = H against v! tilde^v; and partial^v =
+    sum_u (fbar^u)_v tilde^u, on the tables `global_table` makes."""
+    N = ctx.order
+    fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
+    pairs = [(v, u) for v in range(1, N) for u in range(1, N)]
+    commutation, recursion, binomial, from_tilde = set(), set(), set(), set()
+    for c in range(N):
+        for d in range(N):
+            H = Series2.monomial(c, d, N)
+            dx = [ctx.partial_x(v, H) for v in range(N)]
+            dy = [ctx.partial_y(u, H) for u in range(N)]
+            commutation.update((v, u) for v, u in pairs
+                               if ctx.partial_x(v, dy[u]) != ctx.partial_y(u, dx[v]))
+            tilde = ctx.global_table("p_series", H, N)
+            partial = ctx.global_table("table_reduced", H, N)
+            w = H
+            for v in range(1, N):
+                step = Series2._combination(
+                    [(1, ctx.tilde_partial_global(1, tilde[v - 1])), (1 - v, tilde[v - 1])], N)
+                if tilde[v].scale(v) != step:
+                    recursion.add(v)
+                w = Series2._combination([(1, ctx.tilde_partial_global(1, w)), (1 - v, w)], N)
+                if tilde[v] != w.scale(Fraction(1, factorial(v))):
+                    binomial.add(v)
+                if Series2._combination(zip(fbar[v][1:], tilde[1:]), N) != partial[v]:
+                    from_tilde.add(v)
+    return [_check("xy_commutation", sorted(commutation)),
+            _check("tilde_global_recursion", sorted(recursion)),
+            _check("tilde_global_binomial", sorted(binomial)),
+            _check("partial_global_from_tilde", sorted(from_tilde))]
 
 
 def braid_match_by_fractions(ctx, sums, den):
@@ -694,18 +711,3 @@ def braid_match_by_fractions(ctx, sums, den):
         (i, j, k) for j in range(N) for i in range(1, N) for k in range(1, N)
         if d_table[j].coeffs[i][k] != Fraction(sums[i][j * N + k], den)])
 
-
-def from_tilde_by_full_tables(ctx, basis, x2_random):
-    """partial_global_from_tilde with every tilde table built to degree N - 1,
-    on the suite's inputs: the first N basis inputs, the first random one and
-    the flip, each compared at every degree v < max(6, v0 + 1), v < N."""
-    N = ctx.order
-    reach = min(N, max(6, ctx.degree + 1))
-    fbar = [[ctx.fbar_power(u).coeffs[v] for u in range(N)] for v in range(N)]
-    fails = []
-    for H in basis[:N] + x2_random[:1] + [ctx.flip]:
-        tilde = ctx.global_table("p_series", H, N)
-        partial = ctx.global_table("table_reduced", H, reach)
-        fails += [v for v in range(1, reach)
-                  if Series2._combination(zip(fbar[v][1:], tilde[1:]), N) != partial[v]][:1]
-    return _check("partial_global_from_tilde", sorted(fails))

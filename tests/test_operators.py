@@ -5,27 +5,20 @@ from fractions import Fraction
 import pytest
 
 from qcycle import operators
-from qcycle.errors import DegreeOutOfRange, InvariantViolation, NonzeroConstantTerm, SeriesError
-from qcycle.operators import (
-    OperatorContext,
-    _random_series2,
-    braid_sums,
-    build_context,
-    identity_suite,
-)
+from qcycle.errors import DegreeOutOfRange, InvariantViolation, SeriesError
+from qcycle.operators import OperatorContext, braid_sums, build_context, identity_suite
 from qcycle.series import Series1, Series2, compose
 from qcycle.standard import StandardCycleParams, build_standard_cycle
-from qcycle.tensor import CoeffTensor, _check
+from qcycle.tensor import CoeffTensor
 
 from conftest import random_fraction, random_series1
 from oracles import (
     braid_match_by_fractions,
     braid_sum,
-    from_tilde_by_full_tables,
+    global_checks_on_basis,
     oracle_global,
     oracle_x,
     oracle_y,
-    tilde_pass_by_series,
     tilde_x_pass_by_series,
     x_commutation_by_series,
     xy_commutation_by_series,
@@ -131,6 +124,19 @@ def edge_inputs(rng, N):
     return h1, h2
 
 
+def sparse_inputs(rng, N):
+    """Inputs with one to three nonzeros: monomials with unit and other
+    coefficients, one at the corner x^(N-1) y^(N-1), and grids with one,
+    two and three nonzeros at cells drawn from rng."""
+    def sparse(terms, unit=False):
+        cells = rng.sample([(c, d) for c in range(N) for d in range(N)], terms)
+        return Series2([[(1 if unit else random_fraction(rng) or Fraction(-5, 7))
+                         if (c, d) in cells else 0 for d in range(N)] for c in range(N)])
+
+    return [Series2.monomial(0, 1, N), Series2.monomial(N - 1, N - 1, N), sparse(1, True),
+            Series2.monomial(1, 2, N, Fraction(-5, 7)), sparse(1), sparse(2), sparse(3)]
+
+
 def assert_matches_defining_formula(ctx, h1, h2):
     """Every operator at every degree, on the one-variable inputs h1 and the
     two-variable inputs h2 (the global operators on h2[0]), against the
@@ -178,11 +184,14 @@ class TestMatrixKernel:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_global_table_matches_per_degree(self, n):
+        # against the per-degree operators on every input, and against the
+        # defining formula (`oracle_global`) on the sparse ones
         rng = random.Random(200 + n)
         for v0 in sorted({1, n // 2, n - 1}):
             ctx = make_context(n, v0, [random_fraction(rng) for _ in range(n - v0 - 1)])
             N = ctx.order
-            inputs = [random_series2(rng, N)] + edge_inputs(rng, N)[1] + [ctx.flip, ctx.table]
+            sparse = sparse_inputs(rng, N)
+            inputs = [random_series2(rng, N)] + edge_inputs(rng, N)[1] + sparse + [ctx.flip, ctx.table]
             for H in inputs:
                 for name, pg in (("table_reduced", ctx.partial_global),
                                  ("p_series", ctx.tilde_partial_global)):
@@ -190,14 +199,21 @@ class TestMatrixKernel:
                     assert len(table) == N
                     for k in range(N):
                         assert table[k] == pg(k, H), (v0, name, k)
+                        if H in sparse:
+                            assert table[k] == oracle_global(ctx, name, k, H), (v0, name, k, H)
                     assert ctx.global_table(name, H, 2) == table[:2]
+                    for count in (0, N + 1):
+                        with pytest.raises(DegreeOutOfRange):
+                            ctx.global_table(name, H, count)
 
     def test_inputs_at_another_order_raise(self, ctx_deg2, rng):
         ctx = ctx_deg2
         N = ctx.order
         x_ops = (ctx.partial_x, ctx.tilde_partial_x)
         all_ops = x_ops + (
-            ctx.partial_y, ctx.tilde_partial_y, ctx.partial_global, ctx.tilde_partial_global
+            ctx.partial_y, ctx.tilde_partial_y, ctx.partial_global, ctx.tilde_partial_global,
+            lambda v, H: ctx.global_table("table_reduced", H, v + 1),
+            lambda v, H: ctx.global_table("p_series", H, v + 1),
         )
         for order in (N - 1, N + 1):
             cases = [(op, random_series2(rng, order)) for op in all_ops]
@@ -222,91 +238,6 @@ class TestColumnKernel:
         edge1, edge2 = edge_inputs(rng, N)
         assert_matches_defining_formula(
             ctx, [random_series1(rng, N)] + edge1, [random_series2(rng, N)] + edge2)
-
-
-def table_by_defining_sum(ctx, name, H, count):
-    """[B^k H for k < count] from the raw y-images, summed along x."""
-    ys = ctx._y_images(name, H, count)
-    return [ctx._global_sum(name, k, ys) for k in range(count)]
-
-
-def raised(call):
-    """(type, message) of the exception call() raises, or None."""
-    try:
-        call()
-    except Exception as exc:
-        return type(exc), str(exc)
-    return None
-
-
-class TestOuterForm:
-    """`global_table` in its outer form (`_outer_table`), on inputs with few
-    nonzeros, against its defining sum and the oracle `oracle_global`; the
-    errors and the suite verdicts under a planted operator column are those
-    of the defining sum.  OUTER_CUT = 0 sends every nonzero input to the
-    defining sum, OUTER_CUT = N every input to the outer form."""
-
-    SHAPES = [(4, 1), (5, 4), (7, 1), (7, 6)]
-
-    @pytest.mark.parametrize("n,v0", SHAPES)
-    def test_matches_defining_sum_and_oracle(self, monkeypatch, n, v0):
-        rng = random.Random(960 + 10 * n + v0)
-        ctx = make_context(n, v0, [random_fraction(rng) or 1 for _ in range(n - v0 - 1)])
-        N = ctx.order
-
-        def sparse(terms, unit=False):
-            cells = rng.sample([(c, d) for c in range(N) for d in range(N)], terms)
-            return Series2([[(1 if unit else random_fraction(rng) or Fraction(-5, 7))
-                             if (c, d) in cells else 0 for d in range(N)] for c in range(N)])
-
-        inputs = [Series2.monomial(0, 1, N), Series2.monomial(N - 1, N - 1, N), sparse(1, True),
-                  Series2.monomial(1, 2, N, Fraction(-5, 7)), sparse(1), sparse(2), sparse(3)]
-        dense = random_series2(rng, N)
-        forms, calls, outer_table = Counter(), [], OperatorContext._outer_table
-        monkeypatch.setattr(OperatorContext, "_outer_table",
-                            lambda self, *args: calls.append(1) or outer_table(self, *args))
-        for name in ("table_reduced", "p_series"):
-            for H in inputs + [dense]:
-                outer = outer_table(ctx, name, H, N)
-                assert outer == table_by_defining_sum(ctx, name, H, N), (name, H)
-                # the oracle is slow: every degree on three inputs, else the first and last
-                degrees = range(N) if H in (inputs[0], inputs[3], dense) else (0, N - 1)
-                for k in degrees:
-                    assert outer[k] == oracle_global(ctx, name, k, H), (name, k, H)
-                calls.clear()
-                assert ctx.global_table(name, H, N) == outer
-                assert ctx.global_table(name, H, 3) == outer[:3]
-                forms["outer" if calls else "defining sum"] += 1
-        # every sparse input takes the outer form and the dense one the defining sum
-        assert forms == {"outer": 2 * len(inputs), "defining sum": 2}
-
-    def test_errors_match(self, monkeypatch, ctx_deg2):
-        ctx, N = ctx_deg2, ctx_deg2.order
-        bad = [(Series1.monomial(1, N), 2), (Series2.monomial(0, 1, N + 1), 2),
-               (Series2.monomial(0, 1, N - 1), 2), (Series2.monomial(0, 1, N), N + 1),
-               (Series2.monomial(0, 1, N), 0)]
-        errors = []
-        for cut in (0, N):
-            monkeypatch.setattr(operators, "OUTER_CUT", cut)
-            errors.append([raised(lambda: ctx.global_table(name, H, count))
-                           for name in ("table_reduced", "p_series") for H, count in bad])
-        assert errors[0] == errors[1]
-        assert all(errors[0]) and {kind for kind, _ in errors[0]} == {SeriesError, DegreeOutOfRange}
-
-    @pytest.mark.parametrize("n,v0", SHAPES[:2])
-    def test_planted_column_fails_the_same_checks(self, monkeypatch, n, v0):
-        rng = random.Random(980 + n)
-        tail = [random_fraction(rng) for _ in range(n - v0 - 1)]
-        keys = [("table_reduced", d) for d in range(1, 5)] + [("p_series", d) for d in (1, 3)]
-        for key in keys:
-            seed, reports = rng.randrange(1 << 20), []
-            for cut in (0, n + 2):
-                monkeypatch.setattr(operators, "OUTER_CUT", cut)
-                ctx = plant_matrix_entry(make_context(n, v0, tail), key, random.Random(seed))
-                report = identity_suite(ctx, random.Random(5))
-                reports.append([(c.name, c.ok, c.detail) for c in report.checks])
-            assert reports[0] == reports[1], key
-            assert not all(ok for _, ok, _ in reports[0]), key
 
 
 class TestEigenSeries:
@@ -351,7 +282,7 @@ class TestSuite:
     )
     def test_identity_suite_green(self, n, v0, tail):
         ctx = make_context(n, v0, tail)
-        report = identity_suite(ctx, rng=random.Random(5))
+        report = identity_suite(ctx)
         assert report.ok, [c.name for c in report.failures()]
 
     def test_suite_covers_core_identities(self):
@@ -379,19 +310,6 @@ def perturbed(t, i, j, k, delta):
     return CoeffTensor(entries)
 
 
-@pytest.fixture
-def table_counts(monkeypatch):
-    """The (name, count) of each `global_table` call, counted."""
-    counts, table = Counter(), OperatorContext.global_table
-
-    def counted(self, name, H, count):
-        counts[name, count] += 1
-        return table(self, name, H, count)
-
-    monkeypatch.setattr(OperatorContext, "global_table", counted)
-    return counts
-
-
 class TestPlantedFaults:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_braid_sums_match_oracle(self, n):
@@ -411,7 +329,7 @@ class TestPlantedFaults:
     def test_perturbed_tensor_fails_braid_sum_match(self):
         ctx = make_context(4, 1, [Fraction(1, 2), -1])
         ctx = ctx._replaced(tensor=perturbed(ctx.tensor, 2, 1, 1, Fraction(1, 3)))
-        failed = {c.name for c in identity_suite(ctx, rng=random.Random(5)).failures()}
+        failed = {c.name for c in identity_suite(ctx).failures()}
         assert "braid_sum_match" in failed
 
     @pytest.mark.parametrize("n,v0", [(4, 1), (4, 3)])
@@ -420,83 +338,45 @@ class TestPlantedFaults:
         assert not ctx._matrices
         bump = Series2.monomial(2, 2, ctx.order, Fraction(1, 5))
         ctx = ctx._replaced(p_series=ctx.p_series + bump)
-        failed = {c.name for c in identity_suite(ctx, rng=random.Random(5)).failures()}
-        # P no longer solves its recursion, so both identities of the global
-        # tilde operator fail: neither may be read back into its own table.
-        assert {"tilde_global_recursion", "tilde_global_binomial"} <= failed, failed
+        failed = {c.name for c in identity_suite(ctx).failures()}
+        # P no longer solves its recursion, so tilde_x_recursion fails, and
+        # with it both identities of the global tilde operator
+        assert {"tilde_x_recursion", "tilde_global_recursion",
+                "tilde_global_binomial"} <= failed, failed
 
     def test_first_failure_is_the_least_failing_degree(self):
-        # This Gbar fails partial_global_from_tilde at v = 3 on the first input
-        # (y) and at v = 2 on later ones; the check scans v first, so it
-        # reports v = 2.
+        # This Gbar fails partial_x_from_tilde first at v = 2, on some x^a;
+        # partial_global_from_tilde fails first at that degree too.
         ctx = make_context(4, 1, [Fraction(1, 2), Fraction(1, 2)])
         N = ctx.order
         assert not ctx._matrices
         bump = Series2.monomial(0, 0, N, Fraction(1, 5)) + Series2.monomial(0, 3, N, Fraction(1, 5))
         ctx = ctx._replaced(table_reduced=ctx.table_reduced + bump)
-        report = identity_suite(ctx, rng=random.Random(5))
-        details = {c.name: c.detail for c in report.failures()}
+        details = {c.name: c.detail for c in identity_suite(ctx).failures()}
+        assert details["partial_x_from_tilde"] == "first failure at 2"
         assert details["partial_global_from_tilde"] == "first failure at 2"
-
-    def test_tilde_tables_reach_every_degree_read(self, monkeypatch, table_counts):
-        """partial_global_from_tilde reads tilde^u H wherever (fbar^u)_v != 0
-        for some v < max(6, v0 + 1), so the tilde tables are built up to the
-        largest such u.  A constant term planted in fbar makes that every u < N: the check
-        must then report what full tables give, and the tables must reach
-        degree N - 1.  (The transport chain then composes with fbar, which
-        raises, so the suite's checks are read as they are made.)"""
-        ctx = make_context(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)], pad=3)
-        N = ctx.order
-        planted = ctx._replaced(row_reduced=ctx.row_reduced.add_constant(-1))
-        assert all(planted.fbar_power(u).coeffs[1] for u in range(1, N))
-        made = []
-        monkeypatch.setattr(operators, "_check",
-                            lambda name, fails: made.append(_check(name, fails)) or made[-1])
-        with pytest.raises(NonzeroConstantTerm):
-            identity_suite(planted, random.Random(5))
-        # the first N basis inputs and the random one are read to degree
-        # N - 1, the other N basis inputs only to the recursion's cap 5
-        assert {key: k for key, k in table_counts.items() if key[0] == "p_series"} == {
-            ("p_series", N): N + 1, ("p_series", 5): N}
-        got = next(c for c in made if c.name == "partial_global_from_tilde")
-        _, basis, x2_random = suite_inputs(planted, 5)
-        assert not got.ok and got == from_tilde_by_full_tables(planted, basis, x2_random)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_from_tilde_reads_a_degree_at_high_v0(self, n):
         # at v0 = n - 1 >= 6 both sides of partial^v = sum_u (fbar^u)_v
         # tilde^u vanish for v < v0, so the check must read a degree v >= v0:
-        # a P planted at x^v0 y fails it there, as with full tables
+        # a P planted at x^v0 y fails it there, as its Series form does
         ctx = make_context(n, n - 1, [])
         bump = Series2.monomial(n - 1, 1, ctx.order, Fraction(1, 5))
         planted = ctx._replaced(p_series=ctx.p_series + bump)
-        report = {c.name: c for c in identity_suite(planted, random.Random(5)).checks}
-        _, basis, x2_random = suite_inputs(planted, 5)
-        want = from_tilde_by_full_tables(planted, basis, x2_random)
-        assert not want.ok and report["partial_global_from_tilde"] == want
-
-    @pytest.mark.parametrize("n,v0,count", [(5, 1, 6), (5, 4, 5), (7, 6, 5)])
-    def test_unplanted_tables_stop_at_the_degrees_read(self, table_counts, n, v0, count):
-        # as fbar(0) = 0, (fbar^u)_v = 0 for u > v: no table goes past degree
-        # 5, and at v0 = 4, where only u = 1 is read, none past the
-        # recursion's cap (count 5)
-        ctx = make_context(n, v0, [Fraction(1, 2)] * (n - v0 - 1))
-        assert identity_suite(ctx, random.Random(5)).ok
-        assert {k for name, k in table_counts if name == "p_series"} == {5, count}
-
+        report = {c.name: c for c in identity_suite(planted).checks}
+        wants = {want.name: want for want in tilde_x_pass_by_series(planted, suite_inputs(planted))}
+        for name in ("partial_x_from_tilde", "partial_global_from_tilde"):
+            assert not wants[name].ok and report[name] == wants[name], name
+        assert int(report["partial_global_from_tilde"].detail.split()[-1]) >= n - 1
 
 # -- the checks that compare integer images, against their Series forms ----------
 
 
-def suite_inputs(ctx, seed):
-    """(x1_inputs, x2_basis, x2_random): the inputs of
-    identity_suite(ctx, random.Random(seed)), made in its order; x2_random
-    holds its one random series."""
-    rng, N = random.Random(seed), ctx.order
-    x1 = [Series1.monomial(a, N) for a in range(N)]
-    basis = [Series2.monomial(0, b, N) for b in range(1, N)] + [
-        Series2.monomial(1, b, N) for b in range(N)] + [Series2.monomial(2, 0, N)] * (N > 2)
-    return x1, basis, [_random_series2(rng, N)]
+def suite_inputs(ctx):
+    """The one-variable inputs of identity_suite(ctx), in its order: the
+    monomials x^a, a < N."""
+    return [Series1.monomial(a, ctx.order) for a in range(ctx.order)]
 
 
 # A plant takes a context and an rng and returns the context to run the suite
@@ -548,23 +428,6 @@ PLANTS = {
 }
 
 
-def plant_global_rows(ctx, rng, hit, add):
-    """A fault in the raw global sums (`OperatorContext._global_rows`): each
-    sum that hit(name, k, ys) selects gains add(H's numerators), for its
-    input H = ys[0], at one x^r y^c drawn from rng."""
-    rows_of, N = ctx._global_rows, ctx.order
-    r, c = rng.randrange(N), rng.randrange(N)
-
-    def faulty(name, k, ys):
-        rows, den = rows_of(name, k, ys)
-        if hit(name, k, ys):
-            rows[r][c] += add(ys[0][0])
-        return rows, den
-
-    ctx._global_rows = faulty
-    return ctx
-
-
 def plant_x_image(ctx, key, hit, add):
     """A fault in the images (`OperatorContext._image`) of one-variable
     inputs under the matrix `key`: each whose numerators hit(row) selects
@@ -581,41 +444,10 @@ def plant_x_image(ctx, key, hit, add):
     return ctx
 
 
-def plant_tilde_unit_step(ctx, rng, inputs):
-    """tilde^1 as the global tilde recursion applies it to tilde^{v-1} H,
-    v >= 2 (a global sum over two y-images; every table holds more), on
-    inputs other than the suite's own H.  Each gains H's numerator at x^a
-    y^b, which over the sum's denominator, den(H) times the matrix's, is
-    H's x^a y^b coefficient over a fixed integer.  So the fault is linear,
-    and the binomial walk, which starts from tilde^1 H = table[1], meets it
-    where the recursion does."""
-    N, (_, basis, x2_random) = ctx.order, inputs
-    own = {H._nums for H in basis + x2_random[:1]}
-    a, b = rng.randrange(N), rng.randrange(N)
-    return plant_global_rows(
-        ctx, rng, lambda name, k, ys: name == "p_series" and len(ys) == 2 and ys[0][0] not in own,
-        lambda nums: nums[a][b])
-
-
-def plant_from_tilde_tables(ctx, rng, inputs):
-    """The global tables that only partial_global_from_tilde reads: partial^k H
-    (k >= 1) or tilde^k H (k >= 5, past the recursion's cap), for H neither
-    G nor F, at one degree k: each gains 1."""
-    N = ctx.order
-    name = rng.choice(("table_reduced", "p_series"))
-    degree = rng.randrange(1, N) if name == "table_reduced" else rng.randrange(min(N, 5), N)
-    kept = (ctx.table._nums, ctx.flip._nums)
-
-    def hit(key, k, ys):
-        return (key, k) == (name, degree) and all(ys[0][0] is not g for g in kept)
-
-    return plant_global_rows(ctx, rng, hit, lambda nums: 1)
-
-
 def plant_tilde_x_step(ctx, rng, inputs):
     """tilde_x^1 on one-variable inputs other than the suite's own, that is
     on the tilde_x^{v-1} h of the recursion: each gains its x^a numerator."""
-    a, own = rng.randrange(ctx.order), {h._nums for h in inputs[0]}
+    a, own = rng.randrange(ctx.order), {h._nums for h in inputs}
     return plant_x_image(ctx, ("p_series", 1), lambda row: row not in own, lambda row: row[a])
 
 
@@ -630,33 +462,22 @@ def plant_partial_x_table(ctx, rng, inputs):
     return plant_x_image(ctx, ("table_reduced", d), lambda nums: nums == row, lambda nums: 1)
 
 
-# check(s) -> the plant whose fault no other check of the suite meets
+# checks -> the plant whose fault no other check of the suite meets: a
+# one-variable check and the global checks the suite decides from it
 ONE_CHECK_PLANTS = {
-    ("tilde_global_recursion", "tilde_global_binomial"): plant_tilde_unit_step,
-    ("partial_global_from_tilde",): plant_from_tilde_tables,
-    ("tilde_x_recursion",): plant_tilde_x_step,
-    ("partial_x_from_tilde",): plant_partial_x_table,
+    ("tilde_x_recursion", "tilde_global_recursion", "tilde_global_binomial"): plant_tilde_x_step,
+    ("partial_x_from_tilde", "partial_global_from_tilde"): plant_partial_x_table,
 }
-
-
-def one_check_oracles(ctx, names, x1, basis, x2_random):
-    """The Series forms of the checks `names`, on the suite's inputs."""
-    if names[0].startswith("tilde_global"):
-        return tilde_pass_by_series(ctx, basis, x2_random)
-    if names[0] == "partial_global_from_tilde":
-        return [from_tilde_by_full_tables(ctx, basis, x2_random)]
-    return [want for want in tilde_x_pass_by_series(ctx, x1) if want.name in names]
 
 
 class TestImageComparisons:
     """Each check that compares stored integers in place of series gives
     the verdict and the first failure of its Series form (`oracles`):
     partial_x_commutation and xy_commutation on integer images
-    (`OperatorContext._image`), the two global tilde checks on one walk of
-    the recursion over the raw image tilde^1 tilde^{v-1} H, the tilde_x
-    recursion on the integer image tilde_x^1 tilde_x^{v-1} h, the two
-    checks of partial^v = sum_u (fbar^u)_v tilde^u on `_is_combination`,
-    and braid_sum_match on the numerators of partial^j G."""
+    (`OperatorContext._image`), the tilde_x recursion on the integer image
+    tilde_x^1 tilde_x^{v-1} h, partial_x^v = sum_u (fbar^u)_v tilde_x^u on
+    `_is_combination`, and braid_sum_match on the numerators of
+    partial^j G."""
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_match_series_oracles(self, n):
@@ -668,45 +489,17 @@ class TestImageComparisons:
                 # a planted matrix entry or kernel degree is drawn at random, so twice
                 for _ in range(1 if plant in ("none", "p_series") else 2):
                     ctx = PLANTS[plant](make_context(n, v0, tail), rng)
-                    seed = rng.randrange(1 << 20)
-                    report = {c.name: c for c in identity_suite(ctx, random.Random(seed)).checks}
-                    x1, basis, x2_random = suite_inputs(ctx, seed)
-                    oracles = [x_commutation_by_series(ctx, x1),
-                               xy_commutation_by_series(ctx, basis, x2_random),
-                               *tilde_pass_by_series(ctx, basis, x2_random)]
+                    report = {c.name: c for c in identity_suite(ctx).checks}
+                    oracles = [x_commutation_by_series(ctx, suite_inputs(ctx)),
+                               xy_commutation_by_series(ctx)]
                     for want in oracles:
                         assert report[want.name] == want, (v0, plant)
                         failed[want.name] += not want.ok
                     if plant == "none":
                         assert all(want.ok for want in oracles), v0
         # every rewritten check met a planted fault
-        assert set(failed) == {"partial_x_commutation", "xy_commutation",
-                               "tilde_global_recursion", "tilde_global_binomial"}
+        assert set(failed) == {"partial_x_commutation", "xy_commutation"}
         assert all(failed.values()), failed
-
-    def test_xy_commutation_reports_the_least_failing_pair(self):
-        """xy_commutation makes one input's images at a time.  Kernel faults
-        planted on three inputs make x fail first at the pair (1, 3), the
-        later input x y at (1, 1) and x^2, after both, at (1, 4); the check
-        must report (1, 1), as its oracle, which scans pairs first, does."""
-        ctx = make_context(4, 1, [Fraction(1, 2), Fraction(-2, 3)])
-        N, image = ctx.order, ctx._image
-        faults = {3: Series2.monomial(1, 0, N)._nums, 1: Series2.monomial(1, 1, N)._nums,
-                  4: Series2.monomial(2, 0, N)._nums}
-
-        def faulty(name, v, nums, along_y):
-            rows, den = image(name, v, nums, along_y)
-            if along_y and name == "table_reduced" and nums == faults.get(v):
-                rows[1][0] += 1
-            return rows, den
-
-        ctx._image = faulty
-        x1, basis, x2_random = suite_inputs(ctx, 5)
-        assert [basis.index(Series2._from_ints(faults[v], 1)) for v in (3, 1, 4)] == [5, 6, 11]
-        want = xy_commutation_by_series(ctx, basis, x2_random)
-        assert want.detail == "first failure at (1, 1)"
-        report = {c.name: c for c in identity_suite(ctx, random.Random(5)).checks}
-        assert report["xy_commutation"] == want
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_planted_fault_meets_one_check(self, n):
@@ -718,15 +511,15 @@ class TestImageComparisons:
             tail = [random_fraction(rng) for _ in range(n - v0 - 1)]
             for names, plant in ONE_CHECK_PLANTS.items():
                 for _ in range(3):
-                    seed = rng.randrange(1 << 20)
                     ctx = make_context(n, v0, tail)
-                    x1, basis, x2_random = inputs = suite_inputs(ctx, seed)
-                    ctx = plant(ctx, rng, inputs)
-                    report = identity_suite(ctx, random.Random(seed))
+                    x1 = suite_inputs(ctx)
+                    ctx = plant(ctx, rng, x1)
+                    report = identity_suite(ctx)
                     checks = {c.name: c for c in report.checks}
-                    for want in one_check_oracles(ctx, names, x1, basis, x2_random):
-                        assert checks[want.name] == want, (v0, names)
-                        failed[want.name] += not want.ok
+                    for want in tilde_x_pass_by_series(ctx, x1):
+                        if want.name in names:
+                            assert checks[want.name] == want, (v0, names)
+                            failed[want.name] += not want.ok
                     assert {c.name for c in report.failures()} <= set(names), (v0, names)
         # every plant met its checks
         assert set(failed) == {name for names in ONE_CHECK_PLANTS for name in names}
@@ -751,7 +544,7 @@ class TestImageComparisons:
                 return sums, den
 
             monkeypatch.setattr(operators, "braid_sums", planted)
-            report = identity_suite(ctx, random.Random(5))
+            report = identity_suite(ctx)
             want = braid_match_by_fractions(ctx, *planted(ctx.tensor))
             assert want.ok == (plant is None)
             assert [c for c in report.checks if not c.ok] == ([] if want.ok else [want])
@@ -759,23 +552,65 @@ class TestImageComparisons:
 
     def test_work_per_suite_run(self, monkeypatch):
         """The kernel images and global sums of one suite run at n = 7,
-        v0 = 1, pad 2, so that a duplicated image shows here.  The 18 basis
-        monomials take the outer form (`_outer_table`): their 18 tilde
-        tables and the 9 partial tables of the first N.  The normalised sums
-        (`_global_sum`) are the tables of G, F and the random input, and the
-        raw ones (`_global_rows`) are those and the 57 tilde^1 steps of the
-        global tilde recursion, compared unnormalised."""
+        v0 = 1, pad 2, so that a duplicated image shows here.  The only
+        global sums are the tables partial^k G and tilde^k F, k < N = 9,
+        each normalised once (`_global_sum` over `_global_rows`)."""
         counts = Counter()
-        for name in ("_image", "_global_rows", "_global_sum", "_outer_table"):
+        for name in ("_image", "_global_rows", "_global_sum"):
             def counted(self, *args, _name=name, _method=getattr(OperatorContext, name)):
                 counts[_name] += 1
                 return _method(self, *args)
             monkeypatch.setattr(OperatorContext, name, counted)
         ctx = make_context(7, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2),
                                   Fraction(1, 3), Fraction(-3, 4)])
-        assert identity_suite(ctx, rng=random.Random(5)).ok
-        assert counts == {"_image": 1662, "_global_rows": 36 + 57, "_global_sum": 36,
-                          "_outer_table": 18 + 9}
+        assert identity_suite(ctx).ok
+        assert counts == {"_image": 798, "_global_rows": 18, "_global_sum": 18}
+
+
+# The plants that leave the kernel `_image` intact, so that the global
+# operators are the sums of tensor products of their one-variable matrices
+KERNEL_INTACT_PLANTS = ("none", "gbar_matrix", "p_unit_matrix", "p_cube_matrix", "p_series")
+
+
+class TestGlobalLemma:
+    """The suite decides tilde_global_recursion and tilde_global_binomial
+    from tilde_x_recursion, and partial_global_from_tilde from
+    partial_x_from_tilde (the lemma in the `operators` docstring), and runs
+    xy_commutation on G alone.  Under each plant that leaves the kernel
+    intact, the four report what the global identities themselves give on
+    all N^2 monomials x^c y^d at every degree (`global_checks_on_basis`):
+    the same verdict and the same least failing degree."""
+
+    @pytest.mark.parametrize("v0", [1, 3])
+    def test_global_checks_follow_the_lemma(self, v0):
+        rng = random.Random(970 + v0)
+        tail = [random_fraction(rng) or 1 for _ in range(4 - v0 - 1)]
+        failed = Counter()
+        for plant in KERNEL_INTACT_PLANTS:
+            # a planted matrix entry is drawn at random, so three times
+            for _ in range(1 if plant in ("none", "p_series") else 3):
+                ctx = PLANTS[plant](make_context(4, v0, tail, pad=1), rng)
+                report = {c.name: c for c in identity_suite(ctx).checks}
+                for want in global_checks_on_basis(ctx):
+                    assert report[want.name] == want, (plant, want.name)
+                    failed[want.name] += not want.ok
+        # each tilde identity met a fault; commutation holds for any matrices
+        assert failed["xy_commutation"] == 0
+        assert all(failed[name] for name in (
+            "tilde_global_recursion", "tilde_global_binomial", "partial_global_from_tilde")), failed
+
+    def test_global_recursion_reports_the_least_failing_degree(self):
+        """tilde_x_recursion scans inputs first.  With g = x + x^2 and a
+        tilde_x^1 entry planted at row 0, column 3, x fails it first at
+        v = 3 and x^2 at v = 2, so its first failure is at 3; the global
+        recursion, and the suite's check of it, fail first at 2."""
+        ctx = plant_matrix_entry(make_context(4, 1, [0, 0], pad=1), ("p_series", 1), None,
+                                 at=(0, 3))
+        report = {c.name: c for c in identity_suite(ctx).checks}
+        assert report["tilde_x_recursion"].detail == "first failure at 3"
+        for want in global_checks_on_basis(ctx):
+            assert report[want.name] == want, want.name
+        assert report["tilde_global_recursion"].detail == "first failure at 2"
 
 
 # -- whole suite reports on planted faults ------------------------------------------
@@ -799,7 +634,7 @@ SUITE_PLANTS = {
 }
 
 # The (name, detail) pairs of report.failures(), per plant, at n = 5, v0 = 1,
-# pad 2, plant seed 11 and suite seed 5.
+# pad 2 and plant seed 11.
 PLANTED_FAILURES = {
     "none": [],
     "y_offset_kernel": [
@@ -817,7 +652,6 @@ PLANTED_FAILURES = {
         ("xy_commutation", "first failure at (1, 4)"),
         ("partial_y_kills_pure_x", "first failure at 4"),
         ("global_slice_symmetry", "first failure at (0, 4)"),
-        ("partial_global_from_tilde", "first failure at 4"),
         ("global_as_flip_convolution", "first failure at 4"),
     ],
     "gbar_matrix": [
@@ -898,7 +732,7 @@ class TestPlantedReports:
     def test_failures_are_pinned(self, plant):
         ctx = make_context(5, 1, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
         ctx = SUITE_PLANTS[plant](ctx, random.Random(11))
-        report = identity_suite(ctx, random.Random(5))
+        report = identity_suite(ctx)
         assert [(c.name, c.detail) for c in report.failures()] == PLANTED_FAILURES[plant]
 
     def test_suite_only_checks_meet_a_fault(self):
@@ -950,7 +784,7 @@ class TestOneVariableInputs:
         ctx = make_context(n, v0, tail[:n - v0 - 1])
         assert ctx.table._den != 1
         monkeypatch.setattr(OperatorContext, "_apply", apply)
-        failed = {c.name for c in identity_suite(ctx, random.Random(5)).failures()}
+        failed = {c.name for c in identity_suite(ctx).failures()}
         assert {"x_slice_symmetry", "column_slice_exchange",
                 "global_as_flip_convolution"} <= failed, failed
 
