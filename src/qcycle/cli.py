@@ -146,8 +146,8 @@ def _cmd_verify(args) -> int:
     # The braid scans and the solution map presuppose coalgebra morphisms;
     # without them every later check is recorded as failed without running.
     morphisms = results["morphism_p"] and results["morphism_d"]
-    # The full scan's m = 1 slice is the reduced scan, so a passing full scan
-    # is a passing reduced report; only a failing one leaves it to be made.
+    # A passing full check is the m = 1 report, so it is the reduced verdict;
+    # after a failing one the reduced report is read off the structure.
     full = check_braid_full(structure) if morphisms and args.full else None
     reduced = (full or check_braid_reduced(structure)) if morphisms else None
     results["braid_reduced"] = bool(reduced)

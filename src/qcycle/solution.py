@@ -3,8 +3,13 @@
 For a pair of comultiplicative tensors (p, d) three coefficient families
 (evaluated for all i, j, k and output index m) express the compatibility
 conditions of the structure; for comultiplicative pairs the m = 1 instances
-already imply all m, which `check_braid_full` confirms against
-`check_braid_reduced`.  Each side of a family is a sum over a triple of p and
+already imply all m: in K[x, y, z]/<x^n, y^n, z^n>, slice m of a side for
+the triple (A, B, C) is the m-th power of slice 1, H = G_C(G_A(x, z), G_B(y, z)),
+and the right-hand side's (i, k, j) reading is the ring automorphism y <-> z
+(the lemma in `check_braid_full`).  So `check_braid_full` decides a passing
+structure from its m = 1 slice, kept on the structure for
+`check_braid_reduced`, and scans every m only when a family fails there.
+Each side of a family is a sum over a triple of p and
 d, made on integers as two contractions (first over h, then over a + b = j
 and l); a triple that several sides share, as all six do when p = d, is made
 once, and a failing scan stops once its report can no longer change
@@ -293,14 +298,46 @@ def _slot_getters(n: int, count: int) -> list:
 def check_braid_reduced(s: QCycleStructure) -> BraidReport:
     """The m = 1 instances of the three families, for all i, j, k."""
     _require_morphisms(s)
-    return _braid_scan(s, range(1, 2))
+    return _slice_one(s)
+
+
+def _slice_one(s: QCycleStructure) -> BraidReport:
+    """The report of the m = 1 scan, made once per structure and kept on it
+    (`QCycleStructure`), so `check_braid_full` and `check_braid_reduced`
+    share one scan of the slice; both require the morphisms first."""
+    report = getattr(s, "_reduced", None)
+    if report is None:
+        report = _braid_scan(s, range(1, 2))
+        object.__setattr__(s, "_reduced", report)
+    return report
 
 
 def check_braid_full(s: QCycleStructure) -> BraidReport:
-    """All output indices m < n; agrees with the reduced check on
-    comultiplicative pairs."""
+    """All output indices m < n, decided from the m = 1 slice when it holds.
+
+    Lemma.  Let R = K[x, y, z]/<x^n, y^n, z^n>, and for a triple (A, B, C)
+    of the coalgebra morphisms p, d set alpha = G_A(x, z) and
+    beta = G_B(y, z) in R, with G_T the series of level 1 of T (see
+    `qcycle.tensor`).  Level h of A is G_A^h, so alpha^h = sum A[i][a][h] x^i z^a,
+    and likewise beta^l; and alpha^n = beta^n = 0, because the morphism check
+    proves G^n = 0.  So u -> alpha, v -> beta is a ring map from
+    K[u, v]/<u^n, v^n> to R, and with H = G_C(alpha, beta) it sends
+    G_C^m = sum C[h][l][m] u^h v^l to H^m:
+
+        S[i][j][k][m] = [x^i y^k z^j] H^m.
+
+    The right-hand side is read at (i, k, j), which is the swap y <-> z, an
+    automorphism tau of R.  A family holding at m = 1 is H_L = tau(H_R), so
+    H_L^m = tau(H_R^m) for every m: it holds at every m.  Hence a passing
+    m = 1 slice is the full report, (True, True, True, ()), and only a
+    failing one runs the scan over every m, whose report lists the
+    violations at all m.  The premise is needed: `_require_morphisms` runs
+    first, since a tensor that is not a morphism can hold at m = 1 and fail
+    at m = 2.
+    """
     _require_morphisms(s)
-    return _braid_scan(s, range(s.n))
+    reduced = _slice_one(s)
+    return reduced if reduced else _braid_scan(s, range(s.n))
 
 
 def gp_map(t: CoeffTensor) -> LinearMap2:

@@ -219,7 +219,11 @@ class _Record:
 
 
 class QCycleStructure(_Record):
-    """A pair (p, d) of coefficient tensors with the same n."""
+    """A pair (p, d) of coefficient tensors with the same n.
+
+    The report of its m = 1 braid scan is kept on it once made (`_reduced`,
+    see `solution.check_braid_full`); it is not a field, so neither equality
+    nor hash reads it."""
 
     p: CoeffTensor
     d: CoeffTensor
@@ -289,8 +293,9 @@ def is_coalgebra_morphism(t: CoeffTensor) -> MorphismReport:
 
     The report is kept on t, so a tensor is walked at most once however often
     it is checked: `verify --full` asks for p and d in the command and in
-    the full scan, and again in the reduced scan when the full one fails
-    (4 or 6 times), and walks one tensor when d is p.
+    `check_braid_full` (4 times), and again in `check_braid_reduced` when
+    the m = 1 slice fails and the full scan runs (6 times), and walks one
+    tensor when d is p.
     """
     report = getattr(t, "_morph", None)
     if report is None:

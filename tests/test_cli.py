@@ -154,8 +154,8 @@ def _verify_cases():
 @pytest.mark.parametrize("structure, passes", _verify_cases())
 def test_verify_full_reads_the_reduced_verdict_off_a_passing_full_scan(
         tmp_path, capsys, monkeypatch, structure, passes):
-    # verify --full runs the full scan first and the reduced scan only when
-    # the full one fails; its output is plain verify's plus the braid_full line
+    # verify --full calls check_braid_full first and check_braid_reduced only
+    # when it fails; its output is plain verify's plus the braid_full line
     morphisms = is_coalgebra_morphism(structure.p) and is_coalgebra_morphism(structure.d)
     if morphisms and not passes and not structure.is_involutive():
         full = check_braid_full(structure)   # families 1 and 2 fail, family 3 holds

@@ -5,8 +5,6 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qcycle.errors import (
     ConstantTermNotOne,
@@ -54,18 +52,6 @@ from oracles import (
     substitute_y_by_fractions,
 )
 
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-
-
-def series1(order):
-    return st.lists(rationals, min_size=order, max_size=order).map(Series1)
-
-
-def series2(order):
-    row = st.lists(rationals, min_size=order, max_size=order)
-    return st.lists(row, min_size=order, max_size=order).map(Series2)
-
-
 def constant_term(s):
     return s.coeffs[0] if isinstance(s, Series1) else s.coeffs[0][0]
 
@@ -99,8 +85,7 @@ def _series1_operands(rng, n):
 
 
 def _rational(rng, max_den=6):
-    """A rational in [-4, 4] over a denominator up to max_den, as
-    `rationals` draws them for max_den = 6."""
+    """A rational in [-4, 4] over a denominator up to max_den."""
     den = rng.randint(1, max_den)
     return Fraction(rng.randint(-4 * den, 4 * den), den)
 
@@ -112,21 +97,37 @@ def _large(rng):
 
 def _drawn(count, seed, *orders):
     """`count` tuples of operands from a seeded `Random`, one per entry of
-    orders: a `Series1` of that order, or a rational for None.  The first
-    three tuples are drawn explicitly: all zero, all large (`_large`), and
-    large and zero alternating; the rest are random, as `rationals` and
-    `series1` draw them."""
+    orders: a rational for None, a `Series1` of order k for an int k, and
+    for a pair (kind, ks) a `Series1` or `Series2` (kind) of order ks, or of
+    an order drawn from ks once per tuple when ks is a range.  The first
+    three tuples share one draw of the orders and are drawn explicitly: all
+    zero, all large (`_large`), and large and zero alternating; the rest are
+    random, with coefficients from `_rational`."""
     rng = random.Random(seed)
+    specs = [k if k is None else (Series1, k) if isinstance(k, int) else k for k in orders]
 
-    def operands(coefficient):
-        return tuple(coefficient() if k is None else Series1([coefficient() for _ in range(k)])
-                     for k in orders)
+    def shape():
+        return [spec and (spec[0], spec[1] if isinstance(spec[1], int) else rng.choice(spec[1]))
+                for spec in specs]
 
-    zeros, larges = operands(lambda: Fraction(0)), operands(lambda: _large(rng))
+    def operands(coefficient, kinds):
+        def line(k):
+            return [coefficient() for _ in range(k)]
+        return tuple(coefficient() if kind is None
+                     else Series1(line(kind[1])) if kind[0] is Series1
+                     else Series2([line(kind[1]) for _ in range(kind[1])])
+                     for kind in kinds)
+
+    first = shape()
+    zeros, larges = operands(lambda: Fraction(0), first), operands(lambda: _large(rng), first)
     cases = [zeros, larges, tuple(z if i % 2 else x for i, (z, x) in enumerate(zip(zeros, larges)))]
     while len(cases) < count:
-        cases.append(operands(lambda: _rational(rng)))
+        cases.append(operands(lambda: _rational(rng), shape()))
     return cases
+
+
+# the orders 1-6 of a `_drawn` operand whose order is drawn
+MIXED = range(1, 7)
 
 
 class TestArithmetic:
@@ -231,15 +232,14 @@ class TestComposition:
         with pytest.raises(NotInvertible, match="^series has nonzero constant term$"):
             compositional_inverse(Series1([1, 1, 0]))
 
-    @given(series1(7))
-    @settings(max_examples=60)
-    def test_degree_solver_reproduces_reciprocal(self, a):
-        # a s = 1: s_k enters the x^k coefficient of a s - 1 as a_0 s_k
-        a = Series1([a.coeffs[0] or 1] + list(a.coeffs[1:]))
-        a0 = a.coeffs[0]
-        s = series_module._by_degree(7, [1 / a0], lambda t: (a * t).add_constant(-1),
-                                     lambda k: a0)
-        assert s == a.reciprocal()
+    def test_degree_solver_reproduces_reciprocal(self):
+        for a, in _drawn(60, 9, 7):
+            # a s = 1: s_k enters the x^k coefficient of a s - 1 as a_0 s_k
+            a = Series1([a.coeffs[0] or 1] + list(a.coeffs[1:]))
+            a0 = a.coeffs[0]
+            s = series_module._by_degree(7, [1 / a0], lambda t: (a * t).add_constant(-1),
+                                         lambda k: a0)
+            assert s == a.reciprocal()
 
     def test_degree_solver_returns_a_full_head(self):
         def unread(_):
@@ -632,37 +632,27 @@ def assert_cases(cases):
         assert_canonical(result)
 
 
-@st.composite
-def mixed_orders(draw, kind):
-    """Two operands of orders 1-6, either way round, and a rational factor."""
-    a = draw(kind(draw(st.integers(1, 6))))
-    b = draw(kind(draw(st.integers(1, 6))))
-    return a, b, draw(rationals)
-
-
 class TestIntegerForm:
     """Each operation on the stored (nums, den) form against its oracle
     (`oracles`), with the canonical form asserted after each one."""
 
-    @given(operands=mixed_orders(series1))
-    @settings(max_examples=50, deadline=None)
-    def test_one_variable_operations(self, operands):
-        a, b, f = operands
-        assert_canonical(a)
-        assert_cases(one_variable_cases(a, b, f))
+    def test_one_variable_operations(self):
+        # two operands of orders 1-6, either way round, and a rational factor
+        for a, b, f in _drawn(50, 10, (Series1, MIXED), (Series1, MIXED), None):
+            assert_canonical(a)
+            assert_cases(one_variable_cases(a, b, f))
 
-    @given(operands=mixed_orders(series2), data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_two_variable_operations(self, operands, data):
-        g, h, f = operands
-        s = data.draw(series1(data.draw(st.integers(1, 6))))
-        assert_canonical(g)
-        assert_cases(two_variable_cases(g, h, s, f))
-        x_order, y_order = min(g.trunc_order, h.trunc_order), data.draw(st.integers(0, 6))
-        y_order = min(y_order, x_order)
-        assert g.agrees_with(h, x_order, y_order) == all(
-            g.coeffs[u][v] == h.coeffs[u][v] for u in range(x_order) for v in range(y_order))
-        assert g.agrees_with(g.scale(3).scale(Fraction(1, 3)), g.trunc_order, g.trunc_order)
+    def test_two_variable_operations(self):
+        drawn = _drawn(25, 11, (Series2, MIXED), (Series2, MIXED), None, (Series1, MIXED))
+        for index, (g, h, f, s) in enumerate(drawn):
+            assert_canonical(g)
+            assert_cases(two_variable_cases(g, h, s, f))
+            # the y-order of the agreement runs through 0-6
+            x_order = min(g.trunc_order, h.trunc_order)
+            y_order = min(index % 7, x_order)
+            assert g.agrees_with(h, x_order, y_order) == all(
+                g.coeffs[u][v] == h.coeffs[u][v] for u in range(x_order) for v in range(y_order))
+            assert g.agrees_with(g.scale(3).scale(Fraction(1, 3)), g.trunc_order, g.trunc_order)
 
     @pytest.mark.parametrize("order_a, order_b", [(9, 9), (9, 7), (7, 9)])
     def test_order_nine(self, order_a, order_b):
@@ -926,8 +916,7 @@ class TestParsing:
 
 
 class TestAlgebraProperties:
-    """Laws of the series operations on operands from `_drawn`, at the
-    example counts these tests ran with under hypothesis."""
+    """Laws of the series operations on operands from `_drawn`."""
 
     def test_mul_commutative(self):
         for a, b in _drawn(100, 1, 6, 6):
@@ -973,7 +962,7 @@ class TestAlgebraProperties:
             assert a * a.reciprocal() == Series1.one(6)
 
     def test_mul_commutative_at_larger_orders(self):
-        for order in range(2, 13):    # every order the hypothesis range held
+        for order in range(2, 13):
             a = Series1([Fraction(i % 5 - 2, 1 + (i % 3)) for i in range(order)])
             b = Series1([Fraction((i * 7) % 4 - 1) for i in range(order)])
             assert a * b == b * a
@@ -983,27 +972,25 @@ class TestSingleLoopMatchesOracles:
     """`binomial_series` against its definition, and `**` against repeated
     products."""
 
-    @given(rationals, series1(6))
-    @settings(max_examples=40, deadline=None)
-    def test_binomial_matches_loop(self, alpha, b):
-        base = b.add_constant(1 - b.coeffs[0])
-        assert binomial_series(alpha, base) == binomial_by_fractions(alpha, base)
-        if b.coeffs[0] != 1:
-            with pytest.raises(ConstantTermNotOne):
-                binomial_series(alpha, b)
-            with pytest.raises(ConstantTermNotOne):
-                binomial_by_fractions(alpha, b)
+    def test_binomial_matches_loop(self):
+        for alpha, b in _drawn(40, 12, None, 6):
+            base = b.add_constant(1 - b.coeffs[0])
+            assert binomial_series(alpha, base) == binomial_by_fractions(alpha, base)
+            if b.coeffs[0] != 1:
+                with pytest.raises(ConstantTermNotOne):
+                    binomial_series(alpha, b)
+                with pytest.raises(ConstantTermNotOne):
+                    binomial_by_fractions(alpha, b)
 
-    @given(series1(5), series2(3))
-    @settings(max_examples=30, deadline=None)
-    def test_powers_match_repeated_products(self, a, g):
-        for s, one in ((a, Series1.one(5)), (g, Series2.monomial(0, 0, 3))):
-            product = one
-            for k in range(s.trunc_order + 1):
-                assert s ** k == product
-                product = product * s
-            with pytest.raises(SeriesError):
-                s ** -1
+    def test_powers_match_repeated_products(self):
+        for a, g in _drawn(30, 13, 5, (Series2, 3)):
+            for s, one in ((a, Series1.one(5)), (g, Series2.monomial(0, 0, 3))):
+                product = one
+                for k in range(s.trunc_order + 1):
+                    assert s ** k == product
+                    product = product * s
+                with pytest.raises(SeriesError):
+                    s ** -1
 
 
 class TestStoredCopies:

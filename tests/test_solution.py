@@ -1,3 +1,4 @@
+import json
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -49,6 +50,7 @@ from oracles import (
     solution_by_convolution,
     superscript_by_fractions,
 )
+from test_cli import _verify_cases
 from test_tensor import assert_stored_form
 
 
@@ -207,6 +209,15 @@ def _braid_scan_cases(rng, n):
     return cases
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The output indices ms of each `solution._braid_scan` call, in order."""
+    inner = solution._braid_scan
+    seen = []
+    monkeypatch.setattr(solution, "_braid_scan", lambda s, ms: seen.append(ms) or inner(s, ms))
+    return seen
+
+
 class TestBraidChecks:
     def test_standard_structures_pass(self, rng):
         for n, v0 in [(3, 1), (4, 2), (5, 3)]:
@@ -243,14 +254,15 @@ class TestBraidChecks:
             assert verdicts["candidate"] == verdicts["random"] == {False}
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_scan_matches_loop_oracle(self, rng, n, forms):
+    def test_scan_matches_loop_oracle(self, rng, n, forms, scans):
         verdicts, forms_by_label = {}, {}
         capped = joined = crossed = False
         for label, s in _braid_scan_cases(rng, n):
             assert (s.p == s.d) == (label in ("standard", "candidate"))
             crossed |= s.p.scaled_integers()[1] != s.d.scaled_integers()[1]
             forms.clear()
-            for check, ms in ((check_braid_reduced, range(1, 2)), (check_braid_full, range(n))):
+            scans.clear()
+            for check, ms in ((check_braid_full, range(n)), (check_braid_reduced, range(1, 2))):
                 report = check(s)
                 assert report == braid_scan_by_loops(s, ms)
                 assert all(type(lhs) is type(rhs) is Fraction
@@ -259,6 +271,9 @@ class TestBraidChecks:
                 verdicts.setdefault(label, set()).add(flags)
                 capped |= len(report.violations) == MAX_VIOLATIONS
                 joined |= len({v[0] for v in report.violations}) > 1
+            # the full check scans slice 1, then every m only when a family
+            # fails there; the reduced check reads slice 1 off the structure
+            assert scans == [range(1, 2)] + ([] if report else [range(n)])
             forms_by_label.setdefault(label, set()).update(forms)
         assert verdicts["standard"] == verdicts["nonroot"] == {(True, True, True)}
         assert (False, False, False) in verdicts["random"]
@@ -299,6 +314,53 @@ class TestBraidChecks:
                 for family, ok in enumerate(flags, 1):
                     assert ok == all(key[0] != family for key in sides)
         assert families_seen == {1, 2, 3}
+
+
+class TestBraidLemma:
+    """`check_braid_full` requires the morphisms, then decides a passing
+    structure from its m = 1 slice (the lemma in its docstring), and scans
+    every m only when a family fails there; the m = 1 report is kept on the
+    structure, so `check_braid_reduced` does not scan it again."""
+
+    @pytest.mark.parametrize("structure, passes", _verify_cases())
+    def test_verify_full_scan_counts(self, tmp_path, capsys, monkeypatch, scans,
+                                     structure, passes):
+        """A passing `verify --full` makes one m = 1 scan and no full scan; a
+        failing one one m = 1 scan and one full scan; p and d are asked for
+        4 and 6 times, and twice when they are not morphisms (no scan)."""
+        from qcycle import cli
+
+        asks = []
+        for module in (cli, solution):
+            inner = module.is_coalgebra_morphism
+            monkeypatch.setattr(module, "is_coalgebra_morphism",
+                                lambda t, inner=inner: asks.append(t) or inner(t))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(structure.to_payload()))
+        code = cli.main(["verify", "--tensor", str(path), "--full"])
+        capsys.readouterr()
+        assert code == (cli.EXIT_OK if passes else cli.EXIT_CHECK_FAILED)
+        morphisms = is_coalgebra_morphism(structure.p) and is_coalgebra_morphism(structure.d)
+        if not morphisms:
+            assert (scans, len(asks)) == ([], 2)
+        elif passes:
+            assert (scans, len(asks)) == ([range(1, 2)], 4)
+        else:
+            assert (scans, len(asks)) == ([range(1, 2), range(structure.n)], 6)
+
+    def test_lemma_needs_its_premise(self, scans):
+        """p = the standard cycle (5, 4) with p[1][2][2] raised by 1 is no
+        coalgebra morphism; its families hold at m = 1 and fail at m = 2, so a
+        shortcut taken before the morphism check would pass it."""
+        t = standard_structure(5, 4, []).p
+        s = QCycleStructure.involutive(t.with_entry(1, 2, 2, t.entry(1, 2, 2) + 1))
+        assert not is_coalgebra_morphism(s.p)
+        assert braid_scan_by_loops(s, range(1, 2)).ok
+        assert not braid_scan_by_loops(s, range(2, 3)).ok
+        for check in (check_braid_full, check_braid_reduced):
+            with pytest.raises(NotComultiplicative):
+                check(s)
+        assert scans == []
 
 
 def _perturbed_standard(n, entry):
@@ -997,3 +1059,43 @@ class TestSanity:
             by_name = {c.name: c for c in report.checks}
             assert report.ok
             assert by_name["main_dichotomy"].detail == "null diagonal"
+
+    @staticmethod
+    def _planted():
+        """One planted structure per failure branch of `structure_sanity`:
+        G = 2u + uv (n = 3), where neither case of the dichotomy holds; p a
+        standard cycle with d re-extended from its level 1 with t[1][1] = 2,
+        so the diagonal entries differ; and that p with the column-zero entry
+        p[2][0][1] raised by 1, as p or as d."""
+        level1 = [[Fraction(0)] * 3 for _ in range(3)]
+        level1[1][0], level1[1][1] = Fraction(2), Fraction(1)
+        neither = QCycleStructure.involutive(extend_from_level1(level1))
+        t = standard_structure(4, 1, [Fraction(1, 2), Fraction(-2, 3)]).p
+        level1 = t.level(1)
+        level1[1][1] = Fraction(2)
+        bent = t.with_entry(2, 0, 1, t.entry(2, 0, 1) + 1)
+        return {"neither": neither, "diagonal": QCycleStructure(t, extend_from_level1(level1)),
+                "expansion_p": QCycleStructure(bent, t), "expansion_d": QCycleStructure(t, bent)}
+
+    @pytest.mark.parametrize("case, lines", [
+        ("neither", ["FAIL  main_dichotomy  [neither case holds]", "PASS  diagonal_entries_agree",
+                     "FAIL  column_zero_expansion_p  [first failure at (1, 1)]",
+                     "FAIL  column_zero_expansion_d  [first failure at (1, 1)]"]),
+        ("diagonal", ["PASS  main_dichotomy", "FAIL  diagonal_entries_agree",
+                      "PASS  column_zero_expansion_p", "PASS  column_zero_expansion_d"]),
+        ("expansion_p", ["PASS  main_dichotomy", "PASS  diagonal_entries_agree",
+                         "FAIL  column_zero_expansion_p  [first failure at (1, 2)]",
+                         "PASS  column_zero_expansion_d"]),
+        ("expansion_d", ["PASS  main_dichotomy", "PASS  diagonal_entries_agree",
+                         "PASS  column_zero_expansion_p",
+                         "FAIL  column_zero_expansion_d  [first failure at (1, 2)]"]),
+    ])
+    def test_planted_failures(self, case, lines):
+        report = structure_sanity(self._planted()[case])
+        assert not report
+        assert report.lines() == lines
+        by_name = {c.name: c for c in report.checks}
+        # the diagonal check reports no witness; the dichotomy names its case
+        assert by_name["diagonal_entries_agree"].detail is None
+        assert by_name["main_dichotomy"].detail == (
+            "neither case holds" if case == "neither" else "unit step")
