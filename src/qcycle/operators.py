@@ -41,8 +41,8 @@ one way to change a series: a copy with empty caches.  It replaces only a
 `Series1`, `Series2` or `CoeffTensor` attribute, or a list of them, never
 order, degree or bundle, so every context keeps v0 < n <= N, on which the
 suite relies.  The constructor proves only the inverse round trip of q and
-the transport checks (T_0 = 0, T_1 = f^{v0}, (T^j)_j = f^{j v0}); the suite
-proves the rest.
+the transport checks T_0 = 0 and T_1 = f^{v0}, which give (T^j)_j = f^{j v0};
+the suite proves the rest.
 
 `identity_suite` checks, exactly and up to the truncation order, every
 identity the construction is built on, ending with the slice symmetry
@@ -223,11 +223,8 @@ class OperatorContext:
             raise InvariantViolation("transport_vanishes_at_0")
         if self.transport.slice_y(1) != self.f_power(v0):
             raise InvariantViolation("transport_unit_slice")
-        # T_0 = 0 gives (T^j)_j = T_1^j, so with exact products this check
-        # follows from the two before it; only a faulty product can reach it.
-        for j in range(1, N):
-            if self.power_slice("transport", j, j) != self.f_power(j * v0):
-                raise InvariantViolation("transport_power_diagonal")
+        # No check of the diagonal (T^j)_j = f^(j v0) follows: T_0 = 0 makes
+        # (T^j)_j = T_1^j exactly, and T_1 = f^v0 was checked just above.
 
     # -- the operators -------------------------------------------------------
 

@@ -37,6 +37,8 @@ one-variable ones are made on every monomial x^c y^d at every degree.
     superscript map             `superscript_map`                  superscript_by_fractions
     solution map                `build_solution`                   solution_by_convolution
     endomorphism of C (x) C     `is_coalgebra_endomorphism`        is_endomorphism_by_scan
+    transpose pull of a map     `solution._transpose_kernel`       pull_by_matrix
+                                (packed and term forms)
     braid identity on the map   `check_braid_on_map`               braid_by_sweep
     operator images             `OperatorContext.partial_*`,       oracle_x, oracle_y,
                                 `global_table`                     oracle_global
@@ -530,6 +532,22 @@ def is_endomorphism_by_scan(s):
             if lhs != {key: v for key, v in rhs.items() if v}:
                 return False
     return True
+
+
+def pull_by_matrix(s, f, first):
+    """den * s12^T (first) or den * s23^T applied to f = {(a, b, c): int}, den
+    the lcm of the denominators of s: y1^a y2^b y3^c goes to the sum of
+    s[(a, b), (i, j)] y1^i y2^j y3^c (first), or of s[(b, c), (i, j)]
+    y1^a y2^i y3^j, term by term on the `Fraction` matrix."""
+    n = s.n
+    den = lcm(*(v.denominator for row in s.matrix for v in row))
+    out = {}
+    for (a, b, c), val in f.items():
+        for col, v in enumerate(s.matrix[a * n + b if first else b * n + c]):
+            i, j = divmod(col, n)
+            key = (i, j, c) if first else (a, i, j)
+            out[key] = out.get(key, 0) + val * int(v * den)
+    return {key: v for key, v in out.items() if v}
 
 
 def braid_by_sweep(s):

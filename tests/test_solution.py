@@ -47,6 +47,7 @@ from oracles import (
     inverse_by_adjugate,
     is_endomorphism_by_scan,
     product_by_fractions,
+    pull_by_matrix,
     solution_by_convolution,
     superscript_by_fractions,
 )
@@ -697,19 +698,115 @@ def _braid_map_cases(rng, n):
     )
 
 
+# A ratio with wide numerator and denominator: conjugating by its powers
+# (`_conjugated`) takes a map's growth above `PACKED_GROWTH_BITS`.
+WIDE = Fraction(3 ** 60, 2 ** 61)
+
+
+def _conjugated(m, lam):
+    """D m D^-1 for D = d (x) d, d the coalgebra automorphism x_i -> lam^i x_i
+    of C: entry ((k, l), (i, j)) times lam^(k + l - i - j).  It keeps the
+    verdicts of m (endomorphism, braid identity, involution)."""
+    n = m.n
+    return LinearMap2(n, [[v * lam ** (sum(divmod(r, n)) - sum(divmod(c, n))) if v else 0
+                           for c, v in enumerate(row)] for r, row in enumerate(m.matrix)])
+
+
+def _pull_form(m):
+    """The pull `_transpose_kernel` takes for m: "packed" or "terms"."""
+    pull = solution._transpose_kernel(m, 3)[0]
+    return {solution._packed_pull: "packed", solution._term_pull: "terms"}[pull.func]
+
+
+def _assert_pulls_match(maps, forms):
+    """The braid and involution checks of each map agree with `braid_by_sweep`
+    and `compose`, the maps take the pull forms `forms`, and each verdict is
+    seen both ways."""
+    verdicts = {"endo": set(), "braid": set(), "involution": set()}
+    seen = set()
+    for m in maps:
+        braid = braid_by_sweep(m)
+        involution = m.compose(m).is_identity()
+        assert check_braid_on_map(m) == braid
+        assert is_involution(m) == involution
+        verdicts["endo"].add(is_coalgebra_endomorphism(m))
+        verdicts["braid"].add(braid)
+        verdicts["involution"].add(involution)
+        seen.add(_pull_form(m))
+    assert all(found == {True, False} for found in verdicts.values())
+    assert seen == forms
+
+
 class TestTransposeKernel:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_sweep_and_compose(self, rng, n):
-        verdicts = {"endo": set(), "braid": set(), "involution": set()}
-        for m in _braid_map_cases(rng, n):
-            braid = braid_by_sweep(m)
-            involution = m.compose(m).is_identity()
-            assert check_braid_on_map(m) == braid
-            assert is_involution(m) == involution
-            verdicts["endo"].add(is_coalgebra_endomorphism(m))
-            verdicts["braid"].add(braid)
-            verdicts["involution"].add(involution)
-        assert all(seen == {True, False} for seen in verdicts.values())
+        """On the maps of `_braid_map_cases`, all pulled packed."""
+        _assert_pulls_match(_braid_map_cases(rng, n), {"packed"})
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_wide_weights_match_sweep_and_compose(self, rng, n):
+        """On the maps of `_braid_map_cases` conjugated to weights above the
+        cut; the maps whose weights stay narrow, such as the identity, are
+        still pulled packed."""
+        _assert_pulls_match([_conjugated(m, WIDE) for m in _braid_map_cases(rng, n)],
+                            {"packed", "terms"})
+
+    def test_form_by_growth(self):
+        """A map whose growth, the largest column sum of |weight|, has
+        `PACKED_GROWTH_BITS` bits is pulled packed, one with a bit more by
+        terms; both give the oracle's pull."""
+        n, cut = 2, solution.PACKED_GROWTH_BITS
+        f = {(a, b, c): 1 - 2 * ((a + b + c) % 2) for a in range(n) for b in range(n)
+             for c in range(n)}
+        for growth, form in ((2 ** cut - 1, "packed"), (2 ** cut, "terms")):
+            grid = [[1] * (n * n) for _ in range(n * n)]
+            grid[1][2] = growth - (n * n - 1)
+            m = LinearMap2(n, grid)
+            assert _pull_form(m) == form
+            pull = solution._transpose_kernel(m, 3)[0]
+            for first in (True, False):
+                assert pull(f, first) == pull_by_matrix(m, f, first)
+
+    @pytest.mark.parametrize("sign", [1, -1, 0])
+    def test_packed_fields_at_the_bound(self, rng, sign):
+        """Every field of a packed pull reaches the bound the width is made
+        for, max |coefficient| * growth, when every weight is positive, every
+        column sums to the growth and every coefficient is +-the maximum
+        (sign 1, -1); a field one bit narrower overflows.  Sign 0 mixes the
+        signs of the coefficients and weights, so negative fields borrow from
+        the next."""
+        n, top = 3, 2 ** 20 - 1
+        growth = 2 ** 40 - 1
+        grid = [[rng.randint(1, 2 ** 30) for _ in range(n * n)] for _ in range(n * n - 1)]
+        grid.append([growth - sum(col) for col in zip(*grid)])
+        if not sign:
+            grid = [[w * rng.choice((-1, 1)) for w in row] for row in grid]
+        m = LinearMap2(n, grid)
+        pull = solution._transpose_kernel(m, 3)[0]
+        assert pull.func is solution._packed_pull
+        f = {(a, b, c): top * (sign or rng.choice((-1, 1)))
+             for a in range(n) for b in range(n) for c in range(n)}
+        for first in (True, False):
+            out = pull(f, first)
+            assert out == pull_by_matrix(m, f, first)
+            if sign:
+                assert set(out.values()) == {sign * top * growth}
+            else:
+                assert min(out.values()) < 0 < max(out.values())
+
+    @pytest.mark.parametrize("cut", [solution.PACKED_GROWTH_BITS, -1])
+    def test_image_zero(self, monkeypatch, cut):
+        """A word whose image is zero: the zero map pulls a monomial to the
+        empty image, and that to itself, packed and (with the cut below every
+        growth) by terms."""
+        monkeypatch.setattr(solution, "PACKED_GROWTH_BITS", cut)
+        for n in (2, 3):
+            zero = LinearMap2(n, [[0] * (n * n) for _ in range(n * n)])
+            assert _pull_form(zero) == ("packed" if cut >= 0 else "terms")
+            pull = solution._transpose_kernel(zero, 3)[0]
+            assert pull({(1, 0, 1): 5}, True) == pull({}, True) == pull({}, False) == {}
+            assert check_braid_on_map(zero) and braid_by_sweep(zero)
+            assert not is_involution(zero)
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_non_endomorphism_uses_every_monomial(self, n):

@@ -10,6 +10,7 @@ from qcycle.series import Series1, Series2
 from qcycle.solution import check_braid_reduced
 from qcycle.tensor import (
     CoeffTensor,
+    MorphismReport,
     QCycleStructure,
     counit_action,
     extend_from_level1,
@@ -279,6 +280,32 @@ class TestStructuralSuite:
             ("vanishing_above_first_index", False, detail),
             ("column_one_derivation", False, detail)]
         assert not report and not report.ok
+
+    def test_planted_morphism_verdict(self):
+        """Each lemma fails on a tensor that is no morphism but carries a
+        planted passing verdict: the lemmas are a second route to it.  A
+        standard cycle (t10 = 1, t01 = 0, t11 = 1) with one entry changed:
+        above the total degree (so above the first index too), on the top
+        level, above the first index below the top, and at t[2][1][2]."""
+        t = standard_structure(4, 1, [Fraction(1, 2), Fraction(-2, 3)]).p
+        first = "first failure at "
+        plants = [
+            ((1, 0, 2), 5, {"vanishing_above_total_degree": (1, 0, 2),
+                            "vanishing_above_first_index": (1, 0, 2)}),
+            ((2, 0, 2), 2, {"top_level_binomial": (2, 0, 2)}),
+            ((1, 2, 2), 7, {"vanishing_above_first_index": (1, 2, 2)}),
+            ((2, 1, 2), 5, {"column_one_derivation": (2, 1, 2)}),
+        ]
+        names = ["vanishing_above_total_degree", "top_level_binomial",
+                 "vanishing_above_first_index", "column_one_derivation"]
+        for entry, value, fails in plants:
+            planted = t.with_entry(*entry, value)
+            assert not is_morphism_by_definition(planted)
+            object.__setattr__(planted, "_morph", MorphismReport(True))
+            report = structural_lemma_suite(planted)
+            assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+                (name, name not in fails, f"{first}{fails[name]}" if name in fails else None)
+                for name in names]
 
     def test_regular_column_powers(self, rng):
         s = standard_structure(5, 2, [1, Fraction(1, 2)])
